@@ -8,10 +8,9 @@ object so repeated runs produce byte-identical payloads.
 """
 
 import argparse
+import itertools
 import json
 import sys
-
-import numpy as np
 
 from . import bounds, construct, families, fields, mols, verify
 
@@ -35,8 +34,6 @@ def _build_parser():
     p.add_argument("--variant", choices=("gauss", "mols"), default="gauss")
     p.add_argument("--out", default=None)
     p.add_argument("--mols-file", default=None, help="squares file for the mols variant")
-    p.add_argument("--include-identity", action="store_true",
-                   help="experimental: append the identity generator and verify it fits")
 
     p = sub.add_parser("verify", help="certify a family file")
     p.add_argument("family")
@@ -95,27 +92,6 @@ def _cmd_construct(args):
         family = construct.family_ckd(args.d, args.k)
     family.metadata["command"] = command
 
-    if args.include_identity:
-        kd = args.k * args.d
-        eye = np.eye(kd, dtype=complex)
-        already = any(np.array_equal(mat, eye) for _, mat in family.generators)
-        if already:
-            print("identity is already a member; nothing to append")
-        else:
-            failures = []
-            for label, mat in family.generators:
-                dev = verify.criterion_check(family.ring, family.k, eye, mat)
-                if dev > 1e-8:
-                    failures.append((label, dev))
-            if failures:
-                for label, dev in failures:
-                    print(f"identity fails against {label}: criterion deviation {dev:.3e}",
-                          file=sys.stderr)
-                print("identity does not extend this family", file=sys.stderr)
-                return 3
-            family.generators.append(("I", eye))
-            print("identity appended: all criterion checks passed")
-
     out = args.out or f"family_d{args.d}_k{args.k}_{args.variant}.json"
     families.save_family(family, out)
     rule = family.metadata.get("construction")
@@ -145,8 +121,6 @@ def _cmd_verify(args):
 
 def _imported_mols(path):
     squares = mols.import_mols(path)
-    if not squares:
-        raise UsageError("squares file holds no squares")
     return squares[0].order, len(squares)
 
 
@@ -198,30 +172,25 @@ def _cmd_mols(args):
         return 0
     if args.mols_command == "check":
         squares = mols.import_mols(args.file)
-        x = squares[0].order if squares else 0
+        x = squares[0].order
         if args.json:
             print(json.dumps({"x": x, "squares": len(squares), "orthogonal": True}))
         else:
             print(f"x={x} squares={len(squares)} orthogonal=yes")
         return 0
     if args.mols_command == "net":
-        squares = _squares_from_args(args)
-        x = squares[0].order if squares else args.x
-        net = mols.net_from_mols(squares, order=x)
+        net = mols.net_from_mols(_squares_from_args(args))
         print(f"({net.n},{net.x})-net: {net.n} blocks of {net.x} vectors on {net.x ** 2} points")
         return 0
     # mubs
-    squares = _squares_from_args(args)
-    x = squares[0].order if squares else args.x
-    net = mols.net_from_mols(squares, order=x)
+    net = mols.net_from_mols(_squares_from_args(args))
+    x, k = net.x, net.x ** 2
     bases = mols.mubs_from_net(net, mols.fourier_hadamard(x))
-    k = x * x
     target = 1.0 / x
     worst = 0.0
-    for i in range(len(bases)):
-        for j in range(i + 1, len(bases)):
-            mags = np.abs(bases[i].conj().T @ bases[j])
-            worst = max(worst, float(np.abs(mags - target).max()))
+    for a, b in itertools.combinations(bases, 2):
+        lo, hi = verify.bruteforce_unbiased(a, b)
+        worst = max(worst, abs(hi - target), abs(target - lo))
     if args.out:
         doc = {"k": k, "x": x, "n_bases": len(bases),
                "bases": [families.matrix_to_json(b) for b in bases]}

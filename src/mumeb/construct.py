@@ -10,14 +10,16 @@ B side maps to column j*d + index(r) of U.
 
 import numpy as np
 
-from . import fields, linalg
+from . import fields
 from .fields import FiniteField, GaloisRing
 
 
 class MEBFamily:
-    """A labeled set of generator unitaries plus construction metadata."""
+    """A labeled set of generator unitaries plus construction metadata.
 
-    def __init__(self, d, k, ring, generators, metadata=None, validate_unitarity=True):
+    Shapes and labels are checked here; unitarity only in certify_family."""
+
+    def __init__(self, d, k, ring, generators, metadata=None):
         self.d = d
         self.k = k
         self.ring = ring
@@ -31,21 +33,10 @@ class MEBFamily:
         for label, mat in self.generators:
             if mat.shape != (k * d, k * d):
                 raise ValueError(f"generator {label} has shape {mat.shape}, expected {(k*d, k*d)}")
-            if validate_unitarity:
-                ok, dev = linalg.is_unitary(mat, 1e-9)
-                if not ok:
-                    raise ValueError(f"generator {label} is not unitary (deviation {dev:.3e})")
 
     @property
     def n_bases(self):
         return len(self.generators)
-
-    def labels(self):
-        return [label for label, _ in self.generators]
-
-    def bases(self):
-        """Expand every generator; returns the list of N x N basis matrices."""
-        return [expand_basis(self.ring, mat, self.k) for _, mat in self.generators]
 
     def __repr__(self):
         return f"MEBFamily(d={self.d}, k={self.k}, bases={self.n_bases})"
@@ -75,17 +66,9 @@ def v_unitary(ring, a):
     return permutation_unitary(ring, a) @ fourier_unitary(ring)
 
 
-def pauli_matrix(ring, xi, eta):
-    """Monomial unitary with entry lambda(r*xi) at position (index(r+eta), index(r))."""
-    d = ring.d
-    h = np.zeros((d, d), dtype=complex)
-    rows = fields.add_index_table(ring)[:, eta.index]
-    h[rows, np.arange(d)] = fields.char_table(ring)[:, xi.index]
-    return h
-
-
 def expand_basis(ring, u, k=None):
-    """Expand one generator into its full orthonormal basis of C^(kd^2).
+    """Expand one generator into its full basis of C^(kd^2), orthonormal
+    when the generator is unitary (certify_family checks that first).
 
     Returns an N x N array (N = kd^2) whose columns are the basis vectors in
     lexicographic (xi, eta, j) order by canonical ring index.
@@ -98,9 +81,6 @@ def expand_basis(ring, u, k=None):
         k = u.shape[0] // d
     if u.shape[0] != k * d:
         raise ValueError(f"generator size {u.shape[0]} does not equal k*d = {k*d}")
-    ok, dev = linalg.is_unitary(u, 1e-9)
-    if not ok:
-        raise ValueError(f"generator is not unitary (deviation {dev:.3e})")
 
     kd = k * d
     n = k * d * d

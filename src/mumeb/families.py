@@ -58,7 +58,7 @@ def family_from_dict(payload):
         if key not in payload:
             raise SchemaError(f"missing required key {key!r}")
     d, k = payload["d"], payload["k"]
-    if not isinstance(d, int) or not isinstance(k, int) or d < 2 or k < 1:
+    if type(d) is not int or type(k) is not int or d < 2 or k < 1:  # bool is not an int here
         raise SchemaError("d and k must be integers with d >= 2, k >= 1")
     ring_desc = payload["ring"]
     if not isinstance(ring_desc, dict) or "factors" not in ring_desc:
@@ -77,14 +77,13 @@ def family_from_dict(payload):
         if not isinstance(entry, dict) or "label" not in entry or "matrix" not in entry:
             raise SchemaError("each generator needs a label and a matrix")
         label = entry["label"]
+        if not isinstance(label, str):
+            raise SchemaError(f"generator label {label!r} is not a string")
         generators.append((label, matrix_from_json(entry["matrix"], k * d, label)))
     labels = [lab for lab, _ in generators]
     if len(set(labels)) != len(labels):
         raise SchemaError("generator labels must be unique")
-    # unitarity is a verification concern, not a schema one: load permissively
-    # so certification can report a tampered generator by name
-    return MEBFamily(d, k, ring, generators, payload.get("metadata"),
-                     validate_unitarity=False)
+    return MEBFamily(d, k, ring, generators, payload.get("metadata"))
 
 
 def _header(extra=None):

@@ -515,18 +515,6 @@ def ring_for_dimension(d):
     return ProductRing([FiniteField(p, a) for p, a in factor_into_prime_powers(d)])
 
 
-def generic_character(x):
-    """Additive character lambda(x) = prod_t exp(2 pi i T_t(x_t) / p_t)."""
-    phase = 0.0
-    for part in x.parts:
-        phase += field_trace(part) / part.field.p
-    return complex(np.exp(2j * np.pi * phase))
-
-
-def units(ring):
-    return ring.units()
-
-
 def unit_difference_set(ring):
     """The aligned-unit set S with |S| = q_1 - 1 and all pairwise differences units.
 

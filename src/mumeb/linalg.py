@@ -8,23 +8,6 @@ few thousand at most, so everything is direct dense arithmetic.
 import numpy as np
 
 
-def matmul(a, b):
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
-def conj_transpose(a):
-    return np.asarray(a, dtype=complex).conj().T
-
-
-def tensor(a, b):
-    """Kronecker product with row-major index pairing (i_A * rows_B + i_B)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def is_unitary(a, tol=1e-9):
     """Return (ok, deviation) where deviation = max |A^dag A - I|."""
     a = np.asarray(a, dtype=complex)
@@ -38,20 +21,6 @@ def gram_deviation(basis):
     """Max |B^dag B - I|: orthonormality defect of the columns."""
     basis = np.asarray(basis, dtype=complex)
     return float(np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max())
-
-
-def reduced_density_check(v, d, dprime):
-    """Max deviation of the subsystem-A reduced density of v from I_d / d.
-
-    v lives in C^(d * dprime) with the A index major; the coefficient matrix M
-    is the d x dprime reshape and the reduced density is M M^dag.
-    """
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.size != d * dprime:
-        raise ValueError(f"vector length {v.size} is not {d}*{dprime}")
-    m = v.reshape(d, dprime)
-    rho = m @ m.conj().T
-    return float(np.abs(rho - np.eye(d) / d).max())
 
 
 def max_entanglement_deviation(basis, d, dprime):

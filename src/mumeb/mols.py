@@ -69,9 +69,7 @@ def check_orthogonal(l1, l2):
     """True iff superimposing the squares yields all x^2 ordered symbol pairs."""
     if l1.order != l2.order:
         raise ValueError("orders differ")
-    x = l1.order
-    pairs = {(l1.cells[i][j], l2.cells[i][j]) for i in range(x) for j in range(x)}
-    return len(pairs) == x * x
+    return _first_orthogonality_clash(l1, l2) is None
 
 
 def _first_orthogonality_clash(l1, l2):
@@ -301,8 +299,8 @@ def parse_mols(text):
         x, w = int(header[0]), int(header[1])
     except ValueError:
         raise MolsParseError(f"header must be 'x w', got {lines[idx]!r}") from None
-    if x < 1 or w < 0:
-        raise MolsParseError(f"bad header values x={x}, w={w}")
+    if x < 1 or w < 1:
+        raise MolsParseError(f"bad header values x={x}, w={w}: both must be at least 1")
     idx += 1
     squares = []
     for b in range(w):

@@ -126,50 +126,6 @@ def gauss_sum_check(ring):
     return worst
 
 
-def _least_primitive_element(field):
-    for g in field.units():
-        el, order = g, 1
-        while el != field.one:
-            el, order = el * g, order + 1
-        if order == field.q - 1:
-            return g
-    raise RuntimeError("no primitive element found")
-
-
-def gauss_sum_reference(field, c, order=2):
-    """g(c, order) = sum over the nontrivial powers chi^j of the order-`order`
-    multiplicative character of sum_(r != 0) zeta_p^(T(c r)) chi^j(r).
-
-    This equals sum_r zeta_p^(T(c r^order)) by counting order-th power roots,
-    which gives an independent route to the quadratic sums.  Each component
-    Gauss sum is checked to have magnitude sqrt(q).
-    """
-    if c.is_zero:
-        raise ValueError("c must be nonzero")
-    q = field.q
-    if order < 2 or (q - 1) % order:
-        raise ValueError(f"character order {order} does not divide q - 1 = {q - 1}")
-    g = _least_primitive_element(field)
-    dlog = {}
-    el = field.one
-    for m in range(q - 1):
-        dlog[el.index] = m
-        el = el * g
-    zeta_p = np.exp(2j * np.pi / field.p)
-    chi_base = np.exp(2j * np.pi / order)
-    total = 0.0 + 0.0j
-    for j in range(1, order):
-        gsum = 0.0 + 0.0j
-        for r in field.units():
-            add_char = zeta_p ** fields.field_trace(c * r)
-            mult_char = chi_base ** ((j * dlog[r.index]) % order)
-            gsum += add_char * mult_char
-        if abs(abs(gsum) - np.sqrt(q)) > 1e-9:
-            raise AssertionError(f"component Gauss sum magnitude {abs(gsum)} != sqrt({q})")
-        total += gsum
-    return complex(total)
-
-
 # ---------------------------------------------------------------------------
 # full certification
 

@@ -98,17 +98,10 @@ def test_verify_pairs_only(tmp_path, capsys):
     assert doc["passed"] is True and doc["bases"] == []
 
 
-def test_include_identity_branches(tmp_path, capsys):
-    # the permutation family always contains the identity already
-    code, out, _ = run(capsys, "construct", "--d", "3", "--k", "1",
+def test_include_identity_flag_is_gone(tmp_path, capsys):
+    code, _, err = run(capsys, "construct", "--d", "3", "--k", "1",
                        "--include-identity", "--out", str(tmp_path / "a.json"))
-    assert code == 0 and "already a member" in out
-    assert "bases=4" in out
-    # the net bases never contain it, and it is not unbiased against them
-    code, _, err = run(capsys, "construct", "--d", "3", "--k", "4", "--variant", "mols",
-                       "--include-identity", "--out", str(tmp_path / "b.json"))
-    assert code == 3
-    assert "identity fails against" in err
+    assert code == 1 and "unrecognized arguments" in err
 
 
 def test_bound_command(tmp_path, capsys):
@@ -159,6 +152,20 @@ def test_mols_check_failures(tmp_path, capsys):
     garbage.write_text("what is this\n")
     code, _, err = run(capsys, "mols", "check", str(garbage))
     assert code == 2 and "input error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "mols check {f}",
+    "mols net --file {f}",
+    "mols mubs --file {f}",
+    "construct --d 3 --k 4 --variant mols --mols-file {f} --out {t}/fam.json",
+    "bound --d 3 --k 4 --mols-file {f}",
+])
+def test_squares_file_without_squares_is_malformed(tmp_path, capsys, argv):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("3 0\n")
+    code, _, err = run(capsys, *argv.format(f=empty, t=tmp_path).split())
+    assert code == 2 and "w=0" in err
 
 
 def test_mols_net_and_mubs(tmp_path, capsys):

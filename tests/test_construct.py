@@ -4,10 +4,10 @@ import pytest
 from mumeb import fields, linalg
 from mumeb.construct import (MEBFamily, b_block, b_tensor, expand_basis,
                              family_cd, family_ckd, family_ckd_mols, k_factors,
-                             fourier_unitary, pauli_matrix, permutation_unitary,
-                             v_unitary)
+                             fourier_unitary, permutation_unitary, v_unitary)
 from mumeb.fields import FiniteField, GaloisRing, ring_for_dimension
 from mumeb.mols import OrthogonalityViolation, mols_prime_power
+from oracles import generic_character, pauli_matrix
 
 
 def _random_unitary(n, seed):
@@ -116,7 +116,7 @@ def test_expand_basis_against_hand_loop_oracle():
                 col = (xi.index * d + eta.index) * k + j
                 vec = np.zeros(n, dtype=complex)
                 for r in ring.elements():
-                    amp = fields.generic_character(r * xi) / np.sqrt(d)
+                    amp = generic_character(r * xi) / np.sqrt(d)
                     ia = (r + eta).index
                     for ib in range(kd):
                         vec[ia * kd + ib] += amp * u[ib, j * d + r.index]
@@ -146,18 +146,17 @@ def test_expand_basis_guards():
         expand_basis(ring, np.eye(4))
     with pytest.raises(ValueError):
         expand_basis(ring, np.eye(6), k=3)
-    with pytest.raises(ValueError):
-        expand_basis(ring, 2 * np.eye(3))  # not unitary
 
 
 @pytest.mark.parametrize("d,count", [(3, 4), (9, 16), (15, 4), (21, 4), (25, 48)])
 def test_family_cd_counts(d, count):
     fam = family_cd(d)
+    labels = [label for label, _ in fam.generators]
     assert fam.n_bases == count
-    assert len(set(fam.labels())) == count
+    assert len(set(labels)) == count
     assert fam.metadata["construction"] == "gauss-dd"
     # the aligned-unit set contains 1, so the identity is always a member
-    assert fam.labels()[0] == f"U(a={fam.ring.one.index})"
+    assert labels[0] == f"U(a={fam.ring.one.index})"
     assert np.array_equal(fam.generators[0][1], np.eye(d))
 
 
@@ -174,10 +173,9 @@ def test_meb_family_validation():
     with pytest.raises(ValueError):
         MEBFamily(3, 1, ring, [("a", np.eye(4))])
     with pytest.raises(ValueError):
-        MEBFamily(3, 1, ring, [("a", 2 * np.eye(3))])
-    with pytest.raises(ValueError):
         MEBFamily(5, 1, ring, [("a", np.eye(5))])
-    fam = MEBFamily(3, 1, ring, [("a", 2 * np.eye(3))], validate_unitarity=False)
+    # unitarity is left to certify_family, which names the offending generator
+    fam = MEBFamily(3, 1, ring, [("a", 2 * np.eye(3))])
     assert fam.n_bases == 1
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mumeb.cli import main
 from mumeb.construct import family_cd, family_ckd
 from mumeb.families import (SchemaError, family_from_dict, family_to_dict,
                             load_family, matrix_from_json, matrix_to_json,
@@ -34,7 +35,7 @@ def test_family_file_round_trip(tmp_path):
     save_family(fam, path)
     loaded = load_family(path)
     assert loaded.d == fam.d and loaded.k == fam.k
-    assert loaded.labels() == fam.labels()
+    assert [g[0] for g in loaded.generators] == [g[0] for g in fam.generators]
     assert loaded.ring == fam.ring
     assert loaded.metadata == fam.metadata
     for (_, a), (_, b) in zip(loaded.generators, fam.generators):
@@ -112,3 +113,25 @@ def test_save_report(tmp_path):
     save_report(certify_family(family_cd(3)), again)
     body2 = {k: v for k, v in json.loads(again.read_text()).items() if k != "header"}
     assert json.dumps(body, sort_keys=True) == json.dumps(body2, sort_keys=True)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("k", True, "d and k must be integers"),
+    ("d", True, "d and k must be integers"),
+    ("label", ["U", 1], "is not a string"),
+    ("label", 5, "is not a string"),
+    ("label", None, "is not a string"),
+])
+def test_load_family_rejects_non_integer_sizes_and_non_string_labels(
+        tmp_path, capsys, field, value, message):
+    doc = family_to_dict(family_cd(3))
+    if field == "label":
+        doc["generators"][1]["label"] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=message):
+        load_family(path)
+    assert main(["verify", str(path)]) == 2
+    assert message in capsys.readouterr().err

@@ -6,8 +6,9 @@ import pytest
 from mumeb import fields
 from mumeb.fields import (FiniteField, GaloisRing, ProductRing, default_modulus,
                           factor_into_prime_powers, field_trace, galois_trace_z4,
-                          generic_character, is_prime, prime_power_split,
-                          ring_for_dimension, unit_difference_set)
+                          is_prime, prime_power_split, ring_for_dimension,
+                          unit_difference_set)
+from oracles import generic_character
 
 # exhaustive up to q = 81, randomized spot checks above
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4),
