@@ -6,9 +6,8 @@ from .construct import (MEBFamily, b_block, b_tensor, expand_basis, family_cd,
                         family_ckd, family_ckd_mols, fourier_unitary,
                         permutation_unitary, v_unitary)
 from .families import load_family, save_family
-from .fields import (FieldElement, FiniteField, GaloisRing, ProductRing,
-                     ProductRingElement, field_trace, galois_trace_z4,
-                     ring_for_dimension, unit_difference_set)
+from .fields import (FiniteField, GaloisRing, ProductRing, field_trace,
+                     galois_trace_z4, ring_for_dimension, unit_difference_set)
 from .mols import (LatinSquare, Net, best_mols, check_orthogonal, embed,
                    fourier_hadamard, import_mols, mols_macneish,
                    mols_prime_power, mubs_from_net, net_from_mols)

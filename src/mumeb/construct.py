@@ -48,7 +48,7 @@ def permutation_unitary(ring, a):
     Acts on basis vectors as U(a)|e_r> = |e_(r/a)>; U(1) = I and
     U(a)U(b) = U(ab).
     """
-    if not a.is_unit:
+    if a not in ring.units():
         raise ValueError("permutation unitary needs an invertible ring element")
     d = ring.d
     u = np.zeros((d, d), dtype=complex)
@@ -109,12 +109,12 @@ def family_cd(d_or_ring):
     w = fourier_unitary(ring)
     gens = []
     for a in s_set:
-        gens.append((f"U(a={a.index})", permutation_unitary(ring, a)))
+        gens.append((f"U(a={a})", permutation_unitary(ring, a)))
     for a in s_set:
-        gens.append((f"V(a={a.index})", permutation_unitary(ring, a) @ w))
+        gens.append((f"V(a={a})", permutation_unitary(ring, a) @ w))
     meta = {
         "construction": "gauss-dd",
-        "s_indices": [a.index for a in s_set],
+        "s_indices": s_set,
         "unitarity_tol": 1e-9,
         "vector_order": "(xi,eta,j) lexicographic",
     }
@@ -124,8 +124,8 @@ def family_cd(d_or_ring):
 # ---------------------------------------------------------------------------
 # flat k x k blocks
 
-def _factor_size(factor):
-    return 2 ** factor.a if isinstance(factor, GaloisRing) else factor.q
+# i^e for e = 0..3; 1j ** 3 has real part -0.0, which the family JSON keeps
+_Z4_POWERS = np.array([1j ** e for e in range(4)])
 
 
 def k_factors(k):
@@ -144,31 +144,18 @@ def b_block(factor, j):
     GR(4,a).  Any two distinct blocks (and any block against I) have all
     cross-overlap magnitudes 1/sqrt(q).
     """
-    if isinstance(factor, GaloisRing):
-        q = 2 ** factor.a
-        if not 0 <= j < q:
-            raise ValueError(f"block index {j} out of range for q={q}")
-        teich = factor.teichmuller
-        jel = teich[j]
-        block = np.empty((q, q), dtype=complex)
-        for mi, m in enumerate(teich):
-            for ni, nel in enumerate(teich):
-                arg = factor.mul(factor.add(jel, factor.scale(2, nel)), m)
-                block[mi, ni] = 1j ** fields.galois_trace_z4(factor, arg)
-        return block / np.sqrt(q)
-    if factor.p == 2:
+    if isinstance(factor, FiniteField) and factor.p == 2:
         raise ValueError("even characteristic uses the Galois-ring block")
     q = factor.q
     if not 0 <= j < q:
         raise ValueError(f"block index {j} out of range for q={q}")
-    jel = factor.element(j)
-    els = factor.elements()
-    phase = np.empty((q, q))
-    for mi, m in enumerate(els):
-        jmm = fields.field_trace(jel * m * m)
-        for ni, nel in enumerate(els):
-            phase[mi, ni] = (jmm + fields.field_trace(m * nel)) / factor.p
-    return np.exp(2j * np.pi * phase) / np.sqrt(q)
+    m = np.arange(q)
+    mn = factor.trace[factor.mul(m[:, None], m)]  # [m, n] = T(m n)
+    if isinstance(factor, GaloisRing):
+        # Tr is Z_4-linear: Tr((j + 2n) m) = Tr(j m) + 2 Tr(n m)
+        return _Z4_POWERS[(factor.trace[factor.mul(j, m)][:, None] + 2 * mn) % 4] / np.sqrt(q)
+    jmm = factor.trace[factor.mul(j, factor.mul(m, m))]
+    return np.exp(2j * np.pi * ((jmm[:, None] + mn) / factor.p)) / np.sqrt(q)
 
 
 def b_tensor(k, j, factors=None):
@@ -178,7 +165,7 @@ def b_tensor(k, j, factors=None):
         raise ValueError("flat blocks need k >= 2")
     if factors is None:
         factors = k_factors(k)
-    q1 = _factor_size(factors[0])
+    q1 = factors[0].q
     if not 0 <= j <= q1:
         raise ValueError(f"tensor index {j} out of range 0..{q1}")
     if j == 0:
@@ -196,7 +183,7 @@ def family_ckd(d_or_ring, k):
         raise ValueError("k must be at least 2; use family_cd for k = 1")
     base = family_cd(d_or_ring)
     factors = k_factors(k)
-    n_fam = min(_factor_size(factors[0]) + 1, base.n_bases)
+    n_fam = min(factors[0].q + 1, base.n_bases)
     gens = []
     for t in range(n_fam):
         label, u = base.generators[t]
@@ -204,7 +191,7 @@ def family_ckd(d_or_ring, k):
     meta = {
         "construction": "gauss-tensor",
         "s_indices": base.metadata["s_indices"],
-        "k_factor_sizes": [_factor_size(f) for f in factors],
+        "k_factor_sizes": [f.q for f in factors],
         "unitarity_tol": 1e-9,
         "vector_order": "(xi,eta,j) lexicographic",
     }

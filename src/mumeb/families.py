@@ -22,7 +22,7 @@ class SchemaError(ValueError):
 
 def matrix_to_json(mat):
     mat = np.asarray(mat, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
+    return np.stack((mat.real, mat.imag), axis=-1).tolist()
 
 
 def matrix_from_json(rows, size, label):
@@ -34,7 +34,7 @@ def matrix_from_json(rows, size, label):
             raise SchemaError(f"generator {label}: row {i} must have {size} entries")
         for j, cell in enumerate(row):
             if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(v, (int, float)) for v in cell)):
+                    or not all(type(v) in (int, float) for v in cell)):  # no bools
                 raise SchemaError(f"generator {label}: entry ({i},{j}) must be [re, im]")
             out[i, j] = complex(cell[0], cell[1])
     return out
@@ -101,10 +101,14 @@ def save_family(family, path, header_extra=None):
         fh.write("\n")
 
 
+def _reject_constant(name):
+    raise SchemaError(f"non-finite number {name} in family file")
+
+
 def load_family(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if isinstance(payload, dict):

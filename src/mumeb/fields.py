@@ -1,12 +1,16 @@
 """Exact arithmetic in finite fields F_{p^a}, Galois rings GR(4,a), and products of fields.
 
-Elements are immutable; a field element is a coefficient tuple over F_p
-(low degree first), an element of a product ring is a tuple of field
-elements, one per factor.  Every element has a canonical integer index:
-base-p digits for a field, factor-major mixed radix for a product ring
-(first factor most significant).
+A ring element is its canonical integer index and nothing else: base-p
+coefficient digits (low degree first) for a field, the position in the
+Teichmuller set for GR(4,a), and factor-major mixed radix for a product ring
+(first factor most significant).  Each field keeps length-q vectors (digits,
+exp/log of the least primitive element, and the trace), so its arithmetic is
+a vectorised lookup on ints or index arrays: addition adds digits mod p,
+multiplication adds logs mod q - 1, and the trace sums the Frobenius images
+x^(p^k), whose logs are p^k log x (Lidl & Niederreiter, Finite Fields).
 """
 
+import math
 from functools import lru_cache
 from itertools import product as iter_product
 
@@ -144,77 +148,13 @@ def default_modulus(p, a):
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
-class FieldElement:
-    """Element of a FiniteField; supports +, -, *, unary -, ** and inverse()."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = tuple(c % field.p for c in coeffs)
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement) or other.field != self.field:
-            raise ValueError("elements belong to different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.field, (a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.field, (a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return FieldElement(self.field, (-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        self._check(other)
-        f = self.field
-        return FieldElement(f, _poly_mul_mod(self.coeffs, other.coeffs, f.modulus, f.p))
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def inverse(self):
-        if self.is_zero:
-            raise ZeroDivisionError("zero has no inverse")
-        return self ** (self.field.q - 2)
-
-    @property
-    def is_zero(self):
-        return not any(self.coeffs)
-
-    @property
-    def index(self):
-        """Canonical integer index: base-p value of the coefficient digits."""
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * self.field.p + c
-        return v
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement)
-                and self.field == other.field and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.a, self.coeffs))
-
-    def __repr__(self):
-        return f"FieldElement(q={self.field.q}, index={self.index})"
-
-
 class FiniteField:
-    """F_{p^a} as polynomial residues modulo a monic irreducible of degree a."""
+    """F_{p^a} as polynomial residues modulo a monic irreducible of degree a.
+
+    digits[x] are the coefficients of x, exp[m] = index(g^m) for the least
+    primitive element g, log inverts exp on the units (log[0] is unused), and
+    trace[x] = Tr(x) in Z_p.
+    """
 
     def __init__(self, p, a=1, modulus=None):
         if not is_prime(p):
@@ -232,27 +172,42 @@ class FiniteField:
         self.a = a
         self.modulus = modulus
         self.q = p ** a
-        self.zero = FieldElement(self, (0,) * a)
-        one = [0] * a
-        one[0] = 1
-        self.one = FieldElement(self, one)
+        self._place = p ** np.arange(a)
+        self.digits = np.arange(self.q)[:, None] // self._place % p
+        for g in range(1, self.q):  # stop at the least primitive element
+            self.exp = self._powers(g)
+            if len(np.unique(self.exp)) == self.q - 1:
+                break
+        self.log = np.zeros(self.q, dtype=np.int64)
+        self.log[self.exp] = np.arange(self.q - 1)
+        self.trace = field_trace(self)
 
-    def element(self, index):
-        """Element whose base-p digits (low to high) are the coefficients."""
-        if not 0 <= index < self.q:
-            raise ValueError(f"index {index} out of range for q={self.q}")
-        digits = []
-        for _ in range(self.a):
-            digits.append(index % self.p)
-            index //= self.p
-        return FieldElement(self, digits)
+    def _powers(self, g):
+        """index(g^m) for m = 0..q-2, doubling the run each step: g^(n+i) = g^n g^i."""
+        p = self.p
+        # row c holds the coefficients of g * t^c, so v @ mat multiplies v by g
+        mat = np.array([_poly_mul_mod(self.digits[g].tolist(), row, self.modulus, p)
+                        for row in np.eye(self.a, dtype=int).tolist()])
+        pows = np.zeros((self.q - 1, self.a), dtype=np.int64)
+        pows[0, 0] = 1
+        n = 1
+        while n < self.q - 1:
+            m = min(n, self.q - 1 - n)
+            pows[n:n + m] = pows[:m] @ mat % p
+            mat = mat @ mat % p
+            n += m
+        return pows @ self._place
 
-    def elements(self):
-        return [self.element(i) for i in range(self.q)]
+    def add(self, x, y):
+        return ((self.digits[x] + self.digits[y]) % self.p) @ self._place
 
-    def units(self):
-        """Nonzero elements in canonical index order."""
-        return [self.element(i) for i in range(1, self.q)]
+    def neg(self, x):
+        return (-self.digits[x] % self.p) @ self._place
+
+    def mul(self, x, y):
+        x, y = np.asarray(x), np.asarray(y)
+        prod = self.exp[(self.log[x] + self.log[y]) % (self.q - 1)]
+        return np.where((x == 0) | (y == 0), 0, prod)
 
     def descriptor(self):
         return {"p": self.p, "a": self.a, "modulus": list(self.modulus)}
@@ -268,43 +223,41 @@ class FiniteField:
         return f"FiniteField(p={self.p}, a={self.a})"
 
 
-def field_trace(x):
-    """Trace down to the prime field: x + x^p + ... + x^(p^(a-1)), as an int mod p."""
-    f = x.field
-    total = f.zero
-    cur = x
-    for _ in range(f.a):
-        total = total + cur
-        cur = cur ** f.p
+def field_trace(field):
+    """Trace down to the prime field of every element, x + x^p + ... + x^(p^(a-1)) mod p."""
+    total = np.zeros((field.q, field.a), dtype=np.int64)
+    e = field.log[1:]
+    for _ in range(field.a):
+        total[1:] += field.digits[field.exp[e]]
+        e = e * field.p % (field.q - 1)
+    total %= field.p
     # the trace lands in the prime subfield, so only the constant term survives
-    if any(total.coeffs[1:]):
+    if total[:, 1:].any():
         raise AssertionError("trace left the prime subfield")
-    return total.coeffs[0]
+    return total[:, 0]
 
 
 # ---------------------------------------------------------------------------
 # Galois ring GR(4,a) = Z_4[x] / (modulus)
 
 class GaloisRing:
-    """GR(4,a) with a fixed basic irreducible modulus and its Teichmuller set.
+    """The Teichmuller set T_a = {0, 1, x, ..., x^(q-2)} of GR(4,a), q = 2^a.
 
-    Elements are coefficient tuples of length a over Z_4.  The modulus is the
-    lexicographically first monic degree-a polynomial over Z_4 whose mod-2
-    reduction is irreducible and whose root x has multiplicative order 2^a - 1,
-    so the Teichmuller set is T_a = {0, 1, x, ..., x^(2^a - 2)}.
+    The modulus is the lexicographically first monic degree-a polynomial over
+    Z_4 whose mod-2 reduction is irreducible and whose root x has
+    multiplicative order q - 1.  A Teichmuller element is its position in
+    T_a: 0 for zero and e + 1 for x^e.  teichmuller[i] holds the Z_4
+    coefficients of position i and trace[i] its trace down to Z_4.
     """
 
     def __init__(self, a):
         if a < 1:
             raise ValueError("exponent must be positive")
         self.a = a
+        self.q = 2 ** a
         self.modulus = self._find_modulus(a)
-        self.zero = (0,) * a
-        one = [0] * a
-        one[0] = 1
-        self.one = tuple(one)
         self.teichmuller = self._build_teichmuller()
-        self._teich_pos = {t: i for i, t in enumerate(self.teichmuller)}
+        self.trace = galois_trace_z4(self)
 
     @staticmethod
     def _find_modulus(a):
@@ -333,121 +286,45 @@ class GaloisRing:
     def _build_teichmuller(self):
         a = self.a
         x = ((0, 1) + (0,) * (a - 2)) if a >= 2 else ((-self.modulus[0]) % 4,)
-        out = [self.zero, self.one]
+        out = [(0,) * a, (1,) + (0,) * (a - 1)]
         cur = x
-        for _ in range(2 ** a - 2):
+        for _ in range(self.q - 2):
             out.append(cur)
-            cur = self.mul(cur, x)
-        return out
-
-    def add(self, u, v):
-        return tuple((a + b) % 4 for a, b in zip(u, v))
+            cur = _poly_mul_mod(cur, x, self.modulus, 4)
+        return np.array(out, dtype=np.int64)
 
     def mul(self, u, v):
-        return _poly_mul_mod(u, v, self.modulus, 4)
-
-    def scale(self, c, u):
-        return tuple((c * a) % 4 for a in u)
-
-    def _teichmuller_lift(self, residue):
-        # unique Teichmuller element with the given mod-2 reduction
-        for t in self.teichmuller:
-            if tuple(c % 2 for c in t) == residue:
-                return t
-        raise ValueError("no Teichmuller lift")
-
-    def frobenius(self, u):
-        """phi(a + 2b) = a^2 + 2b^2 for the 2-adic decomposition a, b Teichmuller."""
-        ta = self._teichmuller_lift(tuple(c % 2 for c in u))
-        diff = tuple((c - d) % 4 for c, d in zip(u, ta))
-        tb = self._teichmuller_lift(tuple((c // 2) % 2 for c in diff))
-        return self.add(self.mul(ta, ta), self.scale(2, self.mul(tb, tb)))
-
-    def descriptor(self):
-        return {"p": 2, "a": self.a, "modulus": list(self.modulus), "ring": "GR4"}
+        """Product of Teichmuller positions: x^e x^f = x^((e + f) mod (q - 1))."""
+        u, v = np.asarray(u), np.asarray(v)
+        return np.where((u == 0) | (v == 0), 0, (u + v - 2) % (self.q - 1) + 1)
 
     def __repr__(self):
         return f"GaloisRing(4, {self.a})"
 
 
-def galois_trace_z4(ring, x):
-    """Frobenius-sum trace GR(4,a) -> Z_4."""
-    total = ring.zero
-    cur = x
+def galois_trace_z4(ring):
+    """Trace GR(4,a) -> Z_4 of every Teichmuller position.  The Frobenius
+    squares a Teichmuller element, so Tr(x^e) = sum_k x^(e 2^k)."""
+    total = np.zeros((ring.q, ring.a), dtype=np.int64)
+    e = np.arange(ring.q - 1)
     for _ in range(ring.a):
-        total = ring.add(total, cur)
-        cur = ring.frobenius(cur)
-    if any(total[1:]):
+        total[1:] += ring.teichmuller[e + 1]
+        e = 2 * e % (ring.q - 1)
+    total %= 4
+    if total[:, 1:].any():
         raise AssertionError("trace left Z_4")
-    return total[0]
+    return total[:, 0]
 
 
 # ---------------------------------------------------------------------------
 # product rings R = F_{q_1} + ... + F_{q_s}
 
-class ProductRingElement:
-    __slots__ = ("ring", "parts")
-
-    def __init__(self, ring, parts):
-        parts = tuple(parts)
-        if len(parts) != len(ring.factors):
-            raise ValueError("wrong number of components")
-        self.ring = ring
-        self.parts = parts
-
-    def _check(self, other):
-        if not isinstance(other, ProductRingElement) or other.ring != self.ring:
-            raise ValueError("elements belong to different rings")
-
-    def __add__(self, other):
-        self._check(other)
-        return ProductRingElement(self.ring, (a + b for a, b in zip(self.parts, other.parts)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return ProductRingElement(self.ring, (a - b for a, b in zip(self.parts, other.parts)))
-
-    def __neg__(self):
-        return ProductRingElement(self.ring, (-a for a in self.parts))
-
-    def __mul__(self, other):
-        self._check(other)
-        return ProductRingElement(self.ring, (a * b for a, b in zip(self.parts, other.parts)))
-
-    @property
-    def is_unit(self):
-        return all(not p.is_zero for p in self.parts)
-
-    @property
-    def is_zero(self):
-        return all(p.is_zero for p in self.parts)
-
-    def inverse(self):
-        if not self.is_unit:
-            raise ZeroDivisionError("not a unit")
-        return ProductRingElement(self.ring, (p.inverse() for p in self.parts))
-
-    @property
-    def index(self):
-        """Factor-major mixed-radix index; the first factor is most significant."""
-        v = 0
-        for part, factor in zip(self.parts, self.ring.factors):
-            v = v * factor.q + part.index
-        return v
-
-    def __eq__(self, other):
-        return (isinstance(other, ProductRingElement)
-                and self.ring == other.ring and self.parts == other.parts)
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"ProductRingElement(d={self.ring.d}, index={self.index})"
-
-
 class ProductRing:
-    """Direct sum of finite fields with strictly ascending sizes q_1 <= ... <= q_s."""
+    """Direct sum of finite fields with strictly ascending sizes q_1 <= ... <= q_s.
+
+    components(x) splits a ring index (or index array) into per-factor field
+    indices, and from_components joins them back.
+    """
 
     def __init__(self, factors):
         factors = tuple(factors)
@@ -460,30 +337,20 @@ class ProductRing:
         if len(set(primes)) != len(primes):
             raise ValueError("factor primes must be distinct")
         self.factors = factors
-        self.d = 1
-        for f in factors:
-            self.d *= f.q
-        self.zero = ProductRingElement(self, (f.zero for f in factors))
-        self.one = ProductRingElement(self, (f.one for f in factors))
+        self.d = math.prod(sizes)
+        self._strides = [math.prod(sizes[t + 1:]) for t in range(len(sizes))]
+        self.one = self.from_components([1] * len(factors))
 
-    def element(self, index):
-        if not 0 <= index < self.d:
-            raise ValueError(f"index {index} out of range for d={self.d}")
-        parts = []
-        for f in reversed(self.factors):
-            parts.append(f.element(index % f.q))
-            index //= f.q
-        return ProductRingElement(self, reversed(parts))
+    def components(self, x):
+        return [x // stride % f.q for f, stride in zip(self.factors, self._strides)]
 
-    def element_from_parts(self, parts):
-        return ProductRingElement(self, parts)
-
-    def elements(self):
-        return [self.element(i) for i in range(self.d)]
+    def from_components(self, parts):
+        return sum(c * stride for c, stride in zip(parts, self._strides))
 
     def units(self):
-        """All invertible elements, ascending by canonical index."""
-        return [x for x in self.elements() if x.is_unit]
+        """All invertible elements (every component nonzero), ascending."""
+        x = np.arange(self.d)
+        return x[np.all([c != 0 for c in self.components(x)], axis=0)]
 
     def descriptor(self):
         return {"factors": [f.descriptor() for f in self.factors]}
@@ -522,62 +389,38 @@ def unit_difference_set(ring):
     injections F_{q_1}^* -> F_{q_t}^* send the i-th unit to the i-th unit), so
     distinct members differ in every component.  1 is always a member.
     """
-    q1 = ring.factors[0].q
-    out = []
-    for i in range(1, q1):
-        out.append(ring.element_from_parts(f.element(i) for f in ring.factors))
-    return out
+    return [ring.from_components([i] * len(ring.factors))
+            for i in range(1, ring.factors[0].q)]
 
 
 # ---------------------------------------------------------------------------
-# integer index tables (numpy) used by the dense construction/verification code
-
-def _factor_indices(ring):
-    d = ring.d
-    idx = []
-    stride = d
-    for f in ring.factors:
-        stride //= f.q
-        idx.append(((np.arange(d) // stride) % f.q, stride))
-    return idx
-
+# d x d and length-d index tables used by the dense construction/verification code
 
 @lru_cache(maxsize=None)
 def add_index_table(ring):
     """d x d table of index(x + y)."""
-    table = np.zeros((ring.d, ring.d), dtype=np.int64)
-    for (idx, stride), f in zip(_factor_indices(ring), ring.factors):
-        els = f.elements()
-        local = np.array([[(a + b).index for b in els] for a in els], dtype=np.int64)
-        table += local[np.ix_(idx, idx)] * stride
-    return table
+    comps = ring.components(np.arange(ring.d))
+    return ring.from_components(f.add(c[:, None], c) for f, c in zip(ring.factors, comps))
 
 
 @lru_cache(maxsize=None)
 def neg_index_vector(ring):
     """index(-x) for every x."""
-    vec = np.zeros(ring.d, dtype=np.int64)
-    for (idx, stride), f in zip(_factor_indices(ring), ring.factors):
-        local = np.array([(-a).index for a in f.elements()], dtype=np.int64)
-        vec += local[idx] * stride
-    return vec
+    comps = ring.components(np.arange(ring.d))
+    return ring.from_components(f.neg(c) for f, c in zip(ring.factors, comps))
 
 
 def mul_index_vector(ring, a):
-    """index(a * x) for every x, for a fixed ring element a."""
-    vec = np.zeros(ring.d, dtype=np.int64)
-    for (idx, stride), part, f in zip(_factor_indices(ring), a.parts, ring.factors):
-        local = np.array([(part * x).index for x in f.elements()], dtype=np.int64)
-        vec += local[idx] * stride
-    return vec
+    """index(a * x) for every x, for a fixed ring index a."""
+    comps = ring.components(np.arange(ring.d))
+    return ring.from_components(f.mul(ca, c)
+                                for f, ca, c in zip(ring.factors, ring.components(a), comps))
 
 
 @lru_cache(maxsize=None)
 def char_table(ring):
     """d x d complex table of lambda(x * y); symmetric, row/col by canonical index."""
     phase = np.zeros((ring.d, ring.d))
-    for (idx, stride), f in zip(_factor_indices(ring), ring.factors):
-        els = f.elements()
-        tr = np.array([[field_trace(a * b) for b in els] for a in els], dtype=np.int64)
-        phase += tr[np.ix_(idx, idx)] / f.p
+    for f, c in zip(ring.factors, ring.components(np.arange(ring.d))):
+        phase += f.trace[f.mul(c[:, None], c)] / f.p
     return np.exp(2j * np.pi * phase)

@@ -105,12 +105,9 @@ def mols_prime_power(x):
     if split is None:
         raise ValueError(f"{x} is not a prime power")
     field = fields.FiniteField(*split)
-    els = field.elements()
-    out = []
-    for a in field.units():
-        cells = [[(a * i + j).index for j in els] for i in els]
-        out.append(LatinSquare(cells))
-    return out
+    els = np.arange(field.q)
+    return [LatinSquare(field.add(field.mul(a, els)[:, None], els).tolist())
+            for a in range(1, field.q)]
 
 
 def mols_macneish(squares1, squares2):
@@ -336,8 +333,9 @@ def import_mols(path):
 
 def format_mols(squares):
     squares = list(squares)
-    x = squares[0].order if squares else 0
-    chunks = [f"{x} {len(squares)}"]
+    if not squares:
+        raise ValueError("a squares file needs at least one square")
+    chunks = [f"{squares[0].order} {len(squares)}"]
     for sq in squares:
         chunks.append("\n".join(" ".join(str(v) for v in row) for row in sq.cells))
     return "\n\n".join(chunks) + "\n"

@@ -108,9 +108,10 @@ def bruteforce_unbiased(basis_a, basis_b):
 
 def quadratic_sum_direct(ring, c):
     """sum_r lambda(c r^2) over the whole ring, as one complex number."""
-    lam_vec = fields.char_table(ring)[:, ring.one.index]
+    lam_vec = fields.char_table(ring)[:, ring.one]
     mul_c = fields.mul_index_vector(ring, c)
-    sq = np.array([(x * x).index for x in ring.elements()], dtype=np.int64)
+    comps = ring.components(np.arange(ring.d))
+    sq = ring.from_components(f.mul(r, r) for f, r in zip(ring.factors, comps))
     return complex(lam_vec[mul_c[sq]].sum())
 
 
@@ -121,7 +122,7 @@ def gauss_sum_check(ring):
         raise ValueError("quadratic sums need 2 invertible, so odd size")
     target = np.sqrt(ring.d)
     worst = 0.0
-    for c in ring.units():
+    for c in ring.units().tolist():
         worst = max(worst, abs(abs(quadratic_sum_direct(ring, c)) - target))
     return worst
 

@@ -5,6 +5,7 @@ the agreement criterion can audit every family certified here."""
 import time
 from functools import lru_cache
 
+from mumeb import fields
 from mumeb.bounds import bound_dkd
 from mumeb.construct import family_cd, family_ckd, family_ckd_mols
 from mumeb.fields import ring_for_dimension
@@ -104,16 +105,17 @@ def test_criterion_4_mols_route():
 
 def test_criterion_5_sensitivity_negative_control():
     ring = ring_for_dimension(15)
-    units = ring.units()
-    perms = {a.index: permutation_unitary(ring, a) for a in units}
+    units = ring.units().tolist()
+    perms = {a: permutation_unitary(ring, a) for a in units}
+    add, neg = fields.add_index_table(ring), fields.neg_index_vector(ring)
     failing = []
     for i, a in enumerate(units):
         for b in units[i + 1:]:
-            dev = criterion_check(ring, 1, perms[a.index], perms[b.index])
-            if (a - b).is_unit:
-                assert dev < 1e-9, f"unit-difference pair {a.index},{b.index}"
+            dev = criterion_check(ring, 1, perms[a], perms[b])
+            if add[a, neg[b]] in units:
+                assert dev < 1e-9, f"unit-difference pair {a},{b}"
             elif dev > 1e-8:
-                failing.append((a.index, b.index))
+                failing.append((a, b))
     rep = _report("gauss", 15, 1)
     ok = len(failing) > 0 and rep.passed
     _gate(5, ok, f"d=15: all unit-difference pairs flat, {len(failing)} "

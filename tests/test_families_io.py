@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -121,17 +122,22 @@ def test_save_report(tmp_path):
     ("label", ["U", 1], "is not a string"),
     ("label", 5, "is not a string"),
     ("label", None, "is not a string"),
+    ("entry", [True, False], "must be [re, im]"),
+    ("entry", [float("nan"), 0.0], "non-finite number NaN"),
+    ("entry", [0.0, float("-inf")], "non-finite number -Infinity"),
 ])
 def test_load_family_rejects_non_integer_sizes_and_non_string_labels(
         tmp_path, capsys, field, value, message):
     doc = family_to_dict(family_cd(3))
     if field == "label":
         doc["generators"][1]["label"] = value
+    elif field == "entry":
+        doc["generators"][1]["matrix"][0][0] = value
     else:
         doc[field] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError, match=message):
+    with pytest.raises(SchemaError, match=re.escape(message)):
         load_family(path)
     assert main(["verify", str(path)]) == 2
     assert message in capsys.readouterr().err

@@ -182,6 +182,18 @@ def test_file_round_trip(tmp_path):
     assert parse_mols(format_mols(squares)) == squares
 
 
+def test_format_mols_round_trips_or_refuses(tmp_path):
+    # every set format_mols writes parses back; an empty set has no valid file
+    for x in (2, 3, 5, 6):
+        for w in range(1, len(best_mols(x)) + 1):
+            squares = best_mols(x)[:w]
+            assert parse_mols(format_mols(squares)) == squares
+    with pytest.raises(ValueError):
+        format_mols([])
+    with pytest.raises(ValueError):
+        save_mols([], tmp_path / "empty.txt")
+
+
 def test_parse_errors():
     with pytest.raises(MolsParseError, match="empty"):
         parse_mols("\n\n")
