@@ -48,12 +48,17 @@ def permutation_unitary(ring, a):
     Acts on basis vectors as U(a)|e_r> = |e_(r/a)>; U(1) = I and
     U(a)U(b) = U(ab).
     """
-    if a not in ring.units():
-        raise ValueError("permutation unitary needs an invertible ring element")
     d = ring.d
     u = np.zeros((d, d), dtype=complex)
-    u[np.arange(d), fields.mul_index_vector(ring, a)] = 1.0
+    u[np.arange(d), _unit_permutation(ring, a)] = 1.0
     return u
+
+
+def _unit_permutation(ring, a):
+    """index(a*r) for every r; a must be invertible."""
+    if a not in ring.units():
+        raise ValueError("permutation unitary needs an invertible ring element")
+    return fields.mul_index_vector(ring, a)
 
 
 def fourier_unitary(ring):
@@ -62,8 +67,9 @@ def fourier_unitary(ring):
 
 
 def v_unitary(ring, a):
-    """Twisted kernel V(a) = U(a) W."""
-    return permutation_unitary(ring, a) @ fourier_unitary(ring)
+    """Twisted kernel V(a) = U(a) W: row r of W at index(a*r), since U(a) is
+    the permutation with entry (r, a*r)."""
+    return fourier_unitary(ring)[_unit_permutation(ring, a)]
 
 
 def expand_basis(ring, u, k=None):
@@ -106,12 +112,11 @@ def family_cd(d_or_ring):
     """
     ring = d_or_ring if isinstance(d_or_ring, fields.ProductRing) else fields.ring_for_dimension(d_or_ring)
     s_set = fields.unit_difference_set(ring)
-    w = fourier_unitary(ring)
     gens = []
     for a in s_set:
         gens.append((f"U(a={a})", permutation_unitary(ring, a)))
     for a in s_set:
-        gens.append((f"V(a={a})", permutation_unitary(ring, a) @ w))
+        gens.append((f"V(a={a})", v_unitary(ring, a)))
     meta = {
         "construction": "gauss-dd",
         "s_indices": s_set,

@@ -28,5 +28,5 @@ def max_entanglement_deviation(basis, d, dprime):
     basis = np.asarray(basis, dtype=complex)
     n = basis.shape[1]
     coeff = basis.T.reshape(n, d, dprime)
-    rho = np.einsum("nij,nkj->nik", coeff, coeff.conj())
+    rho = coeff @ coeff.conj().transpose(0, 2, 1)
     return float(np.abs(rho - np.eye(d) / d).max())

@@ -2,15 +2,22 @@
 overlaps, entanglement checks, character-sum oracles, and full family
 certification.
 
-Two routes are always available for a pair of bases.  The fast route scans
-the d^2 k^2 criterion sums |sum_r lambda(r xi) w_((r,j),(r+eta,l))| against
-the target 1/sqrt(k), where w = U^dag V.  The brute-force route expands both
-bases and measures all N^2 inner products against 1/sqrt(kd^2).  Each
-criterion sum equals d times the overlap magnitude shared by the d^2 vector
-pairs it governs, so the extremes of the two routes must agree after that
-rescaling; certification checks this on every pair.
+Two routes are always available for a pair of generators U, V.  The fast
+route scans the d^2 k^2 criterion sums |sum_r lambda(r xi)
+w_((r,j),(r+eta,l))| against the target 1/sqrt(k), where w = U^dag V.  The
+brute-force route measures all N^2 inner products of the two expanded bases
+against 1/sqrt(kd^2).  Each criterion sum equals d times the overlap
+magnitude shared by the d^2 vector pairs it governs, so the extremes of the
+two routes must agree after that rescaling; certification checks this on
+every pair.
+
+Both routes depend on the pair only through W = U^dag V: the expansion gives
+B_U = (I_d (x) U) B_I, so B_U^dag B_V = B_I^dag (I_d (x) W) B_I.
+certify_family therefore runs both routes once per pair class, a set of
+pairs that provably share one W, and keeps no expanded basis beyond B_I.
 """
 
+import itertools
 import time
 
 import numpy as np
@@ -63,15 +70,18 @@ class VerificationReport:
         return out
 
 
-def criterion_magnitudes(ring, k, u, v):
+def _require_shape(ring, k, *mats):
+    kd = k * ring.d
+    if any(m.shape != (kd, kd) for m in mats):
+        raise ValueError(f"need {kd} x {kd} matrices for d={ring.d}, k={k}")
+
+
+def criterion_magnitudes(ring, k, w):
     """(min, max) of the criterion sums |sum_r lambda(r xi) w_((r,j),(r+eta,l))|
-    over all xi, eta in the ring and all block indices j, l."""
+    of w = U^dag V over all xi, eta in the ring and all block indices j, l."""
     d = ring.d
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != (k * d, k * d) or v.shape != (k * d, k * d):
-        raise ValueError(f"need {k*d} x {k*d} unitaries for d={d}, k={k}")
-    w = u.conj().T @ v
+    w = np.asarray(w, dtype=complex)
+    _require_shape(ring, k, w)
     lam = fields.char_table(ring)
     add = fields.add_index_table(ring)
     rows = np.arange(d)[:, None]
@@ -87,8 +97,11 @@ def criterion_magnitudes(ring, k, u, v):
 
 
 def criterion_check(ring, k, u, v):
-    """Max deviation of the criterion sums from the target 1/sqrt(k)."""
-    lo, hi = criterion_magnitudes(ring, k, u, v)
+    """Max deviation of the criterion sums of U^dag V from the target 1/sqrt(k)."""
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    _require_shape(ring, k, u, v)
+    lo, hi = criterion_magnitudes(ring, k, u.conj().T @ v)
     target = 1.0 / float(np.sqrt(k))
     return max(abs(hi - target), abs(target - lo))
 
@@ -130,17 +143,53 @@ def gauss_sum_check(ring):
 # ---------------------------------------------------------------------------
 # full certification
 
-def certify_family(family, tolerance=1e-8, pairs_only=False):
-    """Expand every generator and check everything the family claims.
+def _pair_classes(mats):
+    """(i, j, class) for every pair i < j, in itertools.combinations order,
+    and the first pair (i, j) of each class.
 
-    Per basis: orthonormality and maximal entanglement (skipped when
-    pairs_only).  Per unordered pair: brute-force overlap extremes against
-    1/sqrt(kd^2), criterion extremes against 1/sqrt(k), and agreement of the
-    two routes after the factor-d rescaling.
+    Each generator is a row gather U_i = C_i[p_i] of its canonical matrix
+    C_i: the rows of U_i + 0.0 (which clears signed zeros) sorted by their
+    bytes.  Then U_i^dag U_j = C_i^dag C_j[p_j[p_i^-1]] up to summation
+    order, so the pairs with equal (C_i, C_j, p_j[p_i^-1]) share one
+    W = U_i^dag U_j.  The key is read off the matrices, never off the labels,
+    which a loaded file does not vouch for.
+    """
+    canonical, ids, orders, positions = {}, [], [], []
+    for u in mats:
+        rows = np.ascontiguousarray(u + 0.0)
+        order = np.argsort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel(),
+                           kind="stable")
+        ids.append(canonical.setdefault(rows[order].tobytes(), len(canonical)))
+        position = np.empty_like(order)  # p_i, the inverse of order
+        position[order] = np.arange(order.size)
+        orders.append(order)
+        positions.append(position)
+    classes, pairs, first = {}, [], []
+    for i, j in itertools.combinations(range(len(mats)), 2):
+        key = (ids[i], ids[j], positions[j][orders[i]].tobytes())
+        if key not in classes:
+            classes[key] = len(first)
+            first.append((i, j))
+        pairs.append((i, j, classes[key]))
+    return pairs, first
+
+
+def certify_family(family, tolerance=1e-8, pairs_only=False):
+    """Check everything the family claims, holding few expanded bases at once.
+
+    Per basis (skipped when pairs_only): expand the generator, check
+    orthonormality and maximal entanglement, and drop it.  Per pair class
+    (see _pair_classes), with W = U^dag V of its first pair: brute-force
+    overlap extremes of B_I against (I_d (x) W) B_I against 1/sqrt(kd^2),
+    criterion extremes of W against 1/sqrt(k), and agreement of the two
+    routes after the factor-d rescaling.  Every pair keeps its own report
+    row, in combinations order, carrying its class's figures and the class
+    id under "class".
     """
     t0 = time.perf_counter()
     d, k = family.d, family.k
-    n = k * d * d
+    kd = k * d
+    n = kd * d
     target = 1.0 / float(np.sqrt(n))
     crit_target = 1.0 / float(np.sqrt(k))
     tolerances = {
@@ -162,12 +211,14 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
         report.wall_time_s = time.perf_counter() - t0
         return report
 
-    bases = []
-    for label, mat in family.generators:
-        bases.append(expand := construct.expand_basis(family.ring, mat, k))
-        if not pairs_only:
-            ortho = linalg.gram_deviation(expand)
-            ent = linalg.max_entanglement_deviation(expand, d, k * d)
+    ring = family.ring
+    mats = [mat for _, mat in family.generators]
+    if not pairs_only:
+        for label, mat in family.generators:
+            basis = construct.expand_basis(ring, mat, k)
+            ortho = linalg.gram_deviation(basis)
+            ent = linalg.max_entanglement_deviation(basis, d, kd)
+            del basis  # so that the next expansion does not coexist with it
             report.basis_results.append({
                 "label": label,
                 "orthonormality": ortho,
@@ -176,33 +227,36 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
                         and ent <= tolerances["entanglement"],
             })
 
-    agreement_worst = 0.0
-    for i in range(len(bases)):
-        for j in range(i + 1, len(bases)):
-            ov_lo, ov_hi = bruteforce_unbiased(bases[i], bases[j])
-            cr_lo, cr_hi = criterion_magnitudes(
-                family.ring, k, family.generators[i][1], family.generators[j][1])
+    pairs, first = _pair_classes(mats)
+    class_results = []
+    if first:
+        b_id = construct.expand_basis(ring, np.eye(kd), k)
+        b_w = np.empty((d, kd, n), dtype=complex)  # (I_d (x) W) B_I, row (iA, iB)
+        for i, j in first:
+            w = mats[i].conj().T @ mats[j]
+            np.matmul(w, b_id.reshape(d, kd, n), out=b_w)
+            ov_lo, ov_hi = bruteforce_unbiased(b_id, b_w.reshape(n, n))
+            cr_lo, cr_hi = criterion_magnitudes(ring, k, w)
             ov_dev = max(abs(ov_hi - target), abs(target - ov_lo))
             cr_dev = max(abs(cr_hi - crit_target), abs(crit_target - cr_lo))
-            agreement = max(abs(cr_hi / d - ov_hi), abs(cr_lo / d - ov_lo))
-            agreement_worst = max(agreement_worst, agreement)
-            report.pair_results.append({
-                "a": family.generators[i][0],
-                "b": family.generators[j][0],
+            class_results.append({
                 "overlap_min": ov_lo,
                 "overlap_max": ov_hi,
                 "overlap_deviation": ov_dev,
                 "criterion_deviation": cr_dev,
-                "agreement": agreement,
+                "agreement": max(abs(cr_hi / d - ov_hi), abs(cr_lo / d - ov_lo)),
                 "pass": ov_dev <= tolerance,
                 "criterion_pass": cr_dev <= tolerance,
             })
+    for i, j, c in pairs:
+        report.pair_results.append({"a": family.generators[i][0], "b": family.generators[j][0],
+                                    **class_results[c], "class": c})
 
-    report.agreement_deviation = agreement_worst
+    report.agreement_deviation = max((r["agreement"] for r in class_results), default=0.0)
     report.passed = (
         all(b["pass"] for b in report.basis_results)
         and all(p["pass"] and p["criterion_pass"] for p in report.pair_results)
-        and agreement_worst <= tolerances["agreement"]
+        and report.agreement_deviation <= tolerances["agreement"]
     )
     report.wall_time_s = time.perf_counter() - t0
     return report

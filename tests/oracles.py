@@ -4,12 +4,16 @@ Each one recomputes a quantity by a route the package itself does not take:
 field arithmetic by polynomials and Frobenius powers instead of exp/log and
 trace vectors, the GR(4,a) trace by the 2-adic Frobenius, characters from
 that arithmetic, Pauli operators as monomial matrices, entanglement one
-vector at a time, and quadratic sums through multiplicative characters.
+vector at a time, quadratic sums through multiplicative characters, and
+family certification with every basis expanded and one overlap product per
+pair.
 """
+
+import time
 
 import numpy as np
 
-from mumeb import fields
+from mumeb import construct, fields, linalg, verify
 
 
 def coeffs(field, x):  # low degree first
@@ -122,3 +126,76 @@ def gauss_sum_reference(field, c, order=2):
             raise AssertionError(f"component Gauss sum magnitude {abs(gsum)} != sqrt({q})")
         total += gsum
     return complex(total)
+
+
+def certify_exhaustive(family, tolerance=1e-8, pairs_only=False):
+    """verify.certify_family without pair classes: expand and hold every
+    basis, then run both routes on every pair, the overlaps as B_U^dag B_V."""
+    t0 = time.perf_counter()
+    d, k = family.d, family.k
+    n = k * d * d
+    target = 1.0 / float(np.sqrt(n))
+    crit_target = 1.0 / float(np.sqrt(k))
+    tolerances = {
+        "overlap": tolerance,
+        "criterion": tolerance,
+        "orthonormality": 1e-9,
+        "entanglement": 1e-9,
+        "agreement": 1e-8,
+    }
+    family_id = f"{family.metadata.get('construction', 'family')}-d{d}-k{k}"
+    report = verify.VerificationReport(family_id, d, k, family.n_bases, tolerances)
+
+    for label, mat in family.generators:
+        ok, dev = linalg.is_unitary(mat, 1e-9)
+        if not ok:
+            report.generator_errors.append({"label": label, "deviation": dev})
+    if report.generator_errors:
+        report.passed = False
+        report.wall_time_s = time.perf_counter() - t0
+        return report
+
+    bases = []
+    for label, mat in family.generators:
+        bases.append(expand := construct.expand_basis(family.ring, mat, k))
+        if not pairs_only:
+            ortho = linalg.gram_deviation(expand)
+            ent = linalg.max_entanglement_deviation(expand, d, k * d)
+            report.basis_results.append({
+                "label": label,
+                "orthonormality": ortho,
+                "entanglement": ent,
+                "pass": ortho <= tolerances["orthonormality"]
+                        and ent <= tolerances["entanglement"],
+            })
+
+    agreement_worst = 0.0
+    for i in range(len(bases)):
+        for j in range(i + 1, len(bases)):
+            ov_lo, ov_hi = verify.bruteforce_unbiased(bases[i], bases[j])
+            u, v = family.generators[i][1], family.generators[j][1]
+            cr_lo, cr_hi = verify.criterion_magnitudes(family.ring, k, u.conj().T @ v)
+            ov_dev = max(abs(ov_hi - target), abs(target - ov_lo))
+            cr_dev = max(abs(cr_hi - crit_target), abs(crit_target - cr_lo))
+            agreement = max(abs(cr_hi / d - ov_hi), abs(cr_lo / d - ov_lo))
+            agreement_worst = max(agreement_worst, agreement)
+            report.pair_results.append({
+                "a": family.generators[i][0],
+                "b": family.generators[j][0],
+                "overlap_min": ov_lo,
+                "overlap_max": ov_hi,
+                "overlap_deviation": ov_dev,
+                "criterion_deviation": cr_dev,
+                "agreement": agreement,
+                "pass": ov_dev <= tolerance,
+                "criterion_pass": cr_dev <= tolerance,
+            })
+
+    report.agreement_deviation = agreement_worst
+    report.passed = (
+        all(b["pass"] for b in report.basis_results)
+        and all(p["pass"] and p["criterion_pass"] for p in report.pair_results)
+        and agreement_worst <= tolerances["agreement"]
+    )
+    report.wall_time_s = time.perf_counter() - t0
+    return report

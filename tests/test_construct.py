@@ -64,6 +64,22 @@ def test_v_unitary():
         assert linalg.is_unitary(v_unitary(ring15, a), 1e-10)[0]
 
 
+@pytest.mark.parametrize("d", [15, 19, 81])
+def test_twists_are_bit_equal_to_the_matmul(d):
+    # V(a) is a row gather of W; the dense product U(a) @ W must give the
+    # same bytes, signed zeros included, so family files do not change
+    ring = ring_for_dimension(d)
+    w = fourier_unitary(ring)
+    twists = [mat for label, mat in family_cd(ring).generators if label.startswith("V(")]
+    s_set = fields.unit_difference_set(ring)
+    assert len(twists) == len(s_set)
+    for a, got in zip(s_set, twists):
+        assert got.tobytes() == (permutation_unitary(ring, a) @ w).tobytes()
+        assert v_unitary(ring, a).tobytes() == got.tobytes()
+    with pytest.raises(ValueError):
+        v_unitary(ring_for_dimension(15), 5)  # (1, 0) is a zero divisor
+
+
 def test_pauli_matrix_examples():
     ring = ring_for_dimension(3)
     zero, one = 0, ring.one

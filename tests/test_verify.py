@@ -1,20 +1,21 @@
 import numpy as np
 import pytest
 
-from mumeb import fields
+from mumeb import construct, fields
 from mumeb.construct import (MEBFamily, expand_basis, family_cd, family_ckd,
-                             fourier_unitary, permutation_unitary, v_unitary)
+                             family_ckd_mols, fourier_unitary,
+                             permutation_unitary, v_unitary)
 from mumeb.fields import FiniteField, ProductRing, ring_for_dimension
 from mumeb.verify import (bruteforce_unbiased, certify_family, criterion_check,
                           criterion_magnitudes, gauss_sum_check,
                           quadratic_sum_direct)
-from oracles import gauss_sum_reference
+from oracles import certify_exhaustive, gauss_sum_reference
 
 
 def test_criterion_self_pair_peaks_at_d():
     # w = I concentrates the sums: d at (0, 0) and 0 off the diagonal
     ring = ring_for_dimension(5)
-    lo, hi = criterion_magnitudes(ring, 1, np.eye(5), np.eye(5))
+    lo, hi = criterion_magnitudes(ring, 1, np.eye(5))
     assert lo == pytest.approx(0.0, abs=1e-12)
     assert hi == pytest.approx(5.0, abs=1e-12)
     assert criterion_check(ring, 1, np.eye(5), np.eye(5)) == pytest.approx(4.0)
@@ -27,7 +28,9 @@ def test_criterion_flat_on_known_pairs():
     assert criterion_check(ring, 1, np.eye(3), u2) < 1e-10
     assert criterion_check(ring, 1, np.eye(3), w) < 1e-10
     with pytest.raises(ValueError):
-        criterion_magnitudes(ring, 1, np.eye(4), np.eye(4))
+        criterion_magnitudes(ring, 1, np.eye(4))
+    with pytest.raises(ValueError):
+        criterion_check(ring, 1, np.eye(4), np.eye(4))
 
 
 @pytest.mark.parametrize("d", [3, 9, 15])
@@ -175,3 +178,87 @@ def test_certify_reports_tampered_generator_by_name():
     assert [e["label"] for e in report.generator_errors] == ["tampered"]
     assert report.pair_results == []  # stops before the expensive stages
     assert any("tampered" in line for line in report.failures())
+
+
+def _random_unitary(n, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("d,k", [(5, 1), (3, 4)])
+def test_pair_overlaps_depend_only_on_w(d, k):
+    # B_U = (I_d (x) U) B_I, so B_U^dag B_V = B_I^dag (I_d (x) U^dag V) B_I
+    ring = ring_for_dimension(d)
+    kd, n = k * d, k * d * d
+    u, v = _random_unitary(kd, 2 * d + k), _random_unitary(kd, 3 * d + k)
+    w = u.conj().T @ v
+    b_id = expand_basis(ring, np.eye(kd), k)
+    b_w = (w @ b_id.reshape(d, kd, n)).reshape(n, n)
+    direct = expand_basis(ring, u, k).conj().T @ expand_basis(ring, v, k)
+    assert np.abs(direct - b_id.conj().T @ b_w).max() <= 1e-13
+    lo, hi = criterion_magnitudes(ring, k, w)
+    target = 1.0 / np.sqrt(k)
+    assert criterion_check(ring, k, u, v) == max(abs(hi - target), abs(target - lo))
+
+
+def _assert_same_verdicts(got, want):
+    assert got.passed == want.passed
+    assert got.basis_results == want.basis_results
+    assert len(got.pair_results) == len(want.pair_results)
+    for p, q in zip(got.pair_results, want.pair_results):
+        assert (p["a"], p["b"], p["pass"], p["criterion_pass"]) == \
+               (q["a"], q["b"], q["pass"], q["criterion_pass"])
+        for key in ("overlap_min", "overlap_max", "overlap_deviation",
+                    "criterion_deviation", "agreement"):
+            assert abs(p[key] - q[key]) <= 1e-12, key
+    assert abs(got.agreement_deviation - want.agreement_deviation) <= 1e-12
+
+
+@pytest.mark.parametrize("build,classes", [
+    (lambda: family_cd(15), 5),
+    (lambda: family_ckd(9, 4), 10),
+    (lambda: family_ckd_mols(7, 9), 6),
+    (lambda: family_cd(19), 52),
+], ids=["15-1", "9-4", "7-9-mols", "19-1"])
+def test_classed_route_matches_exhaustive_oracle(build, classes):
+    fam = build()
+    got = certify_family(fam)
+    _assert_same_verdicts(got, certify_exhaustive(fam))
+    assert got.passed
+    assert len({p["class"] for p in got.pair_results}) == classes
+
+
+def test_spoiled_family_fails_the_same_pairs_in_both_routes():
+    # one generator replaced by a random unitary, one by a twist whose rows
+    # are reversed: the labels stay, only the matrices say which pairs differ
+    fam = family_cd(19)
+    gens = list(fam.generators)
+    gens[3] = (gens[3][0], _random_unitary(19, 7))
+    gens[20] = (gens[20][0], gens[20][1][::-1])
+    spoiled = MEBFamily(19, 1, fam.ring, gens, fam.metadata)
+    got, want = certify_family(spoiled), certify_exhaustive(spoiled)
+    _assert_same_verdicts(got, want)
+    failing = [(p["a"], p["b"]) for p in got.pair_results
+               if not (p["pass"] and p["criterion_pass"])]
+    assert not got.passed and len(failing) == 36
+    assert all(gens[3][0] in pair or gens[20][0] in pair for pair in failing)
+
+
+def test_pairs_only_expands_the_identity_basis_at_most_once(monkeypatch):
+    calls = []
+    expand = construct.expand_basis
+
+    def counting(ring, u, k=None):
+        calls.append(np.array_equal(u, np.eye(len(u))))  # True for B_I
+        return expand(ring, u, k)
+
+    monkeypatch.setattr(construct, "expand_basis", counting)
+    fam = family_ckd(3, 4)
+    report = certify_family(fam, pairs_only=True)
+    assert report.passed and len(report.pair_results) == 6
+    assert calls == [True]
+    calls.clear()
+    assert certify_family(MEBFamily(3, 1, fam.ring, [("only", np.eye(3))]),
+                          pairs_only=True).passed
+    assert calls == []
