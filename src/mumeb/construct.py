@@ -101,7 +101,8 @@ def expand_basis(ring, u, k=None):
         phases = lam[r_of, :]              # [iA, xi]
         cols = ucols[:, :, r_of]           # [iB, j, iA]
         psi[:, :, :, eta, :] = np.einsum("ax,bja->abxj", phases, cols)
-    return psi.reshape(n, n) / np.sqrt(d)
+    basis = psi.reshape(n, n)
+    return np.divide(basis, np.sqrt(d), out=basis)
 
 
 def family_cd(d_or_ring):

@@ -156,6 +156,29 @@ def test_expand_basis_matches_pauli_route():
                 assert np.abs(got[:, col] - h @ base_cols[:, j]).max() < 1e-12
 
 
+@pytest.mark.parametrize("build", [lambda: family_ckd(3, 4), lambda: family_cd(15),
+                                   lambda: family_ckd_mols(7, 9)],
+                         ids=["3-4", "15-1", "7-9-mols"])
+def test_expand_basis_scales_in_place_bit_identically(build, monkeypatch):
+    # the 1/sqrt(d) scaling writes into the unscaled array; its bytes must
+    # be those of the out-of-place quotient
+    fam = build()
+    unscaled = []
+    divide = np.divide
+
+    def recording(x, y, out=None):
+        if out is not None:
+            assert out is x
+            unscaled.append(x.copy())
+        return divide(x, y, out=out)
+
+    monkeypatch.setattr(np, "divide", recording)
+    got = expand_basis(fam.ring, fam.generators[-1][1], fam.k)
+    monkeypatch.undo()
+    assert len(unscaled) == 1
+    assert got.tobytes() == (unscaled[0] / np.sqrt(fam.d)).tobytes()
+
+
 def test_expand_basis_guards():
     ring = ring_for_dimension(3)
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 from mumeb import linalg
 from mumeb.construct import expand_basis, fourier_unitary
 from mumeb.fields import ring_for_dimension
+from mumeb.verify import bruteforce_unbiased
 from oracles import reduced_density_check
 
 
@@ -54,3 +55,60 @@ def test_batched_entanglement_matches_per_vector_route():
     spoiled[:, 0] = 0
     spoiled[0, 0] = 1
     assert linalg.max_entanglement_deviation(spoiled, 3, 6) > 0.1
+
+
+def _assemble(a, b):
+    out = np.full((a.shape[1], b.shape[1]), np.nan, dtype=complex)
+    groups = 0
+    for cols, block in linalg.adjoint_product_blocks(a, b):
+        assert np.isnan(out[cols]).all()  # every column in exactly one group
+        out[cols] = block
+        groups += 1
+    return out, groups
+
+
+def _random_complex(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("d,k", [(5, 1), (3, 4), (7, 9)])
+def test_adjoint_product_blocks_on_identity_basis(d, k):
+    # B_I has d nonzeros per column; the d columns of one (eta, j) share them
+    ring = ring_for_dimension(d)
+    a = expand_basis(ring, np.eye(k * d), k)
+    b = _random_complex(a.shape, seed=d + k)
+    got, groups = _assemble(a, b)
+    assert groups == d * k
+    assert np.abs(got - a.conj().T @ b).max() <= 1e-13
+
+
+def test_adjoint_product_blocks_dense_is_one_group():
+    a, b = _random_complex((12, 12), seed=1), _random_complex((12, 5), seed=2)
+    got, groups = _assemble(a, b)
+    assert groups == 1
+    assert np.abs(got - a.conj().T @ b).max() <= 1e-13
+
+
+def test_adjoint_product_blocks_mixed_supports_and_a_zero_column():
+    a = _random_complex((6, 7), seed=3)
+    a[:3, 0] = 0      # support {3, 4, 5}
+    a[:3, 4] = 0      # the same support as column 0
+    a[1:, 2] = 0      # support {0}
+    a[::2, 5] = 0     # support {1, 3, 5}
+    a[:, 6] = 0       # no support at all
+    b = _random_complex((6, 4), seed=4)
+    got, groups = _assemble(a, b)
+    assert groups == 5
+    assert np.abs(got - a.conj().T @ b).max() <= 1e-13
+    assert not got[6].any()
+
+
+def test_block_overlaps_match_the_dense_product():
+    ring = ring_for_dimension(3)
+    b_id = expand_basis(ring, np.eye(12), 4)
+    q, r = np.linalg.qr(_random_complex((36, 36), seed=6))
+    other = q * (np.diag(r) / np.abs(np.diag(r)))  # a random unitary basis
+    mags = np.abs(b_id.conj().T @ other)
+    lo, hi = bruteforce_unbiased(b_id, other)
+    assert abs(lo - mags.min()) <= 1e-13 and abs(hi - mags.max()) <= 1e-13

@@ -203,8 +203,14 @@ def test_pair_overlaps_depend_only_on_w(d, k):
 
 
 def _assert_same_verdicts(got, want):
+    # flags and labels exactly; figures within 1e-12, since the block
+    # products sum in another order than the dense ones
     assert got.passed == want.passed
-    assert got.basis_results == want.basis_results
+    assert len(got.basis_results) == len(want.basis_results)
+    for b, c in zip(got.basis_results, want.basis_results):
+        assert (b["label"], b["pass"]) == (c["label"], c["pass"])
+        for key in ("orthonormality", "entanglement"):
+            assert abs(b[key] - c[key]) <= 1e-12, key
     assert len(got.pair_results) == len(want.pair_results)
     for p, q in zip(got.pair_results, want.pair_results):
         assert (p["a"], p["b"], p["pass"], p["criterion_pass"]) == \
@@ -262,3 +268,55 @@ def test_pairs_only_expands_the_identity_basis_at_most_once(monkeypatch):
     assert certify_family(MEBFamily(3, 1, fam.ring, [("only", np.eye(3))]),
                           pairs_only=True).passed
     assert calls == []
+
+
+def _spoil_expansions(monkeypatch, spoil):
+    """Make construct.expand_basis apply `spoil` to every basis but B_I."""
+    expand = construct.expand_basis
+
+    def spoiled(ring, u, k=None):
+        basis = expand(ring, u, k)
+        if not np.array_equal(u, np.eye(len(u))):
+            spoil(basis)
+        return basis
+
+    monkeypatch.setattr(construct, "expand_basis", spoiled)
+
+
+def _failing_bases(report):
+    return [b["label"] for b in report.basis_results if not b["pass"]]
+
+
+def test_scaled_column_fails_orthonormality_in_both_routes(monkeypatch):
+    def scale(basis):
+        basis[:, 5] *= 1.01
+
+    fam = family_cd(5)
+    _spoil_expansions(monkeypatch, scale)
+    got, want = certify_family(fam), certify_exhaustive(fam)
+    non_identity = [label for label, mat in fam.generators
+                    if not np.array_equal(mat, np.eye(5))]
+    assert _failing_bases(got) == _failing_bases(want) == non_identity
+    # the scaled column enters ((I_d (x) U) B_I)^dag B_U once (1.01 - 1) and
+    # the Gram matrix B_U^dag B_U twice (1.01^2 - 1)
+    for b, c in zip(got.basis_results, want.basis_results):
+        if b["label"] in non_identity:
+            assert b["orthonormality"] == pytest.approx(0.01, abs=1e-12)
+            assert c["orthonormality"] == pytest.approx(0.0201, abs=1e-12)
+    assert not got.passed and not want.passed
+
+
+def test_swapped_columns_fail_orthonormality(monkeypatch):
+    # a permuted expansion is still orthonormal, so the Gram check of the
+    # exhaustive route passes it; ((I_d (x) U) B_I)^dag B_U - I does not
+    def swap(basis):
+        basis[:, [2, 7]] = basis[:, [7, 2]]
+
+    fam = family_ckd(3, 4)
+    _spoil_expansions(monkeypatch, swap)
+    got, want = certify_family(fam), certify_exhaustive(fam)
+    non_identity = [label for label, mat in fam.generators
+                    if not np.array_equal(mat, np.eye(12))]
+    assert non_identity and _failing_bases(got) == non_identity
+    assert _failing_bases(want) == []
+    assert not got.passed
