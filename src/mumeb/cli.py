@@ -10,6 +10,7 @@ object so repeated runs produce byte-identical payloads.
 import argparse
 import itertools
 import json
+import math
 import sys
 
 from . import bounds, construct, families, fields, mols, verify
@@ -100,6 +101,8 @@ def _cmd_construct(args):
 
 
 def _cmd_verify(args):
+    if not math.isfinite(args.tolerance) or args.tolerance < 0:
+        raise UsageError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     family = families.load_family(args.family)
     report = verify.certify_family(family, tolerance=args.tolerance,
                                    pairs_only=args.pairs_only)

@@ -6,6 +6,9 @@ vectors (1/sqrt(d)) sum_r lambda(r xi) |e_(r+eta)> (x) U|e'_(r,j)> indexed by
 (xi, eta) over the size-d ring and j = 0..k-1.  Subsystem-A indices are
 row-major over the pair (A index, B index), and the kd basis e'_(r,j) of the
 B side maps to column j*d + index(r) of U.
+
+expand_chunks yields a basis in column chunks of whole eta-slabs, so that
+certification never holds an N x N array; expand_basis assembles them.
 """
 
 import numpy as np
@@ -72,13 +75,16 @@ def v_unitary(ring, a):
     return fourier_unitary(ring)[_unit_permutation(ring, a)]
 
 
-def expand_basis(ring, u, k=None):
-    """Expand one generator into its full basis of C^(kd^2), orthonormal
-    when the generator is unitary (certify_family checks that first).
+# Bytes per column chunk of an expansion: as many whole eta-slabs (N x kd
+# each) as fit, and one slab when a single slab is larger.  A few
+# chunk-sized temporaries of certify_family then sit far below one N x N
+# array, while an N of a few hundred, such as d = 19 with k = 1, is still
+# one or two chunks.
+_CHUNK_BYTES = 3 << 19  # 1.5 MiB
 
-    Returns an N x N array (N = kd^2) whose columns are the basis vectors in
-    lexicographic (xi, eta, j) order by canonical ring index.
-    """
+
+def _generator_order(ring, u, k):
+    """u as a complex array and its k, after checking that u is kd x kd."""
     d = ring.d
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] % d:
@@ -87,22 +93,59 @@ def expand_basis(ring, u, k=None):
         k = u.shape[0] // d
     if u.shape[0] != k * d:
         raise ValueError(f"generator size {u.shape[0]} does not equal k*d = {k*d}")
+    return u, k
 
+
+def expand_chunks(ring, u, k=None):
+    """Yield the basis of one generator (see expand_basis) in column chunks.
+
+    Each item is (cols, chunk): the global column indices and the N x c
+    array of those columns, for a run of whole eta-slabs, the kd columns
+    (xi, eta, j) of one eta; within a chunk the columns keep the (xi, eta, j)
+    order.  A chunk holds at most _CHUNK_BYTES unless one slab is larger.
+    The array is overwritten by the next chunk, so copy what must outlive
+    one iteration.
+    """
+    u, k = _generator_order(ring, u, k)
+    d = ring.d
     kd = k * d
-    n = k * d * d
+    n = kd * d
     lam = fields.char_table(ring)
     add = fields.add_index_table(ring)
     neg = fields.neg_index_vector(ring)
     ucols = u.reshape(kd, k, d)  # ucols[iB, j, r] = u[iB, j*d + r]
 
-    psi = np.zeros((d, kd, d, d, k), dtype=complex)  # [iA, iB, xi, eta, j]
-    for eta in range(d):
-        r_of = add[:, neg[eta]]            # r with r + eta = iA, per subsystem-A index
-        phases = lam[r_of, :]              # [iA, xi]
-        cols = ucols[:, :, r_of]           # [iB, j, iA]
-        psi[:, :, :, eta, :] = np.einsum("ax,bja->abxj", phases, cols)
-    basis = psi.reshape(n, n)
-    return np.divide(basis, np.sqrt(d), out=basis)
+    per = max(1, _CHUNK_BYTES // (16 * n * kd))  # slabs per chunk at most
+    n_chunks = -(-d // per)
+    bounds = [d * i // n_chunks for i in range(n_chunks + 1)]  # even runs of slabs
+    buf = np.empty(n * kd * (bounds[-1] - bounds[-2]), dtype=complex)  # the longest run
+    scale = np.sqrt(d)
+    for eta0, eta1 in zip(bounds, bounds[1:]):
+        etas = np.arange(eta0, eta1)
+        psi = buf[:n * etas.size * kd].reshape(d, kd, d, etas.size, k)  # [iA, iB, xi, eta, j]
+        r_of = add[:, neg[etas]]  # [iA, eta]: the r with r + eta = iA
+        # [iA, eta, xi] phases times [iB, j, iA, eta] columns
+        np.einsum("aex,bjae->abxej", lam[r_of, :], ucols[:, :, r_of], out=psi)
+        cols = ((np.arange(d)[:, None] * d + etas)[:, :, None] * k + np.arange(k)).ravel()
+        chunk = psi.reshape(n, cols.size)
+        yield cols, np.divide(chunk, scale, out=chunk)
+
+
+def expand_basis(ring, u, k=None):
+    """Expand one generator into its full basis of C^(kd^2), orthonormal
+    when the generator is unitary (certify_family checks that first).
+
+    Returns an N x N array (N = kd^2) whose columns are the basis vectors in
+    lexicographic (xi, eta, j) order by canonical ring index, assembled from
+    expand_chunks.  certify_family never holds it; the tests and their
+    oracle do.
+    """
+    u, k = _generator_order(ring, u, k)
+    n = k * ring.d * ring.d
+    basis = np.empty((n, n), dtype=complex)
+    for cols, chunk in expand_chunks(ring, u, k):
+        basis[:, cols] = chunk
+    return basis
 
 
 def family_cd(d_or_ring):

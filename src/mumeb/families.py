@@ -7,6 +7,7 @@ version) and is excluded from determinism comparisons; everything else is
 written with sorted keys so equal payloads are byte-identical.
 """
 
+import itertools
 import json
 import time
 
@@ -25,9 +26,27 @@ def matrix_to_json(mat):
     return np.stack((mat.real, mat.imag), axis=-1).tolist()
 
 
+def _cells_are_plain(rows, size):
+    """Whether every row is a list of `size` [re, im] lists of ints and
+    floats (no bools), checked in C-level passes instead of cell by cell."""
+    if not all(isinstance(row, list) and len(row) == size for row in rows):
+        return False
+    cells = list(itertools.chain.from_iterable(rows))
+    return (set(map(type, cells)) <= {list} and set(map(len, cells)) <= {2}
+            and set(map(type, itertools.chain.from_iterable(cells))) <= {int, float})
+
+
 def matrix_from_json(rows, size, label):
     if not isinstance(rows, list) or len(rows) != size:
         raise SchemaError(f"generator {label}: matrix must have {size} rows")
+    # only a matrix that fails the fast checks goes through the loop below,
+    # which names the first bad entry
+    if _cells_are_plain(rows, size):
+        try:
+            pairs = np.array(rows, dtype=float).reshape(size, size, 2)
+            return pairs.view(complex).reshape(size, size)
+        except OverflowError:
+            pass  # an integer beyond the float range; the loop names it
     out = np.empty((size, size), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != size:
@@ -36,7 +55,11 @@ def matrix_from_json(rows, size, label):
             if (not isinstance(cell, list) or len(cell) != 2
                     or not all(type(v) in (int, float) for v in cell)):  # no bools
                 raise SchemaError(f"generator {label}: entry ({i},{j}) must be [re, im]")
-            out[i, j] = complex(cell[0], cell[1])
+            try:
+                out[i, j] = complex(cell[0], cell[1])
+            except OverflowError:
+                raise SchemaError(f"generator {label}: entry ({i},{j}) is too large "
+                                  "for a float") from None
     return out
 
 
@@ -94,11 +117,23 @@ def _header(extra=None):
 
 
 def save_family(family, path, header_extra=None):
-    doc = {"header": _header(header_extra)}
-    doc.update(family_to_dict(family))
+    """Write the bytes of json.dump(doc, fh, sort_keys=True) for the family
+    document, one generator entry at a time through the C encoder; the whole
+    document is never one string."""
+    members = {"header": _header(header_extra), "d": family.d, "k": family.k,
+               "ring": family.ring.descriptor(), "metadata": family.metadata}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        for i, key in enumerate(sorted([*members, "generators"])):
+            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+            if key in members:
+                fh.write(json.dumps(members[key], sort_keys=True))
+                continue
+            fh.write("[")
+            for j, (label, mat) in enumerate(family.generators):
+                entry = {"label": label, "matrix": matrix_to_json(mat)}
+                fh.write((", " if j else "") + json.dumps(entry, sort_keys=True))
+            fh.write("]")
+        fh.write("}\n")
 
 
 def _reject_constant(name):
@@ -119,8 +154,8 @@ def load_family(path):
 def save_report(report, path, header_extra=None):
     doc = {"header": _header(header_extra)}
     body = report.to_dict()
-    wall = body.pop("wall_time_s")
-    doc["header"]["wall_time_s"] = wall
+    doc["header"]["wall_time_s"] = body.pop("wall_time_s")
+    doc["header"]["stages"] = report.stages
     doc.update(body)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)

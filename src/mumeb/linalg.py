@@ -1,10 +1,11 @@
 """Complex linear algebra for unitaries, bases, and entanglement checks.
 
 Matrices are numpy complex128 arrays, row-major, zero-based.  A basis is a
-square array whose columns are the basis vectors.  Sizes stay at N = kd^2 of a
-few thousand at most, so arithmetic is dense, except that adjoint products
-A^dag B skip the exact zeros of A: an expanded basis has d nonzeros per
-column, so its adjoint product costs 8 d N^2 flops instead of 8 N^3.
+square array whose columns are the basis vectors; a large one is handled as
+column chunks, (cols, N x c array) pairs, so that no N x N array is needed.
+Adjoint products A^dag X skip the exact zeros of A (ColumnBlocks): an
+expanded basis has d nonzeros per column, so A^dag X costs 8 d N c flops
+for an N x c chunk X instead of 8 N^2 c.
 """
 
 import numpy as np
@@ -25,29 +26,110 @@ def gram_deviation(basis):
     return float(np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max())
 
 
-def adjoint_product_blocks(a, b):
-    """Yield (cols, a[rows, cols]^dag @ b[rows]) for each group of columns of
-    `a` that share one row support `rows` (the rows where they are nonzero).
+def whole_columns(a):
+    """The matrix `a` as a single column chunk, [(cols, a)]."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError(f"need a matrix, got shape {a.shape}")
+    return [(np.arange(a.shape[1]), a)]
 
-    Together the blocks are the rows `cols` of A^dag B, with only exact-zero
-    terms dropped, so they equal the dense product up to summation order.
-    The pattern is read off `a` itself.  A dense `a` is one group, a single
-    GEMM; columns with many distinct supports cost one small product each.
+
+class ColumnBlocks:
+    """A matrix A, N x N for a basis, held as its column groups, each group
+    being the columns that share one row support (the rows where they are
+    nonzero).
+
+    Groups of one shape, s support rows by m columns, form a bucket of
+    `rows` (G, s), `cols` (G, m) and adjoint values A[rows, cols]^dag
+    (G, m, s).  An expanded basis is one bucket of N/d groups of d x d, so
+    it is held in N·d entries; a dense matrix is one group.  The pattern is
+    read off the entries themselves, once, never off a formula.
     """
-    support = a != 0
-    keys = np.packbits(support, axis=0).T
-    keys = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1]))).ravel()
-    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(group, kind="stable")
-    bounds = np.cumsum(np.bincount(group))[:-1]
-    for col0, cols in zip(first, np.split(order, bounds)):
-        rows = np.flatnonzero(support[:, col0])
-        yield cols, a[np.ix_(rows, cols)].conj().T @ b[rows]
+
+    def __init__(self, chunks):
+        """Read A from (cols, N x c array) column chunks that together hold
+        each of its columns once, such as construct.expand_chunks yields.  Each
+        array is copied from as it comes, so it may be reused for the next."""
+        col_ids, keys, depths, values = [], [], [], []
+        n = None
+        for cols, chunk in chunks:
+            if n is None:
+                n = chunk.shape[0]
+            if chunk.ndim != 2 or chunk.shape != (n, len(cols)):
+                raise ValueError(f"chunk of shape {chunk.shape} does not fit {n} rows "
+                                 f"and {len(cols)} columns")
+            support = chunk != 0
+            col_ids.append(np.asarray(cols))
+            keys.append(np.packbits(support, axis=0).T)
+            depths.append(support.sum(axis=0))
+            values.append(chunk.T[support.T])  # column by column, rows ascending
+        if n is None:
+            raise ValueError("no column chunks")
+        cols = np.concatenate(col_ids)
+        if not np.array_equal(np.sort(cols), np.arange(cols.size)):
+            raise ValueError("column chunks must hold each column once")
+        self.shape = (n, cols.size)
+        self._work = {}
+
+        keys = np.ascontiguousarray(np.concatenate(keys))
+        depths = np.concatenate(depths)
+        values = np.concatenate(values)
+        start = np.cumsum(depths) - depths  # of each column's entries in `values`
+        flat_keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+        _, first, group = np.unique(flat_keys, return_index=True, return_inverse=True)
+        width = np.bincount(group)
+        depth = depths[first]
+        members = np.argsort(group, kind="stable")  # read positions, group by group
+        offset = np.cumsum(width) - width
+        self.buckets = []
+        self._bucket = np.empty(cols.size, dtype=int)  # bucket of each column
+        self._slot = np.empty(cols.size, dtype=int)    # its row in the bucket's products
+        for s, m in np.unique(np.stack([depth, width], axis=1), axis=0):
+            g = np.flatnonzero((depth == s) & (width == m))
+            pos = members[offset[g][:, None] + np.arange(m)]
+            rows = np.nonzero(np.unpackbits(keys[first[g]], axis=1, count=n))[1]
+            adj = values[start[pos][..., None] + np.arange(s)].conj()
+            self._bucket[cols[pos]] = len(self.buckets)
+            self._slot[cols[pos].ravel()] = np.arange(pos.size)
+            self.buckets.append((rows.reshape(g.size, s), cols[pos], adj))
+
+    def _scratch(self, name, shape):
+        """A complex work array of this shape, reused from call to call:
+        fresh arrays of a chunk's size cost more to fault in than to fill."""
+        size = int(np.prod(shape))
+        if name not in self._work or self._work[name].size < size:
+            self._work[name] = np.empty(size, dtype=complex)
+        return self._work[name][:size].reshape(shape)
+
+    def adjoint_products(self, x, identity_cols=None):
+        """Yield (cols, A[:, cols]^dag @ x) for each bucket, with cols flat:
+        one batched product per bucket, and together the rows of A^dag x.
+        Each block is overwritten by the next one and by the next call.
+
+        Only exact-zero terms are dropped, so this equals the dense product
+        up to summation order, at 8 d N c flops for an expanded basis and an
+        N x c array x.  With identity_cols, the global column indices of x,
+        the identity's columns I[:, identity_cols] are subtracted.
+        """
+        if x.ndim != 2 or x.shape[0] != self.shape[0]:
+            raise ValueError(f"need {self.shape[0]} rows, got shape {x.shape}")
+        c = x.shape[1]
+        for b, (rows, cols, adj) in enumerate(self.buckets):
+            # mode="clip" since rows are in range; the default buffers `out`
+            gathered = np.take(x, rows, axis=0, mode="clip",
+                               out=self._scratch("gathered", rows.shape + (c,)))
+            block = np.matmul(adj, gathered, out=self._scratch("block", adj.shape[:2] + (c,)))
+            block = block.reshape(cols.size, c)
+            if identity_cols is not None:
+                own = np.flatnonzero(self._bucket[identity_cols] == b)
+                block[self._slot[identity_cols[own]], own] -= 1.0
+            yield cols.ravel(), block
 
 
 def max_entanglement_deviation(basis, d, dprime):
-    """Largest reduced-density deviation over all columns of a basis, taken
-    64 columns at a time so that the temporaries stay small beside the basis."""
+    """Largest reduced-density deviation over the columns of a basis or of a
+    column chunk of one, taken 64 columns at a time so that the temporaries
+    stay small beside it."""
     basis = np.asarray(basis, dtype=complex)
     n = basis.shape[1]
     coeff = basis.T.reshape(n, d, dprime)

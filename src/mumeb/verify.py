@@ -14,15 +14,18 @@ every pair.
 Both routes depend on the pair only through W = U^dag V: the expansion gives
 B_U = (I_d (x) U) B_I, so B_U^dag B_V = B_I^dag (I_d (x) W) B_I.
 certify_family therefore runs both routes once per pair class, a set of
-pairs that provably share one W, and keeps no expanded basis beyond B_I.
+pairs that provably share one W.
 
-Every column of B_I has d nonzeros, shared by the d columns of one (eta, j),
-so each product B_I^dag X runs over those column blocks
-(linalg.adjoint_product_blocks) at 8 d N^2 flops instead of 8 N^3.  The
-overlaps are B_I^dag ((I_d (x) W) B_I), and the orthonormality of a basis is
+Nothing here holds an N x N array.  Each expansion streams in column
+chunks (construct.expand_chunks), and every product B_I^dag X runs over
+the column blocks of B_I, read once (linalg.ColumnBlocks): each column of
+B_I has d nonzeros, shared by the d columns of one (eta, j), so a product
+with an N x c chunk costs 8 d N c flops.  The overlaps of a class are
+B_I^dag B_W over the chunks of B_W = (I_d (x) W) B_I, which is the expansion
+of W itself.  The orthonormality of a basis is
 max |((I_d (x) U) B_I)^dag B_U - I| = max |B_I^dag ((I_d (x) U^dag) B_U) - I|,
-which reads the bytes of the expanded B_U and, for unitary U, equals its
-Gram defect max |B_U^dag B_U - I|.
+taken chunk by chunk; it reads the bytes of the expanded B_U and, for
+unitary U, equals its Gram defect max |B_U^dag B_U - I|.
 """
 
 import itertools
@@ -34,7 +37,10 @@ from . import construct, fields, linalg
 
 
 class VerificationReport:
-    """Aggregated outcome of certifying one family; total over bases and pairs."""
+    """Aggregated outcome of certifying one family; total over bases and pairs.
+
+    to_dict() is the deterministic payload; wall_time_s and stages are
+    volatile and go to the report header."""
 
     def __init__(self, family_id, d, k, n_bases, tolerances):
         self.family_id = family_id
@@ -48,6 +54,7 @@ class VerificationReport:
         self.agreement_deviation = 0.0
         self.passed = False
         self.wall_time_s = 0.0
+        self.stages = {}  # timings and counts; save_report puts them in the header
 
     def to_dict(self):
         return {
@@ -115,36 +122,58 @@ def criterion_check(ring, k, u, v):
 
 
 def bruteforce_unbiased(basis_a, basis_b):
-    """(min, max) magnitude over all N^2 cross inner products of two bases,
-    reduced block by block over the column supports of basis_a."""
-    basis_a = np.asarray(basis_a, dtype=complex)
-    basis_b = np.asarray(basis_b, dtype=complex)
-    if basis_a.shape != basis_b.shape:
-        raise ValueError("bases have different shapes")
+    """(min, max) magnitude over all N^2 cross inner products of two bases.
+
+    basis_a is an N x N array or its linalg.ColumnBlocks; basis_b is an
+    N x N array or its column chunks, as construct.expand_chunks yields
+    them.  The products run over the column blocks of basis_a, one chunk of
+    basis_b at a time, and are reduced as they come.
+    """
+    if not isinstance(basis_a, linalg.ColumnBlocks):
+        basis_a = linalg.ColumnBlocks(linalg.whole_columns(basis_a))
+    if isinstance(basis_b, np.ndarray):
+        if basis_b.shape != basis_a.shape:
+            raise ValueError("bases have different shapes")
+        basis_b = linalg.whole_columns(basis_b)
     lo, hi = np.inf, 0.0
-    for _, block in linalg.adjoint_product_blocks(basis_a, basis_b):
-        mags = np.abs(block)
-        lo = min(lo, float(mags.min()))
-        hi = max(hi, float(mags.max()))
+    for _, chunk in basis_b:
+        if chunk.shape[0] != basis_a.shape[0]:
+            raise ValueError("bases have different shapes")
+        for _, block in basis_a.adjoint_products(chunk):
+            mags = np.abs(block)
+            lo = min(lo, float(mags.min()))
+            hi = max(hi, float(mags.max()))
     return lo, hi
 
 
-def _orthonormality_deviation(b_id, basis, u, out):
-    """max |((I_d (x) U) B_I)^dag B_U - I| for the expanded basis B_U of U.
+def _basis_deviations(b_id, u, chunks):
+    """(orthonormality, entanglement) of the basis B_U of U from its column
+    chunks: max |((I_d (x) U) B_I)^dag B_U - I| and the largest deviation of
+    a reduced density from I_d / d.
 
-    Computed as B_I^dag ((I_d (x) U^dag) B_U) over the column blocks of B_I,
-    with (I_d (x) U^dag) B_U written into `out` (shape (d, kd, N)).  For a
-    unitary U it equals the Gram defect max |B_U^dag B_U - I|, since
-    B_U = (I_d (x) U) B_I; unlike the Gram defect it also catches columns
-    of B_U that are out of place.
+    The first is B_I^dag ((I_d (x) U^dag) B_U) - I over the column blocks
+    of B_I.  For a unitary U it equals the Gram defect max |B_U^dag B_U - I|,
+    since B_U = (I_d (x) U) B_I; unlike the Gram defect it also catches
+    columns of B_U that are out of place.
     """
-    n = basis.shape[0]
-    np.matmul(u.conj().T, basis.reshape(out.shape), out=out)
-    worst = 0.0
-    for cols, block in linalg.adjoint_product_blocks(b_id, out.reshape(n, n)):
-        block[np.arange(cols.size), cols] -= 1.0
-        worst = max(worst, float(np.abs(block).max()))
-    return worst
+    kd = u.shape[0]
+    u_dag = u.conj().T
+    ortho = ent = 0.0
+    for cols, chunk in chunks:
+        n, c = chunk.shape
+        ent = max(ent, linalg.max_entanglement_deviation(chunk, n // kd, kd))
+        x = np.matmul(u_dag, chunk.reshape(n // kd, kd, c)).reshape(n, c)
+        for _, block in b_id.adjoint_products(x, identity_cols=cols):
+            ortho = max(ortho, float(np.abs(block).max()))
+    return ortho, ent
+
+
+def _tally(chunks, stages):
+    """Pass the chunks on, counting them and the bytes of the largest."""
+    for cols, chunk in chunks:
+        stages["chunks"] += 1
+        stages["max_chunk_bytes"] = max(stages["max_chunk_bytes"], chunk.nbytes)
+        yield cols, chunk
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +235,20 @@ def _pair_classes(mats):
 
 
 def certify_family(family, tolerance=1e-8, pairs_only=False):
-    """Check everything the family claims, holding few expanded bases at once.
+    """Check everything the family claims, holding no N x N array.
 
-    Per basis (skipped when pairs_only): expand the generator, check
-    orthonormality against (I_d (x) U) B_I and maximal entanglement, and
-    drop it.  Per pair class (see _pair_classes), with W = U^dag V of its
-    first pair: brute-force overlap extremes of B_I against (I_d (x) W) B_I
-    against 1/sqrt(kd^2), criterion extremes of W against 1/sqrt(k), and
-    agreement of the two routes after the factor-d rescaling.  Every pair
-    keeps its own report row, in combinations order, carrying its class's
-    figures and the class id under "class".
+    First the column blocks of B_I are read off its chunks.  Per basis
+    (skipped when pairs_only): stream the expansion of the generator and
+    check orthonormality against (I_d (x) U) B_I and maximal entanglement,
+    chunk by chunk.  Per pair class (see _pair_classes), with W = U^dag V of
+    its first pair: brute-force overlap extremes of B_I against the chunks
+    of B_W = (I_d (x) W) B_I against 1/sqrt(kd^2), criterion extremes of W
+    against 1/sqrt(k), and agreement of the two routes after the factor-d
+    rescaling.  Every pair keeps its own report row, in combinations order,
+    carrying its class's figures and the class id under "class".
+
+    report.stages records the wall time of each stage and the counts of
+    bases, pairs, classes and chunks, and the bytes of the largest chunk.
     """
     t0 = time.perf_counter()
     d, k = family.d, family.k
@@ -232,11 +265,14 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
     }
     family_id = f"{family.metadata.get('construction', 'family')}-d{d}-k{k}"
     report = VerificationReport(family_id, d, k, family.n_bases, tolerances)
+    stages = report.stages
+    stages.update(bases=family.n_bases, pairs=0, classes=0, chunks=0, max_chunk_bytes=0)
 
     for label, mat in family.generators:
         ok, dev = linalg.is_unitary(mat, 1e-9)
         if not ok:
             report.generator_errors.append({"label": label, "deviation": dev})
+    stages["unitarity_s"] = time.perf_counter() - t0
     if report.generator_errors:
         report.passed = False
         report.wall_time_s = time.perf_counter() - t0
@@ -245,15 +281,20 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
     ring = family.ring
     mats = [mat for _, mat in family.generators]
     pairs, first = _pair_classes(mats)
+    stages.update(pairs=len(pairs), classes=len(first))
+
+    def chunks_of(u):
+        return _tally(construct.expand_chunks(ring, u, k), stages)
+
+    t_stage = time.perf_counter()
     if not pairs_only or first:
-        b_id = construct.expand_basis(ring, np.eye(kd), k)
-        b_w = np.empty((d, kd, n), dtype=complex)  # (I_d (x) X) B, row (iA, iB)
+        b_id = linalg.ColumnBlocks(chunks_of(np.eye(kd)))
+    stages["identity_blocks_s"] = time.perf_counter() - t_stage
+
+    t_stage = time.perf_counter()
     if not pairs_only:
         for label, mat in family.generators:
-            basis = construct.expand_basis(ring, mat, k)
-            ortho = _orthonormality_deviation(b_id, basis, mat, b_w)
-            ent = linalg.max_entanglement_deviation(basis, d, kd)
-            del basis  # so that the next expansion does not coexist with it
+            ortho, ent = _basis_deviations(b_id, mat, chunks_of(mat))
             report.basis_results.append({
                 "label": label,
                 "orthonormality": ortho,
@@ -261,12 +302,13 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
                 "pass": ortho <= tolerances["orthonormality"]
                         and ent <= tolerances["entanglement"],
             })
+    stages["bases_s"] = time.perf_counter() - t_stage
 
+    t_stage = time.perf_counter()
     class_results = []
     for i, j in first:
         w = mats[i].conj().T @ mats[j]
-        np.matmul(w, b_id.reshape(d, kd, n), out=b_w)
-        ov_lo, ov_hi = bruteforce_unbiased(b_id, b_w.reshape(n, n))
+        ov_lo, ov_hi = bruteforce_unbiased(b_id, chunks_of(w))
         cr_lo, cr_hi = criterion_magnitudes(ring, k, w)
         ov_dev = max(abs(ov_hi - target), abs(target - ov_lo))
         cr_dev = max(abs(cr_hi - crit_target), abs(crit_target - cr_lo))
@@ -279,6 +321,7 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
             "pass": ov_dev <= tolerance,
             "criterion_pass": cr_dev <= tolerance,
         })
+    stages["classes_s"] = time.perf_counter() - t_stage
     for i, j, c in pairs:
         report.pair_results.append({"a": family.generators[i][0], "b": family.generators[j][0],
                                     **class_results[c], "class": c})

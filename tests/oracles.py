@@ -3,10 +3,10 @@
 Each one recomputes a quantity by a route the package itself does not take:
 field arithmetic by polynomials and Frobenius powers instead of exp/log and
 trace vectors, the GR(4,a) trace by the 2-adic Frobenius, characters from
-that arithmetic, Pauli operators as monomial matrices, entanglement one
-vector at a time, quadratic sums through multiplicative characters, and
-family certification with every basis expanded and one overlap product per
-pair.
+that arithmetic, Pauli operators as monomial matrices, the expansion as one
+whole array instead of column chunks, entanglement one vector at a time,
+quadratic sums through multiplicative characters, and family certification
+with every basis expanded and one overlap product per pair.
 """
 
 import time
@@ -80,6 +80,24 @@ def pauli_matrix(ring, xi, eta):
     rows = fields.add_index_table(ring)[:, eta]
     h[rows, np.arange(d)] = fields.char_table(ring)[:, xi]
     return h
+
+
+def expand_basis_whole(ring, u, k):
+    """The N x N expansion of u filled one eta at a time into a single
+    array, then scaled by 1/sqrt(d) in place, as construct.expand_basis did
+    before it was assembled from column chunks."""
+    d = ring.d
+    kd, n = k * d, k * d * d
+    lam = fields.char_table(ring)
+    add = fields.add_index_table(ring)
+    neg = fields.neg_index_vector(ring)
+    ucols = np.asarray(u, dtype=complex).reshape(kd, k, d)
+    psi = np.zeros((d, kd, d, d, k), dtype=complex)  # [iA, iB, xi, eta, j]
+    for eta in range(d):
+        r_of = add[:, neg[eta]]
+        psi[:, :, :, eta, :] = np.einsum("ax,bja->abxj", lam[r_of, :], ucols[:, :, r_of])
+    basis = psi.reshape(n, n)
+    return np.divide(basis, np.sqrt(d), out=basis)
 
 
 def reduced_density_check(v, d, dprime):

@@ -89,6 +89,17 @@ def test_verify_tampered_family(tmp_path, capsys):
     assert any(label in line for line in out.splitlines() if line.startswith("FAIL"))
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_verify_tolerance_must_be_finite_and_non_negative(tmp_path, capsys, value):
+    # inf would pass any family, and nan or a negative value fail every pair
+    fam = tmp_path / "fam.json"
+    run(capsys, "construct", "--d", "3", "--k", "1", "--out", str(fam))
+    code, out, err = run(capsys, "verify", str(fam), "--tolerance", value)
+    assert code == 1 and out == ""
+    assert "usage error: --tolerance must be a finite number >= 0" in err
+    assert run(capsys, "verify", str(fam), "--tolerance", "1e-8")[0] == 0
+
+
 def test_verify_pairs_only(tmp_path, capsys):
     fam = tmp_path / "fam.json"
     run(capsys, "construct", "--d", "3", "--k", "4", "--out", str(fam))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from mumeb.cli import main
-from mumeb.construct import family_cd, family_ckd
+from mumeb.construct import family_cd, family_ckd, family_ckd_mols
 from mumeb.families import (SchemaError, family_from_dict, family_to_dict,
                             load_family, matrix_from_json, matrix_to_json,
                             save_family, save_report)
@@ -141,3 +142,68 @@ def test_load_family_rejects_non_integer_sizes_and_non_string_labels(
         load_family(path)
     assert main(["verify", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def _without_header(text):
+    """The file text without its top-level "header" member."""
+    key = '"header": '
+    start = text.index(key)
+    _, end = json.JSONDecoder().raw_decode(text, start + len(key))
+    if text.startswith(", ", end):
+        end += 2
+    return text[:start] + text[end:]
+
+
+@pytest.mark.parametrize("build", [lambda: family_cd(81), lambda: family_ckd(3, 64),
+                                   lambda: family_ckd(9, 4), lambda: family_ckd_mols(7, 9)],
+                         ids=["81-1", "3-64", "9-4", "7-9-mols"])
+def test_save_family_writes_the_bytes_of_json_dump(tmp_path, build):
+    fam = build()
+    fast, slow = tmp_path / "fast.json", tmp_path / "slow.json"
+    save_family(fam, fast)
+    doc = {"header": {"created": "then"}, **family_to_dict(fam)}
+    with open(slow, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True)
+        fh.write("\n")
+    digests = [hashlib.sha256(_without_header(p.read_text(encoding="utf-8")).encode()).hexdigest()
+               for p in (fast, slow)]
+    assert digests[0] == digests[1]
+    assert json.loads(fast.read_text(encoding="utf-8"))["header"]["tool"] == "mumeb 0.1.0"
+
+
+def test_matrix_from_json_keeps_every_bit_of_each_entry():
+    # ints beyond 2^53, signed zeros and the float extremes convert exactly
+    # as complex(re, im) converts them
+    rows = [[[2 ** 64 + 1, -0.0], [1e308, 5]], [[-(2 ** 70) + 3, 0], [5e-324, -(2 ** 53) - 1]]]
+    got = matrix_from_json(rows, 2, "g")
+    want = np.array([[complex(*cell) for cell in row] for row in rows])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_integer_entry_beyond_the_float_range_is_malformed(tmp_path, capsys):
+    doc = family_to_dict(family_cd(3))
+    doc["generators"][1]["matrix"][2][1] = [0, 10 ** 400]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=re.escape("entry (2,1) is too large for a float")):
+        load_family(path)
+    assert main(["verify", str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_report_header_carries_stage_timings_and_counts(tmp_path):
+    report = certify_family(family_ckd(3, 4))
+    path = tmp_path / "report.json"
+    save_report(report, path)
+    doc = json.loads(path.read_text())
+    stages = doc["header"]["stages"]
+    assert {key: stages[key] for key in ("bases", "pairs", "classes", "chunks")} == \
+        {"bases": 4, "pairs": 6, "classes": 6, "chunks": 1 + 4 + 6}
+    assert stages["max_chunk_bytes"] == 16 * 36 * 36
+    assert all(stages[key] >= 0 for key in ("unitarity_s", "identity_blocks_s",
+                                            "bases_s", "classes_s"))
+    # outside the header the report is to_dict() without its wall time
+    body = {k: v for k, v in doc.items() if k != "header"}
+    payload = json.loads(json.dumps(report.to_dict()))
+    payload.pop("wall_time_s")
+    assert body == payload

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mumeb import linalg
-from mumeb.construct import expand_basis, fourier_unitary
+from mumeb.construct import expand_basis, expand_chunks, fourier_unitary
 from mumeb.fields import ring_for_dimension
 from mumeb.verify import bruteforce_unbiased
 from oracles import reduced_density_check
@@ -58,12 +58,14 @@ def test_batched_entanglement_matches_per_vector_route():
 
 
 def _assemble(a, b):
+    """A^dag B from the column blocks of `a`, read off it as one chunk, and
+    the number of column groups they found."""
+    blocks = linalg.ColumnBlocks(linalg.whole_columns(a))
     out = np.full((a.shape[1], b.shape[1]), np.nan, dtype=complex)
-    groups = 0
-    for cols, block in linalg.adjoint_product_blocks(a, b):
+    for cols, block in blocks.adjoint_products(b):
         assert np.isnan(out[cols]).all()  # every column in exactly one group
         out[cols] = block
-        groups += 1
+    groups = sum(rows.shape[0] for rows, _, _ in blocks.buckets)
     return out, groups
 
 
@@ -74,13 +76,43 @@ def _random_complex(shape, seed):
 
 @pytest.mark.parametrize("d,k", [(5, 1), (3, 4), (7, 9)])
 def test_adjoint_product_blocks_on_identity_basis(d, k):
-    # B_I has d nonzeros per column; the d columns of one (eta, j) share them
+    # B_I has d nonzeros per column; the d columns of one (eta, j) share
+    # them, so its N/d groups of d x d make one bucket, read here chunk by
+    # chunk as certify_family reads it
     ring = ring_for_dimension(d)
     a = expand_basis(ring, np.eye(k * d), k)
     b = _random_complex(a.shape, seed=d + k)
     got, groups = _assemble(a, b)
     assert groups == d * k
     assert np.abs(got - a.conj().T @ b).max() <= 1e-13
+    blocks = linalg.ColumnBlocks(expand_chunks(ring, np.eye(k * d), k))
+    [(rows, cols, adj)] = blocks.buckets
+    assert rows.shape == cols.shape == (d * k, d) and adj.shape == (d * k, d, d)
+    for cols, block in blocks.adjoint_products(b):
+        assert np.abs(block - got[cols]).max() <= 1e-13
+
+
+def test_adjoint_products_subtract_the_identity_at_the_given_columns():
+    ring = ring_for_dimension(3)
+    a = expand_basis(ring, np.eye(12), 4)
+    blocks = linalg.ColumnBlocks(linalg.whole_columns(a))
+    cols = np.array([30, 2, 17])
+    [(rows, block)] = [(r, b.copy()) for r, b in blocks.adjoint_products(a[:, cols], cols)]
+    assert np.abs(block).max() <= 1e-15
+    assert sorted(rows) == list(range(36))
+
+
+def test_column_blocks_need_each_column_once():
+    a = _random_complex((4, 4), seed=5)
+    with pytest.raises(ValueError):
+        linalg.ColumnBlocks([(np.arange(1, 4), a[:, :3])])
+    with pytest.raises(ValueError):
+        linalg.ColumnBlocks([(np.arange(4), a), (np.arange(1), a[:, :1])])
+    with pytest.raises(ValueError):
+        linalg.ColumnBlocks([])
+    blocks = linalg.ColumnBlocks(linalg.whole_columns(a))
+    with pytest.raises(ValueError):
+        list(blocks.adjoint_products(a[:3]))
 
 
 def test_adjoint_product_blocks_dense_is_one_group():

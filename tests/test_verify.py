@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -253,17 +255,17 @@ def test_spoiled_family_fails_the_same_pairs_in_both_routes():
 
 def test_pairs_only_expands_the_identity_basis_at_most_once(monkeypatch):
     calls = []
-    expand = construct.expand_basis
+    chunks = construct.expand_chunks
 
     def counting(ring, u, k=None):
         calls.append(np.array_equal(u, np.eye(len(u))))  # True for B_I
-        return expand(ring, u, k)
+        return chunks(ring, u, k)
 
-    monkeypatch.setattr(construct, "expand_basis", counting)
+    monkeypatch.setattr(construct, "expand_chunks", counting)
     fam = family_ckd(3, 4)
     report = certify_family(fam, pairs_only=True)
     assert report.passed and len(report.pair_results) == 6
-    assert calls == [True]
+    assert calls == [True] + [False] * 6  # B_I, then B_W once per class
     calls.clear()
     assert certify_family(MEBFamily(3, 1, fam.ring, [("only", np.eye(3))]),
                           pairs_only=True).passed
@@ -271,16 +273,18 @@ def test_pairs_only_expands_the_identity_basis_at_most_once(monkeypatch):
 
 
 def _spoil_expansions(monkeypatch, spoil):
-    """Make construct.expand_basis apply `spoil` to every basis but B_I."""
-    expand = construct.expand_basis
+    """Make construct.expand_chunks apply `spoil(cols, chunk)` to the chunks
+    of every expansion but B_I's; construct.expand_basis, which the oracle
+    uses, assembles the same chunks."""
+    chunks = construct.expand_chunks
 
     def spoiled(ring, u, k=None):
-        basis = expand(ring, u, k)
-        if not np.array_equal(u, np.eye(len(u))):
-            spoil(basis)
-        return basis
+        for cols, chunk in chunks(ring, u, k):
+            if not np.array_equal(u, np.eye(len(u))):
+                spoil(cols, chunk)
+            yield cols, chunk
 
-    monkeypatch.setattr(construct, "expand_basis", spoiled)
+    monkeypatch.setattr(construct, "expand_chunks", spoiled)
 
 
 def _failing_bases(report):
@@ -288,8 +292,8 @@ def _failing_bases(report):
 
 
 def test_scaled_column_fails_orthonormality_in_both_routes(monkeypatch):
-    def scale(basis):
-        basis[:, 5] *= 1.01
+    def scale(cols, chunk):
+        chunk[:, cols == 5] *= 1.01
 
     fam = family_cd(5)
     _spoil_expansions(monkeypatch, scale)
@@ -309,8 +313,11 @@ def test_scaled_column_fails_orthonormality_in_both_routes(monkeypatch):
 def test_swapped_columns_fail_orthonormality(monkeypatch):
     # a permuted expansion is still orthonormal, so the Gram check of the
     # exhaustive route passes it; ((I_d (x) U) B_I)^dag B_U - I does not
-    def swap(basis):
-        basis[:, [2, 7]] = basis[:, [7, 2]]
+    def swap(cols, chunk):
+        at = [np.flatnonzero(cols == c) for c in (2, 7)]
+        assert at[0].size == at[1].size  # both columns in one chunk, or neither
+        if at[0].size:
+            chunk[:, [at[0][0], at[1][0]]] = chunk[:, [at[1][0], at[0][0]]]
 
     fam = family_ckd(3, 4)
     _spoil_expansions(monkeypatch, swap)
@@ -320,3 +327,32 @@ def test_swapped_columns_fail_orthonormality(monkeypatch):
     assert non_identity and _failing_bases(got) == non_identity
     assert _failing_bases(want) == []
     assert not got.passed
+
+
+def test_certify_family_holds_no_n_by_n_array():
+    # numpy reports its buffers to tracemalloc; one N x N complex array is
+    # 16 N^2 bytes, and the whole certification must peak below half of it
+    fam = family_ckd(15, 4)
+    n = 4 * 15 * 15
+    tracemalloc.start()
+    try:
+        report = certify_family(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 16 * n * n / 2
+
+
+def test_stages_count_the_streamed_work():
+    report = certify_family(family_cd(19))
+    stages = report.stages
+    # 2 chunks per expansion: B_I, 36 bases, 52 classes
+    assert {key: stages[key] for key in ("bases", "pairs", "classes", "chunks")} == \
+        {"bases": 36, "pairs": 630, "classes": 52, "chunks": 2 * (1 + 36 + 52)}
+    assert stages["max_chunk_bytes"] == 16 * 361 * 19 * 10  # 10 of the 19 eta-slabs
+    for key in ("unitarity_s", "identity_blocks_s", "bases_s", "classes_s"):
+        assert 0 <= stages[key] <= report.wall_time_s
+    assert "stages" not in report.to_dict()
+    only = certify_family(family_cd(19), pairs_only=True).stages
+    assert only["chunks"] == 2 * (1 + 52)
