@@ -8,6 +8,8 @@ offers q'_1 + 1 flat blocks, and for square k = x^2 also N_MOLS(x) + 2 net
 bases; the final bound is the best k-side value capped by m_dd.
 """
 
+from dataclasses import asdict, dataclass
+
 from . import fields
 
 # published square counts beyond prime powers and the MacNeish product;
@@ -16,35 +18,23 @@ _LITERATURE_NMOLS = {26: 4}
 _LITERATURE_FLOOR_AT = 76
 
 
+@dataclass
 class BoundBreakdown:
-    def __init__(self, d, k, m_dd, pp_bound, mols_bound, mols_provenance, combined, rule):
-        self.d = d
-        self.k = k
-        self.d_factors = fields.factor_into_prime_powers(d)
-        self.k_factors = fields.factor_into_prime_powers(k) if k >= 2 else []
-        self.m_dd = m_dd
-        self.pp_bound = pp_bound
-        self.mols_bound = mols_bound
-        self.mols_provenance = mols_provenance
-        self.combined = combined
-        self.rule = rule
+    d: int
+    k: int
+    m_dd: int
+    pp_bound: int | None
+    mols_bound: int | None
+    mols_provenance: str | None
+    combined: int
+    rule: str
 
     def to_dict(self):
-        return {
-            "d": self.d,
-            "k": self.k,
-            "d_factors": [[p, a] for p, a in self.d_factors],
-            "k_factors": [[p, a] for p, a in self.k_factors],
-            "m_dd": self.m_dd,
-            "pp_bound": self.pp_bound,
-            "mols_bound": self.mols_bound,
-            "mols_provenance": self.mols_provenance,
-            "combined": self.combined,
-            "rule": self.rule,
-        }
-
-    def __repr__(self):
-        return f"BoundBreakdown(d={self.d}, k={self.k}, combined={self.combined}, rule={self.rule})"
+        """The fields plus the prime-power factors of d and of k (none for k = 1)."""
+        k_factors = fields.factor_into_prime_powers(self.k) if self.k >= 2 else []
+        return {**asdict(self),
+                "d_factors": [[p, a] for p, a in fields.factor_into_prime_powers(self.d)],
+                "k_factors": [[p, a] for p, a in k_factors]}
 
 
 def bound_dd(d):

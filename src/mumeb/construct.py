@@ -226,25 +226,26 @@ def b_tensor(k, j, factors=None):
     return block
 
 
+def _tensor_family(d_or_ring, k, block, n_k, prefix, meta):
+    """The first min{n_k, 2(q_1 - 1)} generators block(t) (x) U_t of
+    C^d (x) C^kd, U_t running over family_cd; block(t) is the k x k side,
+    called only for those t."""
+    base = family_cd(d_or_ring)
+    gens = [(f"{prefix}_{t}⊗{label}", np.kron(block(t), u))
+            for t, (label, u) in enumerate(base.generators[:n_k])]
+    meta = {"s_indices": base.metadata["s_indices"], **meta, "unitarity_tol": 1e-9,
+            "vector_order": "(xi,eta,j) lexicographic"}
+    return MEBFamily(base.d, k, base.ring, gens, meta)
+
+
 def family_ckd(d_or_ring, k):
     """min{q'_1 + 1, 2(q_1 - 1)} generators B_t (x) U_t of C^d (x) C^kd."""
     if k < 2:
         raise ValueError("k must be at least 2; use family_cd for k = 1")
-    base = family_cd(d_or_ring)
     factors = k_factors(k)
-    n_fam = min(factors[0].q + 1, base.n_bases)
-    gens = []
-    for t in range(n_fam):
-        label, u = base.generators[t]
-        gens.append((f"B_{t}⊗{label}", np.kron(b_tensor(k, t, factors), u)))
-    meta = {
-        "construction": "gauss-tensor",
-        "s_indices": base.metadata["s_indices"],
-        "k_factor_sizes": [f.q for f in factors],
-        "unitarity_tol": 1e-9,
-        "vector_order": "(xi,eta,j) lexicographic",
-    }
-    return MEBFamily(base.d, k, base.ring, gens, meta)
+    meta = {"construction": "gauss-tensor", "k_factor_sizes": [f.q for f in factors]}
+    return _tensor_family(d_or_ring, k, lambda t: b_tensor(k, t, factors), factors[0].q + 1,
+                          "B", meta)
 
 
 def family_ckd_mols(d_or_ring, k, squares=None):
@@ -264,19 +265,6 @@ def family_ckd_mols(d_or_ring, k, squares=None):
             raise ValueError(f"squares have order {squares[0].order}, need {x}")
     net = mols_mod.net_from_mols(squares, order=x)
     mubs = mols_mod.mubs_from_net(net, mols_mod.fourier_hadamard(x))
-    base = family_cd(d_or_ring)
-    n_fam = min(len(mubs), base.n_bases)
-    gens = []
-    for t in range(n_fam):
-        label, u = base.generators[t]
-        gens.append((f"G_{t}⊗{label}", np.kron(mubs[t], u)))
-    meta = {
-        "construction": "mols-net",
-        "s_indices": base.metadata["s_indices"],
-        "mols_order": x,
-        "mols_count": len(squares),
-        "net_blocks": net.n,
-        "unitarity_tol": 1e-9,
-        "vector_order": "(xi,eta,j) lexicographic",
-    }
-    return MEBFamily(base.d, k, base.ring, gens, meta)
+    return _tensor_family(d_or_ring, k, lambda t: mubs[t], len(mubs), "G",
+                          {"construction": "mols-net", "mols_order": x,
+                           "mols_count": len(squares), "net_blocks": net.n})

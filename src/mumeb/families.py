@@ -7,6 +7,7 @@ version) and is excluded from determinism comparisons; everything else is
 written with sorted keys so equal payloads are byte-identical.
 """
 
+import cmath
 import itertools
 import json
 import time
@@ -39,15 +40,15 @@ def _cells_are_plain(rows, size):
 def matrix_from_json(rows, size, label):
     if not isinstance(rows, list) or len(rows) != size:
         raise SchemaError(f"generator {label}: matrix must have {size} rows")
-    # only a matrix that fails the fast checks goes through the loop below,
-    # which names the first bad entry
     if _cells_are_plain(rows, size):
         try:
             pairs = np.array(rows, dtype=float).reshape(size, size, 2)
-            return pairs.view(complex).reshape(size, size)
         except OverflowError:
-            pass  # an integer beyond the float range; the loop names it
-    out = np.empty((size, size), dtype=complex)
+            pairs = None  # an integer beyond the float range
+        # one C-level pass finds a literal such as 1e400, which parses to inf
+        if pairs is not None and np.isfinite(pairs).all():
+            return pairs.view(complex).reshape(size, size)
+    # only a matrix that fails the fast checks gets here; name its first bad entry
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != size:
             raise SchemaError(f"generator {label}: row {i} must have {size} entries")
@@ -56,22 +57,50 @@ def matrix_from_json(rows, size, label):
                     or not all(type(v) in (int, float) for v in cell)):  # no bools
                 raise SchemaError(f"generator {label}: entry ({i},{j}) must be [re, im]")
             try:
-                out[i, j] = complex(cell[0], cell[1])
+                finite = cmath.isfinite(complex(cell[0], cell[1]))
             except OverflowError:
+                finite = False
+            if not finite:
                 raise SchemaError(f"generator {label}: entry ({i},{j}) is too large "
-                                  "for a float") from None
-    return out
+                                  "for a float")
 
 
-def family_to_dict(family):
-    return {
-        "d": family.d,
-        "k": family.k,
-        "ring": family.ring.descriptor(),
-        "generators": [{"label": label, "matrix": matrix_to_json(mat)}
-                       for label, mat in family.generators],
-        "metadata": family.metadata,
-    }
+def _plain_factor(factor):
+    """Whether a factor descriptor holds plain ints p and a (no bools) and,
+    if it has a modulus, a list of plain ints."""
+    modulus = factor.get("modulus", []) if isinstance(factor, dict) else None
+    return isinstance(modulus, list) and all(
+        type(v) is int for v in [factor.get("p"), factor.get("a"), *modulus])
+
+
+def _check_ring_size(factors, d):
+    """Reject non-int factor fields, and sizes p^a whose product is not d,
+    before any field is built.  The running product stops once it passes d,
+    so a huge p or a costs no time; a factor with p < 2 or a < 1 is left for
+    FiniteField to name."""
+    if not all(map(_plain_factor, factors)):
+        raise SchemaError("bad ring descriptor: p, a and the modulus entries must be integers")
+    size = 1
+    for f in factors:
+        if f["p"] < 2 or f["a"] < 1:
+            return
+        for _ in range(f["a"]):
+            size *= f["p"]
+            if size > d:
+                powers = " * ".join(f"{g['p']}^{g['a']}" for g in factors)
+                raise SchemaError(f"ring size {powers} does not match d={d}")
+    if size != d:
+        raise SchemaError(f"ring size {size} does not match d={d}")
+
+
+def _generator(entry, size):
+    """(label, matrix) of one generator entry."""
+    if not isinstance(entry, dict) or "label" not in entry or "matrix" not in entry:
+        raise SchemaError("each generator needs a label and a matrix")
+    label = entry["label"]
+    if not isinstance(label, str):
+        raise SchemaError(f"generator label {label!r} is not a string")
+    return label, matrix_from_json(entry["matrix"], size, label)
 
 
 def family_from_dict(payload):
@@ -83,30 +112,28 @@ def family_from_dict(payload):
     d, k = payload["d"], payload["k"]
     if type(d) is not int or type(k) is not int or d < 2 or k < 1:  # bool is not an int here
         raise SchemaError("d and k must be integers with d >= 2, k >= 1")
+    metadata = payload.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise SchemaError("metadata must be an object")
     ring_desc = payload["ring"]
-    if not isinstance(ring_desc, dict) or "factors" not in ring_desc:
+    if not isinstance(ring_desc, dict) or not isinstance(ring_desc.get("factors"), list):
         raise SchemaError("ring must be an object with a factors list")
+    _check_ring_size(ring_desc["factors"], d)
+    gens_json = payload["generators"]
+    if not isinstance(gens_json, list) or not gens_json:
+        raise SchemaError("generators must be a nonempty list")
+    # the k d rows of the first matrix bound d by the size of the file
+    # before any field is built
+    first = _generator(gens_json[0], k * d)
     try:
         ring = fields.ring_from_descriptor(ring_desc)
     except (ValueError, KeyError, TypeError) as exc:
         raise SchemaError(f"bad ring descriptor: {exc}") from exc
-    if ring.d != d:
-        raise SchemaError(f"ring size {ring.d} does not match d={d}")
-    gens_json = payload["generators"]
-    if not isinstance(gens_json, list) or not gens_json:
-        raise SchemaError("generators must be a nonempty list")
-    generators = []
-    for entry in gens_json:
-        if not isinstance(entry, dict) or "label" not in entry or "matrix" not in entry:
-            raise SchemaError("each generator needs a label and a matrix")
-        label = entry["label"]
-        if not isinstance(label, str):
-            raise SchemaError(f"generator label {label!r} is not a string")
-        generators.append((label, matrix_from_json(entry["matrix"], k * d, label)))
+    generators = [first] + [_generator(entry, k * d) for entry in gens_json[1:]]
     labels = [lab for lab, _ in generators]
     if len(set(labels)) != len(labels):
         raise SchemaError("generator labels must be unique")
-    return MEBFamily(d, k, ring, generators, payload.get("metadata"))
+    return MEBFamily(d, k, ring, generators, metadata)
 
 
 def _header(extra=None):

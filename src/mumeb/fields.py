@@ -17,17 +17,6 @@ from itertools import product as iter_product
 import numpy as np
 
 
-def is_prime(n):
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def factor_into_prime_powers(n):
     """Factor n into prime powers, returned as (p, a) pairs sorted by p**a."""
     if n < 2:
@@ -56,6 +45,10 @@ def prime_power_split(n):
     if len(parts) == 1:
         return parts[0]
     return None
+
+
+def is_prime(n):
+    return n >= 2 and factor_into_prime_powers(n) == [(n, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -95,57 +88,24 @@ def _is_irreducible(coeffs, p):
     if a == 1:
         return True
     for deg in range(1, a // 2 + 1):
-        for tail in iter_product(range(p), repeat=deg):
-            den = list(tail) + [1]
+        for den in _monic(p, deg):
             if not any(_poly_rem(coeffs, den, p)):
                 return False
     return True
 
 
-# Lexicographically first monic irreducible of degree a over F_p, keyed by the
-# base-p integer of the non-leading coefficients.  Fixed table keeps element
-# indexing reproducible; the search below regenerates any entry and extends
-# past the table.
-_MODULUS_TABLE = {
-    (2, 1): (0, 1),
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 1, 0, 1),
-    (2, 4): (1, 1, 0, 0, 1),
-    (3, 1): (0, 1),
-    (3, 2): (1, 0, 1),
-    (3, 3): (1, 2, 0, 1),
-    (3, 4): (2, 1, 0, 0, 1),
-    (5, 1): (0, 1),
-    (5, 2): (2, 0, 1),
-    (5, 3): (1, 1, 0, 1),
-    (5, 4): (2, 0, 0, 0, 1),
-    (7, 1): (0, 1),
-    (7, 2): (1, 0, 1),
-    (7, 3): (2, 0, 0, 1),
-    (7, 4): (1, 1, 0, 0, 1),
-    (11, 1): (0, 1),
-    (11, 2): (1, 0, 1),
-    (11, 3): (4, 1, 0, 1),
-    (11, 4): (2, 1, 0, 0, 1),
-    (13, 1): (0, 1),
-    (13, 2): (2, 0, 1),
-    (13, 3): (2, 0, 0, 1),
-    (13, 4): (2, 0, 0, 0, 1),
-}
+def _monic(m, a):
+    """Every monic polynomial of degree a over Z_m, ascending by the base-m
+    integer of its non-leading coefficients."""
+    for tail in iter_product(range(m), repeat=a):
+        yield tail[::-1] + (1,)
 
 
 def default_modulus(p, a):
-    if (p, a) in _MODULUS_TABLE:
-        return _MODULUS_TABLE[(p, a)]
-    for key in range(p ** a):
-        c, t = [], key
-        for _ in range(a):
-            c.append(t % p)
-            t //= p
-        cand = tuple(c) + (1,)
-        if _is_irreducible(cand, p):
-            return cand
-    raise RuntimeError("no irreducible polynomial found")  # unreachable
+    """The lexicographically first monic irreducible of degree a over F_p,
+    keyed by the base-p integer of its non-leading coefficients; this fixes
+    the element indexing of every field."""
+    return next(cand for cand in _monic(p, a) if _is_irreducible(cand, p))
 
 
 class FiniteField:
@@ -157,10 +117,10 @@ class FiniteField:
     """
 
     def __init__(self, p, a=1, modulus=None):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
         if a < 1:
             raise ValueError("exponent must be positive")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         if modulus is None:
             modulus = default_modulus(p, a)
         modulus = tuple(c % p for c in modulus)
@@ -255,43 +215,27 @@ class GaloisRing:
             raise ValueError("exponent must be positive")
         self.a = a
         self.q = 2 ** a
-        self.modulus = self._find_modulus(a)
-        self.teichmuller = self._build_teichmuller()
+        self.modulus, self.teichmuller = self._find_modulus(a)
         self.trace = galois_trace_z4(self)
 
     @staticmethod
     def _find_modulus(a):
-        for key in range(4 ** a):
-            c, t = [], key
-            for _ in range(a):
-                c.append(t % 4)
-                t //= 4
-            cand = tuple(c) + (1,)
+        """The modulus and the Teichmuller rows 0, 1, x, ..., x^(q-2), read off
+        the walk through the powers of the root x that accepts the modulus."""
+        q = 2 ** a
+        one = (1,) + (0,) * (a - 1)
+        for cand in _monic(4, a):
             if not _is_irreducible(tuple(ci % 2 for ci in cand), 2):
                 continue
-            # require x^(2^a - 1) = 1 so powers of x enumerate the Teichmuller set
-            one = (1,) + (0,) * (a - 1)
+            # require x^(q - 1) = 1 and no smaller power, so that the powers
+            # of x enumerate the Teichmuller set
             x = ((0, 1) + (0,) * (a - 2)) if a >= 2 else ((-cand[0]) % 4,)
-            acc = one
-            ok = True
-            for j in range(1, 2 ** a):
-                acc = _poly_mul_mod(acc, x, cand, 4)
-                if acc == one and j < 2 ** a - 1:
-                    ok = False
-                    break
-            if ok and acc == one:
-                return cand
+            powers = [x]
+            while len(powers) < q - 1 and powers[-1] != one:
+                powers.append(_poly_mul_mod(powers[-1], x, cand, 4))
+            if len(powers) == q - 1 and powers[-1] == one:
+                return cand, np.array([(0,) * a, one] + powers[:-1], dtype=np.int64)
         raise RuntimeError(f"no basic irreducible modulus for GR(4,{a})")
-
-    def _build_teichmuller(self):
-        a = self.a
-        x = ((0, 1) + (0,) * (a - 2)) if a >= 2 else ((-self.modulus[0]) % 4,)
-        out = [(0,) * a, (1,) + (0,) * (a - 1)]
-        cur = x
-        for _ in range(self.q - 2):
-            out.append(cur)
-            cur = _poly_mul_mod(cur, x, self.modulus, 4)
-        return np.array(out, dtype=np.int64)
 
     def mul(self, u, v):
         """Product of Teichmuller positions: x^e x^f = x^((e + f) mod (q - 1))."""

@@ -100,15 +100,10 @@ def criterion_magnitudes(ring, k, w):
     lam = fields.char_table(ring)
     add = fields.add_index_table(ring)
     rows = np.arange(d)[:, None]
-    lo, hi = np.inf, 0.0
-    for j in range(k):
-        for ell in range(k):
-            blk = w[j * d:(j + 1) * d, ell * d:(ell + 1) * d]
-            gathered = blk[rows, add]        # [r, eta] = blk[r, index(r + eta)]
-            mags = np.abs(lam.T @ gathered)  # [xi, eta]
-            lo = min(lo, float(mags.min()))
-            hi = max(hi, float(mags.max()))
-    return lo, hi
+    # [r, eta, j, l] = w[j d + r, l d + index(r + eta)], all k^2 blocks at once
+    gathered = w.reshape(k, d, k, d)[:, rows, :, add]
+    mags = np.abs(lam.T @ gathered.reshape(d, -1))  # [xi, (eta, j, l)]
+    return float(mags.min()), float(mags.max())
 
 
 def criterion_check(ring, k, u, v):

@@ -1,16 +1,31 @@
+import contextlib
 import hashlib
 import json
 import re
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from mumeb.cli import main
 from mumeb.construct import family_cd, family_ckd, family_ckd_mols
-from mumeb.families import (SchemaError, family_from_dict, family_to_dict,
-                            load_family, matrix_from_json, matrix_to_json,
-                            save_family, save_report)
+from mumeb.families import (SchemaError, family_from_dict, load_family,
+                            matrix_from_json, matrix_to_json, save_family,
+                            save_report)
 from mumeb.verify import certify_family
+
+
+def family_to_dict(family):
+    """The family document without its header, built as one dict."""
+    return {
+        "d": family.d,
+        "k": family.k,
+        "ring": family.ring.descriptor(),
+        "generators": [{"label": label, "matrix": matrix_to_json(mat)}
+                       for label, mat in family.generators],
+        "metadata": family.metadata,
+    }
 
 
 def test_matrix_json_round_trip():
@@ -207,3 +222,45 @@ def test_report_header_carries_stage_timings_and_counts(tmp_path):
     payload = json.loads(json.dumps(report.to_dict()))
     payload.pop("wall_time_s")
     assert body == payload
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError inside the block once `seconds` have passed, so that
+    a hang fails the test instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda doc: doc["ring"]["factors"][0].update(p=10 ** 30 + 57),
+     "ring size 1000000000000000000000000000057^1 does not match d=3"),
+    (lambda doc: doc["ring"]["factors"][0].update(a=40), "ring size 3^40 does not match d=3"),
+    (lambda doc: doc["ring"]["factors"][0].update(modulus=[0.5, 1]),
+     "p, a and the modulus entries must be integers"),
+    (lambda doc: doc["ring"]["factors"][0].update(a=True), "must be integers"),
+    (lambda doc: doc.update(metadata=[1, 2]), "metadata must be an object"),
+    (lambda doc: doc["generators"][1]["matrix"][2].__setitem__(1, [0.0, "BIG"]),
+     "generator U(a=2): entry (2,1) is too large for a float"),
+], ids=["huge-p", "huge-a", "float-modulus", "bool-a", "list-metadata", "1e400-entry"])
+def test_malformed_descriptor_metadata_and_entries_exit_2_at_once(
+        tmp_path, capsys, mutate, message):
+    doc = family_to_dict(family_cd(3))
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc).replace('"BIG"', "1e400"))
+    with _deadline(10):
+        t0 = time.perf_counter()
+        code = main(["verify", str(path)])
+        elapsed = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert code == 2 and elapsed < 1.0
+    assert err.startswith("input error: ") and err.count("\n") == 1 and message in err

@@ -118,12 +118,46 @@ def test_galois_tables_match_frobenius_oracle_exhaustive(a):
             assert teich[mul[u, v]] == fields._poly_mul_mod(teich[u], teich[v], ring.modulus, 4)
 
 
+# The modulus of every field the package has shipped, low degree first; the
+# search must keep finding exactly these, or every element index moves.
+MODULUS_TABLE = {
+    (2, 1): (0, 1),
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (3, 1): (0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (5, 1): (0, 1),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (7, 1): (0, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (7, 4): (1, 1, 0, 0, 1),
+    (11, 1): (0, 1),
+    (11, 2): (1, 0, 1),
+    (11, 3): (4, 1, 0, 1),
+    (11, 4): (2, 1, 0, 0, 1),
+    (13, 1): (0, 1),
+    (13, 2): (2, 0, 1),
+    (13, 3): (2, 0, 0, 1),
+    (13, 4): (2, 0, 0, 0, 1),
+}
+
+
+def test_modulus_search_reproduces_the_pinned_table():
+    assert {pa: default_modulus(*pa) for pa in MODULUS_TABLE} == MODULUS_TABLE
+
+
 def test_modulus_table_is_lexicographically_first():
     # hand check for F_9: key 0 gives t^2 (root 0), key 1 gives t^2 + 1 which
     # has no roots since squares in F_3 are {0, 1}
     assert default_modulus(3, 2) == (1, 0, 1)
     # every table entry must be monic, irreducible, and minimal by base-p key
-    for p, a in SMALL_FIELDS + BIG_FIELDS:
+    for p, a in MODULUS_TABLE:
         mod = default_modulus(p, a)
         assert len(mod) == a + 1 and mod[-1] == 1
         assert fields._is_irreducible(mod, p)

@@ -11,7 +11,8 @@ from mumeb.fields import FiniteField, ProductRing, ring_for_dimension
 from mumeb.verify import (bruteforce_unbiased, certify_family, criterion_check,
                           criterion_magnitudes, gauss_sum_check,
                           quadratic_sum_direct)
-from oracles import certify_exhaustive, gauss_sum_reference
+from oracles import (certify_exhaustive, criterion_magnitudes_blockwise,
+                     gauss_sum_reference)
 
 
 def test_criterion_self_pair_peaks_at_d():
@@ -356,3 +357,20 @@ def test_stages_count_the_streamed_work():
     assert "stages" not in report.to_dict()
     only = certify_family(family_cd(19), pairs_only=True).stages
     assert only["chunks"] == 2 * (1 + 52)
+
+
+def _first_last_w(d, k):
+    fam = family_cd(d) if k == 1 else family_ckd(d, k)
+    (_, u), (_, v) = fam.generators[0], fam.generators[-1]
+    return fam.ring, k, u.conj().T @ v
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _first_last_w(19, 1), lambda: _first_last_w(15, 9), lambda: _first_last_w(7, 16),
+    lambda: _first_last_w(3, 64), lambda: (ring_for_dimension(5), 4, _random_unitary(20, 11)),
+], ids=["19-1", "15-9", "7-16", "3-64", "random-5-4"])
+def test_batched_criterion_matches_the_blockwise_loop(case):
+    ring, k, w = case()
+    got = criterion_magnitudes(ring, k, w)
+    want = criterion_magnitudes_blockwise(ring, k, w)
+    assert np.abs(np.subtract(got, want)).max() <= 1e-15
