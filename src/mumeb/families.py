@@ -171,8 +171,14 @@ def load_family(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh, parse_constant=_reject_constant)
+    except SchemaError:
+        raise
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 text: {exc}") from exc
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise SchemaError(f"unreadable number: {exc}") from exc
     if isinstance(payload, dict):
         payload.pop("header", None)
     return family_from_dict(payload)

@@ -12,11 +12,15 @@ import numpy as np
 
 
 def is_unitary(a, tol=1e-9):
-    """Return (ok, deviation) where deviation = max |A^dag A - I|."""
+    """Return (ok, deviation) where deviation = max |A^dag A - I|, or inf
+    when the product overflows (entries near the float limit)."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"unitarity needs a square matrix, got {a.shape}")
-    dev = float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
+    if not np.isfinite(dev):
+        dev = float("inf")
     return dev <= tol, dev
 
 

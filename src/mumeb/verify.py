@@ -26,6 +26,17 @@ of W itself.  The orthonormality of a basis is
 max |((I_d (x) U) B_I)^dag B_U - I| = max |B_I^dag ((I_d (x) U^dag) B_U) - I|,
 taken chunk by chunk; it reads the bytes of the expanded B_U and, for
 unitary U, equals its Gram defect max |B_U^dag B_U - I|.
+
+The per-basis checks run once per basis class.  A generator that is a row
+gather U = R[p] of another, R, has the basis B_U = (I_d (x) P) B_R, a row
+permutation of B_R: expand_chunks fills row (iA, iB) of B_U with the same
+products as row (iA, p[iB]) of B_R, bit for bit.  Then
+(I_d (x) U^dag) B_U = (I_d (x) R^dag P^T P) B_R = (I_d (x) R^dag) B_R, and
+the reduced density M M^dag of each column, M its d x kd reshape, becomes
+M P^T P M^dag = M M^dag.  So both per-basis figures of U equal those of R
+up to the order of the kd terms of each sum, and certify_family computes
+them once for the first generator of each class of generators that share
+one canonical matrix (see _pair_classes).
 """
 
 import itertools
@@ -200,14 +211,16 @@ def gauss_sum_check(ring):
 
 def _pair_classes(mats):
     """(i, j, class) for every pair i < j, in itertools.combinations order,
-    and the first pair (i, j) of each class.
+    the first pair (i, j) of each class, and the canonical id of each
+    generator, numbered by first appearance.
 
     Each generator is a row gather U_i = C_i[p_i] of its canonical matrix
     C_i: the rows of U_i + 0.0 (which clears signed zeros) sorted by their
     bytes.  Then U_i^dag U_j = C_i^dag C_j[p_j[p_i^-1]] up to summation
     order, so the pairs with equal (C_i, C_j, p_j[p_i^-1]) share one
     W = U_i^dag U_j.  The key is read off the matrices, never off the labels,
-    which a loaded file does not vouch for.
+    which a loaded file does not vouch for.  Generators with one id are
+    row gathers of one another, which makes the id their basis class.
     """
     canonical, ids, orders, positions = {}, [], [], []
     for u in mats:
@@ -226,24 +239,31 @@ def _pair_classes(mats):
             classes[key] = len(first)
             first.append((i, j))
         pairs.append((i, j, classes[key]))
-    return pairs, first
+    return pairs, first, ids
 
 
 def certify_family(family, tolerance=1e-8, pairs_only=False):
     """Check everything the family claims, holding no N x N array.
 
     First the column blocks of B_I are read off its chunks.  Per basis
-    (skipped when pairs_only): stream the expansion of the generator and
-    check orthonormality against (I_d (x) U) B_I and maximal entanglement,
-    chunk by chunk.  Per pair class (see _pair_classes), with W = U^dag V of
-    its first pair: brute-force overlap extremes of B_I against the chunks
-    of B_W = (I_d (x) W) B_I against 1/sqrt(kd^2), criterion extremes of W
+    class (skipped when pairs_only): stream the expansion of the class's
+    first generator U, as it stands, and check orthonormality against
+    (I_d (x) U) B_I and maximal entanglement, chunk by chunk.  A class holds
+    the generators R[p] that are row gathers of one another, whose bases
+    B_{R[p]} = (I_d (x) P) B_R are row permutations of one another; that
+    changes neither figure beyond the order of summation (see the module
+    docstring).  Every basis keeps its own report row, in generator order,
+    carrying its class's figures and the class id under "class".  Per pair
+    class (see _pair_classes), with W = U^dag V of its first pair:
+    brute-force overlap extremes of B_I against the chunks of
+    B_W = (I_d (x) W) B_I against 1/sqrt(kd^2), criterion extremes of W
     against 1/sqrt(k), and agreement of the two routes after the factor-d
     rescaling.  Every pair keeps its own report row, in combinations order,
     carrying its class's figures and the class id under "class".
 
     report.stages records the wall time of each stage and the counts of
-    bases, pairs, classes and chunks, and the bytes of the largest chunk.
+    bases, basis classes, pairs, pair classes and chunks, and the bytes of
+    the largest chunk.
     """
     t0 = time.perf_counter()
     d, k = family.d, family.k
@@ -261,7 +281,8 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
     family_id = f"{family.metadata.get('construction', 'family')}-d{d}-k{k}"
     report = VerificationReport(family_id, d, k, family.n_bases, tolerances)
     stages = report.stages
-    stages.update(bases=family.n_bases, pairs=0, classes=0, chunks=0, max_chunk_bytes=0)
+    stages.update(bases=family.n_bases, basis_classes=0, pairs=0, classes=0, chunks=0,
+                  max_chunk_bytes=0)
 
     for label, mat in family.generators:
         ok, dev = linalg.is_unitary(mat, 1e-9)
@@ -275,8 +296,11 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
 
     ring = family.ring
     mats = [mat for _, mat in family.generators]
-    pairs, first = _pair_classes(mats)
-    stages.update(pairs=len(pairs), classes=len(first))
+    pairs, first, ids = _pair_classes(mats)
+    basis_first = {}  # class id -> its first generator, in class order
+    for i, c in enumerate(ids):
+        basis_first.setdefault(c, i)
+    stages.update(basis_classes=len(basis_first), pairs=len(pairs), classes=len(first))
 
     def chunks_of(u):
         return _tally(construct.expand_chunks(ring, u, k), stages)
@@ -288,14 +312,17 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
 
     t_stage = time.perf_counter()
     if not pairs_only:
-        for label, mat in family.generators:
-            ortho, ent = _basis_deviations(b_id, mat, chunks_of(mat))
+        figures = [_basis_deviations(b_id, mats[i], chunks_of(mats[i]))
+                   for i in basis_first.values()]
+        for (label, _), c in zip(family.generators, ids):
+            ortho, ent = figures[c]
             report.basis_results.append({
                 "label": label,
                 "orthonormality": ortho,
                 "entanglement": ent,
                 "pass": ortho <= tolerances["orthonormality"]
                         and ent <= tolerances["entanglement"],
+                "class": c,
             })
     stages["bases_s"] = time.perf_counter() - t_stage
 

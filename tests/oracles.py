@@ -6,8 +6,9 @@ trace vectors, the GR(4,a) trace by the 2-adic Frobenius, characters from
 that arithmetic, Pauli operators as monomial matrices, the expansion as one
 whole array instead of column chunks, entanglement one vector at a time,
 quadratic sums through multiplicative characters, the criterion sums one
-d x d block at a time, and family certification with every basis expanded
-and one overlap product per pair.
+d x d block at a time, the per-basis checks once per basis instead of once
+per basis class, and family certification with every basis expanded and one
+overlap product per pair.
 """
 
 import time
@@ -163,6 +164,28 @@ def criterion_magnitudes_blockwise(ring, k, w):
             lo = min(lo, float(mags.min()))
             hi = max(hi, float(mags.max()))
     return lo, hi
+
+
+def basis_figures_per_basis(family):
+    """(label, orthonormality, entanglement) of every basis, each expanded
+    and checked in turn: the per-basis loop of verify.certify_family before
+    it ran once per basis class, with verify._basis_deviations written out
+    as it stood then."""
+    ring, k = family.ring, family.k
+    kd = k * family.d
+    b_id = linalg.ColumnBlocks(construct.expand_chunks(ring, np.eye(kd), k))
+    out = []
+    for label, u in family.generators:
+        u_dag = u.conj().T
+        ortho = ent = 0.0
+        for cols, chunk in construct.expand_chunks(ring, u, k):
+            n, c = chunk.shape
+            ent = max(ent, linalg.max_entanglement_deviation(chunk, n // kd, kd))
+            x = np.matmul(u_dag, chunk.reshape(n // kd, kd, c)).reshape(n, c)
+            for _, block in b_id.adjoint_products(x, identity_cols=cols):
+                ortho = max(ortho, float(np.abs(block).max()))
+        out.append((label, ortho, ent))
+    return out
 
 
 def certify_exhaustive(family, tolerance=1e-8, pairs_only=False):

@@ -207,6 +207,24 @@ def test_chunks_assemble_to_the_whole_expansion_bit_for_bit(build):
         assert expand_basis(fam.ring, u, k).tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("build", [lambda: family_cd(15), lambda: family_cd(19),
+                                   lambda: family_cd(25), lambda: family_ckd(3, 4)],
+                         ids=["15-1", "19-1", "25-1", "3-4"])
+def test_row_gather_permutes_the_expansion_rows_bit_for_bit(build):
+    # B_{R[p]} = (I_d (x) P) B_R: row (iA, iB) of the expansion of R[p] is
+    # row (iA, p[iB]) of the expansion of R, with the same bytes
+    fam = build()
+    d, k = fam.d, fam.k
+    kd = k * d
+    rng = np.random.default_rng(d + k)
+    for _, r in fam.generators[::max(1, len(fam.generators) // 4)]:
+        p = rng.permutation(kd)
+        rows = (np.arange(d)[:, None] * kd + p).ravel()
+        gathered = expand_basis(fam.ring, r[p], k)
+        permuted = expand_basis(fam.ring, r, k)[rows]
+        assert np.array_equal(gathered, permuted) and gathered.tobytes() == permuted.tobytes()
+
+
 @pytest.mark.parametrize("d,k,chunks", [(19, 1, 2), (15, 1, 1), (15, 4, 15), (7, 9, 3)])
 def test_chunk_counts(d, k, chunks):
     # a small N is one or two chunks; past the budget, chunks are even runs

@@ -224,6 +224,24 @@ def test_report_header_carries_stage_timings_and_counts(tmp_path):
     assert body == payload
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda text: text.replace(b'"d": 3', b'"d": ' + b"1" * 5000),
+     "unreadable number: Exceeds the limit"),
+    (lambda text: text.replace(b'"U(a=2)"', b'"U(a=2)\xff"'),
+     "not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+], ids=["5000-digit-int", "byte-0xff"])
+def test_unreadable_family_text_is_malformed(tmp_path, capsys, edit, message):
+    # Python refuses int literals of more than 4,300 digits, and the file
+    # must decode as UTF-8; both are malformed input, not a usage error
+    path = tmp_path / "bad.json"
+    path.write_bytes(edit(json.dumps(family_to_dict(family_cd(3))).encode()))
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        load_family(path)
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+
+
 @contextlib.contextmanager
 def _deadline(seconds):
     """Raise TimeoutError inside the block once `seconds` have passed, so that

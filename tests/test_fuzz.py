@@ -10,6 +10,7 @@ suite is the same on every run.
 import contextlib
 import io
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -119,7 +120,11 @@ def test_fuzzed_matrix_cells_exit_cleanly(tmp_path_factory, base_text, g, i, j, 
         entry["matrix"][i] = value
     else:
         entry["matrix" if part == "matrix" else "label"] = value
-    assert _verify_doc(tmp_path_factory, doc) in {0, 1, 2, 3}
+    # entries near the float limit overflow A^dag A; that must be a verdict,
+    # not a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _verify_doc(tmp_path_factory, doc) in {0, 1, 2, 3}
 
 
 @FUZZ
@@ -132,6 +137,19 @@ def test_fuzzed_family_text_exits_cleanly(tmp_path_factory, base_text, data):
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
     path.write_text(text[:start] + insert + text[stop:], encoding="utf-8")
     assert _run(["verify", str(path)]) in {0, 1, 2, 3}
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_family_bytes_that_are_not_utf8_exit_2(tmp_path_factory, base_text, data):
+    raw = base_text.encode("utf-8")
+    at = data.draw(st.integers(0, len(raw)))
+    # a lone continuation byte, a lead byte without its continuation, or
+    # bytes that never occur in UTF-8
+    bad = data.draw(st.sampled_from([b"\x80", b"\xc3", b"\xe2\x82", b"\xfe", b"\xff"]))
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_bytes(raw[:at] + bad + raw[at:])
+    assert _run(["verify", str(path)]) == 2
 
 
 SQUARES = format_mols(best_mols(3))

@@ -8,11 +8,11 @@ from mumeb.construct import (MEBFamily, expand_basis, family_cd, family_ckd,
                              family_ckd_mols, fourier_unitary,
                              permutation_unitary, v_unitary)
 from mumeb.fields import FiniteField, ProductRing, ring_for_dimension
-from mumeb.verify import (bruteforce_unbiased, certify_family, criterion_check,
-                          criterion_magnitudes, gauss_sum_check,
+from mumeb.verify import (_pair_classes, bruteforce_unbiased, certify_family,
+                          criterion_check, criterion_magnitudes, gauss_sum_check,
                           quadratic_sum_direct)
-from oracles import (certify_exhaustive, criterion_magnitudes_blockwise,
-                     gauss_sum_reference)
+from oracles import (basis_figures_per_basis, certify_exhaustive,
+                     criterion_magnitudes_blockwise, gauss_sum_reference)
 
 
 def test_criterion_self_pair_peaks_at_d():
@@ -238,6 +238,42 @@ def test_classed_route_matches_exhaustive_oracle(build, classes):
     assert len({p["class"] for p in got.pair_results}) == classes
 
 
+@pytest.mark.parametrize("build,classes", [
+    (lambda: family_cd(19), 2), (lambda: family_cd(25), 2), (lambda: family_cd(49), 2),
+    (lambda: family_ckd(9, 4), 5), (lambda: family_ckd(15, 9), 4),
+    (lambda: family_ckd_mols(7, 9), 1),
+], ids=["19-1", "25-1", "49-1", "9-4", "15-9", "7-9-mols"])
+def test_basis_class_counts(build, classes):
+    # k = 1: every generator is a row gather of I or of the Fourier kernel.
+    # gauss-tensor: B_t (x) U_t, one class per basis.  mols-net: the G_t are
+    # row permutations of one another and the U_t permutations, so one class
+    fam = build()
+    ids = _pair_classes([mat for _, mat in fam.generators])[2]
+    assert len(ids) == fam.n_bases and len(set(ids)) == classes
+    assert list(dict.fromkeys(ids)) == list(range(classes))  # numbered by first appearance
+
+
+@pytest.mark.parametrize("build", [
+    lambda: family_ckd(3, 4), lambda: family_ckd(9, 4), lambda: family_ckd_mols(7, 9),
+    lambda: family_cd(15),
+], ids=["3-4", "9-4", "7-9-mols", "15-1"])
+def test_basis_rows_carry_the_per_basis_figures_of_their_representative(build):
+    # each row holds, bit for bit, what the per-basis loop computes for the
+    # first generator of its class; where every class is a single basis, as
+    # in the gauss-tensor families, that is the row's own figure
+    fam = build()
+    rows = certify_family(fam).basis_results
+    per_basis = basis_figures_per_basis(fam)
+    first = {}
+    for i, row in enumerate(rows):
+        first.setdefault(row["class"], i)
+    for row, (label, _, _) in zip(rows, per_basis):
+        _, ortho, ent = per_basis[first[row["class"]]]
+        assert (row["label"], row["orthonormality"], row["entanglement"]) == (label, ortho, ent)
+    if fam.metadata["construction"] == "gauss-tensor":
+        assert [row["class"] for row in rows] == list(range(fam.n_bases))
+
+
 def test_spoiled_family_fails_the_same_pairs_in_both_routes():
     # one generator replaced by a random unitary, one by a twist whose rows
     # are reversed: the labels stay, only the matrices say which pairs differ
@@ -273,15 +309,18 @@ def test_pairs_only_expands_the_identity_basis_at_most_once(monkeypatch):
     assert calls == []
 
 
-def _spoil_expansions(monkeypatch, spoil):
+def _spoil_expansions(monkeypatch, spoil, target=None):
     """Make construct.expand_chunks apply `spoil(cols, chunk)` to the chunks
-    of every expansion but B_I's; construct.expand_basis, which the oracle
-    uses, assembles the same chunks."""
+    of the expansion of `target`, or of every expansion but B_I's if target
+    is None; construct.expand_basis, which the oracle uses, assembles the
+    same chunks."""
     chunks = construct.expand_chunks
 
     def spoiled(ring, u, k=None):
+        hit = (not np.array_equal(u, np.eye(len(u))) if target is None
+               else np.array_equal(u, target))
         for cols, chunk in chunks(ring, u, k):
-            if not np.array_equal(u, np.eye(len(u))):
+            if hit:
                 spoil(cols, chunk)
             yield cols, chunk
 
@@ -296,11 +335,13 @@ def test_scaled_column_fails_orthonormality_in_both_routes(monkeypatch):
     def scale(cols, chunk):
         chunk[:, cols == 5] *= 1.01
 
-    fam = family_cd(5)
+    # every basis of family_ckd(3, 4) is its own basis class, so every
+    # non-identity expansion is checked in both routes
+    fam = family_ckd(3, 4)
     _spoil_expansions(monkeypatch, scale)
     got, want = certify_family(fam), certify_exhaustive(fam)
     non_identity = [label for label, mat in fam.generators
-                    if not np.array_equal(mat, np.eye(5))]
+                    if not np.array_equal(mat, np.eye(12))]
     assert _failing_bases(got) == _failing_bases(want) == non_identity
     # the scaled column enters ((I_d (x) U) B_I)^dag B_U once (1.01 - 1) and
     # the Gram matrix B_U^dag B_U twice (1.01^2 - 1)
@@ -309,6 +350,28 @@ def test_scaled_column_fails_orthonormality_in_both_routes(monkeypatch):
             assert b["orthonormality"] == pytest.approx(0.01, abs=1e-12)
             assert c["orthonormality"] == pytest.approx(0.0201, abs=1e-12)
     assert not got.passed and not want.passed
+
+
+def test_spoiled_class_representative_fails_every_member(monkeypatch):
+    # the twists V(a) of family_cd(5) are row gathers of one another, so
+    # only the first is expanded; spoiling its expansion fails all of them
+    fam = family_cd(5)
+    classes = [b["class"] for b in certify_family(fam).basis_results]
+    assert classes == [0] * 4 + [1] * 4
+    twists = [label for label, _ in fam.generators if label.startswith("V")]
+    first_twist = dict(fam.generators)[twists[0]]
+
+    def scale(cols, chunk):
+        chunk[:, cols == 5] *= 1.01
+
+    _spoil_expansions(monkeypatch, scale, target=first_twist)
+    got = certify_family(fam)
+    assert _failing_bases(got) == twists
+    for b in got.basis_results:
+        assert b["class"] == (b["label"] in twists)
+        if b["label"] in twists:
+            assert b["orthonormality"] == pytest.approx(0.01, abs=1e-12)
+    assert got.stages["basis_classes"] == 2 and not got.passed
 
 
 def test_swapped_columns_fail_orthonormality(monkeypatch):
@@ -348,9 +411,11 @@ def test_certify_family_holds_no_n_by_n_array():
 def test_stages_count_the_streamed_work():
     report = certify_family(family_cd(19))
     stages = report.stages
-    # 2 chunks per expansion: B_I, 36 bases, 52 classes
-    assert {key: stages[key] for key in ("bases", "pairs", "classes", "chunks")} == \
-        {"bases": 36, "pairs": 630, "classes": 52, "chunks": 2 * (1 + 36 + 52)}
+    # 2 chunks per expansion: B_I, 2 basis classes, 52 pair classes
+    assert {key: stages[key] for key in ("bases", "basis_classes", "pairs", "classes",
+                                         "chunks")} == \
+        {"bases": 36, "basis_classes": 2, "pairs": 630, "classes": 52,
+         "chunks": 2 * (1 + 2 + 52)}
     assert stages["max_chunk_bytes"] == 16 * 361 * 19 * 10  # 10 of the 19 eta-slabs
     for key in ("unitarity_s", "identity_blocks_s", "bases_s", "classes_s"):
         assert 0 <= stages[key] <= report.wall_time_s
