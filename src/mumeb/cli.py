@@ -195,11 +195,8 @@ def _cmd_mols(args):
         lo, hi = verify.bruteforce_unbiased(a, b)
         worst = max(worst, abs(hi - target), abs(target - lo))
     if args.out:
-        doc = {"k": k, "x": x, "n_bases": len(bases),
-               "bases": [families.matrix_to_json(b) for b in bases]}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
+        families.write_json(args.out, {"k": k, "x": x, "n_bases": len(bases)}, "bases",
+                            families.matrix_texts(bases))
     print(f"k={k} bases={len(bases)} worst-overlap-dev={worst:.3e}")
     return 0 if worst <= 1e-9 else 3
 

@@ -5,11 +5,24 @@ A family file is {"header": {...}, "d": int, "k": int, "ring": {...},
 "metadata": {...}}.  The header carries volatile fields (timestamps, tool
 version) and is excluded from determinism comparisons; everything else is
 written with sorted keys so equal payloads are byte-identical.
+
+A family repeats a few distinct numbers many times, so matrices are coded
+through a dictionary.  The writer encodes each distinct cell (by its 16
+bytes) and each distinct row once with json.dumps and joins the texts; the
+file holds the bytes json.dump(doc, fh, sort_keys=True) would write.  The
+loader's scanner reads the matrices of a file in exactly that layout,
+decoding each distinct row and cell text once and gathering the arrays with
+numpy.  The rest of the document goes through json.loads and
+family_from_dict, and a file the scanner does not fully recognise (other
+whitespace, integer cells, non-finite values, duplicate keys, ...) is
+parsed by json.loads alone, so both routes give the same family or the same
+error.
 """
 
 import cmath
 import itertools
 import json
+import re
 import time
 
 import numpy as np
@@ -20,11 +33,6 @@ from .construct import MEBFamily
 
 class SchemaError(ValueError):
     """The file parses as JSON but does not describe a family."""
-
-
-def matrix_to_json(mat):
-    mat = np.asarray(mat, dtype=complex)
-    return np.stack((mat.real, mat.imag), axis=-1).tolist()
 
 
 def _cells_are_plain(rows, size):
@@ -38,8 +46,13 @@ def _cells_are_plain(rows, size):
 
 
 def matrix_from_json(rows, size, label):
-    if not isinstance(rows, list) or len(rows) != size:
+    """The size x size complex matrix of a generator entry's "matrix" value:
+    the parsed JSON rows, or the square array of finite entries that the
+    family-file scanner decoded from the same text."""
+    if not isinstance(rows, (list, np.ndarray)) or len(rows) != size:
         raise SchemaError(f"generator {label}: matrix must have {size} rows")
+    if isinstance(rows, np.ndarray):
+        return rows
     if _cells_are_plain(rows, size):
         try:
             pairs = np.array(rows, dtype=float).reshape(size, size, 2)
@@ -143,34 +156,173 @@ def _header(extra=None):
     return head
 
 
-def save_family(family, path, header_extra=None):
-    """Write the bytes of json.dump(doc, fh, sort_keys=True) for the family
-    document, one generator entry at a time through the C encoder; the whole
-    document is never one string."""
-    members = {"header": _header(header_extra), "d": family.d, "k": family.k,
-               "ring": family.ring.descriptor(), "metadata": family.metadata}
+def matrix_texts(matrices):
+    """Yield the text json.dumps gives for each complex matrix written as
+    [[[re, im], ...], ...], in order.
+
+    Each distinct row (by its bytes) and each distinct cell (by its 16 bytes,
+    so -0.0 stays apart from 0.0) is encoded once across all the matrices.
+    Identical bytes give identical text, so every text is json.dumps's."""
+    cells, rows = {}, {}
+    for mat in matrices:
+        mat = np.ascontiguousarray(mat, dtype=complex)
+        keys = [row.tobytes() for row in mat]
+        fresh = {}
+        for i, key in enumerate(keys):
+            if key not in rows:
+                fresh.setdefault(key, i)
+        if fresh:
+            block = mat[list(fresh.values())]
+            distinct, inverse = np.unique(block.view("V16"), return_inverse=True)
+            distinct = distinct.tolist()
+            for cell in set(distinct).difference(cells):
+                cells[cell] = json.dumps(np.frombuffer(cell).tolist())
+            text = np.array([cells[cell] for cell in distinct], dtype=object)
+            for key, codes in zip(fresh, inverse.reshape(block.shape)):
+                rows[key] = "[" + ", ".join(text[codes]) + "]"
+        yield "[" + ", ".join(rows[key] for key in keys) + "]"
+
+
+def write_json(path, members, key, items):
+    """Write the bytes of json.dump(doc, fh, sort_keys=True) and a newline,
+    for doc = members plus {key: [...]}, where `items` yields the JSON text of
+    each element of that list in order; the document is never one string."""
     with open(path, "w", encoding="utf-8") as fh:
-        for i, key in enumerate(sorted([*members, "generators"])):
-            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
-            if key in members:
-                fh.write(json.dumps(members[key], sort_keys=True))
+        for i, name in enumerate(sorted([*members, key])):
+            fh.write(("{" if i == 0 else ", ") + json.dumps(name) + ": ")
+            if name != key:
+                fh.write(json.dumps(members[name], sort_keys=True))
                 continue
             fh.write("[")
-            for j, (label, mat) in enumerate(family.generators):
-                entry = {"label": label, "matrix": matrix_to_json(mat)}
-                fh.write((", " if j else "") + json.dumps(entry, sort_keys=True))
+            for j, item in enumerate(items):
+                fh.write((", " if j else "") + item)
             fh.write("]")
         fh.write("}\n")
+
+
+def save_family(family, path, header_extra=None):
+    """Write the bytes of json.dump(doc, fh, sort_keys=True) for the family
+    document, one generator entry at a time."""
+    members = {"header": _header(header_extra), "d": family.d, "k": family.k,
+               "ring": family.ring.descriptor(), "metadata": family.metadata}
+    texts = matrix_texts(mat for _, mat in family.generators)
+    write_json(path, members, "generators",
+               ('{"label": ' + json.dumps(label) + ', "matrix": ' + text + "}"
+                for (label, _), text in zip(family.generators, texts)))
 
 
 def _reject_constant(name):
     raise SchemaError(f"non-finite number {name} in family file")
 
 
+# The layout save_family writes: the document opens with d and the
+# generators list, and each entry is {"label": <string>, "matrix": [[[re,
+# im], ...], ...]} with exactly these separators.  A cell literal must have a
+# fraction or an exponent: json reads an integer literal such as -0 as an
+# int, which float() would read differently.
+_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+_CELL = re.compile(f"({_NUMBER}), ({_NUMBER})")
+_HEAD = re.compile(r'\{"d": -?[0-9]+, "generators": \[')
+_ENTRY = re.compile(r'\{"label": "(?:[^"\\]|\\.)*", "matrix": (?=\[\[\[)')
+
+
+def _unique_keys(pairs):
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("duplicate key")
+    return obj
+
+
+def _scan_matrix(span, rows, cells, values):
+    """The cell codes of one matrix text [[[re, im], ...], ...], or None
+    unless it is square and in the writer's layout.  `rows` and `cells` map
+    each row and cell text seen so far to its codes; a new cell's value is
+    appended to `values`."""
+    row_texts = span[3:-3].split("]], [[")
+    codes = []
+    for text in row_texts:
+        row = rows.get(text)
+        if row is None:
+            parts = text.split("], [")
+            for part in set(parts).difference(cells):
+                match = _CELL.fullmatch(part)
+                if match is None:
+                    return None
+                cells[part] = len(values)
+                values.append((float(match[1]), float(match[2])))
+            row = rows[text] = np.array([cells[part] for part in parts], dtype=np.intp)
+        if len(row) != len(row_texts):
+            return None
+        codes.append(row)
+    return np.array(codes)
+
+
+def _scan_generators(text, pos):
+    """(pieces, codes, values) for the generators list whose first entry
+    starts at `pos`, or None unless every entry is in the writer's layout:
+    the text with each matrix cut out and replaced by 0, in pieces; each
+    matrix's square array of cell codes; the distinct cell values.  The row
+    and cell dictionaries end with this call, before the arrays are built."""
+    last, pieces, codes = 0, [], []
+    rows, cells, values = {}, {}, []
+    while True:
+        entry = _ENTRY.match(text, pos)
+        if entry is None:
+            return None
+        start, end = entry.end(), text.find("]]]", entry.end())
+        if end < 0:
+            return None
+        end += 3
+        codes.append(_scan_matrix(text[start:end], rows, cells, values))
+        if codes[-1] is None:
+            return None
+        pieces += [text[last:start], "0"]
+        last = pos = end
+        if not text.startswith("}, ", pos):
+            break
+        pos += 3
+    if not text.startswith("}]", pos):
+        return None
+    pieces.append(text[last:])
+    return pieces, codes, values
+
+
+def _scan_family(text):
+    """The family document in `text` with every matrix already decoded into
+    a complex array, or None unless the generators are laid out exactly as
+    save_family writes them, with finite entries and no duplicate key
+    anywhere.
+
+    Only the matrices are read here: each distinct row and cell text is
+    decoded once, and the arrays are gathered from the distinct values.
+    Everything else goes through json.loads with the matrices cut out, so
+    the result is json.loads's.  On None the caller parses the text with
+    json.loads, so every error reads as it would without the scanner."""
+    head = _HEAD.match(text)
+    scanned = head and _scan_generators(text, head.end())
+    if not scanned:
+        return None
+    pieces, codes, values = scanned
+    try:
+        payload = json.loads("".join(pieces), parse_constant=_reject_constant,
+                             object_pairs_hook=_unique_keys)
+    except ValueError:
+        return None
+    table = np.array(values, dtype=float).view(complex).ravel()
+    if not np.isfinite(table).all():
+        return None
+    for i, entry in enumerate(payload["generators"]):
+        entry["matrix"], codes[i] = table[codes[i]], None  # free each code array once used
+    return payload
+
+
 def load_family(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh, parse_constant=_reject_constant)
+            text = fh.read()
+        payload = _scan_family(text)
+        if payload is None:
+            payload = json.loads(text, parse_constant=_reject_constant)
     except SchemaError:
         raise
     except json.JSONDecodeError as exc:

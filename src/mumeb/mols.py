@@ -325,8 +325,12 @@ def parse_mols(text):
 
 def import_mols(path):
     """Parse a squares file and validate Latin and orthogonality properties."""
-    with open(path, "r", encoding="utf-8") as fh:
-        squares = parse_mols(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MolsParseError(f"not UTF-8 text: {exc}") from exc
+    squares = parse_mols(text)
     validate_mols(squares)
     return squares
 

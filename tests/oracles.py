@@ -7,15 +7,17 @@ that arithmetic, Pauli operators as monomial matrices, the expansion as one
 whole array instead of column chunks, entanglement one vector at a time,
 quadratic sums through multiplicative characters, the criterion sums one
 d x d block at a time, the per-basis checks once per basis instead of once
-per basis class, and family certification with every basis expanded and one
-overlap product per pair.
+per basis class, family certification with every basis expanded and one
+overlap product per pair, matrices as the nested lists json.dump writes, and
+family files read by json.load alone instead of the family-file scanner.
 """
 
+import json
 import time
 
 import numpy as np
 
-from mumeb import construct, fields, linalg, verify
+from mumeb import construct, families, fields, linalg, verify
 
 
 def coeffs(field, x):  # low degree first
@@ -259,3 +261,39 @@ def certify_exhaustive(family, tolerance=1e-8, pairs_only=False):
     )
     report.wall_time_s = time.perf_counter() - t0
     return report
+
+
+def matrix_to_json(mat):
+    """A complex matrix as rows of [re, im] lists of Python floats."""
+    mat = np.asarray(mat, dtype=complex)
+    return np.stack((mat.real, mat.imag), axis=-1).tolist()
+
+
+def load_family_json(path):
+    """families.load_family with the whole file parsed by json.load: the
+    route the scanner falls back to, and the one it must agree with."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh, parse_constant=families._reject_constant)
+    except families.SchemaError:
+        raise
+    except json.JSONDecodeError as exc:
+        raise families.SchemaError(f"not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise families.SchemaError(f"not UTF-8 text: {exc}") from exc
+    except ValueError as exc:
+        raise families.SchemaError(f"unreadable number: {exc}") from exc
+    if isinstance(payload, dict):
+        payload.pop("header", None)
+    return families.family_from_dict(payload)
+
+
+def load_outcome(load, path):
+    """What a family loader makes of a file: the family's fields with every
+    generator's bytes, or the type and message of the error it raises."""
+    try:
+        fam = load(path)
+    except (ValueError, TypeError, KeyError) as exc:
+        return type(exc).__name__, str(exc)
+    return (fam.d, fam.k, fam.ring.descriptor(), fam.metadata,
+            [(label, mat.dtype.str, mat.shape, mat.tobytes()) for label, mat in fam.generators])

@@ -8,12 +8,14 @@ import time
 import numpy as np
 import pytest
 
+from mumeb import families
 from mumeb.cli import main
-from mumeb.construct import family_cd, family_ckd, family_ckd_mols
+from mumeb.construct import MEBFamily, family_cd, family_ckd, family_ckd_mols
 from mumeb.families import (SchemaError, family_from_dict, load_family,
-                            matrix_from_json, matrix_to_json, save_family,
-                            save_report)
+                            matrix_from_json, save_family, save_report)
+from mumeb.fields import ring_for_dimension
 from mumeb.verify import certify_family
+from oracles import load_family_json, load_outcome, matrix_to_json
 
 
 def family_to_dict(family):
@@ -169,9 +171,38 @@ def _without_header(text):
     return text[:start] + text[end:]
 
 
-@pytest.mark.parametrize("build", [lambda: family_cd(81), lambda: family_ckd(3, 64),
-                                   lambda: family_ckd(9, 4), lambda: family_ckd_mols(7, 9)],
-                         ids=["81-1", "3-64", "9-4", "7-9-mols"])
+def _in_memory(*generators):
+    """A d = 3, k = 1 family holding the given (label, 3 x 3 matrix) pairs,
+    none of which need be unitary."""
+    return MEBFamily(3, 1, ring_for_dimension(3), generators, {"note": "in memory"})
+
+
+def _filled(*values):
+    """A 3 x 3 complex matrix that repeats the given entries row by row."""
+    return np.resize(np.array(values, dtype=complex), 9).reshape(3, 3)
+
+
+SIGNED_ZEROS = _in_memory(
+    ("zeros", _filled(0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))),
+    ("ones", _filled(1.0, -0.0, complex(0.0, -1.0))))
+NON_FINITE = _in_memory(
+    ("nan", _filled(complex(float("nan"), 0.0), complex(1.0, float("nan")), 0.0)),
+    ("inf", _filled(complex(float("inf"), float("-inf")), complex(float("-inf"), 0.0))))
+EXTREMES = _in_memory(("tiny", _filled(5e-324, complex(-5e-324, 1e308))),
+                      ("huge", _filled(1e308, complex(-1e308, 5e-324), 0.1)))
+ODD_LABELS = _in_memory(('quote " and backslash \\', _filled(1.0)),
+                        ("B_0\u2297U(a=1) \u00e9", _filled(0.5j)))
+RNG = np.random.default_rng(7)
+DISJOINT = _in_memory(*[(f"G{i}", RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3)))
+                        for i in range(3)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: family_cd(81), lambda: family_ckd(3, 64), lambda: family_ckd(9, 4),
+    lambda: family_ckd_mols(7, 9), lambda: SIGNED_ZEROS, lambda: NON_FINITE,
+    lambda: EXTREMES, lambda: ODD_LABELS, lambda: DISJOINT,
+], ids=["81-1", "3-64", "9-4", "7-9-mols", "signed-zeros", "nan-inf", "5e-324-1e308",
+        "quote-backslash-non-ascii-labels", "no-shared-cells"])
 def test_save_family_writes_the_bytes_of_json_dump(tmp_path, build):
     fam = build()
     fast, slow = tmp_path / "fast.json", tmp_path / "slow.json"
@@ -184,6 +215,103 @@ def test_save_family_writes_the_bytes_of_json_dump(tmp_path, build):
                for p in (fast, slow)]
     assert digests[0] == digests[1]
     assert json.loads(fast.read_text(encoding="utf-8"))["header"]["tool"] == "mumeb 0.1.0"
+
+
+def test_in_memory_families_hold_what_they_claim():
+    # the writer cases above are only as strong as the bits they hold
+    zeros = SIGNED_ZEROS.generators[0][1]
+    assert len({zeros[0, i].tobytes() for i in range(3)} | {zeros[1, 0].tobytes()}) == 4
+    assert np.isnan(NON_FINITE.generators[0][1].real[0, 0])
+    assert np.isneginf(NON_FINITE.generators[1][1].imag[0, 0])
+    assert EXTREMES.generators[0][1][0, 0] == 5e-324
+    texts = [json.dumps(matrix_to_json(mat)) for _, mat in DISJOINT.generators]
+    cells = [set(re.findall(r"\[[^][]*\]", text)) for text in texts]
+    assert not (cells[0] & cells[1] or cells[0] & cells[2] or cells[1] & cells[2])
+
+
+@pytest.mark.parametrize("build", [lambda: family_cd(81), lambda: family_ckd(3, 64),
+                                   lambda: family_ckd_mols(7, 9)],
+                         ids=["81-1", "3-64", "7-9-mols"])
+def test_save_load_save_gives_the_same_bytes(tmp_path, build):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_family(build(), first)
+    loaded = load_family(first)
+    save_family(loaded, second)
+    texts = [_without_header(p.read_text(encoding="utf-8")) for p in (first, second)]
+    assert texts[0] == texts[1]
+    assert families._scan_family(first.read_text(encoding="utf-8")) is not None
+
+
+def _first(old, new):
+    return lambda text: text.replace(old, new, 1)
+
+
+# edits of the text of a saved family_cd(3); `scanned` says whether the
+# scanner reads the result itself (True) or leaves it to json.loads (False)
+LOADER_CASES = {
+    "canonical": (lambda text: text, True),
+    "1E5-cell": (_first("[1.0, 0.0]", "[1E5, 0.0]"), True),
+    "exponent-without-sign": (_first("[1.0, 0.0]", "[1e5, 2.5e-3]"), True),
+    "integer-cell": (_first("[1.0, 0.0]", "[1, 0]"), False),
+    "minus-zero-integer": (_first("[1.0, 0.0]", "[-0, 0.0]"), False),
+    "minus-zero-float": (_first("[1.0, 0.0]", "[-0.0, 0.0]"), True),
+    "10**400-cell": (_first("[1.0, 0.0]", f"[{10 ** 400}, 0.0]"), False),
+    "1e400-cell": (_first("[1.0, 0.0]", "[1e400, 0.0]"), False),
+    "nan-cell": (_first("[1.0, 0.0]", "[NaN, 0.0]"), False),
+    "nan-in-metadata": (_first('"metadata": {', '"metadata": {"x": NaN, '), False),
+    "leading-zero": (_first("[1.0, 0.0]", "[01.0, 0.0]"), False),
+    "unicode-digit": (_first("[1.0, 0.0]", "[\u0661.0, 0.0]"), False),
+    "extra-space-in-cell": (_first("[1.0, 0.0]", "[1.0,  0.0]"), False),
+    "newline-between-rows": (_first("]], [[", "]],\n[["), False),
+    "newline-between-entries": (_first("]]}, {", "]]},\n{"), False),
+    "space-before-document": (lambda text: " " + text, False),
+    "reordered-entry-keys": (lambda text: re.sub(
+        r'\{"label": ("[^"]*"), "matrix": (\[\[\[.*?\]\]\])\}', r'{"matrix": \2, "label": \1}',
+        text, count=1), False),
+    "reordered-top-keys": (lambda text: '{"k": 1, ' + text[1:].replace(', "k": 1', "", 1),
+                           False),
+    "duplicate-generators": (lambda text: text[:text.rindex("}")] + ', "generators": '
+                             + json.dumps([{"label": "x", "matrix": [[[1.0, 0.0]] * 3] * 3}])
+                             + "}\n", False),
+    "duplicate-d": (lambda text: text[:text.rindex("}")] + ', "d": 5}\n', False),
+    "duplicate-d-same-value": (lambda text: text[:text.rindex("}")] + ', "d": 3}\n', False),
+    "duplicate-matrix": (_first(', "matrix": ', ', "matrix": [], "matrix": '), False),
+    "duplicate-in-metadata": (_first('"metadata": {', '"metadata": {"a": 1, "a": 2, '), False),
+    "matrix-key-in-metadata": (_first('"metadata": {', '"metadata": {"matrix": [[[1.0, 0.0]]], '),
+                               True),
+    "odd-label": (_first('"U(a=1)"', r'"U]]]\"}, {\\ ⊗"'), True),
+    "bad-escape-in-label": (_first('"U(a=1)"', r'"U\q"'), False),
+    "wrong-row-count": (_first("]], [[", "]]]}, {\"label\": \"extra\", \"matrix\": [[["), False),
+    "non-square": (lambda text: text.replace("], [0.0, 0.0]], [[", "]], [[", 1), False),
+    "two-by-two-matrix": (lambda text: re.sub(r'"matrix": \[\[\[.*?\]\]\]',
+                                              '"matrix": [[[1.0, 0.0], [0.0, 0.0]], '
+                                              '[[0.0, 0.0], [1.0, 0.0]]]', text, count=1), True),
+    "empty-matrix": (lambda text: re.sub(r'"matrix": \[\[\[.*?\]\]\]', '"matrix": []', text,
+                                         count=1), False),
+    "trailing-garbage": (lambda text: text + "x", False),
+    "truncated": (lambda text: text[:len(text) // 2], False),
+}
+
+
+@pytest.mark.parametrize("case", LOADER_CASES)
+def test_scanner_and_json_routes_agree(tmp_path, case):
+    edit, scanned = LOADER_CASES[case]
+    path = tmp_path / "edited.json"
+    save_family(family_cd(3), path)
+    text = edit(path.read_text(encoding="utf-8"))
+    assert text != path.read_text(encoding="utf-8") or case == "canonical"
+    path.write_text(text, encoding="utf-8")
+    assert (families._scan_family(text) is not None) == scanned
+    assert load_outcome(load_family, path) == load_outcome(load_family_json, path)
+
+
+@pytest.mark.parametrize("build", [lambda: family_ckd(3, 4), lambda: family_ckd_mols(5, 4),
+                                   lambda: family_cd(15)], ids=["3-4", "5-4-mols", "15-1"])
+def test_scanner_reads_saved_families_bit_for_bit(tmp_path, build):
+    path = tmp_path / "fam.json"
+    save_family(build(), path)
+    assert families._scan_family(path.read_text(encoding="utf-8")) is not None
+    assert load_outcome(load_family, path) == load_outcome(load_family_json, path)
 
 
 def test_matrix_from_json_keeps_every_bit_of_each_entry():

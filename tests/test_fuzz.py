@@ -3,8 +3,9 @@
 Each example mutates a valid file (the ring descriptor, the metadata, the
 matrix cells, or the raw text), writes it, and runs `mumeb verify` or
 `mumeb mols check` on it.  Whatever the mutation, cli.main must return 0, 1,
-2 or 3 and let no exception escape.  derandomize fixes the examples, so the
-suite is the same on every run.
+2 or 3 and let no exception escape, and load_family must read the family
+file exactly as json.load alone would.  derandomize fixes the examples, so
+the suite is the same on every run.
 """
 
 import contextlib
@@ -18,13 +19,17 @@ from hypothesis import strategies as st
 
 from mumeb.cli import main
 from mumeb.construct import family_cd
-from mumeb.families import save_family
+from mumeb.families import load_family, save_family
 from mumeb.mols import best_mols, format_mols
+from oracles import load_family_json, load_outcome
 
 FUZZ = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 # a number literal beyond the float range, which json parses to inf
 BIG_LITERAL = "1e400"
+# a lone continuation byte, a lead byte without its continuation, or bytes
+# that never occur in UTF-8
+NOT_UTF8 = [b"\x80", b"\xc3", b"\xe2\x82", b"\xfe", b"\xff"]
 
 ints = st.one_of(st.integers(-3, 50), st.integers(-2 ** 80, 2 ** 80),
                  st.sampled_from([10 ** 30 + 57, 2 ** 61 - 1, 10 ** 400]))
@@ -141,12 +146,24 @@ def test_fuzzed_family_text_exits_cleanly(tmp_path_factory, base_text, data):
 
 @FUZZ
 @given(data=st.data())
+def test_fuzzed_family_text_loads_alike_by_scanner_and_json(tmp_path_factory, base_text, data):
+    # most edits land in the generators list, where the scanner reads
+    text = base_text
+    lo, hi = text.index('"generators"'), text.index('"header"')
+    start = data.draw(st.one_of(st.integers(lo, hi), st.integers(0, len(text))))
+    stop = data.draw(st.integers(start, min(len(text), start + 8)))
+    insert = data.draw(st.text(alphabet='[]{}",:0123456789.eE-+ \nNaIfity\\', max_size=6))
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(text[:start] + insert + text[stop:], encoding="utf-8")
+    assert load_outcome(load_family, path) == load_outcome(load_family_json, path)
+
+
+@FUZZ
+@given(data=st.data())
 def test_fuzzed_family_bytes_that_are_not_utf8_exit_2(tmp_path_factory, base_text, data):
     raw = base_text.encode("utf-8")
     at = data.draw(st.integers(0, len(raw)))
-    # a lone continuation byte, a lead byte without its continuation, or
-    # bytes that never occur in UTF-8
-    bad = data.draw(st.sampled_from([b"\x80", b"\xc3", b"\xe2\x82", b"\xfe", b"\xff"]))
+    bad = data.draw(st.sampled_from(NOT_UTF8))
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
     path.write_bytes(raw[:at] + bad + raw[at:])
     assert _run(["verify", str(path)]) == 2
@@ -159,7 +176,7 @@ SQUARES = format_mols(best_mols(3))
 @given(data=st.data())
 def test_fuzzed_squares_text_exits_cleanly(tmp_path_factory, data):
     tokens = SQUARES.split(" ")
-    how = data.draw(st.sampled_from(["token", "splice", "text"]))
+    how = data.draw(st.sampled_from(["token", "splice", "text", "bytes"]))
     if how == "token":
         k = data.draw(st.integers(0, len(tokens) - 1))
         tokens[k] = data.draw(st.one_of(ints.map(str), st.text(max_size=4)))
@@ -169,10 +186,17 @@ def test_fuzzed_squares_text_exits_cleanly(tmp_path_factory, data):
         stop = data.draw(st.integers(start, len(SQUARES)))
         text = SQUARES[:start] + data.draw(st.text(alphabet="0123 \n-x", max_size=6)) \
             + SQUARES[stop:]
-    else:
+    elif how == "text":
         text = data.draw(st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
                                  max_size=40))
     path = tmp_path_factory.getbasetemp() / "fuzzed.txt"
-    path.write_text(text, encoding="utf-8")
-    assert _run(["mols", "check", str(path)]) in {0, 1, 2, 3}
-    assert _run(["bound", "--d", "9", "--k", "9", "--mols-file", str(path)]) in {0, 1, 2, 3}
+    codes = {0, 1, 2, 3}
+    if how == "bytes":  # bytes that are not UTF-8 are malformed input
+        raw = SQUARES.encode()
+        at = data.draw(st.integers(0, len(raw)))
+        path.write_bytes(raw[:at] + data.draw(st.sampled_from(NOT_UTF8)) + raw[at:])
+        codes = {2}
+    else:
+        path.write_text(text, encoding="utf-8")
+    assert _run(["mols", "check", str(path)]) in codes
+    assert _run(["bound", "--d", "9", "--k", "9", "--mols-file", str(path)]) in codes

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mumeb.cli import main
 from mumeb.mols import (IncidenceVector, LatinSquare, LatinViolation,
                         MolsParseError, Net, NetViolation,
                         OrthogonalityViolation, best_mols,
@@ -220,3 +221,18 @@ def test_import_validates(tmp_path):
     dup.write_text("3 2\n0 1 2\n1 2 0\n2 0 1\n\n0 1 2\n1 2 0\n2 0 1\n")
     with pytest.raises(OrthogonalityViolation, match="squares 0 and 1"):
         import_mols(dup)
+
+
+@pytest.mark.parametrize("argv", [["mols", "check", "{path}"],
+                                  ["construct", "--d", "3", "--k", "9", "--variant", "mols",
+                                   "--mols-file", "{path}", "--out", "{out}"],
+                                  ["bound", "--d", "9", "--k", "9", "--mols-file", "{path}"]],
+                         ids=["mols-check", "construct", "bound"])
+def test_squares_file_that_is_not_utf8_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"3 1\n0 1 2\n1 \xff 0\n2 0 1\n")
+    with pytest.raises(MolsParseError, match="not UTF-8 text: 'utf-8' codec can't decode byte 0xff"):
+        import_mols(path)
+    args = [a.format(path=path, out=tmp_path / "out.json") for a in argv]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("input error: not UTF-8 text")
