@@ -81,6 +81,8 @@ def _cmd_construct(args):
     _require_odd(args.d)
     if args.k < 1:
         raise UsageError("k must be at least 1")
+    if args.mols_file is not None and args.variant != "mols":
+        raise UsageError("--mols-file needs --variant mols")
     command = f"construct --d {args.d} --k {args.k} --variant {args.variant}"
     if args.variant == "mols":
         if args.k < 4:
@@ -174,12 +176,11 @@ def _cmd_mols(args):
         print(f"x={args.x} squares={len(squares)} out={out}")
         return 0
     if args.mols_command == "check":
-        squares = mols.import_mols(args.file)
-        x = squares[0].order
+        x, w = _imported_mols(args.file)
         if args.json:
-            print(json.dumps({"x": x, "squares": len(squares), "orthogonal": True}))
+            print(json.dumps({"x": x, "squares": w, "orthogonal": True}))
         else:
-            print(f"x={x} squares={len(squares)} orthogonal=yes")
+            print(f"x={x} squares={w} orthogonal=yes")
         return 0
     if args.mols_command == "net":
         net = mols.net_from_mols(_squares_from_args(args))

@@ -259,10 +259,6 @@ def family_ckd_mols(d_or_ring, k, squares=None):
         raise ValueError(f"k={k} is not a square of an integer >= 2")
     if squares is None:
         squares = mols_mod.best_mols(x)
-    else:
-        mols_mod.validate_mols(squares)
-        if squares and squares[0].order != x:
-            raise ValueError(f"squares have order {squares[0].order}, need {x}")
     net = mols_mod.net_from_mols(squares, order=x)
     mubs = mols_mod.mubs_from_net(net, mols_mod.fourier_hadamard(x))
     return _tensor_family(d_or_ring, k, lambda t: mubs[t], len(mubs), "G",

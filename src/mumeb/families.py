@@ -20,7 +20,6 @@ error.
 """
 
 import cmath
-import itertools
 import json
 import re
 import time
@@ -35,16 +34,6 @@ class SchemaError(ValueError):
     """The file parses as JSON but does not describe a family."""
 
 
-def _cells_are_plain(rows, size):
-    """Whether every row is a list of `size` [re, im] lists of ints and
-    floats (no bools), checked in C-level passes instead of cell by cell."""
-    if not all(isinstance(row, list) and len(row) == size for row in rows):
-        return False
-    cells = list(itertools.chain.from_iterable(rows))
-    return (set(map(type, cells)) <= {list} and set(map(len, cells)) <= {2}
-            and set(map(type, itertools.chain.from_iterable(cells))) <= {int, float})
-
-
 def matrix_from_json(rows, size, label):
     """The size x size complex matrix of a generator entry's "matrix" value:
     the parsed JSON rows, or the square array of finite entries that the
@@ -53,15 +42,6 @@ def matrix_from_json(rows, size, label):
         raise SchemaError(f"generator {label}: matrix must have {size} rows")
     if isinstance(rows, np.ndarray):
         return rows
-    if _cells_are_plain(rows, size):
-        try:
-            pairs = np.array(rows, dtype=float).reshape(size, size, 2)
-        except OverflowError:
-            pairs = None  # an integer beyond the float range
-        # one C-level pass finds a literal such as 1e400, which parses to inf
-        if pairs is not None and np.isfinite(pairs).all():
-            return pairs.view(complex).reshape(size, size)
-    # only a matrix that fails the fast checks gets here; name its first bad entry
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != size:
             raise SchemaError(f"generator {label}: row {i} must have {size} entries")
@@ -76,6 +56,7 @@ def matrix_from_json(rows, size, label):
             if not finite:
                 raise SchemaError(f"generator {label}: entry ({i},{j}) is too large "
                                   "for a float")
+    return np.array(rows, dtype=float).view(complex).reshape(size, size)
 
 
 def _plain_factor(factor):

@@ -61,14 +61,8 @@ def _poly_mul_mod(u, v, modulus, m):
         if ui:
             for j, vj in enumerate(v):
                 prod[i + j] = (prod[i + j] + ui * vj) % m
-    for deg in range(len(prod) - 1, a - 1, -1):
-        c = prod[deg]
-        if c:
-            for i in range(a + 1):
-                prod[deg - a + i] = (prod[deg - a + i] - c * modulus[i]) % m
-    prod = prod[:a]
-    prod += [0] * (a - len(prod))
-    return tuple(prod)
+    rem = _poly_rem(prod, modulus, m)
+    return tuple(rem + [0] * (a - len(rem)))
 
 
 def _poly_rem(num, den, p):
@@ -183,18 +177,25 @@ class FiniteField:
         return f"FiniteField(p={self.p}, a={self.a})"
 
 
+def _frobenius_trace(powers, logs, p, m):
+    """Trace down to Z_m of zero and of every unit, the sum of its a Frobenius
+    images g^e -> g^(e p): powers[e] holds the a coefficients of g^e for a
+    generator g of the units, and logs[i] is the e of the (i + 1)-th element."""
+    n, a = powers.shape
+    total = np.zeros((n + 1, a), dtype=np.int64)
+    e = logs
+    for _ in range(a):
+        total[1:] += powers[e]
+        e = e * p % n
+    total %= m
+    if total[:, 1:].any():
+        raise AssertionError(f"trace left Z_{m}")
+    return total[:, 0]
+
+
 def field_trace(field):
     """Trace down to the prime field of every element, x + x^p + ... + x^(p^(a-1)) mod p."""
-    total = np.zeros((field.q, field.a), dtype=np.int64)
-    e = field.log[1:]
-    for _ in range(field.a):
-        total[1:] += field.digits[field.exp[e]]
-        e = e * field.p % (field.q - 1)
-    total %= field.p
-    # the trace lands in the prime subfield, so only the constant term survives
-    if total[:, 1:].any():
-        raise AssertionError("trace left the prime subfield")
-    return total[:, 0]
+    return _frobenius_trace(field.digits[field.exp], field.log[1:], field.p, field.p)
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +250,7 @@ class GaloisRing:
 def galois_trace_z4(ring):
     """Trace GR(4,a) -> Z_4 of every Teichmuller position.  The Frobenius
     squares a Teichmuller element, so Tr(x^e) = sum_k x^(e 2^k)."""
-    total = np.zeros((ring.q, ring.a), dtype=np.int64)
-    e = np.arange(ring.q - 1)
-    for _ in range(ring.a):
-        total[1:] += ring.teichmuller[e + 1]
-        e = 2 * e % (ring.q - 1)
-    total %= 4
-    if total[:, 1:].any():
-        raise AssertionError("trace left Z_4")
-    return total[:, 0]
+    return _frobenius_trace(ring.teichmuller[1:], np.arange(ring.q - 1), 2, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,7 @@ def is_unitary(a, tol=1e-9):
 
 def gram_deviation(basis):
     """Max |B^dag B - I|: orthonormality defect of the columns."""
-    basis = np.asarray(basis, dtype=complex)
-    return float(np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max())
+    return is_unitary(basis)[1]
 
 
 def whole_columns(a):

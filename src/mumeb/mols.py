@@ -39,24 +39,14 @@ class LatinSquare:
             for j, v in enumerate(row):
                 if not isinstance(v, int) or not 0 <= v < x:
                     raise LatinViolation(f"cell ({i},{j}) holds {v!r}, not a symbol in 0..{x-1}")
-        for i, row in enumerate(grid):
-            seen = {}
-            for j, v in enumerate(row):
-                if v in seen:
-                    raise LatinViolation(f"row {i} repeats symbol {v} at columns {seen[v]} and {j}")
-                seen[v] = j
-        for j in range(x):
-            seen = {}
-            for i in range(x):
-                v = grid[i][j]
-                if v in seen:
-                    raise LatinViolation(f"column {j} repeats symbol {v} at rows {seen[v]} and {i}")
-                seen[v] = i
+        index = [[i] * x for i in range(x)]  # index[i][j] = i
+        for lines, line, other in ((grid, "row", "columns"), (zip(*grid), "column", "rows")):
+            clash = _first_clash(index, lines)
+            if clash is not None:
+                (i, v), (_, j1), (_, j2) = clash
+                raise LatinViolation(f"{line} {i} repeats symbol {v} at {other} {j1} and {j2}")
         self.order = x
         self.cells = tuple(tuple(row) for row in grid)
-
-    def __getitem__(self, ij):
-        return self.cells[ij[0]][ij[1]]
 
     def __eq__(self, other):
         return isinstance(other, LatinSquare) and self.cells == other.cells
@@ -69,14 +59,15 @@ def check_orthogonal(l1, l2):
     """True iff superimposing the squares yields all x^2 ordered symbol pairs."""
     if l1.order != l2.order:
         raise ValueError("orders differ")
-    return _first_orthogonality_clash(l1, l2) is None
+    return _first_clash(l1.cells, l2.cells) is None
 
 
-def _first_orthogonality_clash(l1, l2):
+def _first_clash(a, b):
+    """The first symbol pair (a[i][j], b[i][j]) that repeats, in row-major
+    order, with the cells of its first and second occurrence; or None."""
     seen = {}
-    for i in range(l1.order):
-        for j in range(l1.order):
-            pair = (l1.cells[i][j], l2.cells[i][j])
+    for i, (row_a, row_b) in enumerate(zip(a, b)):
+        for j, pair in enumerate(zip(row_a, row_b)):
             if pair in seen:
                 return pair, seen[pair], (i, j)
             seen[pair] = (i, j)
@@ -91,7 +82,7 @@ def validate_mols(squares):
             raise ValueError(f"square {idx} has order {sq.order}, expected {squares[0].order}")
     for i in range(len(squares)):
         for j in range(i + 1, len(squares)):
-            clash = _first_orthogonality_clash(squares[i], squares[j])
+            clash = _first_clash(squares[i].cells, squares[j].cells)
             if clash is not None:
                 pair, cell1, cell2 = clash
                 raise OrthogonalityViolation(

@@ -51,6 +51,23 @@ def test_construct_variants(tmp_path, capsys):
     assert code == 1 and "not a square" in err
 
 
+def test_mols_file_needs_the_mols_variant(tmp_path, capsys):
+    squares = tmp_path / "m4.txt"
+    assert run(capsys, "mols", "gen", "--x", "4", "--out", str(squares))[0] == 0
+    out = tmp_path / "fam.json"
+    for path in (squares, tmp_path / "nonexistent.txt"):
+        code, _, err = run(capsys, "construct", "--d", "7", "--k", "4", "--mols-file", str(path),
+                           "--out", str(out))
+        assert code == 1 and "usage error: --mols-file needs --variant mols" in err
+        assert not out.exists()
+    code, _, err = run(capsys, "construct", "--d", "5", "--k", "9", "--variant", "mols",
+                       "--mols-file", str(squares), "--out", str(out))
+    assert code == 1 and "usage error: order 3 does not match squares of order 4" in err
+    code, text, _ = run(capsys, "construct", "--d", "5", "--k", "16", "--variant", "mols",
+                        "--mols-file", str(squares), "--out", str(out))
+    assert code == 0 and "rule=mols-net" in text
+
+
 def test_construct_default_filename(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "construct", "--d", "5", "--k", "1")

@@ -306,12 +306,19 @@ def test_scanner_and_json_routes_agree(tmp_path, case):
 
 
 @pytest.mark.parametrize("build", [lambda: family_ckd(3, 4), lambda: family_ckd_mols(5, 4),
-                                   lambda: family_cd(15)], ids=["3-4", "5-4-mols", "15-1"])
+                                   lambda: family_cd(15), lambda: family_ckd_mols(7, 9)],
+                         ids=["3-4", "5-4-mols", "15-1", "7-9-mols"])
 def test_scanner_reads_saved_families_bit_for_bit(tmp_path, build):
     path = tmp_path / "fam.json"
     save_family(build(), path)
     assert families._scan_family(path.read_text(encoding="utf-8")) is not None
     assert load_outcome(load_family, path) == load_outcome(load_family_json, path)
+    # an indented copy is left to json.loads and matrix_from_json's cell loop
+    indented = tmp_path / "indented.json"
+    with open(path, encoding="utf-8") as src, open(indented, "w", encoding="utf-8") as fh:
+        json.dump(json.load(src), fh, indent=1)
+    assert families._scan_family(indented.read_text(encoding="utf-8")) is None
+    assert load_outcome(load_family, indented) == load_outcome(load_family, path)
 
 
 def test_matrix_from_json_keeps_every_bit_of_each_entry():

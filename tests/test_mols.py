@@ -21,6 +21,16 @@ def test_latin_square_validation_messages():
         LatinSquare([[0, 7], [1, 0]])
     with pytest.raises(LatinViolation, match="not square"):
         LatinSquare([[0, 1]])
+    # the first violation in scan order is named, with its exact text: rows
+    # 1 and 2 both repeat a symbol
+    with pytest.raises(LatinViolation) as info:
+        LatinSquare([[0, 1, 2], [1, 1, 0], [2, 0, 0]])
+    assert str(info.value) == "row 1 repeats symbol 1 at columns 0 and 1"
+    # rows are permutations; row-major order meets the column-2 repeat first
+    # (cell (1,2)), column-major order the column-0 one, which is named
+    with pytest.raises(LatinViolation) as info:
+        LatinSquare([[0, 1, 2], [1, 0, 2], [0, 2, 1]])
+    assert str(info.value) == "column 0 repeats symbol 0 at rows 0 and 2"
 
 
 @pytest.mark.parametrize("x", [2, 3, 4, 5, 7, 8, 9])
@@ -54,6 +64,18 @@ def test_validate_mols_reports_cells():
     a, b = mols_prime_power(3)
     with pytest.raises(OrthogonalityViolation, match=r"squares 0 and 2 repeat pair"):
         validate_mols([a, b, a])
+    c = LatinSquare([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+    d = LatinSquare([[0, 2, 1], [1, 0, 2], [2, 1, 0]])
+    # several clashing pairs: the first pair of squares in order is named,
+    # and within it the first repeat in row-major order, with its exact text
+    # (column-major order would meet (1, 2) first in [c, d])
+    for squares, message in [
+            ([a, b, a, b], "squares 0 and 2 repeat pair (1, 1) at cells (0, 1) and (1, 0)"),
+            ([a, b, c], "squares 1 and 2 repeat pair (2, 2) at cells (0, 2) and (1, 0)"),
+            ([c, d], "squares 0 and 1 repeat pair (2, 1) at cells (0, 2) and (1, 0)")]:
+        with pytest.raises(OrthogonalityViolation) as info:
+            validate_mols(squares)
+        assert str(info.value) == message
 
 
 def test_macneish_products():
