@@ -8,9 +8,8 @@ from .construct import (MEBFamily, b_block, b_tensor, expand_basis, family_cd,
 from .families import load_family, save_family
 from .fields import (FiniteField, GaloisRing, ProductRing, field_trace,
                      galois_trace_z4, ring_for_dimension, unit_difference_set)
-from .mols import (LatinSquare, Net, best_mols, check_orthogonal, embed,
-                   fourier_hadamard, import_mols, mols_macneish,
-                   mols_prime_power, mubs_from_net, net_from_mols)
+from .mols import (LatinSquare, Net, best_mols, fourier_hadamard, import_mols,
+                   mols_macneish, mols_prime_power, mubs_from_net, net_from_mols)
 from .verify import (bruteforce_unbiased, certify_family, criterion_check,
                      gauss_sum_check)
 

@@ -143,6 +143,10 @@ def _cmd_bound(args):
             raise UsageError("--k-range must look like A..B") from None
         if not ks:
             raise UsageError("empty k range")
+    if imported and imported[0] ** 2 not in ks:
+        asked = f"k={ks[0]}" if len(ks) == 1 else f"k={ks[0]}..{ks[-1]}"
+        raise UsageError(f"--mols-file holds squares of order {imported[0]}, which bear only "
+                         f"on k={imported[0] ** 2}, not on {asked}")
     rows = [bounds.bound_dkd(args.d, k, imported) for k in ks]
     if args.json:
         doc = rows[0].to_dict() if len(rows) == 1 else [r.to_dict() for r in rows]

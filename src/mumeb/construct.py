@@ -83,20 +83,16 @@ def v_unitary(ring, a):
 _CHUNK_BYTES = 3 << 19  # 1.5 MiB
 
 
-def _generator_order(ring, u, k):
+def _generator_order(ring, u):
     """u as a complex array and its k, after checking that u is kd x kd."""
     d = ring.d
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] % d:
         raise ValueError(f"generator shape {u.shape} is not a multiple of d={d}")
-    if k is None:
-        k = u.shape[0] // d
-    if u.shape[0] != k * d:
-        raise ValueError(f"generator size {u.shape[0]} does not equal k*d = {k*d}")
-    return u, k
+    return u, u.shape[0] // d
 
 
-def expand_chunks(ring, u, k=None):
+def expand_chunks(ring, u):
     """Yield the basis of one generator (see expand_basis) in column chunks.
 
     Each item is (cols, chunk): the global column indices and the N x c
@@ -106,7 +102,7 @@ def expand_chunks(ring, u, k=None):
     The array is overwritten by the next chunk, so copy what must outlive
     one iteration.
     """
-    u, k = _generator_order(ring, u, k)
+    u, k = _generator_order(ring, u)
     d = ring.d
     kd = k * d
     n = kd * d
@@ -131,7 +127,7 @@ def expand_chunks(ring, u, k=None):
         yield cols, np.divide(chunk, scale, out=chunk)
 
 
-def expand_basis(ring, u, k=None):
+def expand_basis(ring, u):
     """Expand one generator into its full basis of C^(kd^2), orthonormal
     when the generator is unitary (certify_family checks that first).
 
@@ -140,10 +136,10 @@ def expand_basis(ring, u, k=None):
     expand_chunks.  certify_family never holds it; the tests and their
     oracle do.
     """
-    u, k = _generator_order(ring, u, k)
+    u, k = _generator_order(ring, u)
     n = k * ring.d * ring.d
     basis = np.empty((n, n), dtype=complex)
-    for cols, chunk in expand_chunks(ring, u, k):
+    for cols, chunk in expand_chunks(ring, u):
         basis[:, cols] = chunk
     return basis
 

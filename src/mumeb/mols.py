@@ -1,10 +1,23 @@
 """Latin squares, mutual orthogonality, (n,x)-nets, and the unbiased bases of
 C^(x^2) they induce.
 
+A net is stored as line labels: one row per block, giving for each point
+p = i*x + j the line of that block through p.  Every point then lies on
+exactly one line of each block, so the lines of a block are disjoint and
+cover the points by construction.  For two blocks, lines[b1] * x + lines[b2]
+names the pair of lines through each point, and its bincount counts the
+points on both lines for all x^2 pairs at once: all ones is the axiom that
+lines of different blocks meet in exactly one point, and summing over either
+block's lines then gives every line x points.  The weight check per block
+names a bad line directly, and is the only check a one-block net gets.
+
 The file format for square sets is plain text: a header line "x w", then w
 blocks separated by blank lines, each x lines of x space-separated symbols
 from 0..x-1.
 """
+
+import itertools
+import math
 
 import numpy as np
 
@@ -53,13 +66,6 @@ class LatinSquare:
 
     def __repr__(self):
         return f"LatinSquare(order={self.order})"
-
-
-def check_orthogonal(l1, l2):
-    """True iff superimposing the squares yields all x^2 ordered symbol pairs."""
-    if l1.order != l2.order:
-        raise ValueError("orders differ")
-    return _first_clash(l1.cells, l2.cells) is None
 
 
 def _first_clash(a, b):
@@ -137,67 +143,41 @@ def best_mols(x):
 
 
 # ---------------------------------------------------------------------------
-# incidence vectors and nets
-
-class IncidenceVector:
-    """0/1 vector on x^2 points, stored by its sorted support."""
-
-    def __init__(self, npoints, support):
-        support = tuple(sorted(support))
-        if len(set(support)) != len(support):
-            raise ValueError("support has repeats")
-        if support and not (0 <= support[0] and support[-1] < npoints):
-            raise ValueError("support out of range")
-        self.npoints = npoints
-        self.support = support
-
-    @property
-    def bits(self):
-        bits = np.zeros(self.npoints, dtype=np.int64)
-        bits[list(self.support)] = 1
-        return bits
-
-    def intersection(self, other):
-        return len(set(self.support) & set(other.support))
-
-    def __repr__(self):
-        return f"IncidenceVector(weight={len(self.support)})"
-
+# nets
 
 class Net:
-    """n blocks of x incidence vectors on x^2 points: vectors are disjoint
-    inside a block and meet in exactly one point across blocks."""
+    """n blocks of x lines on the x^2 points p = i*x + j, as line labels:
+    lines[b, p] is the line of block b through p.  Lines are disjoint inside
+    a block and meet in exactly one point across blocks."""
 
-    def __init__(self, n, x, blocks):
-        self.n = n
-        self.x = x
-        self.blocks = [list(b) for b in blocks]
-        self._validate()
-
-    def _validate(self):
-        if len(self.blocks) != self.n or any(len(b) != self.x for b in self.blocks):
-            raise NetViolation(f"expected {self.n} blocks of {self.x} vectors")
-        for b, block in enumerate(self.blocks):
-            for v in block:
-                if len(v.support) != self.x:
-                    raise NetViolation(f"block {b} has a vector of weight {len(v.support)}")
-            for i in range(self.x):
-                for j in range(i + 1, self.x):
-                    if block[i].intersection(block[j]):
-                        raise NetViolation(f"block {b} vectors {i} and {j} are not disjoint")
-        for b1 in range(self.n):
-            for b2 in range(b1 + 1, self.n):
-                for i, v1 in enumerate(self.blocks[b1]):
-                    for j, v2 in enumerate(self.blocks[b2]):
-                        hits = v1.intersection(v2)
-                        if hits != 1:
-                            raise NetViolation(
-                                f"blocks {b1}:{i} and {b2}:{j} meet in {hits} points, want 1")
+    def __init__(self, lines):
+        lines = np.asarray(lines)
+        x = math.isqrt(lines.shape[1]) if lines.ndim == 2 else 0
+        if x < 1 or x * x != lines.shape[1] or not np.issubdtype(lines.dtype, np.integer):
+            raise NetViolation(f"expected n blocks of line labels on x^2 points, "
+                               f"got an array of shape {lines.shape} and type {lines.dtype}")
+        if lines.size and not (0 <= lines.min() and lines.max() < x):
+            raise NetViolation(f"expected line labels in 0..{x - 1}, "
+                               f"got {lines.min()}..{lines.max()}")
+        lines = lines.astype(np.intp, copy=False)  # room for lines[b1] * x + lines[b2]
+        self.lines, self.n, self.x = lines, lines.shape[0], x
+        for b, row in enumerate(lines):
+            weights = np.bincount(row, minlength=x)
+            bad = np.flatnonzero(weights != x)
+            if bad.size:
+                raise NetViolation(f"block {b} has a vector of weight {weights[bad[0]]}")
+        for b1, b2 in itertools.combinations(range(self.n), 2):
+            hits = np.bincount(lines[b1] * x + lines[b2], minlength=x * x)
+            bad = np.flatnonzero(hits != 1)
+            if bad.size:
+                i, j = divmod(int(bad[0]), x)
+                raise NetViolation(
+                    f"blocks {b1}:{i} and {b2}:{j} meet in {hits[bad[0]]} points, want 1")
 
 
 def net_from_mols(squares, order=None):
-    """(w+2, x)-net: row indicators, column indicators, then one block per
-    square whose vectors are its symbol classes."""
+    """(w+2, x)-net: the rows, the columns, then one block per square whose
+    lines are its symbol classes."""
     squares = validate_mols(squares)
     if squares:
         x = squares[0].order
@@ -207,16 +187,8 @@ def net_from_mols(squares, order=None):
         raise ValueError("need squares or an explicit order")
     if order is not None and order != x:
         raise ValueError(f"order {order} does not match squares of order {x}")
-    npoints = x * x
-    blocks = []
-    blocks.append([IncidenceVector(npoints, [i * x + j for j in range(x)]) for i in range(x)])
-    blocks.append([IncidenceVector(npoints, [i * x + j for i in range(x)]) for j in range(x)])
-    for sq in squares:
-        blocks.append([
-            IncidenceVector(npoints, [i * x + j for i in range(x) for j in range(x)
-                                      if sq.cells[i][j] == symbol])
-            for symbol in range(x)])
-    return Net(len(squares) + 2, x, blocks)
+    points = np.arange(x * x)
+    return Net(np.stack([points // x, points % x] + [np.ravel(sq.cells) for sq in squares]))
 
 
 # ---------------------------------------------------------------------------
@@ -239,20 +211,11 @@ def check_generalized_hadamard(h, tol=1e-9):
     return bool(np.abs(h @ h.conj().T - x * np.eye(x)).max() <= tol)
 
 
-def embed(h, m):
-    """Place the length-x vector h on the support of m inside C^k, in support order."""
-    h = np.asarray(h, dtype=complex).reshape(-1)
-    if len(m.support) != h.size:
-        raise ValueError(f"vector length {h.size} does not match weight {len(m.support)}")
-    out = np.zeros(m.npoints, dtype=complex)
-    out[list(m.support)] = h
-    return out
-
-
 def mubs_from_net(net, h):
-    """One orthonormal basis of C^(x^2) per net block: columns are the rows of
-    H/sqrt(x) embedded on each vector's support.  Distinct blocks are mutually
-    unbiased because their supports meet in exactly one point."""
+    """One orthonormal basis of C^(x^2) per net block: column i*x + ell is row
+    ell of H/sqrt(x) placed on the points of line i, in point order.  Distinct
+    blocks are mutually unbiased because their lines meet in exactly one
+    point."""
     h = np.asarray(h, dtype=complex)
     x = net.x
     if h.shape != (x, x):
@@ -260,12 +223,13 @@ def mubs_from_net(net, h):
     if not check_generalized_hadamard(h):
         raise ValueError("matrix fails the generalized Hadamard conditions")
     k = x * x
+    cols = np.arange(k).reshape(x, x, 1)  # cols[i, ell] = i*x + ell
+    scaled = h / np.sqrt(x)
     out = []
-    for block in net.blocks:
+    for row in net.lines:
+        points = np.argsort(row, kind="stable").reshape(x, x)  # points[i] = line i, ascending
         basis = np.zeros((k, k), dtype=complex)
-        for i, vec in enumerate(block):
-            for ell in range(x):
-                basis[:, i * x + ell] = embed(h[ell], vec) / np.sqrt(x)
+        basis[points[:, None, :], cols] = scaled
         out.append(basis)
     return out
 

@@ -303,7 +303,7 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
     stages.update(basis_classes=len(basis_first), pairs=len(pairs), classes=len(first))
 
     def chunks_of(u):
-        return _tally(construct.expand_chunks(ring, u, k), stages)
+        return _tally(construct.expand_chunks(ring, u), stages)
 
     t_stage = time.perf_counter()
     if not pairs_only or first:

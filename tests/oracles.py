@@ -6,10 +6,11 @@ trace vectors, the GR(4,a) trace by the 2-adic Frobenius, characters from
 that arithmetic, Pauli operators as monomial matrices, the expansion as one
 whole array instead of column chunks, entanglement one vector at a time,
 quadratic sums through multiplicative characters, the criterion sums one
-d x d block at a time, the per-basis checks once per basis instead of once
-per basis class, family certification with every basis expanded and one
-overlap product per pair, matrices as the nested lists json.dump writes, and
-family files read by json.load alone instead of the family-file scanner.
+d x d block at a time, the unbiased bases of a net one column at a time, the
+per-basis checks once per basis instead of once per basis class, family
+certification with every basis expanded and one overlap product per pair,
+matrices as the nested lists json.dump writes, and family files read by
+json.load alone instead of the family-file scanner.
 """
 
 import json
@@ -104,6 +105,24 @@ def expand_basis_whole(ring, u, k):
     return np.divide(basis, np.sqrt(d), out=basis)
 
 
+def mubs_from_net_columns(net, h):
+    """mols.mubs_from_net one column at a time: column i*x + ell is row ell of
+    H placed on the points of line i in ascending order, then divided by
+    sqrt(x)."""
+    h = np.asarray(h, dtype=complex)
+    x = net.x
+    out = []
+    for row in net.lines:
+        basis = np.zeros((x * x, x * x), dtype=complex)
+        for i in range(x):
+            for ell in range(x):
+                col = np.zeros(x * x, dtype=complex)
+                col[np.flatnonzero(row == i)] = h[ell]
+                basis[:, i * x + ell] = col / np.sqrt(x)
+        out.append(basis)
+    return out
+
+
 def reduced_density_check(v, d, dprime):
     """Max deviation of the subsystem-A reduced density of v from I_d / d.
 
@@ -175,12 +194,12 @@ def basis_figures_per_basis(family):
     as it stood then."""
     ring, k = family.ring, family.k
     kd = k * family.d
-    b_id = linalg.ColumnBlocks(construct.expand_chunks(ring, np.eye(kd), k))
+    b_id = linalg.ColumnBlocks(construct.expand_chunks(ring, np.eye(kd)))
     out = []
     for label, u in family.generators:
         u_dag = u.conj().T
         ortho = ent = 0.0
-        for cols, chunk in construct.expand_chunks(ring, u, k):
+        for cols, chunk in construct.expand_chunks(ring, u):
             n, c = chunk.shape
             ent = max(ent, linalg.max_entanglement_deviation(chunk, n // kd, kd))
             x = np.matmul(u_dag, chunk.reshape(n // kd, kd, c)).reshape(n, c)
@@ -219,7 +238,7 @@ def certify_exhaustive(family, tolerance=1e-8, pairs_only=False):
 
     bases = []
     for label, mat in family.generators:
-        bases.append(expand := construct.expand_basis(family.ring, mat, k))
+        bases.append(expand := construct.expand_basis(family.ring, mat))
         if not pairs_only:
             ortho = linalg.gram_deviation(expand)
             ent = linalg.max_entanglement_deviation(expand, d, k * d)

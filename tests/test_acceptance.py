@@ -157,7 +157,7 @@ def test_criterion_8_mols_net_mub_chain():
         squares = best_mols(x)
         ok = ok and len(squares) == x - 1
         net = net_from_mols(squares)   # both axioms validated exhaustively
-        mats = [np.array([v.bits for v in block]) for block in net.blocks]
+        mats = [(row == np.arange(x)[:, None]).astype(int) for row in net.lines]
         for b1 in range(net.n):
             ok = ok and (mats[b1] @ mats[b1].T == x * np.eye(x)).all()
             for b2 in range(b1 + 1, net.n):

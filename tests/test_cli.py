@@ -156,6 +156,22 @@ def test_bound_with_imported_squares(tmp_path, capsys):
     code, out, _ = run(capsys, "bound", "--d", "9", "--k", "100",
                        "--mols-file", str(squares))
     assert code == 0 and "mols=3(imported)" in out
+    code, out, _ = run(capsys, "bound", "--d", "9", "--k-range", "99..101",
+                       "--mols-file", str(squares))
+    assert code == 0 and "mols=3(imported)" in out
+
+
+def test_bound_refuses_squares_that_fit_no_requested_k(tmp_path, capsys):
+    squares = tmp_path / "m3.txt"
+    assert run(capsys, "mols", "gen", "--x", "3", "--out", str(squares))[0] == 0
+    for ks, asked in [(["--k", "100"], "k=100"), (["--k-range", "10..20"], "k=10..20")]:
+        code, out, err = run(capsys, "bound", "--d", "9", *ks, "--mols-file", str(squares))
+        assert code == 1 and out == ""
+        assert err == (f"usage error: --mols-file holds squares of order 3, which bear only "
+                       f"on k=9, not on {asked}\n")
+    # k-argument errors still come before the fit check
+    code, _, err = run(capsys, "bound", "--d", "9", "--mols-file", str(squares))
+    assert code == 1 and "give exactly one of --k or --k-range" in err
 
 
 def test_mols_gen_and_check(tmp_path, capsys):

@@ -114,7 +114,7 @@ def test_expand_basis_identity_generator():
     assert basis.shape == (9, 9)
     assert linalg.gram_deviation(basis) < 1e-10
     assert linalg.max_entanglement_deviation(basis, 3, 3) < 1e-10
-    basis6 = expand_basis(ring, np.eye(6), k=2)
+    basis6 = expand_basis(ring, np.eye(6))
     assert basis6.shape == (18, 18)
     assert linalg.gram_deviation(basis6) < 1e-10
     assert linalg.max_entanglement_deviation(basis6, 3, 6) < 1e-9
@@ -126,7 +126,7 @@ def test_expand_basis_against_hand_loop_oracle():
     d, k = 3, 2
     kd, n = k * d, k * d * d
     u = _random_unitary(kd, seed=11)
-    got = expand_basis(ring, u, k)
+    got = expand_basis(ring, u)
     for xi in range(d):
         for eta in range(d):
             for j in range(k):
@@ -147,7 +147,7 @@ def test_expand_basis_matches_pauli_route():
     d, k = 3, 2
     kd = k * d
     u = _random_unitary(kd, seed=23)
-    got = expand_basis(ring, u, k)
+    got = expand_basis(ring, u)
     base_cols = got[:, 0:k]  # (xi, eta) = (0, 0)
     for xi in range(d):
         for eta in range(d):
@@ -177,7 +177,7 @@ def test_expand_basis_scales_in_place_bit_identically(build, monkeypatch):
         return divide(x, y, out=out)
 
     monkeypatch.setattr(np, "divide", recording)
-    got = [chunk.copy() for _, chunk in expand_chunks(fam.ring, fam.generators[-1][1], fam.k)]
+    got = [chunk.copy() for _, chunk in expand_chunks(fam.ring, fam.generators[-1][1])]
     monkeypatch.undo()
     assert len(unscaled) == len(got) >= 1
     for chunk, raw in zip(got, unscaled):
@@ -193,7 +193,7 @@ def test_chunks_assemble_to_the_whole_expansion_bit_for_bit(build):
     for _, u in fam.generators:
         assembled = np.full((n, n), np.nan, dtype=complex)
         etas = []
-        for cols, chunk in expand_chunks(fam.ring, u, k):
+        for cols, chunk in expand_chunks(fam.ring, u):
             assert chunk.shape == (n, cols.size) and cols.size % (k * d) == 0
             assert chunk.nbytes <= max(construct._CHUNK_BYTES, slab)
             etas.append(np.unique(cols // k % d))
@@ -204,7 +204,7 @@ def test_chunks_assemble_to_the_whole_expansion_bit_for_bit(build):
         assert np.array_equal(np.concatenate(etas), np.arange(d))
         whole = expand_basis_whole(fam.ring, u, k)
         assert assembled.tobytes() == whole.tobytes()
-        assert expand_basis(fam.ring, u, k).tobytes() == whole.tobytes()
+        assert expand_basis(fam.ring, u).tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("build", [lambda: family_cd(15), lambda: family_cd(19),
@@ -220,8 +220,8 @@ def test_row_gather_permutes_the_expansion_rows_bit_for_bit(build):
     for _, r in fam.generators[::max(1, len(fam.generators) // 4)]:
         p = rng.permutation(kd)
         rows = (np.arange(d)[:, None] * kd + p).ravel()
-        gathered = expand_basis(fam.ring, r[p], k)
-        permuted = expand_basis(fam.ring, r, k)[rows]
+        gathered = expand_basis(fam.ring, r[p])
+        permuted = expand_basis(fam.ring, r)[rows]
         assert np.array_equal(gathered, permuted) and gathered.tobytes() == permuted.tobytes()
 
 
@@ -230,7 +230,7 @@ def test_chunk_counts(d, k, chunks):
     # a small N is one or two chunks; past the budget, chunks are even runs
     # of slabs, one slab each once a slab alone fills the budget
     ring = ring_for_dimension(d)
-    widths = [c.size for c, _ in expand_chunks(ring, np.eye(k * d), k)]
+    widths = [c.size for c, _ in expand_chunks(ring, np.eye(k * d))]
     assert len(widths) == chunks
     assert max(widths) - min(widths) <= k * d
 
@@ -239,8 +239,6 @@ def test_expand_basis_guards():
     ring = ring_for_dimension(3)
     with pytest.raises(ValueError):
         expand_basis(ring, np.eye(4))
-    with pytest.raises(ValueError):
-        expand_basis(ring, np.eye(6), k=3)
 
 
 @pytest.mark.parametrize("d,count", [(3, 4), (9, 16), (15, 4), (21, 4), (25, 48)])

@@ -44,7 +44,7 @@ def test_reduced_density_on_known_states():
 
 def test_batched_entanglement_matches_per_vector_route():
     ring = ring_for_dimension(3)
-    basis = expand_basis(ring, np.eye(6), k=2)
+    basis = expand_basis(ring, np.eye(6))
     batched = linalg.max_entanglement_deviation(basis, 3, 6)
     per_vector = max(reduced_density_check(basis[:, i], 3, 6)
                      for i in range(basis.shape[1]))
@@ -80,12 +80,12 @@ def test_adjoint_product_blocks_on_identity_basis(d, k):
     # them, so its N/d groups of d x d make one bucket, read here chunk by
     # chunk as certify_family reads it
     ring = ring_for_dimension(d)
-    a = expand_basis(ring, np.eye(k * d), k)
+    a = expand_basis(ring, np.eye(k * d))
     b = _random_complex(a.shape, seed=d + k)
     got, groups = _assemble(a, b)
     assert groups == d * k
     assert np.abs(got - a.conj().T @ b).max() <= 1e-13
-    blocks = linalg.ColumnBlocks(expand_chunks(ring, np.eye(k * d), k))
+    blocks = linalg.ColumnBlocks(expand_chunks(ring, np.eye(k * d)))
     [(rows, cols, adj)] = blocks.buckets
     assert rows.shape == cols.shape == (d * k, d) and adj.shape == (d * k, d, d)
     for cols, block in blocks.adjoint_products(b):
@@ -94,7 +94,7 @@ def test_adjoint_product_blocks_on_identity_basis(d, k):
 
 def test_adjoint_products_subtract_the_identity_at_the_given_columns():
     ring = ring_for_dimension(3)
-    a = expand_basis(ring, np.eye(12), 4)
+    a = expand_basis(ring, np.eye(12))
     blocks = linalg.ColumnBlocks(linalg.whole_columns(a))
     cols = np.array([30, 2, 17])
     [(rows, block)] = [(r, b.copy()) for r, b in blocks.adjoint_products(a[:, cols], cols)]
@@ -138,7 +138,7 @@ def test_adjoint_product_blocks_mixed_supports_and_a_zero_column():
 
 def test_block_overlaps_match_the_dense_product():
     ring = ring_for_dimension(3)
-    b_id = expand_basis(ring, np.eye(12), 4)
+    b_id = expand_basis(ring, np.eye(12))
     q, r = np.linalg.qr(_random_complex((36, 36), seed=6))
     other = q * (np.diag(r) / np.abs(np.diag(r)))  # a random unitary basis
     mags = np.abs(b_id.conj().T @ other)

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from mumeb.cli import main
-from mumeb.mols import (IncidenceVector, LatinSquare, LatinViolation,
-                        MolsParseError, Net, NetViolation,
-                        OrthogonalityViolation, best_mols,
-                        check_generalized_hadamard, check_orthogonal, embed,
-                        format_mols, fourier_hadamard, import_mols,
-                        mols_macneish, mols_prime_power, mubs_from_net,
-                        net_from_mols, parse_mols, save_mols, validate_mols)
+from mumeb.construct import family_cd, family_ckd_mols
+from mumeb.mols import (LatinSquare, LatinViolation, MolsParseError, Net,
+                        NetViolation, OrthogonalityViolation, best_mols,
+                        check_generalized_hadamard, format_mols,
+                        fourier_hadamard, import_mols, mols_macneish,
+                        mols_prime_power, mubs_from_net, net_from_mols,
+                        parse_mols, save_mols, validate_mols)
+from oracles import mubs_from_net_columns
 
 
 def test_latin_square_validation_messages():
@@ -39,7 +40,11 @@ def test_prime_power_sets_are_complete_and_orthogonal(x):
     assert len(squares) == x - 1
     for i in range(len(squares)):
         for j in range(len(squares)):
-            assert check_orthogonal(squares[i], squares[j]) == (i != j)
+            if i != j:
+                validate_mols([squares[i], squares[j]])
+            else:
+                with pytest.raises(OrthogonalityViolation):
+                    validate_mols([squares[i], squares[j]])
     validate_mols(squares)
 
 
@@ -50,14 +55,16 @@ def test_prime_power_rejects_composites():
         mols_prime_power(12)
 
 
-def test_check_orthogonal_against_pair_counting_oracle():
+def test_validate_mols_against_pair_counting_oracle():
     a, b = mols_prime_power(3)
     pairs = {(a.cells[i][j], b.cells[i][j]) for i in range(3) for j in range(3)}
-    assert len(pairs) == 9 and check_orthogonal(a, b)
+    assert len(pairs) == 9 and validate_mols([a, b]) == [a, b]
     pairs_self = {(a.cells[i][j], a.cells[i][j]) for i in range(3) for j in range(3)}
-    assert len(pairs_self) == 3 and not check_orthogonal(a, a)
+    assert len(pairs_self) == 3
+    with pytest.raises(OrthogonalityViolation):
+        validate_mols([a, a])
     with pytest.raises(ValueError):
-        check_orthogonal(a, mols_prime_power(4)[0])
+        validate_mols([a, mols_prime_power(4)[0]])
 
 
 def test_validate_mols_reports_cells():
@@ -99,23 +106,12 @@ def test_macneish_products():
         best_mols(1)
 
 
-def test_incidence_vector():
-    v = IncidenceVector(4, [2, 0])
-    assert v.support == (0, 2)
-    assert np.array_equal(v.bits, [1, 0, 1, 0])
-    assert v.intersection(IncidenceVector(4, [2, 3])) == 1
-    with pytest.raises(ValueError):
-        IncidenceVector(4, [0, 0])
-    with pytest.raises(ValueError):
-        IncidenceVector(4, [4])
-
-
 @pytest.mark.parametrize("x", [2, 3, 4, 5, 7, 8])
 def test_net_axioms_rechecked_with_bit_arithmetic(x):
     squares = best_mols(x)
     net = net_from_mols(squares)
     assert net.n == len(squares) + 2 and net.x == x
-    mats = [np.array([v.bits for v in block]) for block in net.blocks]
+    mats = [(row == np.arange(x)[:, None]).astype(int) for row in net.lines]
     for m in mats:
         assert (m.sum(axis=1) == x).all()          # weight x
         assert (m @ m.T == x * np.eye(x)).all()    # disjoint inside a block
@@ -134,17 +130,38 @@ def test_net_without_squares():
 
 
 def test_net_violations_are_reported():
-    rows = [IncidenceVector(4, [0, 1]), IncidenceVector(4, [2, 3])]
-    cols = [IncidenceVector(4, [0, 2]), IncidenceVector(4, [1, 3])]
-    Net(2, 2, [rows, cols])
-    with pytest.raises(NetViolation, match="meet in"):
-        Net(2, 2, [rows, rows])
-    with pytest.raises(NetViolation, match="not disjoint"):
-        Net(2, 2, [[rows[0], IncidenceVector(4, [1, 2])], cols])
-    with pytest.raises(NetViolation, match="weight"):
-        Net(2, 2, [[IncidenceVector(4, [0]), rows[1]], cols])
+    rows, cols = [0, 0, 1, 1], [0, 1, 0, 1]  # points 0..3 = (i, j) row-major
+    net = Net([rows, cols])
+    assert (net.n, net.x) == (2, 2)
+    # int8 labels of order 12 would overflow in lines[b1] * x + lines[b2]
+    assert Net(net_from_mols(best_mols(12)).lines.astype(np.int8)).n == 4
+    with pytest.raises(NetViolation) as info:
+        Net([rows, rows])
+    assert str(info.value) == "blocks 0:0 and 1:0 meet in 2 points, want 1"
+    # the first bad pair of blocks is named, and in it the first line pair
+    with pytest.raises(NetViolation) as info:
+        Net([rows, cols, [0, 1, 1, 0], [0, 1, 0, 1]])
+    assert str(info.value) == "blocks 1:0 and 3:0 meet in 2 points, want 1"
+    with pytest.raises(NetViolation) as info:
+        Net([rows, cols, [1, 1, 0, 0]])
+    assert str(info.value) == "blocks 0:0 and 2:0 meet in 0 points, want 1"
+    # within the pair, line 0 of row 0 is fine and (0, 1) is the first clash
+    with pytest.raises(NetViolation) as info:
+        Net([[0, 0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 1, 1, 0, 2, 2, 2, 0]])
+    assert str(info.value) == "blocks 0:0 and 1:1 meet in 2 points, want 1"
+    with pytest.raises(NetViolation) as info:
+        Net([rows, [0, 0, 0, 1]])
+    assert str(info.value) == "block 1 has a vector of weight 3"
     with pytest.raises(NetViolation, match="expected"):
-        Net(3, 2, [rows, cols])
+        Net([[0, 0, 1], [0, 1, 0]])  # 3 points is not x^2
+    with pytest.raises(NetViolation, match="expected"):
+        Net([0, 0, 1, 1])  # one dimension
+    with pytest.raises(NetViolation, match="expected"):
+        Net([[0.0, 0.0, 1.0, 1.0]])  # not integer labels
+    with pytest.raises(NetViolation, match=r"expected line labels in 0\.\.1, got 0\.\.2"):
+        Net([rows, [0, 1, 0, 2]])
+    with pytest.raises(NetViolation, match=r"expected line labels in 0\.\.1, got -1\.\.1"):
+        Net([rows, [0, 1, -1, 1]])
 
 
 @pytest.mark.parametrize("x", [2, 3, 5, 8, 12, 26])
@@ -162,17 +179,6 @@ def test_check_generalized_hadamard_rejects():
         check_generalized_hadamard(np.ones((2, 3)))
 
 
-def test_embed():
-    v = IncidenceVector(9, [1, 4, 7])
-    out = embed([1, 1, 1], v)
-    assert np.array_equal(out, v.bits.astype(complex))
-    rng = np.random.default_rng(8)
-    h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    assert np.linalg.norm(embed(h, v)) == pytest.approx(np.linalg.norm(h))
-    with pytest.raises(ValueError):
-        embed([1, 1], v)
-
-
 @pytest.mark.parametrize("k", [4, 9, 16, 25])
 def test_mubs_from_net_are_unbiased(k):
     x = int(round(np.sqrt(k)))
@@ -186,6 +192,28 @@ def test_mubs_from_net_are_unbiased(k):
         for j in range(i + 1, len(mubs)):
             overlaps = np.abs(mubs[i].conj().T @ mubs[j])
             assert np.abs(overlaps - 1 / x).max() < 1e-9
+
+
+@pytest.mark.parametrize("x", [2, 3, 4, 5, 7, 8, 9, 12])
+def test_mubs_from_net_is_bit_equal_to_the_column_loop(x):
+    net = net_from_mols(best_mols(x))
+    # the Fourier matrix is symmetric; the column phases make one that is not
+    for h in (fourier_hadamard(x), fourier_hadamard(x) * np.exp(1j * np.arange(x))):
+        got, want = mubs_from_net(net, h), mubs_from_net_columns(net, h)
+        assert len(got) == len(want) == net.n
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d,k", [(7, 9), (5, 16), (3, 64)])
+def test_mols_generators_are_bit_equal_to_the_column_loop(d, k):
+    x = int(round(np.sqrt(k)))
+    fam = family_ckd_mols(d, k)
+    mubs = mubs_from_net_columns(net_from_mols(best_mols(x)), fourier_hadamard(x))
+    base = family_cd(d).generators
+    assert fam.n_bases == min(len(mubs), len(base))
+    for (_, gen), g, (_, u) in zip(fam.generators, mubs, base):
+        assert gen.tobytes() == np.kron(g, u).tobytes()
 
 
 def test_mubs_from_net_guards():

@@ -196,9 +196,9 @@ def test_pair_overlaps_depend_only_on_w(d, k):
     kd, n = k * d, k * d * d
     u, v = _random_unitary(kd, 2 * d + k), _random_unitary(kd, 3 * d + k)
     w = u.conj().T @ v
-    b_id = expand_basis(ring, np.eye(kd), k)
+    b_id = expand_basis(ring, np.eye(kd))
     b_w = (w @ b_id.reshape(d, kd, n)).reshape(n, n)
-    direct = expand_basis(ring, u, k).conj().T @ expand_basis(ring, v, k)
+    direct = expand_basis(ring, u).conj().T @ expand_basis(ring, v)
     assert np.abs(direct - b_id.conj().T @ b_w).max() <= 1e-13
     lo, hi = criterion_magnitudes(ring, k, w)
     target = 1.0 / np.sqrt(k)
@@ -294,9 +294,9 @@ def test_pairs_only_expands_the_identity_basis_at_most_once(monkeypatch):
     calls = []
     chunks = construct.expand_chunks
 
-    def counting(ring, u, k=None):
+    def counting(ring, u):
         calls.append(np.array_equal(u, np.eye(len(u))))  # True for B_I
-        return chunks(ring, u, k)
+        return chunks(ring, u)
 
     monkeypatch.setattr(construct, "expand_chunks", counting)
     fam = family_ckd(3, 4)
@@ -316,10 +316,10 @@ def _spoil_expansions(monkeypatch, spoil, target=None):
     same chunks."""
     chunks = construct.expand_chunks
 
-    def spoiled(ring, u, k=None):
+    def spoiled(ring, u):
         hit = (not np.array_equal(u, np.eye(len(u))) if target is None
                else np.array_equal(u, target))
-        for cols, chunk in chunks(ring, u, k):
+        for cols, chunk in chunks(ring, u):
             if hit:
                 spoil(cols, chunk)
             yield cols, chunk
