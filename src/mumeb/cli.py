@@ -193,12 +193,12 @@ def _cmd_mols(args):
     # mubs
     net = mols.net_from_mols(_squares_from_args(args))
     x, k = net.x, net.x ** 2
-    bases = mols.mubs_from_net(net, mols.fourier_hadamard(x))
+    bases = mols.mubs_from_net(net)
     target = 1.0 / x
     worst = 0.0
     for a, b in itertools.combinations(bases, 2):
         lo, hi = verify.bruteforce_unbiased(a, b)
-        worst = max(worst, abs(hi - target), abs(target - lo))
+        worst = max(worst, verify.deviation(lo, hi, target))
     if args.out:
         families.write_json(args.out, {"k": k, "x": x, "n_bases": len(bases)}, "bases",
                             families.matrix_texts(bases))

@@ -144,13 +144,13 @@ def expand_basis(ring, u):
     return basis
 
 
-def family_cd(d_or_ring):
+def family_cd(d):
     """The 2(q_1 - 1) pairwise-unbiased generators of C^d (x) C^d for odd d.
 
     Half are multiplication permutations U(a) and half their Fourier twists
     V(a) = U(a) W, with a running over the aligned-unit set S.
     """
-    ring = d_or_ring if isinstance(d_or_ring, fields.ProductRing) else fields.ring_for_dimension(d_or_ring)
+    ring = fields.ring_for_dimension(d)
     s_set = fields.unit_difference_set(ring)
     gens = []
     for a in s_set:
@@ -222,29 +222,28 @@ def b_tensor(k, j, factors=None):
     return block
 
 
-def _tensor_family(d_or_ring, k, block, n_k, prefix, meta):
+def _tensor_family(d, k, block, n_k, prefix, meta):
     """The first min{n_k, 2(q_1 - 1)} generators block(t) (x) U_t of
     C^d (x) C^kd, U_t running over family_cd; block(t) is the k x k side,
-    called only for those t."""
-    base = family_cd(d_or_ring)
+    called only for those t.  The metadata is family_cd's, overridden by
+    `meta`."""
+    base = family_cd(d)
     gens = [(f"{prefix}_{t}⊗{label}", np.kron(block(t), u))
             for t, (label, u) in enumerate(base.generators[:n_k])]
-    meta = {"s_indices": base.metadata["s_indices"], **meta, "unitarity_tol": 1e-9,
-            "vector_order": "(xi,eta,j) lexicographic"}
-    return MEBFamily(base.d, k, base.ring, gens, meta)
+    return MEBFamily(base.d, k, base.ring, gens, {**base.metadata, **meta})
 
 
-def family_ckd(d_or_ring, k):
+def family_ckd(d, k):
     """min{q'_1 + 1, 2(q_1 - 1)} generators B_t (x) U_t of C^d (x) C^kd."""
     if k < 2:
         raise ValueError("k must be at least 2; use family_cd for k = 1")
     factors = k_factors(k)
     meta = {"construction": "gauss-tensor", "k_factor_sizes": [f.q for f in factors]}
-    return _tensor_family(d_or_ring, k, lambda t: b_tensor(k, t, factors), factors[0].q + 1,
+    return _tensor_family(d, k, lambda t: b_tensor(k, t, factors), factors[0].q + 1,
                           "B", meta)
 
 
-def family_ckd_mols(d_or_ring, k, squares=None):
+def family_ckd_mols(d, k, squares=None):
     """min{w + 2, 2(q_1 - 1)} generators G_t (x) U_t, with G_t the t-th
     unbiased basis of C^k built from a net of w orthogonal squares of order
     sqrt(k)."""
@@ -256,7 +255,7 @@ def family_ckd_mols(d_or_ring, k, squares=None):
     if squares is None:
         squares = mols_mod.best_mols(x)
     net = mols_mod.net_from_mols(squares, order=x)
-    mubs = mols_mod.mubs_from_net(net, mols_mod.fourier_hadamard(x))
-    return _tensor_family(d_or_ring, k, lambda t: mubs[t], len(mubs), "G",
+    mubs = mols_mod.mubs_from_net(net)
+    return _tensor_family(d, k, lambda t: mubs[t], len(mubs), "G",
                           {"construction": "mols-net", "mols_order": x,
                            "mols_count": len(squares), "net_blocks": net.n})

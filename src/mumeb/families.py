@@ -181,10 +181,10 @@ def write_json(path, members, key, items):
         fh.write("}\n")
 
 
-def save_family(family, path, header_extra=None):
+def save_family(family, path):
     """Write the bytes of json.dump(doc, fh, sort_keys=True) for the family
     document, one generator entry at a time."""
-    members = {"header": _header(header_extra), "d": family.d, "k": family.k,
+    members = {"header": _header(), "d": family.d, "k": family.k,
                "ring": family.ring.descriptor(), "metadata": family.metadata}
     texts = matrix_texts(mat for _, mat in family.generators)
     write_json(path, members, "generators",
@@ -318,11 +318,9 @@ def load_family(path):
 
 
 def save_report(report, path, header_extra=None):
-    doc = {"header": _header(header_extra)}
-    body = report.to_dict()
-    doc["header"]["wall_time_s"] = body.pop("wall_time_s")
-    doc["header"]["stages"] = report.stages
-    doc.update(body)
+    header = {**_header(header_extra), "wall_time_s": report.wall_time_s,
+              "stages": report.stages}
+    doc = {"header": header, **report.to_dict()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")

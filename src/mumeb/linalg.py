@@ -85,15 +85,11 @@ class ColumnBlocks:
         members = np.argsort(group, kind="stable")  # read positions, group by group
         offset = np.cumsum(width) - width
         self.buckets = []
-        self._bucket = np.empty(cols.size, dtype=int)  # bucket of each column
-        self._slot = np.empty(cols.size, dtype=int)    # its row in the bucket's products
         for s, m in np.unique(np.stack([depth, width], axis=1), axis=0):
             g = np.flatnonzero((depth == s) & (width == m))
             pos = members[offset[g][:, None] + np.arange(m)]
             rows = np.nonzero(np.unpackbits(keys[first[g]], axis=1, count=n))[1]
             adj = values[start[pos][..., None] + np.arange(s)].conj()
-            self._bucket[cols[pos]] = len(self.buckets)
-            self._slot[cols[pos].ravel()] = np.arange(pos.size)
             self.buckets.append((rows.reshape(g.size, s), cols[pos], adj))
 
     def _scratch(self, name, shape):
@@ -104,29 +100,24 @@ class ColumnBlocks:
             self._work[name] = np.empty(size, dtype=complex)
         return self._work[name][:size].reshape(shape)
 
-    def adjoint_products(self, x, identity_cols=None):
+    def adjoint_products(self, x):
         """Yield (cols, A[:, cols]^dag @ x) for each bucket, with cols flat:
         one batched product per bucket, and together the rows of A^dag x.
         Each block is overwritten by the next one and by the next call.
 
         Only exact-zero terms are dropped, so this equals the dense product
         up to summation order, at 8 d N c flops for an expanded basis and an
-        N x c array x.  With identity_cols, the global column indices of x,
-        the identity's columns I[:, identity_cols] are subtracted.
+        N x c array x.
         """
         if x.ndim != 2 or x.shape[0] != self.shape[0]:
             raise ValueError(f"need {self.shape[0]} rows, got shape {x.shape}")
         c = x.shape[1]
-        for b, (rows, cols, adj) in enumerate(self.buckets):
+        for rows, cols, adj in self.buckets:
             # mode="clip" since rows are in range; the default buffers `out`
             gathered = np.take(x, rows, axis=0, mode="clip",
                                out=self._scratch("gathered", rows.shape + (c,)))
             block = np.matmul(adj, gathered, out=self._scratch("block", adj.shape[:2] + (c,)))
-            block = block.reshape(cols.size, c)
-            if identity_cols is not None:
-                own = np.flatnonzero(self._bucket[identity_cols] == b)
-                block[self._slot[identity_cols[own]], own] -= 1.0
-            yield cols.ravel(), block
+            yield cols.ravel(), block.reshape(cols.size, c)
 
 
 def max_entanglement_deviation(basis, d, dprime):

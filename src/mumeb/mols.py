@@ -195,36 +195,20 @@ def net_from_mols(squares, order=None):
 # unbiased bases of C^k from a net
 
 def fourier_hadamard(x):
-    """Order-x Fourier matrix zeta_x^(mn): the default generalized Hadamard."""
+    """Order-x Fourier matrix zeta_x^(mn), a generalized Hadamard matrix."""
     m = np.arange(x)
     return np.exp(2j * np.pi * np.outer(m, m) / x)
 
 
-def check_generalized_hadamard(h, tol=1e-9):
-    """All entries unit modulus (within 1e-12) and H H^dag = x I within tol."""
-    h = np.asarray(h, dtype=complex)
-    x = h.shape[0]
-    if h.shape != (x, x):
-        raise ValueError("matrix must be square")
-    if np.abs(np.abs(h) - 1).max() > 1e-12:
-        return False
-    return bool(np.abs(h @ h.conj().T - x * np.eye(x)).max() <= tol)
-
-
-def mubs_from_net(net, h):
+def mubs_from_net(net):
     """One orthonormal basis of C^(x^2) per net block: column i*x + ell is row
-    ell of H/sqrt(x) placed on the points of line i, in point order.  Distinct
-    blocks are mutually unbiased because their lines meet in exactly one
-    point."""
-    h = np.asarray(h, dtype=complex)
+    ell of H/sqrt(x), H the order-x Fourier matrix, placed on the points of
+    line i, in point order.  Distinct blocks are mutually unbiased because
+    their lines meet in exactly one point."""
     x = net.x
-    if h.shape != (x, x):
-        raise ValueError(f"Hadamard order {h.shape} does not match net order {x}")
-    if not check_generalized_hadamard(h):
-        raise ValueError("matrix fails the generalized Hadamard conditions")
     k = x * x
     cols = np.arange(k).reshape(x, x, 1)  # cols[i, ell] = i*x + ell
-    scaled = h / np.sqrt(x)
+    scaled = fourier_hadamard(x) / np.sqrt(x)
     out = []
     for row in net.lines:
         points = np.argsort(row, kind="stable").reshape(x, x)  # points[i] = line i, ascending

@@ -39,6 +39,7 @@ them once for the first generator of each class of generators that share
 one canonical matrix (see _pair_classes).
 """
 
+import dataclasses
 import itertools
 import time
 
@@ -47,25 +48,25 @@ import numpy as np
 from . import construct, fields, linalg
 
 
+@dataclasses.dataclass
 class VerificationReport:
     """Aggregated outcome of certifying one family; total over bases and pairs.
 
     to_dict() is the deterministic payload; wall_time_s and stages are
     volatile and go to the report header."""
 
-    def __init__(self, family_id, d, k, n_bases, tolerances):
-        self.family_id = family_id
-        self.d = d
-        self.k = k
-        self.n_bases = n_bases
-        self.tolerances = tolerances
-        self.generator_errors = []
-        self.basis_results = []
-        self.pair_results = []
-        self.agreement_deviation = 0.0
-        self.passed = False
-        self.wall_time_s = 0.0
-        self.stages = {}  # timings and counts; save_report puts them in the header
+    family_id: str
+    d: int
+    k: int
+    n_bases: int
+    tolerances: dict
+    generator_errors: list = dataclasses.field(default_factory=list)
+    basis_results: list = dataclasses.field(default_factory=list)
+    pair_results: list = dataclasses.field(default_factory=list)
+    agreement_deviation: float = 0.0
+    passed: bool = False
+    wall_time_s: float = 0.0
+    stages: dict = dataclasses.field(default_factory=dict)  # timings and counts
 
     def to_dict(self):
         return {
@@ -79,7 +80,6 @@ class VerificationReport:
             "pairs": self.pair_results,
             "agreement_deviation": self.agreement_deviation,
             "passed": self.passed,
-            "wall_time_s": self.wall_time_s,
         }
 
     def failures(self):
@@ -96,18 +96,16 @@ class VerificationReport:
         return out
 
 
-def _require_shape(ring, k, *mats):
-    kd = k * ring.d
-    if any(m.shape != (kd, kd) for m in mats):
-        raise ValueError(f"need {kd} x {kd} matrices for d={ring.d}, k={k}")
+def deviation(lo, hi, target):
+    """How far the extremes lo <= hi of a set of magnitudes stray from target."""
+    return max(abs(hi - target), abs(target - lo))
 
 
-def criterion_magnitudes(ring, k, w):
+def criterion_magnitudes(ring, w):
     """(min, max) of the criterion sums |sum_r lambda(r xi) w_((r,j),(r+eta,l))|
-    of w = U^dag V over all xi, eta in the ring and all block indices j, l."""
+    of w = U^dag V, kd x kd, over all xi, eta in the ring and all block indices j, l."""
     d = ring.d
-    w = np.asarray(w, dtype=complex)
-    _require_shape(ring, k, w)
+    w, k = construct._generator_order(ring, w)
     lam = fields.char_table(ring)
     add = fields.add_index_table(ring)
     rows = np.arange(d)[:, None]
@@ -121,10 +119,10 @@ def criterion_check(ring, k, u, v):
     """Max deviation of the criterion sums of U^dag V from the target 1/sqrt(k)."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    _require_shape(ring, k, u, v)
-    lo, hi = criterion_magnitudes(ring, k, u.conj().T @ v)
-    target = 1.0 / float(np.sqrt(k))
-    return max(abs(hi - target), abs(target - lo))
+    kd = k * ring.d
+    if u.shape != (kd, kd) or v.shape != (kd, kd):
+        raise ValueError(f"need {kd} x {kd} matrices for d={ring.d}, k={k}")
+    return deviation(*criterion_magnitudes(ring, u.conj().T @ v), 1.0 / float(np.sqrt(k)))
 
 
 def bruteforce_unbiased(basis_a, basis_b):
@@ -160,17 +158,23 @@ def _basis_deviations(b_id, u, chunks):
     The first is B_I^dag ((I_d (x) U^dag) B_U) - I over the column blocks
     of B_I.  For a unitary U it equals the Gram defect max |B_U^dag B_U - I|,
     since B_U = (I_d (x) U) B_I; unlike the Gram defect it also catches
-    columns of B_U that are out of place.
+    columns of B_U that are out of place.  I is subtracted where a row of a
+    product block, a column id of B_I, is one of the chunk's columns.
     """
     kd = u.shape[0]
     u_dag = u.conj().T
+    slot = np.full(b_id.shape[1], -1)  # of each column of B_U in the current chunk
     ortho = ent = 0.0
     for cols, chunk in chunks:
         n, c = chunk.shape
         ent = max(ent, linalg.max_entanglement_deviation(chunk, n // kd, kd))
         x = np.matmul(u_dag, chunk.reshape(n // kd, kd, c)).reshape(n, c)
-        for _, block in b_id.adjoint_products(x, identity_cols=cols):
+        slot[cols] = np.arange(c)
+        for ids, block in b_id.adjoint_products(x):
+            own = np.flatnonzero(slot[ids] >= 0)
+            block[own, slot[ids[own]]] -= 1.0
             ortho = max(ortho, float(np.abs(block).max()))
+        slot[cols] = -1
     return ortho, ent
 
 
@@ -290,7 +294,6 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
             report.generator_errors.append({"label": label, "deviation": dev})
     stages["unitarity_s"] = time.perf_counter() - t0
     if report.generator_errors:
-        report.passed = False
         report.wall_time_s = time.perf_counter() - t0
         return report
 
@@ -331,9 +334,9 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
     for i, j in first:
         w = mats[i].conj().T @ mats[j]
         ov_lo, ov_hi = bruteforce_unbiased(b_id, chunks_of(w))
-        cr_lo, cr_hi = criterion_magnitudes(ring, k, w)
-        ov_dev = max(abs(ov_hi - target), abs(target - ov_lo))
-        cr_dev = max(abs(cr_hi - crit_target), abs(crit_target - cr_lo))
+        cr_lo, cr_hi = criterion_magnitudes(ring, w)
+        ov_dev = deviation(ov_lo, ov_hi, target)
+        cr_dev = deviation(cr_lo, cr_hi, crit_target)
         class_results.append({
             "overlap_min": ov_lo,
             "overlap_max": ov_hi,
@@ -351,7 +354,7 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
     report.agreement_deviation = max((r["agreement"] for r in class_results), default=0.0)
     report.passed = (
         all(b["pass"] for b in report.basis_results)
-        and all(p["pass"] and p["criterion_pass"] for p in report.pair_results)
+        and all(c["pass"] and c["criterion_pass"] for c in class_results)
         and report.agreement_deviation <= tolerances["agreement"]
     )
     report.wall_time_s = time.perf_counter() - t0

@@ -105,12 +105,13 @@ def expand_basis_whole(ring, u, k):
     return np.divide(basis, np.sqrt(d), out=basis)
 
 
-def mubs_from_net_columns(net, h):
+def mubs_from_net_columns(net):
     """mols.mubs_from_net one column at a time: column i*x + ell is row ell of
-    H placed on the points of line i in ascending order, then divided by
-    sqrt(x)."""
-    h = np.asarray(h, dtype=complex)
+    the order-x Fourier matrix H, H_mn = exp(2 pi i m n / x), placed on the
+    points of line i in ascending order, then divided by sqrt(x)."""
     x = net.x
+    m = np.arange(x)
+    h = np.exp(2j * np.pi * np.outer(m, m) / x)
     out = []
     for row in net.lines:
         basis = np.zeros((x * x, x * x), dtype=complex)
@@ -191,7 +192,8 @@ def basis_figures_per_basis(family):
     """(label, orthonormality, entanglement) of every basis, each expanded
     and checked in turn: the per-basis loop of verify.certify_family before
     it ran once per basis class, with verify._basis_deviations written out
-    as it stood then."""
+    and I subtracted where a product row's column id of B_I equals one of
+    the chunk's columns."""
     ring, k = family.ring, family.k
     kd = k * family.d
     b_id = linalg.ColumnBlocks(construct.expand_chunks(ring, np.eye(kd)))
@@ -203,7 +205,8 @@ def basis_figures_per_basis(family):
             n, c = chunk.shape
             ent = max(ent, linalg.max_entanglement_deviation(chunk, n // kd, kd))
             x = np.matmul(u_dag, chunk.reshape(n // kd, kd, c)).reshape(n, c)
-            for _, block in b_id.adjoint_products(x, identity_cols=cols):
+            for ids, block in b_id.adjoint_products(x):
+                block = block - (ids[:, None] == cols)
                 ortho = max(ortho, float(np.abs(block).max()))
         out.append((label, ortho, ent))
     return out

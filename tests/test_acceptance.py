@@ -9,7 +9,7 @@ from mumeb import fields
 from mumeb.bounds import bound_dkd
 from mumeb.construct import family_cd, family_ckd, family_ckd_mols
 from mumeb.fields import ring_for_dimension
-from mumeb.mols import best_mols, fourier_hadamard, mubs_from_net, net_from_mols
+from mumeb.mols import best_mols, mubs_from_net, net_from_mols
 from mumeb.verify import certify_family, criterion_check, gauss_sum_check
 from mumeb.construct import permutation_unitary
 
@@ -91,7 +91,7 @@ def test_criterion_3_tensor_families():
 def test_criterion_4_mols_route():
     squares = best_mols(3)
     net = net_from_mols(squares)
-    mubs = mubs_from_net(net, fourier_hadamard(3))
+    mubs = mubs_from_net(net)
     fam = _family("mols", 7, 9)
     rep = _report("mols", 7, 9)
     ok = (len(squares) == 2 and net.n == 4 and len(mubs) == 4
@@ -162,7 +162,7 @@ def test_criterion_8_mols_net_mub_chain():
             ok = ok and (mats[b1] @ mats[b1].T == x * np.eye(x)).all()
             for b2 in range(b1 + 1, net.n):
                 ok = ok and (mats[b1] @ mats[b2].T == 1).all()
-        mubs = mubs_from_net(net, fourier_hadamard(x))
+        mubs = mubs_from_net(net)
         for i in range(len(mubs)):
             gram_dev = np.abs(mubs[i].conj().T @ mubs[i] - np.eye(x * x)).max()
             ok = ok and gram_dev < 1e-9

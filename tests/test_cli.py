@@ -29,6 +29,15 @@ def test_construct_verify_round_trip(tmp_path, capsys):
     assert doc["family_id"] == "gauss-dd-d3-k1"
 
 
+def test_verify_json_is_deterministic(tmp_path, capsys):
+    # the wall time and the stages go to the --report header, not to stdout
+    fam = tmp_path / "fam.json"
+    assert run(capsys, "construct", "--d", "3", "--out", str(fam))[0] == 0
+    code, out, _ = run(capsys, "verify", str(fam), "--json")
+    assert code == 0 and not {"wall_time_s", "stages"} & set(json.loads(out))
+    assert run(capsys, "verify", str(fam), "--json") == (0, out, "")
+
+
 def test_construct_rejects_even_d(tmp_path, capsys):
     code, _, err = run(capsys, "construct", "--d", "4", "--k", "1",
                        "--out", str(tmp_path / "x.json"))
@@ -49,6 +58,9 @@ def test_construct_variants(tmp_path, capsys):
     code, _, err = run(capsys, "construct", "--d", "3", "--k", "5", "--variant", "mols",
                        "--out", str(tmp_path / "d.json"))
     assert code == 1 and "not a square" in err
+    code, out, err = run(capsys, "construct", "--d", "3", "--k", "0",
+                         "--out", str(tmp_path / "e.json"))
+    assert code == 1 and out == "" and "usage error: k must be at least 1" in err
 
 
 def test_mols_file_needs_the_mols_variant(tmp_path, capsys):
@@ -148,6 +160,8 @@ def test_bound_command(tmp_path, capsys):
     assert run(capsys, "bound", "--d", "9")[0] == 1
     assert run(capsys, "bound", "--d", "9", "--k", "2", "--k-range", "1..2")[0] == 1
     assert run(capsys, "bound", "--d", "9", "--k-range", "oops")[0] == 1
+    code, out, err = run(capsys, "bound", "--d", "9", "--k-range", "5..3")
+    assert code == 1 and out == "" and "usage error: empty k range" in err
 
 
 def test_bound_with_imported_squares(tmp_path, capsys):

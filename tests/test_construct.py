@@ -71,7 +71,7 @@ def test_twists_are_bit_equal_to_the_matmul(d):
     # same bytes, signed zeros included, so family files do not change
     ring = ring_for_dimension(d)
     w = fourier_unitary(ring)
-    twists = [mat for label, mat in family_cd(ring).generators if label.startswith("V(")]
+    twists = [mat for label, mat in family_cd(d).generators if label.startswith("V(")]
     s_set = fields.unit_difference_set(ring)
     assert len(twists) == len(s_set)
     for a, got in zip(s_set, twists):

@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mumeb import construct, fields
+from mumeb import construct, fields, linalg, verify
+from mumeb.cli import main
 from mumeb.construct import (MEBFamily, expand_basis, family_cd, family_ckd,
                              family_ckd_mols, fourier_unitary,
                              permutation_unitary, v_unitary)
+from mumeb.families import save_family
 from mumeb.fields import FiniteField, ProductRing, ring_for_dimension
 from mumeb.verify import (_pair_classes, bruteforce_unbiased, certify_family,
                           criterion_check, criterion_magnitudes, gauss_sum_check,
@@ -18,7 +20,7 @@ from oracles import (basis_figures_per_basis, certify_exhaustive,
 def test_criterion_self_pair_peaks_at_d():
     # w = I concentrates the sums: d at (0, 0) and 0 off the diagonal
     ring = ring_for_dimension(5)
-    lo, hi = criterion_magnitudes(ring, 1, np.eye(5))
+    lo, hi = criterion_magnitudes(ring, np.eye(5))
     assert lo == pytest.approx(0.0, abs=1e-12)
     assert hi == pytest.approx(5.0, abs=1e-12)
     assert criterion_check(ring, 1, np.eye(5), np.eye(5)) == pytest.approx(4.0)
@@ -31,7 +33,7 @@ def test_criterion_flat_on_known_pairs():
     assert criterion_check(ring, 1, np.eye(3), u2) < 1e-10
     assert criterion_check(ring, 1, np.eye(3), w) < 1e-10
     with pytest.raises(ValueError):
-        criterion_magnitudes(ring, 1, np.eye(4))
+        criterion_magnitudes(ring, np.eye(4))
     with pytest.raises(ValueError):
         criterion_check(ring, 1, np.eye(4), np.eye(4))
 
@@ -87,6 +89,22 @@ def test_bruteforce_unbiased():
     assert abs(lo - 1 / 3) < 1e-9 and abs(hi - 1 / 3) < 1e-9
     with pytest.raises(ValueError):
         bruteforce_unbiased(b1, np.eye(4))
+    with pytest.raises(ValueError, match="bases have different shapes"):
+        bruteforce_unbiased(b1, [(np.arange(3), b2[:8, :3])])  # a chunk of 8 rows, not 9
+
+
+def test_basis_deviations_subtract_the_identity_at_the_chunk_columns():
+    # a chunk of B_I's own columns, out of order, has orthonormality 0 at
+    # the columns it names, and an entry of 1 left over where it names others
+    ring = ring_for_dimension(3)
+    b_id_full = expand_basis(ring, np.eye(12))
+    b_id = linalg.ColumnBlocks(linalg.whole_columns(b_id_full))
+    cols = np.array([30, 2, 17])
+    ortho, ent = verify._basis_deviations(b_id, np.eye(12), [(cols, b_id_full[:, cols])])
+    assert ortho <= 1e-15 and ent <= 1e-15
+    claimed = np.array([2, 30, 17])
+    ortho, _ = verify._basis_deviations(b_id, np.eye(12), [(claimed, b_id_full[:, cols])])
+    assert ortho >= 0.9
 
 
 def test_quadratic_sum_value_d3():
@@ -200,7 +218,7 @@ def test_pair_overlaps_depend_only_on_w(d, k):
     b_w = (w @ b_id.reshape(d, kd, n)).reshape(n, n)
     direct = expand_basis(ring, u).conj().T @ expand_basis(ring, v)
     assert np.abs(direct - b_id.conj().T @ b_w).max() <= 1e-13
-    lo, hi = criterion_magnitudes(ring, k, w)
+    lo, hi = criterion_magnitudes(ring, w)
     target = 1.0 / np.sqrt(k)
     assert criterion_check(ring, k, u, v) == max(abs(hi - target), abs(target - lo))
 
@@ -331,13 +349,15 @@ def _failing_bases(report):
     return [b["label"] for b in report.basis_results if not b["pass"]]
 
 
-def test_scaled_column_fails_orthonormality_in_both_routes(monkeypatch):
+def test_scaled_column_fails_orthonormality_in_both_routes(monkeypatch, tmp_path, capsys):
     def scale(cols, chunk):
         chunk[:, cols == 5] *= 1.01
 
     # every basis of family_ckd(3, 4) is its own basis class, so every
     # non-identity expansion is checked in both routes
     fam = family_ckd(3, 4)
+    path = tmp_path / "fam.json"
+    save_family(fam, path)
     _spoil_expansions(monkeypatch, scale)
     got, want = certify_family(fam), certify_exhaustive(fam)
     non_identity = [label for label, mat in fam.generators
@@ -350,6 +370,14 @@ def test_scaled_column_fails_orthonormality_in_both_routes(monkeypatch):
             assert b["orthonormality"] == pytest.approx(0.01, abs=1e-12)
             assert c["orthonormality"] == pytest.approx(0.0201, abs=1e-12)
     assert not got.passed and not want.passed
+    # each failing basis has its line, in failures() and in verify's stdout
+    basis_lines = [line for line in got.failures() if line.startswith("basis ")]
+    assert [line.split(":")[0] for line in basis_lines] == [f"basis {label}"
+                                                            for label in non_identity]
+    assert main(["verify", str(path)]) == 3
+    out = capsys.readouterr().out
+    for label in non_identity:
+        assert f"FAIL basis {label}: orthonormality 1.000e-02, entanglement " in out
 
 
 def test_spoiled_class_representative_fails_every_member(monkeypatch):
@@ -436,6 +464,6 @@ def _first_last_w(d, k):
 ], ids=["19-1", "15-9", "7-16", "3-64", "random-5-4"])
 def test_batched_criterion_matches_the_blockwise_loop(case):
     ring, k, w = case()
-    got = criterion_magnitudes(ring, k, w)
+    got = criterion_magnitudes(ring, w)
     want = criterion_magnitudes_blockwise(ring, k, w)
     assert np.abs(np.subtract(got, want)).max() <= 1e-15
