@@ -1,6 +1,8 @@
 """Construction and verification of mutually unbiased maximally entangled
 bases of C^d (x) C^kd for odd d."""
 
+__version__ = "0.1.0"  # before the imports: families writes it into every header
+
 from .bounds import BoundBreakdown, bound_dd, bound_dkd, nmols_lower
 from .construct import (MEBFamily, b_block, b_tensor, expand_basis, family_cd,
                         family_ckd, family_ckd_mols, fourier_unitary,
@@ -12,5 +14,3 @@ from .mols import (LatinSquare, Net, best_mols, fourier_hadamard, import_mols,
                    mols_macneish, mols_prime_power, mubs_from_net, net_from_mols)
 from .verify import (bruteforce_unbiased, certify_family, criterion_check,
                      gauss_sum_check)
-
-__version__ = "0.1.0"

@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from . import fields
+from . import __version__, fields
 from .construct import MEBFamily
 
 
@@ -131,7 +131,7 @@ def family_from_dict(payload):
 
 
 def _header(extra=None):
-    head = {"created": time.strftime("%Y-%m-%dT%H:%M:%S%z"), "tool": "mumeb 0.1.0"}
+    head = {"created": time.strftime("%Y-%m-%dT%H:%M:%S%z"), "tool": f"mumeb {__version__}"}
     if extra:
         head.update(extra)
     return head

@@ -120,10 +120,11 @@ class ColumnBlocks:
             yield cols.ravel(), block.reshape(cols.size, c)
 
 
-def max_entanglement_deviation(basis, d, dprime):
-    """Largest reduced-density deviation over the columns of a basis or of a
-    column chunk of one, taken 64 columns at a time so that the temporaries
-    stay small beside it."""
+def max_entanglement_deviation(basis, d, dprime, norms=np.ones(1)):
+    """Largest deviation of n rho from I_d / d over the reduced densities
+    rho of the columns of a basis or of a column chunk of one, and over the
+    weights n in `norms`, taken 64 columns at a time so that the
+    temporaries stay small beside it."""
     basis = np.asarray(basis, dtype=complex)
     n = basis.shape[1]
     coeff = basis.T.reshape(n, d, dprime)
@@ -132,6 +133,8 @@ def max_entanglement_deviation(basis, d, dprime):
     for start in range(0, n, 64):
         chunk = coeff[start:start + 64]
         rho = chunk @ chunk.conj().transpose(0, 2, 1)
-        rho[:, diag, diag] -= 1.0 / d
-        worst = max(worst, float(np.abs(rho).max()))
+        on = rho[:, diag, diag]
+        rho[:, diag, diag] = 0.0
+        worst = max(worst, float(norms.max()) * float(np.abs(rho).max()),
+                    float(np.abs(norms[:, None, None] * on - 1.0 / d).max()))
     return worst

@@ -37,6 +37,46 @@ M P^T P M^dag = M M^dag.  So both per-basis figures of U equal those of R
 up to the order of the kd terms of each sum, and certify_family computes
 them once for the first generator of each class of generators that share
 one canonical matrix (see _pair_classes).
+
+A k >= 2 generator built as U = A (x) C, A k x k and C d x d, is certified
+from its factors, with the mixed-product and reshaping rules of the
+Kronecker product (Van Loan, "The ubiquitous Kronecker product",
+J. Comput. Appl. Math. 123, 2000).  Write a row of C^d (x) C^kd as
+(iA, a, b), iB = a d + b, and a column as (xi, eta, j).  Column (xi, eta, j)
+of B_U has the entry (1/sqrt(d)) lambda(r xi) U[a d + b, j d + r] =
+A_aj (1/sqrt(d)) lambda(r xi) C_br, r = iA - eta, at row (iA, a, b); the
+last factor is entry ((iA, b), (xi, eta)) of B_C, the d-level (k = 1) basis
+of C.  So B_U = P (A (x) B_C) P', with P taking the rows (a, iA, b) to
+(iA, a, b) and P' the columns (j, xi, eta) to (xi, eta, j), both fixed by d
+and k.  In particular B_I = P (I_k (x) B_{I_d}) P', and in the same row
+order I_d (x) U^dag is P (A^dag (x) (I_d (x) C^dag)) P^T.  The mixed-product
+rule (P (x) Q)(R (x) S) = PR (x) QS then gives the three figures:
+
+1. Orthonormality.  B_I^dag (I_d (x) U^dag) B_U - I =
+   P'^T (X (x) G - I_k (x) I) P', with X = A^dag A and
+   G = B_{I_d}^dag (I_d (x) C^dag) B_C, so its largest entry is
+   max(max_{a != b} |X_ab| max |G|, max_a max |X_aa G - I|).
+2. Entanglement.  The d x kd reshape of column (xi, eta, j) of B_U is
+   [A_0j M, ..., A_(k-1)j M], with M the d x d reshape of column (xi, eta) of
+   B_C, so its reduced density is n_j M M^dag, with n_j = sum_a |A_aj|^2.
+3. A pair.  For U_s = A_s (x) C_s and U_t = A_t (x) C_t,
+   W = U_s^dag U_t = X (x) Y, with X = A_s^dag A_t and Y = C_s^dag C_t, and
+   B_I^dag B_W = P'^T (X (x) B_{I_d}^dag B_Y) P'.  Its magnitudes are the
+   products |X_ab| |Q_ij|, Q = B_{I_d}^dag B_Y, so their extremes are
+   min |X| min |Q| and max |X| max |Q|.  The criterion sum of W at
+   (xi, eta, j, l) is |X_jl| times that of Y at (xi, eta).
+
+The factors are read off the entries, never off labels or metadata (see
+_kron_factors), and a generator that is not A (x) C within
+rho = max |U - A (x) C| <= 2^-40 / kd keeps the streamed route.  The
+residual is folded into the figures.  Let e = kd rho, which bounds the
+operator norm of U - A (x) C and so of B_U - B_{A (x) C} =
+(I_d (x) (U - A (x) C)) B_I, B_I being unitary.  For a unitary U, U^dag U
+and the reduced densities of unit columns move by at most 2 e + e^2, so
+that much is added to the orthonormality and entanglement figures.  An
+overlap of two unit columns moves by at most e_s + e_t + e_s e_t; a
+criterion sum, d terms of W with unit phases, by d times that; and their
+agreement by twice that.
 """
 
 import dataclasses
@@ -141,8 +181,6 @@ def bruteforce_unbiased(basis_a, basis_b):
         basis_b = linalg.whole_columns(basis_b)
     lo, hi = np.inf, 0.0
     for _, chunk in basis_b:
-        if chunk.shape[0] != basis_a.shape[0]:
-            raise ValueError("bases have different shapes")
         for _, block in basis_a.adjoint_products(chunk):
             mags = np.abs(block)
             lo = min(lo, float(mags.min()))
@@ -150,10 +188,12 @@ def bruteforce_unbiased(basis_a, basis_b):
     return lo, hi
 
 
-def _basis_deviations(b_id, u, chunks):
+def _basis_deviations(b_id, u, chunks, x=np.ones((1, 1)), norms=np.ones(1)):
     """(orthonormality, entanglement) of the basis B_U of U from its column
     chunks: max |((I_d (x) U) B_I)^dag B_U - I| and the largest deviation of
-    a reduced density from I_d / d.
+    a reduced density from I_d / d.  Given the Gram matrix x = A^dag A and
+    the squared column norms of a matrix A, the same two figures of the
+    basis of A (x) U instead (figures 1 and 2 of the module docstring).
 
     The first is B_I^dag ((I_d (x) U^dag) B_U) - I over the column blocks
     of B_I.  For a unitary U it equals the Gram defect max |B_U^dag B_U - I|,
@@ -163,19 +203,27 @@ def _basis_deviations(b_id, u, chunks):
     """
     kd = u.shape[0]
     u_dag = u.conj().T
+    x_diag = np.diagonal(x)
+    on_scale = float(np.abs(x_diag).max())  # max_a |X_aa|
+    off_scale = float(np.abs(x - np.diag(x_diag)).max())  # max_(a != b) |X_ab|
     slot = np.full(b_id.shape[1], -1)  # of each column of B_U in the current chunk
-    ortho = ent = 0.0
+    ortho = ent = g_max = 0.0
     for cols, chunk in chunks:
         n, c = chunk.shape
-        ent = max(ent, linalg.max_entanglement_deviation(chunk, n // kd, kd))
-        x = np.matmul(u_dag, chunk.reshape(n // kd, kd, c)).reshape(n, c)
+        ent = max(ent, linalg.max_entanglement_deviation(chunk, n // kd, kd, norms))
+        y = np.matmul(u_dag, chunk.reshape(n // kd, kd, c)).reshape(n, c)
         slot[cols] = np.arange(c)
-        for ids, block in b_id.adjoint_products(x):
+        for ids, block in b_id.adjoint_products(y):
             own = np.flatnonzero(slot[ids] >= 0)
-            block[own, slot[ids[own]]] -= 1.0
-            ortho = max(ortho, float(np.abs(block).max()))
+            at = (own, slot[ids[own]])
+            diag = block[at]
+            block[at] = 0.0
+            off = float(np.abs(block).max())
+            g_max = max(g_max, off, float(np.abs(diag).max(initial=0.0)))
+            ortho = max(ortho, on_scale * off,
+                        float(np.abs(x_diag[:, None] * diag - 1.0).max(initial=0.0)))
         slot[cols] = -1
-    return ortho, ent
+    return max(ortho, off_scale * g_max), ent
 
 
 def _tally(chunks, stages):
@@ -213,6 +261,28 @@ def gauss_sum_check(ring):
 # ---------------------------------------------------------------------------
 # full certification
 
+# Largest kd * max |U - A (x) C| for which U is certified from A and C
+_FACTOR_LIMIT = 2.0 ** -40
+
+
+def _kron_factors(u, d):
+    """(A, C, rho) with U within rho = max |U - A (x) C| of A (x) C, A
+    being k x k and C d x d, or None when kd rho exceeds _FACTOR_LIMIT.
+
+    C is the d x d block of U holding its first largest |entry|, at row
+    i0 d + r0 and column j0 d + s0, and A_ij = U[i d + r0, j d + s0] / that
+    entry.  For U = A' (x) C' this is A = A' / A'_(i0 j0) and
+    C = A'_(i0 j0) C', so A (x) C = U up to rounding.
+    """
+    kd = u.shape[0]
+    at = np.unravel_index(np.argmax(np.abs(u)), u.shape)
+    (i0, r0), (j0, s0) = divmod(int(at[0]), d), divmod(int(at[1]), d)
+    c = u[i0 * d:(i0 + 1) * d, j0 * d:(j0 + 1) * d]
+    a = u[r0::d, s0::d] / u[at]
+    rho = float(np.abs(np.kron(a, c) - u).max())
+    return (a, c, rho) if kd * rho <= _FACTOR_LIMIT else None
+
+
 def _pair_classes(mats):
     """(i, j, class) for every pair i < j, in itertools.combinations order,
     the first pair (i, j) of each class, and the canonical id of each
@@ -249,25 +319,41 @@ def _pair_classes(mats):
 def certify_family(family, tolerance=1e-8, pairs_only=False):
     """Check everything the family claims, holding no N x N array.
 
-    First the column blocks of B_I are read off its chunks.  Per basis
-    class (skipped when pairs_only): stream the expansion of the class's
-    first generator U, as it stands, and check orthonormality against
+    Per basis class (skipped when pairs_only), take the class's first
+    generator U as it stands.  When k >= 2 and U factors as A (x) C (see
+    _kron_factors), the route is "factored": stream the d-level expansion
+    of C against the column blocks of B_{I_d} and scale its figures by
+    those of A (figures 1 and 2 of the module docstring).  Otherwise it is
+    "streamed": stream the expansion of U and check orthonormality against
     (I_d (x) U) B_I and maximal entanglement, chunk by chunk.  A class holds
     the generators R[p] that are row gathers of one another, whose bases
     B_{R[p]} = (I_d (x) P) B_R are row permutations of one another; that
     changes neither figure beyond the order of summation (see the module
     docstring).  Every basis keeps its own report row, in generator order,
-    carrying its class's figures and the class id under "class".  Per pair
-    class (see _pair_classes), with W = U^dag V of its first pair:
-    brute-force overlap extremes of B_I against the chunks of
-    B_W = (I_d (x) W) B_I against 1/sqrt(kd^2), criterion extremes of W
-    against 1/sqrt(k), and agreement of the two routes after the factor-d
-    rescaling.  Every pair keeps its own report row, in combinations order,
-    carrying its class's figures and the class id under "class".
+    carrying its class's figures, the class id under "class", the route,
+    and for a factored class its "factor_residual" rho.
 
-    report.stages records the wall time of each stage and the counts of
-    bases, basis classes, pairs, pair classes and chunks, and the bytes of
-    the largest chunk.
+    Per pair class (see _pair_classes), take its first pair (U, V).  When
+    both factor, as A_s (x) C_s and A_t (x) C_t, the route is "factored":
+    with X = A_s^dag A_t and Y = C_s^dag C_t, the overlap extremes are those
+    of B_{I_d} against the chunks of B_Y times min |X| and max |X|, and the
+    criterion extremes those of Y times the same (figure 3).  Otherwise the
+    route is "streamed": with W = U^dag V, brute-force overlap extremes of
+    B_I against the chunks of B_W = (I_d (x) W) B_I, and criterion extremes
+    of W.  Either way the overlaps are held against 1/sqrt(kd^2), the
+    criterion against 1/sqrt(k), and the two routes must agree after the
+    factor-d rescaling.  Every pair keeps its own report row, in
+    combinations order, carrying its class's figures, the class id under
+    "class" and the route.  A factored figure includes the bound on how far
+    the residuals of the factors can move it (module docstring), so every
+    pass test holds for the generators as they stand.
+
+    B_I and B_{I_d} are read into column blocks the first time a class
+    needs them.  report.stages records the wall time of each stage (the
+    reading of B_I or B_{I_d}, under identity_blocks_s, is also part of the
+    stage that first needs it) and the counts of bases, basis classes and
+    factored basis classes, pairs, pair classes and factored pair classes,
+    and chunks, and the bytes of the largest chunk.
     """
     t0 = time.perf_counter()
     d, k = family.d, family.k
@@ -285,8 +371,9 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
     family_id = f"{family.metadata.get('construction', 'family')}-d{d}-k{k}"
     report = VerificationReport(family_id, d, k, family.n_bases, tolerances)
     stages = report.stages
-    stages.update(bases=family.n_bases, basis_classes=0, pairs=0, classes=0, chunks=0,
-                  max_chunk_bytes=0)
+    stages.update(bases=family.n_bases, basis_classes=0, factored_basis_classes=0, pairs=0,
+                  classes=0, factored_pair_classes=0, chunks=0, max_chunk_bytes=0,
+                  identity_blocks_s=0.0)
 
     for label, mat in family.generators:
         ok, dev = linalg.is_unitary(mat, 1e-9)
@@ -308,17 +395,36 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
     def chunks_of(u):
         return _tally(construct.expand_chunks(ring, u), stages)
 
-    t_stage = time.perf_counter()
-    if not pairs_only or first:
-        b_id = linalg.ColumnBlocks(chunks_of(np.eye(kd)))
-    stages["identity_blocks_s"] = time.perf_counter() - t_stage
+    blocks = {}
+
+    def identity_blocks(size):
+        """The column blocks of B_I for size kd, or of B_{I_d} for size d."""
+        if size not in blocks:
+            t = time.perf_counter()
+            blocks[size] = linalg.ColumnBlocks(chunks_of(np.eye(size)))
+            stages["identity_blocks_s"] += time.perf_counter() - t
+        return blocks[size]
+
+    factors = [_kron_factors(u, d) if k > 1 else None for u in mats]
 
     t_stage = time.perf_counter()
     if not pairs_only:
-        figures = [_basis_deviations(b_id, mats[i], chunks_of(mats[i]))
-                   for i in basis_first.values()]
+        figures = []
+        for i in basis_first.values():
+            if factors[i] is None:
+                ortho, ent = _basis_deviations(identity_blocks(kd), mats[i], chunks_of(mats[i]))
+                figures.append((ortho, ent, {"route": "streamed"}))
+                continue
+            a, c_mat, rho = factors[i]
+            ortho, ent = _basis_deviations(identity_blocks(d), c_mat, chunks_of(c_mat),
+                                           a.conj().T @ a, (np.abs(a) ** 2).sum(axis=0))
+            e = kd * rho
+            shift = 2 * e + e * e
+            figures.append((ortho + shift, ent + shift,
+                            {"route": "factored", "factor_residual": rho}))
+            stages["factored_basis_classes"] += 1
         for (label, _), c in zip(family.generators, ids):
-            ortho, ent = figures[c]
+            ortho, ent, route = figures[c]
             report.basis_results.append({
                 "label": label,
                 "orthonormality": ortho,
@@ -326,25 +432,40 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
                 "pass": ortho <= tolerances["orthonormality"]
                         and ent <= tolerances["entanglement"],
                 "class": c,
+                **route,
             })
     stages["bases_s"] = time.perf_counter() - t_stage
 
     t_stage = time.perf_counter()
     class_results = []
     for i, j in first:
-        w = mats[i].conj().T @ mats[j]
-        ov_lo, ov_hi = bruteforce_unbiased(b_id, chunks_of(w))
-        cr_lo, cr_hi = criterion_magnitudes(ring, w)
-        ov_dev = deviation(ov_lo, ov_hi, target)
-        cr_dev = deviation(cr_lo, cr_hi, crit_target)
+        if factors[i] is None or factors[j] is None:
+            w = mats[i].conj().T @ mats[j]
+            ov_lo, ov_hi = bruteforce_unbiased(identity_blocks(kd), chunks_of(w))
+            cr_lo, cr_hi = criterion_magnitudes(ring, w)
+            shift, route = 0.0, "streamed"
+        else:
+            (a_s, c_s, rho_s), (a_t, c_t, rho_t) = factors[i], factors[j]
+            x = np.abs(a_s.conj().T @ a_t)
+            x_lo, x_hi = float(x.min()), float(x.max())
+            y = c_s.conj().T @ c_t
+            ov_lo, ov_hi = bruteforce_unbiased(identity_blocks(d), chunks_of(y))
+            cr_lo, cr_hi = criterion_magnitudes(ring, y)
+            ov_lo, ov_hi, cr_lo, cr_hi = x_lo * ov_lo, x_hi * ov_hi, x_lo * cr_lo, x_hi * cr_hi
+            e_s, e_t = kd * rho_s, kd * rho_t
+            shift, route = e_s + e_t + e_s * e_t, "factored"
+            stages["factored_pair_classes"] += 1
+        ov_dev = deviation(ov_lo, ov_hi, target) + shift
+        cr_dev = deviation(cr_lo, cr_hi, crit_target) + d * shift
         class_results.append({
             "overlap_min": ov_lo,
             "overlap_max": ov_hi,
             "overlap_deviation": ov_dev,
             "criterion_deviation": cr_dev,
-            "agreement": max(abs(cr_hi / d - ov_hi), abs(cr_lo / d - ov_lo)),
+            "agreement": max(abs(cr_hi / d - ov_hi), abs(cr_lo / d - ov_lo)) + 2 * shift,
             "pass": ov_dev <= tolerance,
             "criterion_pass": cr_dev <= tolerance,
+            "route": route,
         })
     stages["classes_s"] = time.perf_counter() - t_stage
     for i, j, c in pairs:

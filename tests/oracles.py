@@ -11,6 +11,11 @@ per-basis checks once per basis instead of once per basis class, family
 certification with every basis expanded and one overlap product per pair,
 matrices as the nested lists json.dump writes, and family files read by
 json.load alone instead of the family-file scanner.
+
+rotated_family builds inputs rather than checking them: a family whose
+generators Q U_t, for one fixed random unitary Q, keep every
+W = U_s^dag U_t of the family but do not factor as A (x) C, so that
+certify_family takes its streamed route for them.
 """
 
 import json
@@ -283,6 +288,24 @@ def certify_exhaustive(family, tolerance=1e-8, pairs_only=False):
     )
     report.wall_time_s = time.perf_counter() - t0
     return report
+
+
+def random_unitary(n, seed):
+    """An n x n unitary drawn from the Haar measure with a fixed seed."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rotated_family(family, seed=0):
+    """The family with every generator U_t replaced by Q U_t, for one random
+    kd x kd unitary Q.  Each pair keeps W = U_s^dag Q^dag Q U_t = U_s^dag U_t
+    up to rounding, so the family passes or fails as before, but a generator
+    Q (A (x) C) is no Kronecker product, so certify_family streams it."""
+    q = random_unitary(family.k * family.d, seed)
+    return construct.MEBFamily(family.d, family.k, family.ring,
+                               [(label, q @ u) for label, u in family.generators],
+                               family.metadata)
 
 
 def matrix_to_json(mat):

@@ -14,6 +14,7 @@ from mumeb.verify import certify_family, criterion_check, gauss_sum_check
 from mumeb.construct import permutation_unitary
 
 import numpy as np
+from oracles import certify_exhaustive
 
 K1_COUNTS = {3: 4, 5: 8, 7: 12, 9: 16, 15: 4, 21: 4, 25: 48}
 
@@ -171,3 +172,23 @@ def test_criterion_8_mols_net_mub_chain():
                 ok = ok and np.abs(mags - 1 / x).max() < 1e-9
     _gate(8, ok, "x in {2,3,4,5,7,8}: complete square sets, exhaustive net "
                  "axioms, unbiased bases flat at 1/x")
+
+
+def test_criterion_9_exhaustive_route_on_tensor_families():
+    # verify certifies these from their Kronecker factors; the oracle expands
+    # and holds every kd-level basis and runs one overlap product per pair
+    keys = [key for key in _all_family_keys() if key[2] >= 2]
+    ok, worst = True, 0.0
+    for key in keys:
+        got, want = _report(*key), certify_exhaustive(_family(*key))
+        ok = ok and got.passed and want.passed
+        ok = ok and [(b["label"], b["pass"]) for b in got.basis_results] == \
+            [(b["label"], b["pass"]) for b in want.basis_results]
+        ok = ok and [(p["a"], p["b"], p["pass"], p["criterion_pass"]) for p in got.pair_results] == \
+            [(p["a"], p["b"], p["pass"], p["criterion_pass"]) for p in want.pair_results]
+        for p, q in zip(got.pair_results, want.pair_results):
+            worst = max(worst, abs(p["overlap_min"] - q["overlap_min"]),
+                        abs(p["overlap_max"] - q["overlap_max"]))
+    ok = ok and worst <= 1e-12
+    _gate(9, ok, f"{len(keys)} k >= 2 families also certified by the exhaustive route: "
+                 f"same verdicts, overlap extremes within {worst:.1e}")

@@ -8,14 +8,7 @@ from mumeb.construct import (MEBFamily, b_block, b_tensor, expand_basis, expand_
 from mumeb.fields import FiniteField, GaloisRing, ring_for_dimension
 from mumeb.mols import OrthogonalityViolation, mols_prime_power
 from oracles import (expand_basis_whole, field_add, field_mul, generic_character,
-                     pauli_matrix, ring_op)
-
-
-def _random_unitary(n, seed):
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(m)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+                     pauli_matrix, random_unitary, ring_op)
 
 
 def test_permutation_unitary_is_group_homomorphism():
@@ -125,7 +118,7 @@ def test_expand_basis_against_hand_loop_oracle():
     ring = ring_for_dimension(3)
     d, k = 3, 2
     kd, n = k * d, k * d * d
-    u = _random_unitary(kd, seed=11)
+    u = random_unitary(kd, seed=11)
     got = expand_basis(ring, u)
     for xi in range(d):
         for eta in range(d):
@@ -146,7 +139,7 @@ def test_expand_basis_matches_pauli_route():
     ring = ring_for_dimension(3)
     d, k = 3, 2
     kd = k * d
-    u = _random_unitary(kd, seed=23)
+    u = random_unitary(kd, seed=23)
     got = expand_basis(ring, u)
     base_cols = got[:, 0:k]  # (xi, eta) = (0, 0)
     for xi in range(d):

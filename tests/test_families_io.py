@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import mumeb
 from mumeb import families
 from mumeb.cli import main
 from mumeb.construct import MEBFamily, family_cd, family_ckd, family_ckd_mols
@@ -15,7 +16,7 @@ from mumeb.families import (SchemaError, family_from_dict, load_family,
                             matrix_from_json, save_family, save_report)
 from mumeb.fields import ring_for_dimension
 from mumeb.verify import certify_family
-from oracles import load_family_json, load_outcome, matrix_to_json
+from oracles import load_family_json, load_outcome, matrix_to_json, rotated_family
 
 
 def family_to_dict(family):
@@ -219,6 +220,15 @@ def test_save_family_writes_the_bytes_of_json_dump(tmp_path, build):
     assert json.loads(fast.read_text(encoding="utf-8"))["header"]["tool"] == "mumeb 0.1.0"
 
 
+def test_headers_name_the_package_version(tmp_path):
+    fam = family_cd(3)
+    save_family(fam, tmp_path / "family.json")
+    save_report(certify_family(fam), tmp_path / "report.json")
+    for name in ("family.json", "report.json"):
+        header = json.loads((tmp_path / name).read_text(encoding="utf-8"))["header"]
+        assert header["tool"] == f"mumeb {mumeb.__version__}"
+
+
 def test_in_memory_families_hold_what_they_claim():
     # the writer cases above are only as strong as the bits they hold
     zeros = SIGNED_ZEROS.generators[0][1]
@@ -343,20 +353,35 @@ def test_integer_entry_beyond_the_float_range_is_malformed(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-def test_report_header_carries_stage_timings_and_counts(tmp_path):
-    report = certify_family(family_ckd(3, 4))
+def _assert_header_stages(tmp_path, fam, factored, n):
+    report = certify_family(fam)
     path = tmp_path / "report.json"
     save_report(report, path)
     doc = json.loads(path.read_text())
     stages = doc["header"]["stages"]
-    assert {key: stages[key] for key in ("bases", "pairs", "classes", "chunks")} == \
-        {"bases": 4, "pairs": 6, "classes": 6, "chunks": 1 + 4 + 6}
-    assert stages["max_chunk_bytes"] == 16 * 36 * 36
+    keys = ("bases", "pairs", "classes", "chunks", "factored_basis_classes",
+            "factored_pair_classes")
+    assert {key: stages[key] for key in keys} == \
+        {"bases": 4, "pairs": 6, "classes": 6, "chunks": 1 + 4 + 6,
+         "factored_basis_classes": 4 * factored, "factored_pair_classes": 6 * factored}
+    assert stages["max_chunk_bytes"] == 16 * n * n  # each expansion is one chunk
     assert all(stages[key] >= 0 for key in ("unitarity_s", "identity_blocks_s",
                                             "bases_s", "classes_s"))
     # outside the header the report is to_dict()
     body = {k: v for k, v in doc.items() if k != "header"}
     assert body == json.loads(json.dumps(report.to_dict()))
+
+
+def test_report_header_carries_stage_timings_and_counts(tmp_path):
+    # the rotated family does not factor, so it streams B_I, 4 bases and 6
+    # B_W at N = 36
+    _assert_header_stages(tmp_path, rotated_family(family_ckd(3, 4)), False, 36)
+
+
+def test_report_header_counts_the_factored_classes(tmp_path):
+    # family_ckd(3, 4) factors, so it streams B_{I_d}, 4 bases B_C and 6 B_Y
+    # at the d-level N = 9
+    _assert_header_stages(tmp_path, family_ckd(3, 4), True, 9)
 
 
 @pytest.mark.parametrize("edit,message", [

@@ -14,7 +14,8 @@ from mumeb.verify import (_pair_classes, bruteforce_unbiased, certify_family,
                           criterion_check, criterion_magnitudes, gauss_sum_check,
                           quadratic_sum_direct)
 from oracles import (basis_figures_per_basis, certify_exhaustive,
-                     criterion_magnitudes_blockwise, gauss_sum_reference)
+                     criterion_magnitudes_blockwise, gauss_sum_reference, random_unitary,
+                     rotated_family)
 
 
 def test_criterion_self_pair_peaks_at_d():
@@ -89,7 +90,7 @@ def test_bruteforce_unbiased():
     assert abs(lo - 1 / 3) < 1e-9 and abs(hi - 1 / 3) < 1e-9
     with pytest.raises(ValueError):
         bruteforce_unbiased(b1, np.eye(4))
-    with pytest.raises(ValueError, match="bases have different shapes"):
+    with pytest.raises(ValueError, match="need 9 rows, got shape"):
         bruteforce_unbiased(b1, [(np.arange(3), b2[:8, :3])])  # a chunk of 8 rows, not 9
 
 
@@ -201,18 +202,12 @@ def test_certify_reports_tampered_generator_by_name():
     assert any("tampered" in line for line in report.failures())
 
 
-def _random_unitary(n, seed):
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 @pytest.mark.parametrize("d,k", [(5, 1), (3, 4)])
 def test_pair_overlaps_depend_only_on_w(d, k):
     # B_U = (I_d (x) U) B_I, so B_U^dag B_V = B_I^dag (I_d (x) U^dag V) B_I
     ring = ring_for_dimension(d)
     kd, n = k * d, k * d * d
-    u, v = _random_unitary(kd, 2 * d + k), _random_unitary(kd, 3 * d + k)
+    u, v = random_unitary(kd, 2 * d + k), random_unitary(kd, 3 * d + k)
     w = u.conj().T @ v
     b_id = expand_basis(ring, np.eye(kd))
     b_w = (w @ b_id.reshape(d, kd, n)).reshape(n, n)
@@ -223,23 +218,23 @@ def test_pair_overlaps_depend_only_on_w(d, k):
     assert criterion_check(ring, k, u, v) == max(abs(hi - target), abs(target - lo))
 
 
-def _assert_same_verdicts(got, want):
-    # flags and labels exactly; figures within 1e-12, since the block
-    # products sum in another order than the dense ones
+def _assert_same_verdicts(got, want, bound=1e-12):
+    # flags and labels exactly; figures within `bound`, by default 1e-12,
+    # since the block products sum in another order than the dense ones
     assert got.passed == want.passed
     assert len(got.basis_results) == len(want.basis_results)
     for b, c in zip(got.basis_results, want.basis_results):
         assert (b["label"], b["pass"]) == (c["label"], c["pass"])
         for key in ("orthonormality", "entanglement"):
-            assert abs(b[key] - c[key]) <= 1e-12, key
+            assert abs(b[key] - c[key]) <= bound, key
     assert len(got.pair_results) == len(want.pair_results)
     for p, q in zip(got.pair_results, want.pair_results):
         assert (p["a"], p["b"], p["pass"], p["criterion_pass"]) == \
                (q["a"], q["b"], q["pass"], q["criterion_pass"])
         for key in ("overlap_min", "overlap_max", "overlap_deviation",
                     "criterion_deviation", "agreement"):
-            assert abs(p[key] - q[key]) <= 1e-12, key
-    assert abs(got.agreement_deviation - want.agreement_deviation) <= 1e-12
+            assert abs(p[key] - q[key]) <= bound, key
+    assert abs(got.agreement_deviation - want.agreement_deviation) <= bound
 
 
 @pytest.mark.parametrize("build,classes", [
@@ -272,15 +267,17 @@ def test_basis_class_counts(build, classes):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: family_ckd(3, 4), lambda: family_ckd(9, 4), lambda: family_ckd_mols(7, 9),
-    lambda: family_cd(15),
+    lambda: rotated_family(family_ckd(3, 4)), lambda: rotated_family(family_ckd(9, 4)),
+    lambda: rotated_family(family_ckd_mols(7, 9)), lambda: family_cd(15),
 ], ids=["3-4", "9-4", "7-9-mols", "15-1"])
 def test_basis_rows_carry_the_per_basis_figures_of_their_representative(build):
-    # each row holds, bit for bit, what the per-basis loop computes for the
-    # first generator of its class; where every class is a single basis, as
-    # in the gauss-tensor families, that is the row's own figure
+    # each streamed row holds, bit for bit, what the per-basis loop computes
+    # for the first generator of its class; where every class is a single
+    # basis, as in the gauss-tensor families, that is the row's own figure.
+    # The k >= 2 families are rotated, so that none of them factors
     fam = build()
     rows = certify_family(fam).basis_results
+    assert {row["route"] for row in rows} == {"streamed"}
     per_basis = basis_figures_per_basis(fam)
     first = {}
     for i, row in enumerate(rows):
@@ -292,12 +289,115 @@ def test_basis_rows_carry_the_per_basis_figures_of_their_representative(build):
         assert [row["class"] for row in rows] == list(range(fam.n_bases))
 
 
+def _residual_bound(fam):
+    """The largest shift the factor residuals can add to a figure of fam,
+    all of whose generators factor: d (2 e + e^2), e being the largest
+    kd rho over the generators, which is the criterion shift of a pair
+    with e_s = e_t = e; every other shift is smaller."""
+    kd = fam.k * fam.d
+    e = max(kd * verify._kron_factors(u, fam.d)[2] for _, u in fam.generators)
+    return fam.d * (2 * e + e * e)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: family_ckd(3, 4), lambda: family_ckd(9, 4), lambda: family_ckd_mols(7, 9),
+], ids=["3-4", "9-4", "7-9-mols"])
+def test_factored_basis_rows_carry_the_per_basis_figures_of_their_representative(build):
+    # a factored row holds its class's figures, which are those of the
+    # per-basis loop within 1e-12 of rounding plus the residual shift
+    fam = build()
+    rows = certify_family(fam).basis_results
+    bound = 1e-12 + _residual_bound(fam)
+    figures = {}
+    for row, (label, ortho, ent) in zip(rows, basis_figures_per_basis(fam)):
+        assert (row["label"], row["route"]) == (label, "factored")
+        assert 0 <= fam.k * fam.d * row["factor_residual"] <= 2.0 ** -40
+        assert abs(row["orthonormality"] - ortho) <= bound
+        assert abs(row["entanglement"] - ent) <= bound
+        e = fam.k * fam.d * row["factor_residual"]  # its shift is part of each figure
+        assert min(row["orthonormality"], row["entanglement"]) >= 2 * e + e * e
+        figure = (row["orthonormality"], row["entanglement"], row["factor_residual"])
+        assert figures.setdefault(row["class"], figure) == figure
+
+
+@pytest.mark.parametrize("build", [
+    lambda: family_ckd(3, 4), lambda: family_ckd(9, 4), lambda: family_ckd(3, 6),
+    lambda: family_ckd(15, 9), lambda: family_ckd_mols(7, 9), lambda: family_ckd_mols(5, 16),
+], ids=["3-4", "9-4", "3-6", "15-9", "7-9-mols", "5-16-mols"])
+def test_factored_route_matches_exhaustive_oracle(build):
+    # every generator factors, so every class takes the factored route; the
+    # oracle expands and holds every kd-level basis.  Flags and labels must
+    # be equal, and figures within 1e-12 plus the residual shift
+    fam = build()
+    got = certify_family(fam)
+    assert {row["route"] for row in got.basis_results + got.pair_results} == {"factored"}
+    stages = got.stages
+    assert (stages["factored_basis_classes"], stages["factored_pair_classes"]) == \
+        (stages["basis_classes"], stages["classes"])
+    _assert_same_verdicts(got, certify_exhaustive(fam), 1e-12 + _residual_bound(fam))
+    assert got.passed
+
+
+def test_factored_route_matches_exhaustive_oracle_on_uneven_factors():
+    # random k x k unitaries A_t in place of the flat blocks: each
+    # A_t (x) C_t still factors, but |A_s^dag A_t| is uneven, so every pair
+    # fails, and only the smallest and largest |entry| give its extremes
+    base = family_cd(3)
+    gens = [(label, np.kron(random_unitary(4, seed), u))
+            for seed, (label, u) in enumerate(base.generators)]
+    fam = MEBFamily(3, 4, base.ring, gens, base.metadata)
+    got = certify_family(fam)
+    assert {row["route"] for row in got.basis_results + got.pair_results} == {"factored"}
+    _assert_same_verdicts(got, certify_exhaustive(fam), 1e-12 + _residual_bound(fam))
+    assert all(b["pass"] for b in got.basis_results)
+    assert not any(p["pass"] or p["criterion_pass"] for p in got.pair_results)
+
+
+def test_tampered_cell_fails_the_factor_check_and_the_streamed_route():
+    # generator 0 of family_ckd(3, 4) is I_12; turning one cell of its block
+    # (1, 1) to i leaves a unitary (a monomial matrix) and an orthonormal,
+    # maximally entangled basis, but no A (x) C, and one no longer unbiased
+    # to those of generators 2 and 3
+    fam = family_ckd(3, 4)
+    gens = list(fam.generators)
+    label, u = gens[0]
+    assert np.array_equal(u, np.eye(12))
+    u = u.copy()
+    u[4, 4] = 1j
+    gens[0] = (label, u)
+    assert verify._kron_factors(u, 3) is None
+    tampered = MEBFamily(3, 4, fam.ring, gens, fam.metadata)
+    got, want = certify_family(tampered), certify_exhaustive(tampered)
+    _assert_same_verdicts(got, want, 1e-12 + _residual_bound(fam))
+    assert [(b["label"], b["route"], b["pass"]) for b in got.basis_results] == \
+        [(other, "streamed" if other == label else "factored", True) for other, _ in gens]
+    assert [p["route"] for p in got.pair_results] == ["streamed"] * 3 + ["factored"] * 3
+    failing = [(p["a"], p["b"]) for p in got.pair_results
+               if not (p["pass"] or p["criterion_pass"])]
+    assert failing == [(label, gens[2][0]), (label, gens[3][0])]
+    assert not got.passed
+    assert got.stages["factored_basis_classes"] == 3 and got.stages["factored_pair_classes"] == 3
+
+
+@pytest.mark.parametrize("build", [lambda: family_cd(3), lambda: family_cd(15),
+                                   lambda: rotated_family(family_ckd(3, 4))],
+                         ids=["3-1", "15-1", "rotated-3-4"])
+def test_unfactored_families_take_the_streamed_route(build):
+    # k = 1 generators are never factored; rotated k >= 2 generators do not factor
+    report = certify_family(build())
+    rows = report.basis_results + report.pair_results
+    assert {row["route"] for row in rows} == {"streamed"}
+    assert not any("factor_residual" in row for row in rows)
+    assert report.stages["factored_basis_classes"] == report.stages["factored_pair_classes"] == 0
+    assert report.passed
+
+
 def test_spoiled_family_fails_the_same_pairs_in_both_routes():
     # one generator replaced by a random unitary, one by a twist whose rows
     # are reversed: the labels stay, only the matrices say which pairs differ
     fam = family_cd(19)
     gens = list(fam.generators)
-    gens[3] = (gens[3][0], _random_unitary(19, 7))
+    gens[3] = (gens[3][0], random_unitary(19, 7))
     gens[20] = (gens[20][0], gens[20][1][::-1])
     spoiled = MEBFamily(19, 1, fam.ring, gens, fam.metadata)
     got, want = certify_family(spoiled), certify_exhaustive(spoiled)
@@ -308,23 +408,36 @@ def test_spoiled_family_fails_the_same_pairs_in_both_routes():
     assert all(gens[3][0] in pair or gens[20][0] in pair for pair in failing)
 
 
-def test_pairs_only_expands_the_identity_basis_at_most_once(monkeypatch):
+def _count_expansions(monkeypatch):
+    """Record (size, whether it is the identity) of every expansion."""
     calls = []
     chunks = construct.expand_chunks
 
     def counting(ring, u):
-        calls.append(np.array_equal(u, np.eye(len(u))))  # True for B_I
+        calls.append((len(u), np.array_equal(u, np.eye(len(u)))))
         return chunks(ring, u)
 
     monkeypatch.setattr(construct, "expand_chunks", counting)
-    fam = family_ckd(3, 4)
+    return calls
+
+
+def test_pairs_only_expands_the_identity_basis_at_most_once(monkeypatch):
+    calls = _count_expansions(monkeypatch)
+    fam = rotated_family(family_ckd(3, 4))
     report = certify_family(fam, pairs_only=True)
     assert report.passed and len(report.pair_results) == 6
-    assert calls == [True] + [False] * 6  # B_I, then B_W once per class
+    assert calls == [(12, True)] + [(12, False)] * 6  # B_I, then B_W once per class
     calls.clear()
     assert certify_family(MEBFamily(3, 1, fam.ring, [("only", np.eye(3))]),
                           pairs_only=True).passed
     assert calls == []
+
+
+def test_factored_pairs_only_expands_the_d_level_identity_basis_once(monkeypatch):
+    calls = _count_expansions(monkeypatch)
+    report = certify_family(family_ckd(3, 4), pairs_only=True)
+    assert report.passed and len(report.pair_results) == 6
+    assert calls == [(3, True)] + [(3, False)] * 6  # B_{I_d}, then B_Y once per class
 
 
 def _spoil_expansions(monkeypatch, spoil, target=None):
@@ -349,19 +462,19 @@ def _failing_bases(report):
     return [b["label"] for b in report.basis_results if not b["pass"]]
 
 
-def test_scaled_column_fails_orthonormality_in_both_routes(monkeypatch, tmp_path, capsys):
-    def scale(cols, chunk):
-        chunk[:, cols == 5] *= 1.01
+def _scale_column_5(cols, chunk):
+    chunk[:, cols == 5] *= 1.01
 
-    # every basis of family_ckd(3, 4) is its own basis class, so every
-    # non-identity expansion is checked in both routes
-    fam = family_ckd(3, 4)
+
+def _assert_scaled_column_fails(monkeypatch, tmp_path, capsys, fam, route):
     path = tmp_path / "fam.json"
     save_family(fam, path)
-    _spoil_expansions(monkeypatch, scale)
+    _spoil_expansions(monkeypatch, _scale_column_5)
     got, want = certify_family(fam), certify_exhaustive(fam)
+    assert {b["route"] for b in got.basis_results} == {route}
     non_identity = [label for label, mat in fam.generators
                     if not np.array_equal(mat, np.eye(12))]
+    assert non_identity
     assert _failing_bases(got) == _failing_bases(want) == non_identity
     # the scaled column enters ((I_d (x) U) B_I)^dag B_U once (1.01 - 1) and
     # the Gram matrix B_U^dag B_U twice (1.01^2 - 1)
@@ -370,6 +483,9 @@ def test_scaled_column_fails_orthonormality_in_both_routes(monkeypatch, tmp_path
             assert b["orthonormality"] == pytest.approx(0.01, abs=1e-12)
             assert c["orthonormality"] == pytest.approx(0.0201, abs=1e-12)
     assert not got.passed and not want.passed
+    # the spoiled expansions of B_W, or of B_Y, move the overlaps of every
+    # pair class and the criterion sums of none: the routes share no figure
+    assert all(not p["pass"] and p["criterion_pass"] for p in got.pair_results)
     # each failing basis has its line, in failures() and in verify's stdout
     basis_lines = [line for line in got.failures() if line.startswith("basis ")]
     assert [line.split(":")[0] for line in basis_lines] == [f"basis {label}"
@@ -380,6 +496,21 @@ def test_scaled_column_fails_orthonormality_in_both_routes(monkeypatch, tmp_path
         assert f"FAIL basis {label}: orthonormality 1.000e-02, entanglement " in out
 
 
+def test_scaled_column_fails_orthonormality_in_both_routes(monkeypatch, tmp_path, capsys):
+    # every basis of the rotated family_ckd(3, 4) is its own basis class and
+    # none factors, so every expansion but B_I's is spoiled and checked in
+    # both routes
+    _assert_scaled_column_fails(monkeypatch, tmp_path, capsys,
+                                rotated_family(family_ckd(3, 4)), "streamed")
+
+
+def test_scaled_column_fails_orthonormality_in_the_factored_route(monkeypatch, tmp_path, capsys):
+    # each A (x) C of family_ckd(3, 4) is checked from the d-level expansion
+    # of C, spoiled unless C = I_3, which holds only for generator 0 = I_12;
+    # the oracle spoils the kd-level expansion of the same generators
+    _assert_scaled_column_fails(monkeypatch, tmp_path, capsys, family_ckd(3, 4), "factored")
+
+
 def test_spoiled_class_representative_fails_every_member(monkeypatch):
     # the twists V(a) of family_cd(5) are row gathers of one another, so
     # only the first is expanded; spoiling its expansion fails all of them
@@ -388,11 +519,7 @@ def test_spoiled_class_representative_fails_every_member(monkeypatch):
     assert classes == [0] * 4 + [1] * 4
     twists = [label for label, _ in fam.generators if label.startswith("V")]
     first_twist = dict(fam.generators)[twists[0]]
-
-    def scale(cols, chunk):
-        chunk[:, cols == 5] *= 1.01
-
-    _spoil_expansions(monkeypatch, scale, target=first_twist)
+    _spoil_expansions(monkeypatch, _scale_column_5, target=first_twist)
     got = certify_family(fam)
     assert _failing_bases(got) == twists
     for b in got.basis_results:
@@ -402,18 +529,17 @@ def test_spoiled_class_representative_fails_every_member(monkeypatch):
     assert got.stages["basis_classes"] == 2 and not got.passed
 
 
-def test_swapped_columns_fail_orthonormality(monkeypatch):
-    # a permuted expansion is still orthonormal, so the Gram check of the
-    # exhaustive route passes it; ((I_d (x) U) B_I)^dag B_U - I does not
-    def swap(cols, chunk):
-        at = [np.flatnonzero(cols == c) for c in (2, 7)]
-        assert at[0].size == at[1].size  # both columns in one chunk, or neither
-        if at[0].size:
-            chunk[:, [at[0][0], at[1][0]]] = chunk[:, [at[1][0], at[0][0]]]
+def _swap_columns_2_7(cols, chunk):
+    at = [np.flatnonzero(cols == c) for c in (2, 7)]
+    assert at[0].size == at[1].size  # both columns in one chunk, or neither
+    if at[0].size:
+        chunk[:, [at[0][0], at[1][0]]] = chunk[:, [at[1][0], at[0][0]]]
 
-    fam = family_ckd(3, 4)
-    _spoil_expansions(monkeypatch, swap)
+
+def _assert_swapped_columns_fail(monkeypatch, fam, route):
+    _spoil_expansions(monkeypatch, _swap_columns_2_7)
     got, want = certify_family(fam), certify_exhaustive(fam)
+    assert {b["route"] for b in got.basis_results} == {route}
     non_identity = [label for label, mat in fam.generators
                     if not np.array_equal(mat, np.eye(12))]
     assert non_identity and _failing_bases(got) == non_identity
@@ -421,11 +547,23 @@ def test_swapped_columns_fail_orthonormality(monkeypatch):
     assert not got.passed
 
 
-def test_certify_family_holds_no_n_by_n_array():
+def test_swapped_columns_fail_orthonormality(monkeypatch):
+    # a permuted expansion is still orthonormal, so the Gram check of the
+    # exhaustive route passes it; ((I_d (x) U) B_I)^dag B_U - I does not.
+    # The rotated family takes the streamed route
+    _assert_swapped_columns_fail(monkeypatch, rotated_family(family_ckd(3, 4)), "streamed")
+
+
+def test_swapped_columns_fail_orthonormality_in_the_factored_route(monkeypatch):
+    # swapped in the d-level expansion of C, the columns land out of place
+    # in G = B_{I_d}^dag (I_d (x) C^dag) B_C, and so in X (x) G
+    _assert_swapped_columns_fail(monkeypatch, family_ckd(3, 4), "factored")
+
+
+def _assert_peak_below_half_an_n_by_n_array(fam, route):
     # numpy reports its buffers to tracemalloc; one N x N complex array is
     # 16 N^2 bytes, and the whole certification must peak below half of it
-    fam = family_ckd(15, 4)
-    n = 4 * 15 * 15
+    n = fam.k * fam.d * fam.d
     tracemalloc.start()
     try:
         report = certify_family(fam)
@@ -433,7 +571,16 @@ def test_certify_family_holds_no_n_by_n_array():
     finally:
         tracemalloc.stop()
     assert report.passed
+    assert {b["route"] for b in report.basis_results + report.pair_results} == {route}
     assert peak < 16 * n * n / 2
+
+
+def test_certify_family_holds_no_n_by_n_array():
+    _assert_peak_below_half_an_n_by_n_array(rotated_family(family_ckd(15, 4)), "streamed")
+
+
+def test_factored_certify_family_holds_no_n_by_n_array():
+    _assert_peak_below_half_an_n_by_n_array(family_ckd(15, 4), "factored")
 
 
 def test_stages_count_the_streamed_work():
@@ -460,7 +607,7 @@ def _first_last_w(d, k):
 
 @pytest.mark.parametrize("case", [
     lambda: _first_last_w(19, 1), lambda: _first_last_w(15, 9), lambda: _first_last_w(7, 16),
-    lambda: _first_last_w(3, 64), lambda: (ring_for_dimension(5), 4, _random_unitary(20, 11)),
+    lambda: _first_last_w(3, 64), lambda: (ring_for_dimension(5), 4, random_unitary(20, 11)),
 ], ids=["19-1", "15-9", "7-16", "3-64", "random-5-4"])
 def test_batched_criterion_matches_the_blockwise_loop(case):
     ring, k, w = case()
