@@ -77,9 +77,44 @@ that much is added to the orthonormality and entanglement figures.  An
 overlap of two unit columns moves by at most e_s + e_t + e_s e_t; a
 criterion sum, d terms of W with unit phases, by d times that; and their
 agreement by twice that.
+
+W = U^dag V is a gather when a factor is monomial, one nonzero per column
+read off the entries (_adjoint_product).  If column m of U has its only
+nonzero at row p_m, then W[m, n] = sum_i conj(U[i, m]) V[i, n] drops, next
+to conj(U[p_m, m]) V[p_m, n], only terms conj(0) V[i, n], which are exact
+zeros when V is finite; so row m of W is conj(U[p_m, m]) V[p_m, :], the one
+product that a GEMM would also round.  With a non-finite V the dropped terms
+are NaN, and a singular monomial U need not select the row that holds it, so
+the gather is taken only for a finite V.  A monomial V with finite U gives
+column n of W as conj(U[q_n, :]) V[q_n, n] in the same way.
+
+The criterion sums of W at xi are sum_r lambda(r xi) g[r, c], over the
+columns c = (eta, j, l) of the terms g[r, c] = W[j d + r, l d + index(r +
+eta)], gathered by one flat index cached per (ring, k).  They are computed
+with a digit DFT instead of the d x d character table.  A ring index is
+mixed radix, factor-major with the first factor most significant
+(ProductRing), and the index of x in F_(p^a) is sum_i x_i p^i, x_i the
+coefficient of t^i (FiniteField); so a ring index is a string of base-p
+digits, each of its factor's prime.  In each factor lambda(x y) =
+w_p^Tr(x y), w_p = exp(2 pi i / p), and the trace is F_p-linear, so
+Tr(x y) = sum_i x_i z_i with z_i = Tr(t^i y).  Hence
+lambda(x y) = K[x, pi(y)], where K is the Kronecker product of one p x p DFT
+w_p^(x z) per digit, in the digit order of the index, and pi(y) is the
+element with the digits z_i.  The trace form is nondegenerate: y -> Tr(. y)
+is injective (Lidl & Niederreiter, Finite Fields, Thm 2.24), so pi is a
+permutation and char_table = K Pi.  K is symmetric, so sum_r lambda(r xi)
+g[r, c] = (K g)[pi(xi), c]: the sums of K g are those of the table with xi
+renamed, and their extremes are equal.  Cut the digits into leading ones
+with product a and trailing ones with product b = d / a; then
+K = K_a (x) K_b, and K g is two thin products over g laid out as
+[r_a, c, r_b], r = r_a b + r_b: K_b on the right, then K_a on the left, at
+d^2 k^2 (a + b) complex multiply-adds instead of d^3 k^2 (Van Loan, as
+above).  _digit_dft takes the cut with the least a + b and checks
+char_table = (K_a (x) K_b) Pi once per ring.
 """
 
 import dataclasses
+import functools
 import itertools
 import time
 
@@ -141,18 +176,91 @@ def deviation(lo, hi, target):
     return max(abs(hi - target), abs(target - lo))
 
 
+def _dft(primes):
+    """The Kronecker product of the p x p DFTs exp(2 pi i x z / p), one per prime."""
+    out = np.ones((1, 1), dtype=complex)
+    for p in primes:
+        x = np.arange(p)
+        out = np.kron(out, np.exp(2j * np.pi * (np.outer(x, x) % p) / p))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_dft(ring):
+    """(K_a, K_b): the DFTs over the leading and trailing base-p digits of the
+    ring index, cut where a + b is least, so that char_table(ring) =
+    (K_a (x) K_b) Pi for the column permutation Pi taking y to the element
+    whose digits are the traces Tr(t^i y) (module docstring).  The identity
+    is checked here, once per ring, and a failure raises RuntimeError."""
+    primes = [f.p for f in ring.factors for _ in range(f.a)]  # most significant first
+    heads = np.cumprod([1] + primes)
+    cut = min(range(len(heads)), key=lambda i: heads[i] + ring.d // heads[i])
+    k_a, k_b = _dft(primes[:cut]), _dft(primes[cut:])
+    pi = ring.from_components(sum(f.trace[f.mul(f.p ** i, c)] * f.p ** i for i in range(f.a))
+                              for f, c in zip(ring.factors, ring.components(np.arange(ring.d))))
+    if (np.sort(pi) != np.arange(ring.d)).any() or \
+            np.abs(np.kron(k_a, k_b)[:, pi] - fields.char_table(ring)).max() > 1e-12:
+        raise RuntimeError(f"char_table of {ring} is not its digit DFT up to a column permutation")
+    return k_a, k_b
+
+
+@functools.lru_cache(maxsize=None)
+def _diagonal_index(ring, k):
+    """Flat positions in a kd x kd array w of the d terms
+    w[j d + r, l d + index(r + eta)] of each criterion sum at (eta, j, l),
+    laid out as [r_a, (eta, j, l), r_b] for r = r_a b + r_b, the digit cut
+    of _digit_dft."""
+    d = ring.d
+    b = _digit_dft(ring)[1].shape[0]
+    add = fields.add_index_table(ring)[:, :, None, None]  # [r, eta, j, l]
+    j = np.arange(k)
+    flat = (j[:, None] * d + np.arange(d)[:, None, None, None]) * (k * d) + j * d + add
+    return np.ascontiguousarray(flat.reshape(d // b, b, -1).transpose(0, 2, 1))
+
+
+def _monomial(m):
+    """(rows, values) of the one nonzero in each column of m, or None when a
+    column has none or several.  A NaN counts as nonzero."""
+    nonzero = m != 0
+    if np.count_nonzero(nonzero) != m.shape[1]:
+        return None
+    rows, cols = nonzero.argmax(axis=0), np.arange(m.shape[1])
+    if not nonzero[rows, cols].all():  # a column without a nonzero
+        return None
+    return rows, m[rows, cols]
+
+
+def _adjoint_product(u, v):
+    """W = U^dag V.  Row m of W is conj(U[p_m, m]) V[p_m, :] when U is
+    monomial, its nonzeros at rows p_m, and V finite; column n is
+    conj(U[q_n, :]) V[q_n, n] when V is monomial and U finite.  Both gathers
+    are exact (module docstring); otherwise W is a GEMM.  A sum is finite
+    only when all its terms are, so a finite sum vouches for the factor."""
+    mono = _monomial(u)
+    if mono is not None and np.isfinite(v.sum()):
+        rows, vals = mono
+        return vals.conj()[:, None] * v.take(rows, axis=0)
+    mono = _monomial(v)
+    if mono is not None and np.isfinite(u.sum()):
+        rows, vals = mono
+        return (u.take(rows, axis=0).conj() * vals[:, None]).T
+    return u.conj().T @ v
+
+
 def criterion_magnitudes(ring, w):
     """(min, max) of the criterion sums |sum_r lambda(r xi) w_((r,j),(r+eta,l))|
-    of w = U^dag V, kd x kd, over all xi, eta in the ring and all block indices j, l."""
-    d = ring.d
+    of w = U^dag V, kd x kd, over all xi, eta in the ring and all block indices j, l.
+
+    The d terms of every sum are gathered by one cached flat index and
+    transformed by K_a (x) K_b in two thin GEMMs, d^2 k^2 (a + b) complex
+    multiply-adds; the sums come out in another order of xi (module
+    docstring), which leaves their extremes alone."""
     w, k = construct._generator_order(ring, w)
-    lam = fields.char_table(ring)
-    add = fields.add_index_table(ring)
-    rows = np.arange(d)[:, None]
-    # [r, eta, j, l] = w[j d + r, l d + index(r + eta)], all k^2 blocks at once
-    gathered = w.reshape(k, d, k, d)[:, rows, :, add]
-    mags = np.abs(lam.T @ gathered.reshape(d, -1))  # [xi, (eta, j, l)]
-    return float(mags.min()), float(mags.max())
+    k_a, k_b = _digit_dft(ring)
+    terms = np.take(w, _diagonal_index(ring, k))  # [r_a, (eta, j, l), r_b]
+    sums = k_a @ (terms.reshape(-1, k_b.shape[0]) @ k_b).reshape(k_a.shape[0], -1)
+    squares = sums.real ** 2 + sums.imag ** 2
+    return float(np.sqrt(squares.min())), float(np.sqrt(squares.max()))
 
 
 def criterion_check(ring, k, u, v):
@@ -162,7 +270,7 @@ def criterion_check(ring, k, u, v):
     kd = k * ring.d
     if u.shape != (kd, kd) or v.shape != (kd, kd):
         raise ValueError(f"need {kd} x {kd} matrices for d={ring.d}, k={k}")
-    return deviation(*criterion_magnitudes(ring, u.conj().T @ v), 1.0 / float(np.sqrt(k)))
+    return deviation(*criterion_magnitudes(ring, _adjoint_product(u, v)), 1.0 / float(np.sqrt(k)))
 
 
 def bruteforce_unbiased(basis_a, basis_b):
@@ -440,7 +548,7 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
     class_results = []
     for i, j in first:
         if factors[i] is None or factors[j] is None:
-            w = mats[i].conj().T @ mats[j]
+            w = _adjoint_product(mats[i], mats[j])
             ov_lo, ov_hi = bruteforce_unbiased(identity_blocks(kd), chunks_of(w))
             cr_lo, cr_hi = criterion_magnitudes(ring, w)
             shift, route = 0.0, "streamed"
@@ -448,7 +556,7 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
             (a_s, c_s, rho_s), (a_t, c_t, rho_t) = factors[i], factors[j]
             x = np.abs(a_s.conj().T @ a_t)
             x_lo, x_hi = float(x.min()), float(x.max())
-            y = c_s.conj().T @ c_t
+            y = _adjoint_product(c_s, c_t)
             ov_lo, ov_hi = bruteforce_unbiased(identity_blocks(d), chunks_of(y))
             cr_lo, cr_hi = criterion_magnitudes(ring, y)
             ov_lo, ov_hi, cr_lo, cr_hi = x_lo * ov_lo, x_hi * ov_hi, x_lo * cr_lo, x_hi * cr_hi

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -614,3 +615,131 @@ def test_batched_criterion_matches_the_blockwise_loop(case):
     got = criterion_magnitudes(ring, w)
     want = criterion_magnitudes_blockwise(ring, k, w)
     assert np.abs(np.subtract(got, want)).max() <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the criterion kernel: monomial gathers and the digit DFT
+
+def _monomial_matrix(rng, kd, phases):
+    """A kd x kd permutation, its nonzeros unit phases when `phases`."""
+    m = np.zeros((kd, kd), dtype=complex)
+    m[rng.permutation(kd), np.arange(kd)] = np.exp(2j * np.pi * rng.random(kd)) if phases else 1
+    return m
+
+
+def _kernel_cases(kd, seed):
+    """(name, u, v, which factor is gathered) for each kind of W."""
+    rng = np.random.default_rng(seed)
+    q1, q2 = random_unitary(kd, seed), random_unitary(kd, seed + 1)
+    perm, mono = _monomial_matrix(rng, kd, False), _monomial_matrix(rng, kd, True)
+    spoiled = mono.copy()
+    spoiled[(np.flatnonzero(mono[:, 0])[0] + 1) % kd, 0] = 0.5  # two nonzeros in column 0
+    return [("unitary", q1, q2, None), ("permutation", perm, np.eye(kd), "u"),
+            ("permutation-v", q1, perm, "v"), ("monomial-u", mono, q2, "u"),
+            ("monomial-v", q1, mono, "v"), ("two-nonzeros-u", spoiled, q2, None),
+            ("two-nonzeros-v", q1, spoiled, None)]
+
+
+@pytest.mark.parametrize("d", [3, 5, 9, 15, 19, 25, 27, 45, 49, 75, 81, 125])
+def test_criterion_kernel_matches_blockwise_oracle(d):
+    ring = ring_for_dimension(d)
+    for k in (1, 3, 4):
+        for name, u, v, gathered in _kernel_cases(k * d, 7 * d + k):
+            assert (verify._monomial(u) is not None) == (gathered == "u"), name
+            if gathered != "u":
+                assert (verify._monomial(v) is not None) == (gathered == "v"), name
+            w = verify._adjoint_product(u, v)
+            w_gemm = u.conj().T @ v
+            assert np.abs(w - w_gemm).max() <= 1e-15, name
+            got = criterion_magnitudes(ring, w)
+            want = criterion_magnitudes_blockwise(ring, k, w_gemm)
+            assert np.abs(np.subtract(got, want)).max() <= 1e-13, (d, k, name)
+            assert criterion_check(ring, k, u, v) == \
+                verify.deviation(*got, 1.0 / np.sqrt(k)), (d, k, name)
+
+
+@pytest.mark.parametrize("d", [*range(3, 126, 2), 343])
+def test_char_table_is_the_digit_dft_up_to_a_column_permutation(d):
+    ring = ring_for_dimension(d)
+    k_a, k_b = verify._digit_dft(ring)
+    assert k_a.shape[0] * k_b.shape[0] == d
+    # the columns of K = K_a (x) K_b are orthogonal with norm d, so K^dag T / d
+    # is a 0/1 permutation matrix exactly when T = K Pi
+    perm = np.kron(k_a, k_b).conj().T @ fields.char_table(ring) / d
+    assert np.abs(perm - np.round(perm.real)).max() < 1e-10
+    assert (np.round(perm.real).sum(axis=0) == 1).all() and (np.round(perm.real).sum(axis=1) == 1).all()
+
+
+def test_digit_cut_balances_the_two_factors():
+    cuts = {d: tuple(k.shape[0] for k in verify._digit_dft(ring_for_dimension(d)))
+            for d in (19, 45, 75, 81, 125, 343)}
+    assert cuts == {19: (1, 19), 45: (5, 9), 75: (15, 5), 81: (9, 9), 125: (5, 25),
+                    343: (7, 49)}
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda t: t * np.where(np.arange(t.size).reshape(t.shape) == 7, -1, 1),
+    lambda t: t[[1, 0, *range(2, t.shape[0])]],
+    lambda t: t[:, [0, 1, 1, *range(3, t.shape[1])]],
+], ids=["one-entry", "swapped-rows", "repeated-column"])
+def test_corrupted_char_table_fails_the_per_ring_check(monkeypatch, spoil):
+    ring = ring_for_dimension(45)
+    table = fields.char_table(ring)
+    monkeypatch.setattr(fields, "char_table", lambda r: spoil(table))
+    with pytest.raises(RuntimeError, match="digit DFT"):
+        verify._digit_dft.__wrapped__(ring)
+
+
+def _singular_monomial(kd):
+    m = np.zeros((kd, kd), dtype=complex)
+    m[0] = 1.0  # every nonzero in row 0
+    return m
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)], ids=["nan", "inf", "-inf-imag"])
+@pytest.mark.parametrize("case", ["u-selects-row", "u-skips-row", "v-skips-row", "u-entry",
+                                  "gemm"])
+def test_non_finite_entries_never_pass_the_criterion(case, bad):
+    # a singular monomial u never reads rows 1.. of v, and a singular
+    # monomial v never reads rows 1.. of u; the entry must still show
+    d, k = 5, 1
+    ring = ring_for_dimension(d)
+    good = fourier_unitary(ring)
+    u, v = {"u-selects-row": (permutation_unitary(ring, 1), good.copy()),
+            "u-skips-row": (_singular_monomial(d), good.copy()),
+            "v-skips-row": (good.copy(), _singular_monomial(d)),
+            "u-entry": (permutation_unitary(ring, 1).astype(complex), good.copy()),
+            "gemm": (good.copy(), fourier_unitary(ring).conj())}[case]
+    if case == "v-skips-row":
+        u[3, 2] = bad
+    elif case == "u-entry":
+        u[np.flatnonzero(u[:, 2])[0], 2] = bad
+    elif case == "gemm":
+        u[3, 2] = bad
+    else:
+        v[3, 2] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        dev = criterion_check(ring, k, u, v)
+    assert not dev <= 1e-8
+    assert not np.isfinite(dev)
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda d=d: family_cd(d) for d in (3, 5, 7, 9, 15, 21, 25)],
+    lambda: family_ckd(3, 4), lambda: family_ckd(9, 4), lambda: family_ckd(3, 6),
+    lambda: family_ckd_mols(7, 9), lambda: rotated_family(family_ckd(3, 4)),
+    lambda: rotated_family(family_ckd(9, 4)), lambda: rotated_family(family_ckd_mols(7, 9)),
+], ids=["3-1", "5-1", "7-1", "9-1", "15-1", "21-1", "25-1", "3-4", "9-4", "3-6",
+        "7-9-mols", "rot-3-4", "rot-9-4", "rot-7-9-mols"])
+def test_certified_criterion_figures_match_the_blockwise_oracle(build):
+    # every pair row against the oracle on its own dense U^dag V; a factored
+    # row may differ by its residual shift, once in the figure and once added
+    fam = build()
+    report = certify_family(fam)
+    assert report.passed
+    target = 1.0 / np.sqrt(fam.k)
+    mats = [u for _, u in fam.generators]
+    for row, (i, j) in zip(report.pair_results, itertools.combinations(range(fam.n_bases), 2)):
+        lo, hi = criterion_magnitudes_blockwise(fam.ring, fam.k, mats[i].conj().T @ mats[j])
+        bound = 1e-13 + (2 * _residual_bound(fam) if row["route"] == "factored" else 0.0)
+        assert abs(row["criterion_deviation"] - verify.deviation(lo, hi, target)) <= bound
