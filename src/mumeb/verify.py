@@ -85,8 +85,9 @@ to conj(U[p_m, m]) V[p_m, n], only terms conj(0) V[i, n], which are exact
 zeros when V is finite; so row m of W is conj(U[p_m, m]) V[p_m, :], the one
 product that a GEMM would also round.  With a non-finite V the dropped terms
 are NaN, and a singular monomial U need not select the row that holds it, so
-the gather is taken only for a finite V.  A monomial V with finite U gives
-column n of W as conj(U[q_n, :]) V[q_n, n] in the same way.
+the gather is taken only for a finite V.  Every other W is a GEMM: the
+families built here list their permutation generators first, so in a pair
+i < j a monomial factor is U.
 
 The criterion sums of W at xi are sum_r lambda(r xi) g[r, c], over the
 columns c = (eta, j, l) of the terms g[r, c] = W[j d + r, l d + index(r +
@@ -204,12 +205,13 @@ def _digit_dft(ring):
     return k_a, k_b
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)
 def _diagonal_index(ring, k):
     """Flat positions in a kd x kd array w of the d terms
     w[j d + r, l d + index(r + eta)] of each criterion sum at (eta, j, l),
     laid out as [r_a, (eta, j, l), r_b] for r = r_a b + r_b, the digit cut
-    of _digit_dft."""
+    of _digit_dft.  It holds d^2 k^2 intp, half the bytes of the terms it
+    gathers (24 MB at d = 27, k = 64), so only the last few shapes are kept."""
     d = ring.d
     b = _digit_dft(ring)[1].shape[0]
     add = fields.add_index_table(ring)[:, :, None, None]  # [r, eta, j, l]
@@ -232,18 +234,13 @@ def _monomial(m):
 
 def _adjoint_product(u, v):
     """W = U^dag V.  Row m of W is conj(U[p_m, m]) V[p_m, :] when U is
-    monomial, its nonzeros at rows p_m, and V finite; column n is
-    conj(U[q_n, :]) V[q_n, n] when V is monomial and U finite.  Both gathers
-    are exact (module docstring); otherwise W is a GEMM.  A sum is finite
-    only when all its terms are, so a finite sum vouches for the factor."""
+    monomial, its nonzeros at rows p_m, and V finite, which is exact (module
+    docstring); otherwise W is a GEMM.  A sum is finite only when all its
+    terms are, so a finite sum vouches for V."""
     mono = _monomial(u)
     if mono is not None and np.isfinite(v.sum()):
         rows, vals = mono
         return vals.conj()[:, None] * v.take(rows, axis=0)
-    mono = _monomial(v)
-    if mono is not None and np.isfinite(u.sum()):
-        rows, vals = mono
-        return (u.take(rows, axis=0).conj() * vals[:, None]).T
     return u.conj().T @ v
 
 
