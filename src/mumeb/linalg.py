@@ -92,6 +92,29 @@ class ColumnBlocks:
             adj = values[start[pos][..., None] + np.arange(s)].conj()
             self.buckets.append((rows.reshape(g.size, s), cols[pos], adj))
 
+    def row_groups(self):
+        """(group, lo, hi) for an A of one bucket whose groups' row supports
+        partition the rows, as an expanded basis's do: group[R] is the group
+        whose support holds row R, and lo[R] and hi[R] the least and the
+        largest squared magnitude of the row's m entries there.  ValueError
+        for any other A.  Computed once."""
+        if not hasattr(self, "_row_groups"):
+            if len(self.buckets) != 1:
+                raise ValueError("row groups need a single bucket")
+            rows, _, adj = self.buckets[0]
+            if not np.array_equal(np.bincount(rows.ravel(), minlength=self.shape[0]),
+                                  np.ones(self.shape[0], dtype=np.intp)):
+                raise ValueError("the row supports of the groups do not partition the rows")
+            g, _, s = adj.shape
+            group = np.empty(self.shape[0], dtype=np.intp)
+            group[rows.ravel()] = np.repeat(np.arange(g), s)
+            squares = adj.real ** 2 + adj.imag ** 2
+            lo, hi = np.empty(self.shape[0]), np.empty(self.shape[0])
+            lo[rows.ravel()] = squares.min(axis=1).ravel()
+            hi[rows.ravel()] = squares.max(axis=1).ravel()
+            self._row_groups = group, lo, hi
+        return self._row_groups
+
     def _scratch(self, name, shape):
         """A complex work array of this shape, reused from call to call:
         fresh arrays of a chunk's size cost more to fault in than to fill."""

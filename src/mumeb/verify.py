@@ -22,7 +22,8 @@ the column blocks of B_I, read once (linalg.ColumnBlocks): each column of
 B_I has d nonzeros, shared by the d columns of one (eta, j), so a product
 with an N x c chunk costs 8 d N c flops.  The overlaps of a class are
 B_I^dag B_W over the chunks of B_W = (I_d (x) W) B_I, which is the expansion
-of W itself.  The orthonormality of a basis is
+of W itself, or for a monomial W the sparse product below.  The
+orthonormality of a basis is
 max |((I_d (x) U) B_I)^dag B_U - I| = max |B_I^dag ((I_d (x) U^dag) B_U) - I|,
 taken chunk by chunk; it reads the bytes of the expanded B_U and, for
 unitary U, equals its Gram defect max |B_U^dag B_U - I|.
@@ -77,6 +78,43 @@ that much is added to the orthonormality and entanglement figures.  An
 overlap of two unit columns moves by at most e_s + e_t + e_s e_t; a
 criterion sum, d terms of W with unit phases, by d times that; and their
 agreement by twice that.
+
+A pair class whose W is monomial skips B_W: its overlaps are a sparse
+product of B_I with itself (Gustavson, "Two fast algorithms for sparse
+matrices", ACM TOMS 4, 1978).  Let column n of W hold w_n at row p_n and
+nothing else, and let b_R be row R of B_I.
+- Row identity.  Row (iA, m) of B_W = (I_d (x) W) B_I is
+  sum_n W[m, n] b_(iA, n), so B_I^dag B_W = sum_(iA, n) w_n
+  conj(b_(iA, p_n))^T b_(iA, n): N outer products, one per row of B_I.
+- Exact-zero blocks.  The row supports of the kd column groups (eta, j) of
+  B_I partition its N rows (linalg.ColumnBlocks.row_groups), so b_R is
+  nonzero only on the d columns of one group, and the outer product of row
+  (iA, n) lies in the one d x d block of the groups of (iA, p_n) and
+  (iA, n).  A block that no row reaches gets no term: its overlaps are
+  exact zeros and count in the minimum.  There are N = k d^2 rows and
+  (kd)^2 >= N blocks, so when two rows meet in one block, as for W = I or
+  U(a)^dag U(b) with a - b a zero divisor, some other block is reached by
+  none and the class fails with lo = 0; such a class takes the streamed
+  route, which gives its maximum too.
+- One-row blocks.  A block that one row reaches is w x y^T, x and y being
+  rows of B_I on their groups' columns, and its squared magnitudes
+  |w|^2 |x_a|^2 |y_b|^2 are products of nonnegative factors.  Rounding to
+  nearest is monotone, so the least and the largest of their computed
+  values are the products of the least and of the largest factors, bit
+  for bit; they are taken so, from the extremes of each row of B_I, read
+  once.  In the monomial classes of an unbiased k = 1 family every block
+  is reached by one row, and the route costs O(N d).
+- Overlap bound.  The pattern is read off W's own entries (_monomial_part):
+  p_n is the row of the largest |entry| of column n, and rho the largest
+  |entry| off it.  With W = W_p + dW, W_p the pattern part, the overlaps of
+  W are those of W_p plus the entries of B_I^dag (I_d (x) dW) B_I, each at
+  most ||I_d (x) dW||_2 = ||dW||_2 <= ||dW||_F <= kd rho, B_I being
+  unitary.  So the route is taken when kd rho <= 2^-40, as for the factors
+  (the V-V classes of a k = 1 family are monomial up to GEMM rounding,
+  rho ~ 2e-16), and e = kd rho is added to the overlap deviation and to the
+  agreement; the criterion sums run on W itself.  A factored class tests
+  and routes its d-level Y the same way, and adds max |X| e, since its
+  overlaps are |X_ab| |Q_ij|.
 
 W = U^dag V is a gather when a factor is monomial, one nonzero per column
 read off the entries (_adjoint_product).  If column m of U has its only
@@ -288,9 +326,30 @@ def bruteforce_unbiased(basis_a, basis_b):
     for _, chunk in basis_b:
         for _, block in basis_a.adjoint_products(chunk):
             mags = np.abs(block)
-            lo = min(lo, float(mags.min()))
-            hi = max(hi, float(mags.max()))
-    return lo, hi
+            lo, hi = np.minimum(lo, mags.min()), np.maximum(hi, mags.max())  # NaN stays
+    return float(lo), float(hi)
+
+
+def sparse_unbiased(basis_a, rows, values):
+    """(min, max) magnitude over all N^2 entries of B^dag (I_d (x) W) B, for
+    B the N x N basis held as linalg.ColumnBlocks basis_a, an expanded
+    basis, and W the kd x kd monomial matrix with the entry values[n] at
+    (rows[n], n); None when two rows of B meet in one block, a class for
+    the streamed route.  Holds no N x N array.  The proofs are in the
+    module docstring.
+    """
+    group, row_lo, row_hi = basis_a.row_groups()
+    n_groups = basis_a.buckets[0][0].shape[0]
+    n = group.size
+    col = np.arange(n) % rows.size
+    dst = np.arange(n) - col + rows[col]  # row (iA, rows[n]) for row (iA, n)
+    reached = np.bincount(group[dst] * n_groups + group, minlength=n_groups * n_groups)
+    if reached.max() > 1:
+        return None
+    w_sq = (values.real ** 2 + values.imag ** 2)[col]
+    lo = np.minimum((row_lo[dst] * w_sq * row_lo).min(), np.inf if reached.all() else 0.0)
+    hi = (row_hi[dst] * w_sq * row_hi).max()
+    return float(np.sqrt(lo)), float(np.sqrt(hi))
 
 
 def _basis_deviations(b_id, u, chunks, x=np.ones((1, 1)), norms=np.ones(1)):
@@ -388,6 +447,17 @@ def _kron_factors(u, d):
     return (a, c, rho) if kd * rho <= _FACTOR_LIMIT else None
 
 
+def _monomial_part(w):
+    """(rows, values, rho): the row and the entry of the first largest
+    |entry| of each column of w, and rho, the largest |entry| off that
+    pattern.  A NaN is either such an entry or makes rho NaN."""
+    mags = np.abs(w)
+    rows, cols = mags.argmax(axis=0), np.arange(w.shape[1])
+    values = w[rows, cols]
+    mags[rows, cols] = 0.0
+    return rows, values, float(mags.max())
+
+
 def _pair_classes(mats):
     """(i, j, class) for every pair i < j, in itertools.combinations order,
     the first pair (i, j) of each class, and the canonical id of each
@@ -441,24 +511,28 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
     Per pair class (see _pair_classes), take its first pair (U, V).  When
     both factor, as A_s (x) C_s and A_t (x) C_t, the route is "factored":
     with X = A_s^dag A_t and Y = C_s^dag C_t, the overlap extremes are those
-    of B_{I_d} against the chunks of B_Y times min |X| and max |X|, and the
-    criterion extremes those of Y times the same (figure 3).  Otherwise the
-    route is "streamed": with W = U^dag V, brute-force overlap extremes of
-    B_I against the chunks of B_W = (I_d (x) W) B_I, and criterion extremes
-    of W.  Either way the overlaps are held against 1/sqrt(kd^2), the
-    criterion against 1/sqrt(k), and the two routes must agree after the
-    factor-d rescaling.  Every pair keeps its own report row, in
-    combinations order, carrying its class's figures, the class id under
-    "class" and the route.  A factored figure includes the bound on how far
-    the residuals of the factors can move it (module docstring), so every
-    pass test holds for the generators as they stand.
+    of B_{I_d} against B_Y times min |X| and max |X|, and the criterion
+    extremes those of Y times the same (figure 3).  Otherwise, with
+    W = U^dag V, the criterion extremes are those of W, and the overlap
+    extremes those of B_I against B_W = (I_d (x) W) B_I: "sparse" by
+    sparse_unbiased when W is monomial (module docstring), else "streamed",
+    brute force against the chunks of B_W.  A factored Y is routed the same
+    way.  Either way the overlaps
+    are held against 1/sqrt(kd^2), the criterion against 1/sqrt(k), and the
+    two routes must agree after the factor-d rescaling.  Every pair keeps
+    its own report row, in combinations order, carrying its class's
+    figures, the class id under "class", the route, and, when W or Y took
+    the sparse product, its "monomial_residual" rho.  A factored or sparse
+    figure includes the bound on how far the residuals can move it (module
+    docstring), so every pass test holds for the generators as they stand.
 
     B_I and B_{I_d} are read into column blocks the first time a class
     needs them.  report.stages records the wall time of each stage (the
     reading of B_I or B_{I_d}, under identity_blocks_s, is also part of the
     stage that first needs it) and the counts of bases, basis classes and
-    factored basis classes, pairs, pair classes and factored pair classes,
-    and chunks, and the bytes of the largest chunk.
+    factored basis classes, pairs, pair classes, factored pair classes and
+    pair classes whose W or Y took the sparse product, and chunks, and the
+    bytes of the largest chunk.
     """
     t0 = time.perf_counter()
     d, k = family.d, family.k
@@ -477,8 +551,8 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
     report = VerificationReport(family_id, d, k, family.n_bases, tolerances)
     stages = report.stages
     stages.update(bases=family.n_bases, basis_classes=0, factored_basis_classes=0, pairs=0,
-                  classes=0, factored_pair_classes=0, chunks=0, max_chunk_bytes=0,
-                  identity_blocks_s=0.0)
+                  classes=0, factored_pair_classes=0, sparse_pair_classes=0, chunks=0,
+                  max_chunk_bytes=0, identity_blocks_s=0.0)
 
     for label, mat in family.generators:
         ok, dev = linalg.is_unitary(mat, 1e-9)
@@ -542,35 +616,51 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
     stages["bases_s"] = time.perf_counter() - t_stage
 
     t_stage = time.perf_counter()
+
+    def overlaps(size, w):
+        """(lo, hi, e, route fields): the overlap extremes of B^dag B_W for
+        the size-level identity basis B, and e, how far the sparse product
+        can move them."""
+        rows, values, rho = _monomial_part(w)
+        if kd * rho <= _FACTOR_LIMIT:
+            extremes = sparse_unbiased(identity_blocks(size), rows, values)
+            if extremes is not None:
+                stages["sparse_pair_classes"] += 1
+                return (*extremes, kd * rho, {"route": "sparse", "monomial_residual": rho})
+        return (*bruteforce_unbiased(identity_blocks(size), chunks_of(w)), 0.0,
+                {"route": "streamed"})
+
     class_results = []
     for i, j in first:
         if factors[i] is None or factors[j] is None:
             w = _adjoint_product(mats[i], mats[j])
-            ov_lo, ov_hi = bruteforce_unbiased(identity_blocks(kd), chunks_of(w))
+            ov_lo, ov_hi, e_w, route = overlaps(kd, w)
             cr_lo, cr_hi = criterion_magnitudes(ring, w)
-            shift, route = 0.0, "streamed"
+            shift = 0.0
         else:
             (a_s, c_s, rho_s), (a_t, c_t, rho_t) = factors[i], factors[j]
             x = np.abs(a_s.conj().T @ a_t)
             x_lo, x_hi = float(x.min()), float(x.max())
             y = _adjoint_product(c_s, c_t)
-            ov_lo, ov_hi = bruteforce_unbiased(identity_blocks(d), chunks_of(y))
+            ov_lo, ov_hi, e_y, route = overlaps(d, y)
             cr_lo, cr_hi = criterion_magnitudes(ring, y)
             ov_lo, ov_hi, cr_lo, cr_hi = x_lo * ov_lo, x_hi * ov_hi, x_lo * cr_lo, x_hi * cr_hi
+            e_w = x_hi * e_y
             e_s, e_t = kd * rho_s, kd * rho_t
-            shift, route = e_s + e_t + e_s * e_t, "factored"
+            shift = e_s + e_t + e_s * e_t
+            route = {**route, "route": "factored"}
             stages["factored_pair_classes"] += 1
-        ov_dev = deviation(ov_lo, ov_hi, target) + shift
+        ov_dev = deviation(ov_lo, ov_hi, target) + shift + e_w
         cr_dev = deviation(cr_lo, cr_hi, crit_target) + d * shift
         class_results.append({
             "overlap_min": ov_lo,
             "overlap_max": ov_hi,
             "overlap_deviation": ov_dev,
             "criterion_deviation": cr_dev,
-            "agreement": max(abs(cr_hi / d - ov_hi), abs(cr_lo / d - ov_lo)) + 2 * shift,
+            "agreement": max(abs(cr_hi / d - ov_hi), abs(cr_lo / d - ov_lo)) + 2 * shift + e_w,
             "pass": ov_dev <= tolerance,
             "criterion_pass": cr_dev <= tolerance,
-            "route": route,
+            **route,
         })
     stages["classes_s"] = time.perf_counter() - t_stage
     for i, j, c in pairs:

@@ -175,9 +175,12 @@ def test_criterion_8_mols_net_mub_chain():
 
 
 def test_criterion_9_exhaustive_route_on_tensor_families():
-    # verify certifies these from their Kronecker factors; the oracle expands
-    # and holds every kd-level basis and runs one overlap product per pair
+    # verify certifies these from their Kronecker factors, and the monomial
+    # pair classes of the k = 1 families by the sparse overlap product, which
+    # expands no B_W; the oracle expands and holds every kd-level basis and
+    # runs one overlap product per pair
     keys = [key for key in _all_family_keys() if key[2] >= 2]
+    keys += [("gauss", d, 1) for d in (3, 5, 7, 9, 15, 21)]
     ok, worst = True, 0.0
     for key in keys:
         got, want = _report(*key), certify_exhaustive(_family(*key))
@@ -190,5 +193,5 @@ def test_criterion_9_exhaustive_route_on_tensor_families():
             worst = max(worst, abs(p["overlap_min"] - q["overlap_min"]),
                         abs(p["overlap_max"] - q["overlap_max"]))
     ok = ok and worst <= 1e-12
-    _gate(9, ok, f"{len(keys)} k >= 2 families also certified by the exhaustive route: "
-                 f"same verdicts, overlap extremes within {worst:.1e}")
+    _gate(9, ok, f"{len(keys)} families (k >= 2, and k = 1 up to d = 21) also certified by "
+                 f"the exhaustive route: same verdicts, overlap extremes within {worst:.1e}")

@@ -142,3 +142,38 @@ def test_block_overlaps_match_the_dense_product():
     mags = np.abs(b_id.conj().T @ other)
     lo, hi = bruteforce_unbiased(b_id, other)
     assert abs(lo - mags.min()) <= 1e-13 and abs(hi - mags.max()) <= 1e-13
+
+
+@pytest.mark.parametrize("d,k", [(3, 1), (5, 2), (9, 1)])
+def test_row_groups_read_each_row_off_its_one_group(d, k):
+    # each row of an expanded basis is nonzero on the d columns of one
+    # group, and row_groups gives the extreme squared magnitudes there
+    ring = ring_for_dimension(d)
+    a = expand_basis(ring, np.eye(k * d))
+    blocks = linalg.ColumnBlocks(expand_chunks(ring, np.eye(k * d)))
+    group, lo, hi = blocks.row_groups()
+    [(_, cols, _)] = blocks.buckets
+    for r in range(a.shape[0]):
+        squares = np.abs(a[r, cols[group[r]]]) ** 2
+        assert np.isclose(lo[r], squares.min(), rtol=1e-15, atol=0)
+        assert np.isclose(hi[r], squares.max(), rtol=1e-15, atol=0)
+        outside = np.delete(a[r], cols[group[r]])
+        assert not outside.any()
+    assert blocks.row_groups() is blocks.row_groups()  # computed once
+
+
+def test_row_groups_need_rows_that_lie_in_one_group():
+    # a dense matrix is one group holding every row; two groups of one shape
+    # that share row 1 and miss row 3, or groups of two shapes, are refused
+    a = _random_complex((4, 4), seed=3)
+    group, lo, hi = linalg.ColumnBlocks(linalg.whole_columns(a)).row_groups()
+    squares = np.abs(a) ** 2
+    assert not group.any()
+    assert np.allclose(lo, squares.min(axis=1), rtol=1e-15, atol=0)
+    assert np.allclose(hi, squares.max(axis=1), rtol=1e-15, atol=0)
+    overlapping = np.array([[1, 0], [1, 1], [0, 1], [0, 0]], dtype=complex)
+    with pytest.raises(ValueError, match="partition"):
+        linalg.ColumnBlocks([(np.arange(2), overlapping)]).row_groups()
+    two_shapes = np.array([[1, 0], [0, 1], [0, 1]], dtype=complex)
+    with pytest.raises(ValueError, match="single bucket"):
+        linalg.ColumnBlocks([(np.arange(2), two_shapes)]).row_groups()

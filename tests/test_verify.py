@@ -384,10 +384,15 @@ def test_tampered_cell_fails_the_factor_check_and_the_streamed_route():
                                    lambda: rotated_family(family_ckd(3, 4))],
                          ids=["3-1", "15-1", "rotated-3-4"])
 def test_unfactored_families_take_the_streamed_route(build):
-    # k = 1 generators are never factored; rotated k >= 2 generators do not factor
-    report = certify_family(build())
+    # k = 1 generators are never factored; rotated k >= 2 generators do not
+    # factor.  A pair class whose W is monomial takes the sparse product
+    fam = build()
+    report = certify_family(fam)
     rows = report.basis_results + report.pair_results
-    assert {row["route"] for row in rows} == {"streamed"}
+    assert {row["route"] for row in report.basis_results} == {"streamed"}
+    assert {row["route"] for row in report.pair_results} <= {"streamed", "sparse"}
+    sparse = {row["class"] for row in report.pair_results if row["route"] == "sparse"}
+    assert report.stages["sparse_pair_classes"] == len(sparse) == (2 if fam.k == 1 else 0)
     assert not any("factor_residual" in row for row in rows)
     assert report.stages["factored_basis_classes"] == report.stages["factored_pair_classes"] == 0
     assert report.passed
@@ -438,7 +443,9 @@ def test_factored_pairs_only_expands_the_d_level_identity_basis_once(monkeypatch
     calls = _count_expansions(monkeypatch)
     report = certify_family(family_ckd(3, 4), pairs_only=True)
     assert report.passed and len(report.pair_results) == 6
-    assert calls == [(3, True)] + [(3, False)] * 6  # B_{I_d}, then B_Y once per class
+    # B_{I_d}, then B_Y once per class but the 2 whose Y is monomial
+    assert calls == [(3, True)] + [(3, False)] * 4
+    assert report.stages["sparse_pair_classes"] == 2
 
 
 def _spoil_expansions(monkeypatch, spoil, target=None):
@@ -485,8 +492,11 @@ def _assert_scaled_column_fails(monkeypatch, tmp_path, capsys, fam, route):
             assert c["orthonormality"] == pytest.approx(0.0201, abs=1e-12)
     assert not got.passed and not want.passed
     # the spoiled expansions of B_W, or of B_Y, move the overlaps of every
-    # pair class and the criterion sums of none: the routes share no figure
-    assert all(not p["pass"] and p["criterion_pass"] for p in got.pair_results)
+    # pair class that expands one and the criterion sums of none: the routes
+    # share no figure.  A class whose W or Y is monomial expands neither
+    assert all(p["pass"] == ("monomial_residual" in p) and p["criterion_pass"]
+               for p in got.pair_results)
+    assert not all(p["pass"] for p in got.pair_results)
     # each failing basis has its line, in failures() and in verify's stdout
     basis_lines = [line for line in got.failures() if line.startswith("basis ")]
     assert [line.split(":")[0] for line in basis_lines] == [f"basis {label}"
@@ -561,43 +571,59 @@ def test_swapped_columns_fail_orthonormality_in_the_factored_route(monkeypatch):
     _assert_swapped_columns_fail(monkeypatch, family_ckd(3, 4), "factored")
 
 
-def _assert_peak_below_half_an_n_by_n_array(fam, route):
+def _assert_peak_below_half_an_n_by_n_array(fam, routes, pairs_only=False):
     # numpy reports its buffers to tracemalloc; one N x N complex array is
     # 16 N^2 bytes, and the whole certification must peak below half of it
     n = fam.k * fam.d * fam.d
     tracemalloc.start()
     try:
-        report = certify_family(fam)
+        report = certify_family(fam, pairs_only=pairs_only)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert {b["route"] for b in report.basis_results + report.pair_results} == {route}
+    assert {b["route"] for b in report.basis_results + report.pair_results} == routes
     assert peak < 16 * n * n / 2
 
 
 def test_certify_family_holds_no_n_by_n_array():
-    _assert_peak_below_half_an_n_by_n_array(rotated_family(family_ckd(15, 4)), "streamed")
+    _assert_peak_below_half_an_n_by_n_array(rotated_family(family_ckd(15, 4)), {"streamed"})
+
+
+def test_sparse_certify_family_holds_no_n_by_n_array(monkeypatch):
+    # at N = 625 the default chunk is a quarter of an N x N array, so the
+    # chunks shrink to one eta-slab, N x d, and any N x N array would show
+    monkeypatch.setattr(construct, "_CHUNK_BYTES", 16 * 625 * 25)
+    _assert_peak_below_half_an_n_by_n_array(family_cd(25), {"streamed", "sparse"})
+
+
+def test_sparse_pair_classes_hold_no_n_by_n_array():
+    # at the default chunk budget: the pairs of the permutations U(a) of
+    # (25,1) are all monomial, and only B_I is expanded
+    fam = family_cd(25)
+    fam = MEBFamily(fam.d, fam.k, fam.ring, [g for g in fam.generators if g[0].startswith("U")])
+    _assert_peak_below_half_an_n_by_n_array(fam, {"sparse"}, pairs_only=True)
 
 
 def test_factored_certify_family_holds_no_n_by_n_array():
-    _assert_peak_below_half_an_n_by_n_array(family_ckd(15, 4), "factored")
+    _assert_peak_below_half_an_n_by_n_array(family_ckd(15, 4), {"factored"})
 
 
 def test_stages_count_the_streamed_work():
     report = certify_family(family_cd(19))
     stages = report.stages
-    # 2 chunks per expansion: B_I, 2 basis classes, 52 pair classes
+    # 2 chunks per expansion: B_I, 2 basis classes, and the 18 pair classes
+    # whose W is dense; the other 34 take the sparse product
     assert {key: stages[key] for key in ("bases", "basis_classes", "pairs", "classes",
-                                         "chunks")} == \
+                                         "sparse_pair_classes", "chunks")} == \
         {"bases": 36, "basis_classes": 2, "pairs": 630, "classes": 52,
-         "chunks": 2 * (1 + 2 + 52)}
+         "sparse_pair_classes": 34, "chunks": 2 * (1 + 2 + 18)}
     assert stages["max_chunk_bytes"] == 16 * 361 * 19 * 10  # 10 of the 19 eta-slabs
     for key in ("unitarity_s", "identity_blocks_s", "bases_s", "classes_s"):
         assert 0 <= stages[key] <= report.wall_time_s
     assert "stages" not in report.to_dict()
     only = certify_family(family_cd(19), pairs_only=True).stages
-    assert only["chunks"] == 2 * (1 + 52)
+    assert only["chunks"] == 2 * (1 + 18)
 
 
 def _first_last_w(d, k):
@@ -742,3 +768,182 @@ def test_certified_criterion_figures_match_the_blockwise_oracle(build):
         lo, hi = criterion_magnitudes_blockwise(fam.ring, fam.k, mats[i].conj().T @ mats[j])
         bound = 1e-13 + (2 * _residual_bound(fam) if row["route"] == "factored" else 0.0)
         assert abs(row["criterion_deviation"] - verify.deviation(lo, hi, target)) <= bound
+
+
+# ---------------------------------------------------------------------------
+# the sparse overlap product of a monomial W
+
+# |sparse - streamed| on an exactly monomial W: both round, per overlap, one
+# product of three entries of magnitude at most 1, in another order
+_SPARSE_ROUNDING = 1e-15
+
+
+def _class_ws(fam):
+    """The d x d W of the first pair of every pair class of fam: U^dag V for
+    k = 1, and the d-level Y = C_s^dag C_t of the factors for k >= 2."""
+    mats = [u for _, u in fam.generators]
+    out = []
+    for i, j in _pair_classes(mats)[1]:
+        if fam.k == 1:
+            out.append(verify._adjoint_product(mats[i], mats[j]))
+        else:
+            (_, c_s, _), (_, c_t, _) = (verify._kron_factors(mats[m], fam.d) for m in (i, j))
+            out.append(verify._adjoint_product(c_s, c_t))
+    return out
+
+
+@pytest.mark.parametrize("build,exact,near", [
+    *[(lambda d=d: family_cd(d), q - 2, q - 2)
+      for d, q in ((3, 3), (5, 5), (7, 7), (9, 9), (15, 3), (19, 19), (21, 3), (25, 25))],
+    (lambda: family_ckd(15, 9), 1, 1), (lambda: family_ckd(9, 4), 10, 0),
+], ids=["3-1", "5-1", "7-1", "9-1", "15-1", "19-1", "21-1", "25-1", "15-9", "9-4"])
+def test_sparse_route_matches_the_streamed_route_on_every_pair_class(build, exact, near):
+    # k = 1: the U-U classes are exactly monomial and the V-V classes
+    # monomial up to GEMM rounding, q_1 - 2 of each; the d-level Y of the
+    # tensor families are the k = 1 W of their C_t
+    fam = build()
+    kd = fam.k * fam.d
+    b_id = linalg.ColumnBlocks(construct.expand_chunks(fam.ring, np.eye(fam.d)))
+    counts = [0, 0]
+    for w in _class_ws(fam):
+        rows, values, rho = verify._monomial_part(w)
+        if not kd * rho <= verify._FACTOR_LIMIT:
+            continue
+        got = verify.sparse_unbiased(b_id, rows, values)
+        want = bruteforce_unbiased(b_id, construct.expand_chunks(fam.ring, w))
+        assert np.abs(np.subtract(got, want)).max() <= _SPARSE_ROUNDING + kd * rho
+        counts[rho > 0] += 1
+    assert counts == [exact, near]
+
+
+@pytest.mark.parametrize("d", [9, 19])
+def test_single_row_blocks_give_the_extremes_of_all_their_products(d):
+    # every block of a U-U or V-V class is reached by one row, and its
+    # extremes, taken from the extreme squared magnitudes of the two rows,
+    # equal bit for bit those of all N d^2 products |w|^2 |x_a|^2 |y_b|^2
+    fam = family_cd(d)
+    b_id = linalg.ColumnBlocks(construct.expand_chunks(fam.ring, np.eye(d)))
+    group = b_id.row_groups()[0]
+    [(_, cols, _)] = b_id.buckets
+    n = d * d
+    a = expand_basis(fam.ring, np.eye(d))
+    entries = a[np.arange(n)[:, None], cols[group]]  # each row on its group's columns
+    squares = entries.real ** 2 + entries.imag ** 2
+    checked = 0
+    for w in _class_ws(fam):
+        rows, values, rho = verify._monomial_part(w)
+        if not d * rho <= verify._FACTOR_LIMIT:
+            continue
+        col = np.arange(n) % d
+        dst = np.arange(n) - col + rows[col]
+        w_sq = values.real ** 2 + values.imag ** 2
+        products = (squares[dst] * w_sq[col, None])[:, :, None] * squares[:, None, :]
+        assert verify.sparse_unbiased(b_id, rows, values) == \
+            (float(np.sqrt(products.min())), float(np.sqrt(products.max())))
+        checked += 1
+    assert checked == 2 * (d - 2)
+
+
+@pytest.mark.parametrize("d,a,b", [(5, 1, 1), (15, 6, 6), (45, 10, 10), (15, 6, 7), (45, 10, 11)],
+                         ids=["self-5", "self-15", "self-45", "zero-divisor-15",
+                              "zero-divisor-45"])
+def test_rows_that_meet_in_one_block_take_the_streamed_route(d, a, b):
+    # W = I sends every row of B_I to its own group, so the d rows of a group
+    # meet in its diagonal block; for units a, b with a - b a zero divisor,
+    # several rows of U(a)^dag U(b) meet in one block.  Either way the N rows
+    # leave some of the N blocks unreached, so the pair streams and fails
+    # with lo = 0
+    ring = ring_for_dimension(d)
+    u, v = permutation_unitary(ring, a), permutation_unitary(ring, b)
+    w = u.conj().T @ v
+    rows, values, rho = verify._monomial_part(w)
+    assert rho == 0
+    b_id = linalg.ColumnBlocks(construct.expand_chunks(ring, np.eye(d)))
+    group = b_id.row_groups()[0]
+    key = group[np.arange(d * d) - np.arange(d * d) % d + np.tile(rows, d)] * d + group
+    assert np.bincount(key).max() > 1
+    assert verify.sparse_unbiased(b_id, rows, values) is None
+    want = bruteforce_unbiased(b_id, construct.expand_chunks(ring, w))
+    assert want[0] == 0.0
+    report = certify_family(MEBFamily(d, 1, ring, [("U(a)", u), ("U(b)", v)]))
+    (row,) = report.pair_results
+    assert (row["route"], row["overlap_min"], row["pass"]) == ("streamed", 0.0, False)
+    assert row["overlap_max"] == want[1]
+    assert report.stages["sparse_pair_classes"] == 0
+
+
+def test_blocks_that_no_row_reaches_are_exact_zeros():
+    # at k = 2 the N = 18 rows of B_I reach at most 18 of its (kd)^2 = 36
+    # block pairs, so a monomial W that does not factor, here one whose rows
+    # reach 18 blocks once each, leaves exact-zero overlaps, and only they
+    # bring the minimum to 0
+    d, k = 3, 2
+    ring = ring_for_dimension(d)
+    p = np.zeros((6, 6), dtype=complex)
+    p[[0, 2, 1, 4, 3, 5], np.arange(6)] = np.exp(1j * np.arange(6))
+    assert verify._kron_factors(p, d) is None
+    fam = MEBFamily(d, k, ring, [("I", np.eye(6)), ("P", p)])
+    (row,) = certify_family(fam).pair_results
+    (want,) = certify_exhaustive(fam).pair_results
+    assert (row["route"], row["overlap_min"], row["pass"]) == ("sparse", 0.0, False)
+    assert want["overlap_min"] == 0.0
+    assert abs(row["overlap_max"] - want["overlap_max"]) <= _SPARSE_ROUNDING
+    mags = np.abs(expand_basis(ring, np.eye(6)).conj().T @ expand_basis(ring, p))
+    assert (mags == 0).any() and mags[mags > 0].min() > 0.3  # 1/d where nonzero
+
+
+@pytest.mark.parametrize("scale,route", [(0.5, "sparse"), (1.0, "sparse"), (2.0, "streamed")])
+def test_an_entry_off_the_pattern_above_the_limit_takes_the_streamed_route(scale, route):
+    # W = I^dag U = U: a permutation with one entry off its pattern at
+    # scale * 2^-40 / kd
+    d = 7
+    ring = ring_for_dimension(d)
+    u = permutation_unitary(ring, 3)
+    u[np.flatnonzero(u[:, 2] == 0)[0], 2] = scale * verify._FACTOR_LIMIT / d
+    fam = MEBFamily(d, 1, ring, [("I", np.eye(d)), ("spoiled", u)])
+    report = certify_family(fam)
+    (row,) = report.pair_results
+    assert row["route"] == route
+    assert report.stages["sparse_pair_classes"] == (route == "sparse")
+    e = 0.0
+    if route == "sparse":
+        assert row["monomial_residual"] == scale * verify._FACTOR_LIMIT / d
+        e = d * row["monomial_residual"]
+    else:
+        assert "monomial_residual" not in row
+    (want,) = certify_exhaustive(fam).pair_results
+    for key in ("overlap_min", "overlap_max"):
+        assert abs(row[key] - want[key]) <= _SPARSE_ROUNDING + e
+    assert abs(row["overlap_deviation"] - e - want["overlap_deviation"]) <= _SPARSE_ROUNDING + e
+    assert row["pass"] == want["pass"] and report.passed
+
+
+@pytest.mark.parametrize("where", ["on-pattern", "off-pattern"])
+def test_a_w_holding_nan_never_passes(monkeypatch, where):
+    # the largest |entry| of a column turned NaN stays on the pattern, so a
+    # monomial W takes the sparse product with it; a NaN beside it makes rho
+    # NaN, which is no monomial W.  Either way no overlap figure passes
+    adjoint = verify._adjoint_product
+
+    def spoiled(u, v):
+        w = adjoint(u, v)
+        at = int(np.abs(w[:, 1]).argmax())
+        w[at if where == "on-pattern" else (at + 1) % len(w), 1] = np.nan
+        return w
+
+    monkeypatch.setattr(verify, "_adjoint_product", spoiled)
+    with np.errstate(invalid="ignore"):
+        report = certify_family(family_cd(5))
+    routes = {p["route"] for p in report.pair_results}
+    assert routes == ({"sparse", "streamed"} if where == "on-pattern" else {"streamed"})
+    assert not report.passed
+    assert not any(p["pass"] or p["criterion_pass"] for p in report.pair_results)
+
+
+def test_brute_force_extremes_keep_a_nan():
+    # a NaN in the second chunk must not be passed over by the running extremes
+    spoiled = np.eye(4, dtype=complex)[:, 2:]
+    spoiled[0, 1] = np.nan
+    chunks = [(np.arange(2), np.eye(4, dtype=complex)[:, :2]), (np.arange(2, 4), spoiled)]
+    lo, hi = bruteforce_unbiased(np.eye(4), chunks)
+    assert np.isnan(lo) and np.isnan(hi)
