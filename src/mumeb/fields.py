@@ -348,7 +348,8 @@ def neg_index_vector(ring):
 
 
 def mul_index_vector(ring, a):
-    """index(a * x) for every x, for a fixed ring index a."""
+    """index(a * x) for every x, for a fixed ring index a; for a column
+    a[:, None] of indices, one such row per entry of a."""
     comps = ring.components(np.arange(ring.d))
     return ring.from_components(f.mul(ca, c)
                                 for f, ca, c in zip(ring.factors, ring.components(a), comps))

@@ -116,6 +116,20 @@ nothing else, and let b_R be row R of B_I.
   and routes its d-level Y the same way, and adds max |X| e, since its
   overlaps are |X_ab| |Q_ij|.
 
+A dense d-level class runs brute force once per orbit of B_I's unit
+automorphisms.  At k = 1 let P_m = U(m) for a unit m, so (P_m W P_m^T)[r, s]
+= W[m r, m s], and let Pi_m be a column permutation with
+(P_m (x) P_m) B_I = B_I Pi_m: column (xi, eta) of the left side is
+sum_r lambda(r xi) |(r + eta) / m> |r / m> = column (m xi, eta / m) of B_I,
+since lambda(m r' xi) = lambda(r' (m xi)).  Then
+(P_m^T (x) P_m^T)(I_d (x) W)(P_m (x) P_m) = I_d (x) P_m^T W P_m gives
+B_I^dag (I_d (x) P_m^T W P_m) B_I = Pi_m^T (B_I^dag (I_d (x) W) B_I) Pi_m,
+the same overlaps in another order.  So a W with P_m W P_m^T equal to an
+earlier dense W_rep, entry for entry, takes W_rep's overlap extremes.  The
+identity for each m used is checked on the computed B_I (_permutes_columns),
+and W keeps its own criterion sums, so its agreement tests the symmetry.  The
+d-level Y of a factored class is matched in the same way against B_{I_d}.
+
 W = U^dag V is a gather when a factor is monomial, one nonzero per column
 read off the entries (_adjoint_product).  If column m of U has its only
 nonzero at row p_m, then W[m, n] = sum_i conj(U[i, m]) V[i, n] drops, next
@@ -156,6 +170,7 @@ import dataclasses
 import functools
 import itertools
 import time
+import zlib
 
 import numpy as np
 
@@ -352,6 +367,39 @@ def sparse_unbiased(basis_a, rows, values):
     return float(np.sqrt(lo)), float(np.sqrt(hi))
 
 
+def _permutes_columns(basis_a, sigma):
+    """Whether A[sigma] = A Pi, bit for bit, for some column permutation Pi,
+    A being the N x N basis held as linalg.ColumnBlocks basis_a, an expanded
+    basis, and sigma a permutation of its rows.  Row R of A[sigma] is row
+    sigma[R] of A.  The moved support sigma(S_h) of each group h must be the
+    support S_g of one group g, and the columns of g read at the rows
+    sigma(S_h) must be those of h as a multiset of byte strings; then every
+    column of A[sigma] is a column of A, one for one.  O(N d log d)."""
+    group = basis_a.row_groups()[0]
+    rows, _, adj = basis_a.buckets[0]  # adj[g, i, j] = conj(A[rows[g, j], cols[g, i]])
+    moved = sigma[rows]
+    to = group[moved]
+    if (to != to[:, :1]).any():
+        return False
+    slot = np.empty_like(group)  # of each row within its group's support
+    slot[rows] = np.arange(rows.shape[1])
+    read = np.take_along_axis(adj[to[:, 0]], slot[moved][:, None, :], axis=2)
+    column = np.dtype((np.void, adj.itemsize * adj.shape[2]))
+    return np.array_equal(np.sort(read.view(column), axis=1),
+                          np.sort(np.ascontiguousarray(adj).view(column), axis=1))
+
+
+def _orbit_unit(w, rep, units, perms, one):
+    """The position h of a unit units[h] = m with w[q_m][:, q_m] = rep entry
+    for entry, q_m = perms[h] being index(m x), or None.  Row `one` of
+    w[q_m][:, q_m] is w[m, q_m], which picks the candidates for the whole
+    matrix, all units at once."""
+    for h in np.flatnonzero((w[units[:, None], perms] == rep[one]).all(axis=1)):
+        if np.array_equal(w[np.ix_(perms[h], perms[h])], rep):
+            return int(h)
+    return None
+
+
 def _basis_deviations(b_id, u, chunks, x=np.ones((1, 1)), norms=np.ones(1)):
     """(orthonormality, entanglement) of the basis B_U of U from its column
     chunks: max |((I_d (x) U) B_I)^dag B_U - I| and the largest deviation of
@@ -458,6 +506,13 @@ def _monomial_part(w):
     return rows, values, float(mags.max())
 
 
+def _digest(rows):
+    """A digest of the bytes of a contiguous array, their CRC-32, read in
+    place.  Equal digests do not prove equal bytes; the caller confirms each
+    match."""
+    return zlib.crc32(rows)
+
+
 def _pair_classes(mats):
     """(i, j, class) for every pair i < j, in itertools.combinations order,
     the first pair (i, j) of each class, and the canonical id of each
@@ -470,13 +525,25 @@ def _pair_classes(mats):
     W = U_i^dag U_j.  The key is read off the matrices, never off the labels,
     which a loaded file does not vouch for.  Generators with one id are
     row gathers of one another, which makes the id their basis class.
+
+    The ids are looked up by a digest of C_i (_digest), not by its bytes,
+    so that no second copy of the generators is held; a digest hit counts
+    only when C_i equals the canonical matrix of that id's first generator
+    bit for bit.
     """
-    canonical, ids, orders, positions = {}, [], [], []
+    firsts, ids, orders, positions = {}, [], [], []  # digest -> the first generator of each id
     for u in mats:
         rows = np.ascontiguousarray(u + 0.0)
         order = np.argsort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel(),
                            kind="stable")
-        ids.append(canonical.setdefault(rows[order].tobytes(), len(canonical)))
+        rows = rows[order].view(np.uint8)  # the bytes of C_i
+        known = firsts.setdefault(_digest(rows), [])
+        same = next((ids[f] for f in known if np.array_equal(
+            np.ascontiguousarray(mats[f] + 0.0)[orders[f]].view(np.uint8), rows)), None)
+        if same is None:
+            known.append(len(ids))
+            same = max(ids, default=-1) + 1  # numbered by first appearance
+        ids.append(same)
         position = np.empty_like(order)  # p_i, the inverse of order
         position[order] = np.arange(order.size)
         orders.append(order)
@@ -516,13 +583,21 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
     W = U^dag V, the criterion extremes are those of W, and the overlap
     extremes those of B_I against B_W = (I_d (x) W) B_I: "sparse" by
     sparse_unbiased when W is monomial (module docstring), else "streamed",
-    brute force against the chunks of B_W.  A factored Y is routed the same
-    way.  Either way the overlaps
+    brute force against the chunks of B_W.  A streamed W at the d-level,
+    that is at k = 1, is first matched against the representative W_rep of
+    each orbit found so far: "orbit" when P_m W P_m^T = W_rep for a unit m
+    (_orbit_unit), which takes W_rep's overlap extremes once the identity
+    (P_m (x) P_m) B_I = B_I Pi_m has been checked for that m
+    (_permutes_columns, RuntimeError when it fails); else W streams and
+    becomes a representative.  A factored Y is routed the same way.  Either
+    way the overlaps
     are held against 1/sqrt(kd^2), the criterion against 1/sqrt(k), and the
     two routes must agree after the factor-d rescaling.  Every pair keeps
     its own report row, in combinations order, carrying its class's
-    figures, the class id under "class", the route, and, when W or Y took
-    the sparse product, its "monomial_residual" rho.  A factored or sparse
+    figures, the class id under "class", the route, when W or Y took
+    the sparse product its "monomial_residual" rho, and when W or Y took
+    an orbit's figures the class id of its representative under
+    "orbit_of".  A factored or sparse
     figure includes the bound on how far the residuals can move it (module
     docstring), so every pass test holds for the generators as they stand.
 
@@ -530,9 +605,10 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
     needs them.  report.stages records the wall time of each stage (the
     reading of B_I or B_{I_d}, under identity_blocks_s, is also part of the
     stage that first needs it) and the counts of bases, basis classes and
-    factored basis classes, pairs, pair classes, factored pair classes and
-    pair classes whose W or Y took the sparse product, and chunks, and the
-    bytes of the largest chunk.
+    factored basis classes, pairs, pair classes, factored pair classes,
+    pair classes whose W or Y took the sparse product and those whose W or
+    Y took an orbit's figures, and chunks, and the bytes of the largest
+    chunk.
     """
     t0 = time.perf_counter()
     d, k = family.d, family.k
@@ -551,8 +627,8 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
     report = VerificationReport(family_id, d, k, family.n_bases, tolerances)
     stages = report.stages
     stages.update(bases=family.n_bases, basis_classes=0, factored_basis_classes=0, pairs=0,
-                  classes=0, factored_pair_classes=0, sparse_pair_classes=0, chunks=0,
-                  max_chunk_bytes=0, identity_blocks_s=0.0)
+                  classes=0, factored_pair_classes=0, sparse_pair_classes=0,
+                  orbit_pair_classes=0, chunks=0, max_chunk_bytes=0, identity_blocks_s=0.0)
 
     for label, mat in family.generators:
         ok, dev = linalg.is_unitary(mat, 1e-9)
@@ -617,24 +693,53 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
 
     t_stage = time.perf_counter()
 
-    def overlaps(size, w):
+    orbits = []  # (W, class id, overlap extremes) of each d-level orbit's representative
+    units = ring.units()
+    perms = fields.mul_index_vector(ring, units[:, None])  # row h: index(m x), m = units[h]
+    checked = set()  # the h whose (P_m (x) P_m) B_I = B_I Pi_m holds
+
+    def orbit_of(w):
+        """(class id, overlap extremes) of the orbit representative that
+        w is a conjugate of, or None."""
+        for rep, c, extremes in orbits:
+            h = _orbit_unit(w, rep, units, perms, ring.one)
+            if h is None:
+                continue
+            if h not in checked:
+                sigma = (perms[h][:, None] * d + perms[h]).ravel()  # row (iA, iB) -> (m iA, m iB)
+                if not _permutes_columns(identity_blocks(d), sigma):
+                    raise RuntimeError(f"the rows of B_I moved by the unit {units[h]} of {ring} "
+                                       f"are not a column permutation of B_I")
+                checked.add(h)
+            return c, extremes
+        return None
+
+    def overlaps(size, w, c):
         """(lo, hi, e, route fields): the overlap extremes of B^dag B_W for
         the size-level identity basis B, and e, how far the sparse product
-        can move them."""
+        can move them; c is the pair class of W."""
         rows, values, rho = _monomial_part(w)
         if kd * rho <= _FACTOR_LIMIT:
             extremes = sparse_unbiased(identity_blocks(size), rows, values)
             if extremes is not None:
                 stages["sparse_pair_classes"] += 1
                 return (*extremes, kd * rho, {"route": "sparse", "monomial_residual": rho})
-        return (*bruteforce_unbiased(identity_blocks(size), chunks_of(w)), 0.0,
-                {"route": "streamed"})
+        if size != d:
+            return (*bruteforce_unbiased(identity_blocks(size), chunks_of(w)), 0.0,
+                    {"route": "streamed"})
+        hit = orbit_of(w)
+        if hit is not None:
+            stages["orbit_pair_classes"] += 1
+            return (*hit[1], 0.0, {"route": "orbit", "orbit_of": hit[0]})
+        extremes = bruteforce_unbiased(identity_blocks(size), chunks_of(w))
+        orbits.append((w, c, extremes))
+        return (*extremes, 0.0, {"route": "streamed"})
 
     class_results = []
-    for i, j in first:
+    for c, (i, j) in enumerate(first):
         if factors[i] is None or factors[j] is None:
             w = _adjoint_product(mats[i], mats[j])
-            ov_lo, ov_hi, e_w, route = overlaps(kd, w)
+            ov_lo, ov_hi, e_w, route = overlaps(kd, w, c)
             cr_lo, cr_hi = criterion_magnitudes(ring, w)
             shift = 0.0
         else:
@@ -642,7 +747,7 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
             x = np.abs(a_s.conj().T @ a_t)
             x_lo, x_hi = float(x.min()), float(x.max())
             y = _adjoint_product(c_s, c_t)
-            ov_lo, ov_hi, e_y, route = overlaps(d, y)
+            ov_lo, ov_hi, e_y, route = overlaps(d, y, c)
             cr_lo, cr_hi = criterion_magnitudes(ring, y)
             ov_lo, ov_hi, cr_lo, cr_hi = x_lo * ov_lo, x_hi * ov_hi, x_lo * cr_lo, x_hi * cr_hi
             e_w = x_hi * e_y

@@ -390,9 +390,12 @@ def test_unfactored_families_take_the_streamed_route(build):
     report = certify_family(fam)
     rows = report.basis_results + report.pair_results
     assert {row["route"] for row in report.basis_results} == {"streamed"}
-    assert {row["route"] for row in report.pair_results} <= {"streamed", "sparse"}
+    assert {row["route"] for row in report.pair_results} <= {"streamed", "sparse", "orbit"}
     sparse = {row["class"] for row in report.pair_results if row["route"] == "sparse"}
     assert report.stages["sparse_pair_classes"] == len(sparse) == (2 if fam.k == 1 else 0)
+    # of the 3 dense classes of (15,1), 2 are conjugates by a unit multiplication
+    orbit = {row["class"] for row in report.pair_results if row["route"] == "orbit"}
+    assert report.stages["orbit_pair_classes"] == len(orbit) == (1 if fam.d == 15 else 0)
     assert not any("factor_residual" in row for row in rows)
     assert report.stages["factored_basis_classes"] == report.stages["factored_pair_classes"] == 0
     assert report.passed
@@ -594,7 +597,7 @@ def test_sparse_certify_family_holds_no_n_by_n_array(monkeypatch):
     # at N = 625 the default chunk is a quarter of an N x N array, so the
     # chunks shrink to one eta-slab, N x d, and any N x N array would show
     monkeypatch.setattr(construct, "_CHUNK_BYTES", 16 * 625 * 25)
-    _assert_peak_below_half_an_n_by_n_array(family_cd(25), {"streamed", "sparse"})
+    _assert_peak_below_half_an_n_by_n_array(family_cd(25), {"streamed", "sparse", "orbit"})
 
 
 def test_sparse_pair_classes_hold_no_n_by_n_array():
@@ -612,18 +615,20 @@ def test_factored_certify_family_holds_no_n_by_n_array():
 def test_stages_count_the_streamed_work():
     report = certify_family(family_cd(19))
     stages = report.stages
-    # 2 chunks per expansion: B_I, 2 basis classes, and the 18 pair classes
-    # whose W is dense; the other 34 take the sparse product
+    # 2 chunks per expansion: B_I, 2 basis classes, and one pair class for
+    # each of the 2 orbits of the 18 whose W is dense; the other 16 dense
+    # classes take their orbit's figures and the other 34 the sparse product
     assert {key: stages[key] for key in ("bases", "basis_classes", "pairs", "classes",
-                                         "sparse_pair_classes", "chunks")} == \
+                                         "sparse_pair_classes", "orbit_pair_classes",
+                                         "chunks")} == \
         {"bases": 36, "basis_classes": 2, "pairs": 630, "classes": 52,
-         "sparse_pair_classes": 34, "chunks": 2 * (1 + 2 + 18)}
+         "sparse_pair_classes": 34, "orbit_pair_classes": 16, "chunks": 2 * (1 + 2 + 2)}
     assert stages["max_chunk_bytes"] == 16 * 361 * 19 * 10  # 10 of the 19 eta-slabs
     for key in ("unitarity_s", "identity_blocks_s", "bases_s", "classes_s"):
         assert 0 <= stages[key] <= report.wall_time_s
     assert "stages" not in report.to_dict()
     only = certify_family(family_cd(19), pairs_only=True).stages
-    assert only["chunks"] == 2 * (1 + 18)
+    assert only["chunks"] == 2 * (1 + 2)
 
 
 def _first_last_w(d, k):
@@ -947,3 +952,116 @@ def test_brute_force_extremes_keep_a_nan():
     chunks = [(np.arange(2), np.eye(4, dtype=complex)[:, :2]), (np.arange(2, 4), spoiled)]
     lo, hi = bruteforce_unbiased(np.eye(4), chunks)
     assert np.isnan(lo) and np.isnan(hi)
+
+
+# ---------------------------------------------------------------------------
+# the orbit route: dense classes conjugate by a unit multiplication
+
+def _conjugated_tensor_family(d, k):
+    """family_ckd(d, k) and, for a unit m, its generators B_t (x) C_t P_m^T,
+    P_m = U(m): their d-level Y are P_m Y P_m^T, bit for bit, so their dense
+    classes are in the orbits of the first four's."""
+    fam, base = family_ckd(d, k), family_cd(d)
+    q = fields.mul_index_vector(fam.ring, int(fam.ring.units()[1]))
+    gens = [(f"{label}'", np.kron(construct.b_tensor(k, t), u[:, q]))
+            for t, (label, u) in enumerate(base.generators[:fam.n_bases])]
+    return MEBFamily(d, k, fam.ring, fam.generators + gens, fam.metadata)
+
+
+@pytest.mark.parametrize("build,merged", [
+    (lambda: family_cd(9), 6), (lambda: family_cd(15), 1), (lambda: family_cd(19), 16),
+    (lambda: family_cd(25), 22), (lambda: family_cd(45), 7),
+    (lambda: family_ckd(15, 9), 0), (lambda: _conjugated_tensor_family(15, 9), 4),
+], ids=["9-1", "15-1", "19-1", "25-1", "45-1", "15-9", "15-9-conjugated"])
+def test_orbit_route_matches_brute_force_on_every_dense_class(build, merged):
+    # every class that streams or takes an orbit's figures holds the brute
+    # force extremes of its own W, or for k >= 2 of its own d-level Y times
+    # the extremes of |A_s^dag A_t|, within summation order
+    fam = build()
+    report = certify_family(fam, pairs_only=True)
+    rows = {p["class"]: p for p in report.pair_results}
+    b_id = linalg.ColumnBlocks(construct.expand_chunks(fam.ring, np.eye(fam.d)))
+    mats = [u for _, u in fam.generators]
+    orbit = 0
+    for c, ((i, j), w) in enumerate(zip(_pair_classes(mats)[1], _class_ws(fam))):
+        row = rows[c]
+        if "monomial_residual" in row:
+            continue
+        lo, hi = bruteforce_unbiased(b_id, construct.expand_chunks(fam.ring, w))
+        if fam.k > 1:
+            (a_s, _, _), (a_t, _, _) = (verify._kron_factors(mats[m], fam.d) for m in (i, j))
+            x = np.abs(a_s.conj().T @ a_t)
+            lo, hi = x.min() * lo, x.max() * hi
+        assert abs(row["overlap_min"] - lo) <= 1e-15 and abs(row["overlap_max"] - hi) <= 1e-15
+        if "orbit_of" in row:
+            rep = rows[row["orbit_of"]]  # an earlier class whose own W or Y streamed
+            assert row["route"] == ("orbit" if fam.k == 1 else "factored")
+            assert rep["route"] == ("streamed" if fam.k == 1 else "factored")
+            assert "orbit_of" not in rep and "monomial_residual" not in rep
+            assert row["orbit_of"] < c
+            orbit += 1
+    assert orbit == report.stages["orbit_pair_classes"] == merged
+
+
+@pytest.mark.parametrize("d", [9, 15, 19, 25, 45])
+def test_unit_multiplications_permute_the_columns_of_the_identity_basis(d):
+    # (P_m (x) P_m) B_I = B_I Pi_m for every unit m.  A transposition of two
+    # nonzero indices, applied to both factors, splits the row supports of
+    # the column groups, and so does swapping the rows (1, 0) and (1, 2),
+    # which keeps each row's place within its group's support; a translation
+    # by one keeps the supports but multiplies column (xi, eta) by
+    # lambda(xi).  None of them is a column permutation
+    ring = ring_for_dimension(d)
+    b_id = linalg.ColumnBlocks(construct.expand_chunks(ring, np.eye(d)))
+
+    def both(q):
+        return (q[:, None] * d + q).ravel()
+
+    for m in ring.units():
+        assert verify._permutes_columns(b_id, both(fields.mul_index_vector(ring, m)))
+    swap = np.arange(d)
+    swap[[1, 2]] = swap[[2, 1]]
+    assert not verify._permutes_columns(b_id, both(swap))
+    rows = np.arange(d * d)
+    rows[[d, d + 2]] = rows[[d + 2, d]]
+    assert not verify._permutes_columns(b_id, rows)
+    assert not verify._permutes_columns(b_id, both(fields.add_index_table(ring)[ring.one]))
+
+
+def test_a_w_that_is_no_unit_conjugate_does_not_merge():
+    # W' = P^T F P for a transposition P of two nonzero indices, and P F,
+    # which keeps the row of F at the ring's one, share no orbit with the
+    # Fourier kernel F, so (I, F') and (I, P F) stream beside (I, F)
+    d = 7
+    ring = ring_for_dimension(d)
+    swap = np.arange(d)
+    swap[[2, 3]] = swap[[3, 2]]
+    f = fourier_unitary(ring)
+    fam = MEBFamily(d, 1, ring, [("I", np.eye(d)), ("F", f), ("F'", f[swap][:, swap]),
+                                 ("PF", f[swap])])
+    report = certify_family(fam, pairs_only=True)
+    assert [(p["a"], p["b"], p["route"], p["class"]) for p in report.pair_results][:3] == \
+        [("I", "F", "streamed", 0), ("I", "F'", "streamed", 1), ("I", "PF", "streamed", 2)]
+    assert report.stages["orbit_pair_classes"] == 0
+    _assert_same_verdicts(report, certify_exhaustive(fam, pairs_only=True))
+
+
+def test_a_failed_identity_check_raises_instead_of_merging(monkeypatch):
+    monkeypatch.setattr(verify, "_permutes_columns", lambda basis_a, sigma: False)
+    with pytest.raises(RuntimeError, match="not a column permutation"):
+        certify_family(family_cd(19))
+    # a family with no two conjugate dense classes never asks
+    assert certify_family(family_cd(3)).passed
+
+
+@pytest.mark.parametrize("build,ids", [
+    (lambda: family_cd(19), 2), (lambda: family_ckd(9, 4), 5),
+    (lambda: rotated_family(family_ckd(3, 4)), 4),
+], ids=["19-1", "9-4", "rotated-3-4"])
+def test_pair_classes_never_merge_on_a_digest_collision(monkeypatch, build, ids):
+    # with every digest equal, each id still needs a bit-for-bit match
+    mats = [u for _, u in build().generators]
+    want = _pair_classes(mats)
+    monkeypatch.setattr(verify, "_digest", lambda rows: b"")
+    got = _pair_classes(mats)
+    assert got == want and len(set(got[2])) == ids
