@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import sys
+import time
 
 from . import bounds, construct, families, fields, mols, verify
 
@@ -42,6 +43,8 @@ def _build_parser():
     p.add_argument("--pairs-only", action="store_true")
     p.add_argument("--report", default=None, help="write the full report JSON here")
     p.add_argument("--json", action="store_true", help="print the report JSON to stdout")
+    p.add_argument("--progress", action="store_true",
+                   help="print each stage, its classes done and an ETA to stderr")
 
     p = sub.add_parser("bound", help="lower bounds on unbiased entangled bases")
     p.add_argument("--d", type=int, required=True)
@@ -102,12 +105,35 @@ def _cmd_construct(args):
     return 0
 
 
+def _progress_printer(stream):
+    """A progress callback for certify_family that prints to stream each
+    stage as it starts, then its items done out of the total, the time
+    spent on the stage and an ETA from the mean time per item so far, at
+    most once a second and when the stage ends."""
+    start = last = 0.0
+
+    def show(stage, done, total):
+        nonlocal start, last
+        now = time.monotonic()
+        if done == 0:
+            start = last = now
+            print(f"{stage}: 0/{total}", file=stream, flush=True)
+        elif done == total or now - last >= 1.0:
+            last = now
+            spent = now - start
+            print(f"{stage}: {done}/{total} in {spent:.1f} s, "
+                  f"eta {spent / done * (total - done):.1f} s", file=stream, flush=True)
+
+    return show
+
+
 def _cmd_verify(args):
     if not math.isfinite(args.tolerance) or args.tolerance < 0:
         raise UsageError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     family = families.load_family(args.family)
     report = verify.certify_family(family, tolerance=args.tolerance,
-                                   pairs_only=args.pairs_only)
+                                   pairs_only=args.pairs_only,
+                                   progress=_progress_printer(sys.stderr) if args.progress else None)
     if args.report:
         families.save_report(report, args.report,
                              header_extra={"family_file": args.family})

@@ -322,5 +322,5 @@ def save_report(report, path, header_extra=None):
               "stages": report.stages}
     doc = {"header": header, **report.to_dict()}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        fh.write(json.dumps(doc, sort_keys=True))  # the C encoder; json.dump never uses it
         fh.write("\n")

@@ -158,6 +158,6 @@ def max_entanglement_deviation(basis, d, dprime, norms=np.ones(1)):
         rho = chunk @ chunk.conj().transpose(0, 2, 1)
         on = rho[:, diag, diag]
         rho[:, diag, diag] = 0.0
-        worst = max(worst, float(norms.max()) * float(np.abs(rho).max()),
-                    float(np.abs(norms[:, None, None] * on - 1.0 / d).max()))
-    return worst
+        worst = np.max((worst, norms.max() * np.abs(rho).max(),
+                        np.abs(norms[:, None, None] * on - 1.0 / d).max()))  # NaN stays
+    return float(worst)

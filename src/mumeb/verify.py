@@ -21,12 +21,41 @@ chunks (construct.expand_chunks), and every product B_I^dag X runs over
 the column blocks of B_I, read once (linalg.ColumnBlocks): each column of
 B_I has d nonzeros, shared by the d columns of one (eta, j), so a product
 with an N x c chunk costs 8 d N c flops.  The overlaps of a class are
-B_I^dag B_W over the chunks of B_W = (I_d (x) W) B_I, which is the expansion
-of W itself, or for a monomial W the sparse product below.  The
+B_I^dag B_W over slab 0 of B_W = (I_d (x) W) B_I (see below), which is the
+expansion of W itself, or for a monomial W the sparse product below.  The
 orthonormality of a basis is
 max |((I_d (x) U) B_I)^dag B_U - I| = max |B_I^dag ((I_d (x) U^dag) B_U) - I|,
 taken chunk by chunk; it reads the bytes of the expanded B_U and, for
 unitary U, equals its Gram defect max |B_U^dag B_U - I|.
+
+Every figure of a basis is read off its slab 0, the kd columns (xi, 0, j).
+Column (xi, eta, j) of an expansion has the entry
+(1/sqrt(d)) lambda(r xi) U[iB, j d + r], r = iA - eta, at row (iA, iB), so
+slab eta is T_eta y_0: y_0 is slab 0 and T_eta = X_eta (x) I_kd moves row
+(iA - eta, iB) to (iA, iB).  expand_chunks computes each entry as one
+product of the same two numbers in every slab, and _slab_zero checks
+T_eta y_0 bit for bit on every slab of every expansion certify_family
+reads, B_I's included, raising RuntimeError on a mismatch.  For B_I itself
+this gives T_(-eta) B_I = B_I Pi_eta, Pi_eta the column permutation that
+reads column (xi', eta', j') at (xi', eta' - eta, j'), and so
+B_I^dag T_eta = Pi_eta^T B_I^dag, since T_eta^dag = T_(-eta).
+1. Orthonormality.  T_eta commutes with I_d (x) U^dag, so
+   B_I^dag (I_d (x) U^dag) T_eta y_0 = Pi_eta^T B_I^dag (I_d (x) U^dag) y_0:
+   the product block of slab eta is that of slab 0 with its rows relabelled
+   (xi', eta', j') -> (xi', eta' - eta, j'), which takes the entry that I
+   meets, row (xi, eta, j) of column (xi, eta, j), to row (xi, 0, j) of
+   column (xi, 0, j), where the block of slab 0 has it.
+2. Entanglement.  The d x kd reshape of column (xi, eta, j) is P M_0, with
+   M_0 that of column (xi, 0, j) and P the permutation of the rows iA, so
+   rho_eta = P rho_0 P^T, whose entries deviate from I_d / d as those of
+   rho_0 do, in another order.
+3. Overlaps.  B_W is the expansion of W, so B_I^dag T_eta y_0 =
+   Pi_eta^T B_I^dag y_0 holds the magnitudes of the slab-0 block of
+   B_I^dag B_W in another order, and the extremes over the N columns of
+   B_W are those over its slab 0.
+Each figure is so equal to that of slab 0 up to the order of summation,
+and the per-basis products and the brute-force overlaps run on kd of the N
+columns, d times fewer flops.  Every chunk is still expanded and compared.
 
 The per-basis checks run once per basis class.  A generator that is a row
 gather U = R[p] of another, R, has the basis B_U = (I_d (x) P) B_R, a row
@@ -411,7 +440,8 @@ def _basis_deviations(b_id, u, chunks, x=np.ones((1, 1)), norms=np.ones(1)):
     of B_I.  For a unitary U it equals the Gram defect max |B_U^dag B_U - I|,
     since B_U = (I_d (x) U) B_I; unlike the Gram defect it also catches
     columns of B_U that are out of place.  I is subtracted where a row of a
-    product block, a column id of B_I, is one of the chunk's columns.
+    product block, a column id of B_I, is one of the chunk's columns.  The
+    figures are folded with np.max, so a NaN in any block stays.
     """
     kd = u.shape[0]
     u_dag = u.conj().T
@@ -422,7 +452,7 @@ def _basis_deviations(b_id, u, chunks, x=np.ones((1, 1)), norms=np.ones(1)):
     ortho = ent = g_max = 0.0
     for cols, chunk in chunks:
         n, c = chunk.shape
-        ent = max(ent, linalg.max_entanglement_deviation(chunk, n // kd, kd, norms))
+        ent = np.max((ent, linalg.max_entanglement_deviation(chunk, n // kd, kd, norms)))
         y = np.matmul(u_dag, chunk.reshape(n // kd, kd, c)).reshape(n, c)
         slot[cols] = np.arange(c)
         for ids, block in b_id.adjoint_products(y):
@@ -431,11 +461,11 @@ def _basis_deviations(b_id, u, chunks, x=np.ones((1, 1)), norms=np.ones(1)):
             diag = block[at]
             block[at] = 0.0
             off = float(np.abs(block).max())
-            g_max = max(g_max, off, float(np.abs(diag).max(initial=0.0)))
-            ortho = max(ortho, on_scale * off,
-                        float(np.abs(x_diag[:, None] * diag - 1.0).max(initial=0.0)))
+            g_max = np.max((g_max, off, np.abs(diag).max(initial=0.0)))
+            ortho = np.max((ortho, on_scale * off,
+                            np.abs(x_diag[:, None] * diag - 1.0).max(initial=0.0)))
         slot[cols] = -1
-    return max(ortho, off_scale * g_max), ent
+    return float(np.max((ortho, off_scale * g_max))), float(ent)
 
 
 def _tally(chunks, stages):
@@ -444,6 +474,43 @@ def _tally(chunks, stages):
         stages["chunks"] += 1
         stages["max_chunk_bytes"] = max(stages["max_chunk_bytes"], chunk.nbytes)
         yield cols, chunk
+
+
+def _slab_zero(ring, chunks, stages, pass_on=False):
+    """Check that every eta-slab of an expansion is slab 0 with its rows
+    moved, slab eta at row (iA, iB) being slab 0 at row (iA - eta, iB), and
+    yield slab 0 alone, as one chunk (cols, N x kd array), once every slab
+    is checked; with pass_on, yield each chunk instead, as it is checked.
+
+    The chunks are those of construct.expand_chunks, slab 0 first.  Entries
+    compare by their bits (int64 views), so -0.0 and NaN count as they are
+    stored.  A mismatch raises RuntimeError; stages["slabs_checked"] counts
+    the slabs eta != 0 compared.  The module docstring proves that slab 0
+    then carries every figure of the whole basis."""
+    d = ring.d
+    sub = fields.add_index_table(ring)[:, fields.neg_index_vector(ring)]  # [iA, eta]: iA - eta
+    slab = None
+    for cols, chunk in chunks:
+        n, c = chunk.shape
+        k = n // (d * d)
+        etas = cols[:c // d:k] // k  # the slabs of the chunk, read at xi = 0, j = 0
+        bits = chunk.view(np.int64).reshape(d, d * k, d, etas.size, 2 * k)  # [iA, iB, xi, eta, j]
+        if slab is None:
+            slab = bits[:, :, :, 0].copy()
+        for i_a, rows in enumerate(sub[:, etas]):  # row block iA of each slab against slab 0
+            same = (slab[rows] == bits[i_a].transpose(2, 0, 1, 3)).reshape(etas.size, -1)
+            if not same.all():
+                eta = etas[np.argmin(same.all(axis=1))]
+                raise RuntimeError(f"slab {eta} of an expansion over {ring} is not slab 0 "
+                                   f"with its rows moved by {eta}")
+        stages["slabs_checked"] += int(np.count_nonzero(etas))
+        if pass_on:
+            yield cols, chunk
+    if not pass_on:
+        del chunk, bits  # so that the last chunk's buffer is freed while slab 0 is read
+        k = slab.shape[3] // 2
+        cols = (np.arange(d)[:, None] * (d * k) + np.arange(k)).ravel()  # (xi, 0, j)
+        yield cols, slab.view(complex).reshape(-1, cols.size)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +625,7 @@ def _pair_classes(mats):
     return pairs, first, ids
 
 
-def certify_family(family, tolerance=1e-8, pairs_only=False):
+def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
     """Check everything the family claims, holding no N x N array.
 
     Per basis class (skipped when pairs_only), take the class's first
@@ -567,7 +634,9 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
     of C against the column blocks of B_{I_d} and scale its figures by
     those of A (figures 1 and 2 of the module docstring).  Otherwise it is
     "streamed": stream the expansion of U and check orthonormality against
-    (I_d (x) U) B_I and maximal entanglement, chunk by chunk.  A class holds
+    (I_d (x) U) B_I and maximal entanglement.  Either way the figures are
+    those of slab 0, once every other slab of the expansion is checked to
+    be its translate (_slab_zero, module docstring).  A class holds
     the generators R[p] that are row gathers of one another, whose bases
     B_{R[p]} = (I_d (x) P) B_R are row permutations of one another; that
     changes neither figure beyond the order of summation (see the module
@@ -583,7 +652,7 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
     W = U^dag V, the criterion extremes are those of W, and the overlap
     extremes those of B_I against B_W = (I_d (x) W) B_I: "sparse" by
     sparse_unbiased when W is monomial (module docstring), else "streamed",
-    brute force against the chunks of B_W.  A streamed W at the d-level,
+    brute force against slab 0 of B_W.  A streamed W at the d-level,
     that is at k = 1, is first matched against the representative W_rep of
     each orbit found so far: "orbit" when P_m W P_m^T = W_rep for a unit m
     (_orbit_unit), which takes W_rep's overlap extremes once the identity
@@ -607,8 +676,12 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
     stage that first needs it) and the counts of bases, basis classes and
     factored basis classes, pairs, pair classes, factored pair classes,
     pair classes whose W or Y took the sparse product and those whose W or
-    Y took an orbit's figures, and chunks, and the bytes of the largest
-    chunk.
+    Y took an orbit's figures, chunks, the bytes of the largest chunk, and
+    slabs checked as translates of slab 0 (_slab_zero).
+
+    progress, when given, is called as progress(stage, done, total) as each
+    stage starts, with done = 0, and after each of its items: "unitarity"
+    over the generators, "basis classes" and "pair classes".
     """
     t0 = time.perf_counter()
     d, k = family.d, family.k
@@ -628,12 +701,16 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
     stages = report.stages
     stages.update(bases=family.n_bases, basis_classes=0, factored_basis_classes=0, pairs=0,
                   classes=0, factored_pair_classes=0, sparse_pair_classes=0,
-                  orbit_pair_classes=0, chunks=0, max_chunk_bytes=0, identity_blocks_s=0.0)
+                  orbit_pair_classes=0, chunks=0, max_chunk_bytes=0, slabs_checked=0,
+                  identity_blocks_s=0.0)
 
-    for label, mat in family.generators:
+    progress = progress or (lambda stage, done, total: None)
+    progress("unitarity", 0, family.n_bases)
+    for done, (label, mat) in enumerate(family.generators, 1):
         ok, dev = linalg.is_unitary(mat, 1e-9)
         if not ok:
             report.generator_errors.append({"label": label, "deviation": dev})
+        progress("unitarity", done, family.n_bases)
     stages["unitarity_s"] = time.perf_counter() - t0
     if report.generator_errors:
         report.wall_time_s = time.perf_counter() - t0
@@ -647,16 +724,17 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
         basis_first.setdefault(c, i)
     stages.update(basis_classes=len(basis_first), pairs=len(pairs), classes=len(first))
 
-    def chunks_of(u):
-        return _tally(construct.expand_chunks(ring, u), stages)
+    def slab_zero(u, pass_on=False):
+        return _slab_zero(ring, _tally(construct.expand_chunks(ring, u), stages), stages, pass_on)
 
     blocks = {}
 
     def identity_blocks(size):
-        """The column blocks of B_I for size kd, or of B_{I_d} for size d."""
+        """The column blocks of B_I for size kd, or of B_{I_d} for size d,
+        whose slabs are checked to be translates of slab 0."""
         if size not in blocks:
             t = time.perf_counter()
-            blocks[size] = linalg.ColumnBlocks(chunks_of(np.eye(size)))
+            blocks[size] = linalg.ColumnBlocks(slab_zero(np.eye(size), pass_on=True))
             stages["identity_blocks_s"] += time.perf_counter() - t
         return blocks[size]
 
@@ -665,19 +743,21 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
     t_stage = time.perf_counter()
     if not pairs_only:
         figures = []
+        progress("basis classes", 0, len(basis_first))
         for i in basis_first.values():
             if factors[i] is None:
-                ortho, ent = _basis_deviations(identity_blocks(kd), mats[i], chunks_of(mats[i]))
+                ortho, ent = _basis_deviations(identity_blocks(kd), mats[i], slab_zero(mats[i]))
                 figures.append((ortho, ent, {"route": "streamed"}))
-                continue
-            a, c_mat, rho = factors[i]
-            ortho, ent = _basis_deviations(identity_blocks(d), c_mat, chunks_of(c_mat),
-                                           a.conj().T @ a, (np.abs(a) ** 2).sum(axis=0))
-            e = kd * rho
-            shift = 2 * e + e * e
-            figures.append((ortho + shift, ent + shift,
-                            {"route": "factored", "factor_residual": rho}))
-            stages["factored_basis_classes"] += 1
+            else:
+                a, c_mat, rho = factors[i]
+                ortho, ent = _basis_deviations(identity_blocks(d), c_mat, slab_zero(c_mat),
+                                               a.conj().T @ a, (np.abs(a) ** 2).sum(axis=0))
+                e = kd * rho
+                shift = 2 * e + e * e
+                figures.append((ortho + shift, ent + shift,
+                                {"route": "factored", "factor_residual": rho}))
+                stages["factored_basis_classes"] += 1
+            progress("basis classes", len(figures), len(basis_first))
         for (label, _), c in zip(family.generators, ids):
             ortho, ent, route = figures[c]
             report.basis_results.append({
@@ -725,17 +805,18 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
                 stages["sparse_pair_classes"] += 1
                 return (*extremes, kd * rho, {"route": "sparse", "monomial_residual": rho})
         if size != d:
-            return (*bruteforce_unbiased(identity_blocks(size), chunks_of(w)), 0.0,
+            return (*bruteforce_unbiased(identity_blocks(size), slab_zero(w)), 0.0,
                     {"route": "streamed"})
         hit = orbit_of(w)
         if hit is not None:
             stages["orbit_pair_classes"] += 1
             return (*hit[1], 0.0, {"route": "orbit", "orbit_of": hit[0]})
-        extremes = bruteforce_unbiased(identity_blocks(size), chunks_of(w))
+        extremes = bruteforce_unbiased(identity_blocks(size), slab_zero(w))
         orbits.append((w, c, extremes))
         return (*extremes, 0.0, {"route": "streamed"})
 
     class_results = []
+    progress("pair classes", 0, len(first))
     for c, (i, j) in enumerate(first):
         if factors[i] is None or factors[j] is None:
             w = _adjoint_product(mats[i], mats[j])
@@ -767,6 +848,7 @@ def certify_family(family, tolerance=1e-8, pairs_only=False):
             "criterion_pass": cr_dev <= tolerance,
             **route,
         })
+        progress("pair classes", c + 1, len(first))
     stages["classes_s"] = time.perf_counter() - t_stage
     for i, j, c in pairs:
         report.pair_results.append({"a": family.generators[i][0], "b": family.generators[j][0],

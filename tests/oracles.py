@@ -193,12 +193,14 @@ def criterion_magnitudes_blockwise(ring, k, w):
     return lo, hi
 
 
-def basis_figures_per_basis(family):
+def basis_figures_per_basis(family, slab_zero=False):
     """(label, orthonormality, entanglement) of every basis, each expanded
     and checked in turn: the per-basis loop of verify.certify_family before
     it ran once per basis class, with verify._basis_deviations written out
     and I subtracted where a product row's column id of B_I equals one of
-    the chunk's columns."""
+    the chunk's columns.  With slab_zero, over the kd columns (xi, 0, j) of
+    each basis alone, copied out of its first chunk into one N x kd array,
+    the slab that certify_family reads; otherwise over every column."""
     ring, k = family.ring, family.k
     kd = k * family.d
     b_id = linalg.ColumnBlocks(construct.expand_chunks(ring, np.eye(kd)))
@@ -207,6 +209,11 @@ def basis_figures_per_basis(family):
         u_dag = u.conj().T
         ortho = ent = 0.0
         for cols, chunk in construct.expand_chunks(ring, u):
+            if slab_zero:
+                keep = cols // k % family.d == 0
+                if not keep.any():
+                    continue
+                cols, chunk = cols[keep], chunk[:, keep]
             n, c = chunk.shape
             ent = max(ent, linalg.max_entanglement_deviation(chunk, n // kd, kd))
             x = np.matmul(u_dag, chunk.reshape(n // kd, kd, c)).reshape(n, c)

@@ -1,8 +1,11 @@
+import io
 import json
+import re
 
 import numpy as np
 import pytest
 
+from mumeb import cli
 from mumeb.cli import main
 
 
@@ -36,6 +39,42 @@ def test_verify_json_is_deterministic(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(fam), "--json")
     assert code == 0 and not {"wall_time_s", "stages"} & set(json.loads(out))
     assert run(capsys, "verify", str(fam), "--json") == (0, out, "")
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"], ["--pairs-only"]], ids=["text", "json", "pairs-only"])
+def test_verify_progress_goes_to_stderr_alone(tmp_path, capsys, extra):
+    # each stage prints its start and its end, done out of the total, with
+    # an ETA; stdout and the report payload are what they are without it
+    fam, plain, shown = tmp_path / "fam.json", tmp_path / "plain.json", tmp_path / "shown.json"
+    assert run(capsys, "construct", "--d", "19", "--out", str(fam))[0] == 0
+    code, out, err = run(capsys, "verify", str(fam), "--report", str(plain), *extra)
+    assert (code, err) == (0, "")
+    code, out_p, err_p = run(capsys, "verify", str(fam), "--report", str(shown), "--progress", *extra)
+    assert code == 0 and out_p == out
+    payload = [{k: v for k, v in json.loads(p.read_text()).items() if k != "header"}
+               for p in (plain, shown)]
+    assert payload[0] == payload[1]
+    lines = err_p.splitlines()
+    stages = [("unitarity", 36)] + ([] if extra == ["--pairs-only"] else [("basis classes", 2)]) + \
+        [("pair classes", 52)]
+    assert [line for line in lines if line.endswith(": 0/" + line.split("/")[-1])] == \
+        [f"{stage}: 0/{total}" for stage, total in stages]
+    for stage, total in stages:
+        last = [line for line in lines if line.startswith(f"{stage}: ")][-1]
+        assert re.fullmatch(rf"{stage}: {total}/{total} in \d+\.\d s, eta 0\.0 s", last), last
+
+
+def test_progress_prints_at_most_once_a_second_with_an_eta(monkeypatch):
+    # the ETA is the stage's mean time per item so far times the items left
+    clock = iter([10.0, 10.5, 12.0, 12.5, 13.0])
+    monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock))
+    stream = io.StringIO()
+    show = cli._progress_printer(stream)
+    for done in range(5):
+        show("pair classes", done, 4)
+    assert stream.getvalue().splitlines() == ["pair classes: 0/4",
+                                              "pair classes: 2/4 in 2.0 s, eta 2.0 s",
+                                              "pair classes: 4/4 in 3.0 s, eta 0.0 s"]
 
 
 def test_construct_rejects_even_d(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import io
 import json
 import re
 import signal
@@ -135,6 +136,23 @@ def test_save_report(tmp_path):
     save_report(certify_family(family_cd(3)), again)
     body2 = {k: v for k, v in json.loads(again.read_text()).items() if k != "header"}
     assert json.dumps(body, sort_keys=True) == json.dumps(body2, sort_keys=True)
+
+
+def test_save_report_writes_the_bytes_of_json_dump(monkeypatch, tmp_path):
+    # save_report encodes with json.dumps, whose C encoder writes what the
+    # pure-Python encoder of json.dump writes, byte for byte
+    monkeypatch.setattr(families, "_header", lambda extra: {"created": "fixed", **(extra or {})})
+    report = certify_family(family_cd(19))
+    path = tmp_path / "report.json"
+    save_report(report, path, header_extra={"family_file": "f.json"})
+    doc = {"header": {"created": "fixed", "family_file": "f.json",
+                      "wall_time_s": report.wall_time_s, "stages": report.stages},
+           **report.to_dict()}
+    want = io.StringIO()
+    json.dump(doc, want, sort_keys=True)
+    want.write("\n")
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
+    assert len(doc["pairs"]) == 630
 
 
 @pytest.mark.parametrize("field,value,message", [

@@ -273,13 +273,13 @@ def test_basis_class_counts(build, classes):
 ], ids=["3-4", "9-4", "7-9-mols", "15-1"])
 def test_basis_rows_carry_the_per_basis_figures_of_their_representative(build):
     # each streamed row holds, bit for bit, what the per-basis loop computes
-    # for the first generator of its class; where every class is a single
-    # basis, as in the gauss-tensor families, that is the row's own figure.
-    # The k >= 2 families are rotated, so that none of them factors
+    # on slab 0 for the first generator of its class; where every class is
+    # a single basis, as in the gauss-tensor families, that is the row's own
+    # figure.  The k >= 2 families are rotated, so that none of them factors
     fam = build()
     rows = certify_family(fam).basis_results
     assert {row["route"] for row in rows} == {"streamed"}
-    per_basis = basis_figures_per_basis(fam)
+    per_basis = basis_figures_per_basis(fam, slab_zero=True)
     first = {}
     for i, row in enumerate(rows):
         first.setdefault(row["class"], i)
@@ -473,22 +473,34 @@ def _failing_bases(report):
     return [b["label"] for b in report.basis_results if not b["pass"]]
 
 
-def _scale_column_5(cols, chunk):
-    chunk[:, cols == 5] *= 1.01
+def _translates(d, cols, chunk, xi, j):
+    """The positions, among the columns `cols` of a chunk of an expansion
+    over a size-d ring, of the columns (xi, eta, j), one per slab eta: the
+    slab-0 column (xi, 0, j) and its translates."""
+    k = chunk.shape[0] // (d * d)
+    return np.flatnonzero((cols // k // d == xi) & (cols % k == j))
+
+
+def _scale_translates(d):
+    """A spoil that scales the column (1, eta, 0) of every slab eta by 1.01,
+    which keeps every slab the translate of slab 0."""
+    def spoil(cols, chunk):
+        chunk[:, _translates(d, cols, chunk, 1, 0)] *= 1.01
+    return spoil
 
 
 def _assert_scaled_column_fails(monkeypatch, tmp_path, capsys, fam, route):
     path = tmp_path / "fam.json"
     save_family(fam, path)
-    _spoil_expansions(monkeypatch, _scale_column_5)
+    _spoil_expansions(monkeypatch, _scale_translates(fam.d))
     got, want = certify_family(fam), certify_exhaustive(fam)
     assert {b["route"] for b in got.basis_results} == {route}
     non_identity = [label for label, mat in fam.generators
                     if not np.array_equal(mat, np.eye(12))]
     assert non_identity
     assert _failing_bases(got) == _failing_bases(want) == non_identity
-    # the scaled column enters ((I_d (x) U) B_I)^dag B_U once (1.01 - 1) and
-    # the Gram matrix B_U^dag B_U twice (1.01^2 - 1)
+    # each scaled column enters ((I_d (x) U) B_I)^dag B_U once (1.01 - 1)
+    # and the Gram matrix B_U^dag B_U twice (1.01^2 - 1)
     for b, c in zip(got.basis_results, want.basis_results):
         if b["label"] in non_identity:
             assert b["orthonormality"] == pytest.approx(0.01, abs=1e-12)
@@ -527,13 +539,14 @@ def test_scaled_column_fails_orthonormality_in_the_factored_route(monkeypatch, t
 
 def test_spoiled_class_representative_fails_every_member(monkeypatch):
     # the twists V(a) of family_cd(5) are row gathers of one another, so
-    # only the first is expanded; spoiling its expansion fails all of them
+    # only the first is expanded; spoiling its expansion, a slab-0 column
+    # and its translates, fails all of them
     fam = family_cd(5)
     classes = [b["class"] for b in certify_family(fam).basis_results]
     assert classes == [0] * 4 + [1] * 4
     twists = [label for label, _ in fam.generators if label.startswith("V")]
     first_twist = dict(fam.generators)[twists[0]]
-    _spoil_expansions(monkeypatch, _scale_column_5, target=first_twist)
+    _spoil_expansions(monkeypatch, _scale_translates(5), target=first_twist)
     got = certify_family(fam)
     assert _failing_bases(got) == twists
     for b in got.basis_results:
@@ -543,15 +556,18 @@ def test_spoiled_class_representative_fails_every_member(monkeypatch):
     assert got.stages["basis_classes"] == 2 and not got.passed
 
 
-def _swap_columns_2_7(cols, chunk):
-    at = [np.flatnonzero(cols == c) for c in (2, 7)]
-    assert at[0].size == at[1].size  # both columns in one chunk, or neither
-    if at[0].size:
-        chunk[:, [at[0][0], at[1][0]]] = chunk[:, [at[1][0], at[0][0]]]
+def _swap_translates(d):
+    """A spoil that swaps the columns (0, eta, 0) and (1, eta, 0) of every
+    slab eta, which keeps every slab the translate of slab 0."""
+    def spoil(cols, chunk):
+        at = [_translates(d, cols, chunk, xi, 0) for xi in (0, 1)]
+        assert at[0].size == at[1].size  # the two columns of a slab share its chunk
+        chunk[:, np.concatenate(at)] = chunk[:, np.concatenate(at[::-1])]
+    return spoil
 
 
 def _assert_swapped_columns_fail(monkeypatch, fam, route):
-    _spoil_expansions(monkeypatch, _swap_columns_2_7)
+    _spoil_expansions(monkeypatch, _swap_translates(fam.d))
     got, want = certify_family(fam), certify_exhaustive(fam)
     assert {b["route"] for b in got.basis_results} == {route}
     non_identity = [label for label, mat in fam.generators
@@ -623,12 +639,13 @@ def test_stages_count_the_streamed_work():
                                          "chunks")} == \
         {"bases": 36, "basis_classes": 2, "pairs": 630, "classes": 52,
          "sparse_pair_classes": 34, "orbit_pair_classes": 16, "chunks": 2 * (1 + 2 + 2)}
+    assert stages["slabs_checked"] == 18 * (1 + 2 + 2)  # every slab but slab 0 of each
     assert stages["max_chunk_bytes"] == 16 * 361 * 19 * 10  # 10 of the 19 eta-slabs
     for key in ("unitarity_s", "identity_blocks_s", "bases_s", "classes_s"):
         assert 0 <= stages[key] <= report.wall_time_s
     assert "stages" not in report.to_dict()
     only = certify_family(family_cd(19), pairs_only=True).stages
-    assert only["chunks"] == 2 * (1 + 2)
+    assert (only["chunks"], only["slabs_checked"]) == (2 * (1 + 2), 18 * (1 + 2))
 
 
 def _first_last_w(d, k):
@@ -857,7 +874,8 @@ def test_rows_that_meet_in_one_block_take_the_streamed_route(d, a, b):
     # meet in its diagonal block; for units a, b with a - b a zero divisor,
     # several rows of U(a)^dag U(b) meet in one block.  Either way the N rows
     # leave some of the N blocks unreached, so the pair streams and fails
-    # with lo = 0
+    # with lo = 0.  Its maximum is that of the slab-0 columns of B_W, bit
+    # for bit, and that of all its columns up to the order of summation
     ring = ring_for_dimension(d)
     u, v = permutation_unitary(ring, a), permutation_unitary(ring, b)
     w = u.conj().T @ v
@@ -870,10 +888,12 @@ def test_rows_that_meet_in_one_block_take_the_streamed_route(d, a, b):
     assert verify.sparse_unbiased(b_id, rows, values) is None
     want = bruteforce_unbiased(b_id, construct.expand_chunks(ring, w))
     assert want[0] == 0.0
+    slab = bruteforce_unbiased(b_id, _slab_zero_of(ring, w))
+    assert abs(slab[1] - want[1]) <= _slab_rounding(d)
     report = certify_family(MEBFamily(d, 1, ring, [("U(a)", u), ("U(b)", v)]))
     (row,) = report.pair_results
     assert (row["route"], row["overlap_min"], row["pass"]) == ("streamed", 0.0, False)
-    assert row["overlap_max"] == want[1]
+    assert row["overlap_max"] == slab[1]
     assert report.stages["sparse_pair_classes"] == 0
 
 
@@ -1065,3 +1085,159 @@ def test_pair_classes_never_merge_on_a_digest_collision(monkeypatch, build, ids)
     monkeypatch.setattr(verify, "_digest", lambda rows: b"")
     got = _pair_classes(mats)
     assert got == want and len(set(got[2])) == ids
+
+
+# ---------------------------------------------------------------------------
+# the slab route: every figure of a basis from its slab 0
+
+def _slab_rounding(d):
+    """|slab 0 - all slabs| of a figure: an entry of B_I^dag X sums d terms,
+    whose magnitudes sum to at most 1 for unit columns, and the slab eta
+    entries sum them in another order, which moves each by at most
+    2 d eps, eps = 2^-52."""
+    return 2 * d * np.finfo(float).eps
+
+
+def _slab_cases(fam):
+    """(k, the matrices whose bases certify_family checks, the W whose
+    overlaps it brute-forces): the first generator of each basis class and
+    the dense W = U^dag V of each pair class, or for a family whose
+    generators all factor, the d-level C and Y of the same, at k = 1."""
+    mats = [u for _, u in fam.generators]
+    _, first, ids = _pair_classes(mats)
+    reps = sorted(set(ids.index(c) for c in ids))
+    factors = [verify._kron_factors(u, fam.d) for u in mats] if fam.k > 1 else [None]
+    k = fam.k
+    if None not in factors:
+        mats, k = [f[1] for f in factors], 1
+    ws = [verify._adjoint_product(mats[i], mats[j]) for i, j in first]
+    dense = [w for w in ws if not k * fam.d * verify._monomial_part(w)[2] <= verify._FACTOR_LIMIT]
+    return k, [mats[i] for i in reps], dense
+
+
+def _slab_zero_of(ring, u):
+    """verify._slab_zero over the expansion of u: its one chunk, slab 0."""
+    return verify._slab_zero(ring, construct.expand_chunks(ring, u), {"slabs_checked": 0})
+
+
+@pytest.mark.parametrize("build,n_dense", [
+    *[(lambda d=d: family_cd(d), n) for d, n in ((3, 2), (5, 4), (9, 8), (15, 3), (19, 18),
+                                                  (25, 24), (45, 11))],
+    (lambda: family_ckd(9, 4), 0), (lambda: family_ckd(15, 9), 4),
+    (lambda: rotated_family(family_ckd(3, 4)), 6), (lambda: rotated_family(family_ckd(9, 4)), 10),
+    (lambda: rotated_family(family_ckd_mols(7, 9)), 6),
+], ids=["3-1", "5-1", "9-1", "15-1", "19-1", "25-1", "45-1", "9-4", "15-9", "rot-3-4", "rot-9-4",
+        "rot-7-9-mols"])
+def test_slab_zero_figures_match_the_full_stream(build, n_dense):
+    # the per-basis figures and the brute-force extremes that certify_family
+    # takes from slab 0 are those of all N columns within _slab_rounding
+    fam = build()
+    ring = fam.ring
+    k, bases, dense = _slab_cases(fam)
+    assert len(dense) == n_dense
+    bound = _slab_rounding(fam.d)
+    b_id = linalg.ColumnBlocks(construct.expand_chunks(ring, np.eye(k * fam.d)))
+    full = basis_figures_per_basis(MEBFamily(fam.d, k, ring, [(str(i), u)
+                                                              for i, u in enumerate(bases)]))
+    for u, (_, ortho, ent) in zip(bases, full):
+        got = verify._basis_deviations(b_id, u, _slab_zero_of(ring, u))
+        assert np.abs(np.subtract(got, (ortho, ent))).max() <= bound
+    for w in dense:
+        got = bruteforce_unbiased(b_id, _slab_zero_of(ring, w))
+        want = bruteforce_unbiased(b_id, construct.expand_chunks(ring, w))
+        assert np.abs(np.subtract(got, want)).max() <= bound
+
+
+@pytest.mark.parametrize("d,k,chunk_bytes", [(5, 1, None), (3, 4, None), (9, 1, 16 * 81 * 9),
+                                             (7, 3, 16 * 147 * 21 * 2)])
+def test_slab_zero_is_slab_zero_of_the_expansion(monkeypatch, d, k, chunk_bytes):
+    # the one chunk yielded is the columns (xi, 0, j) of the expansion, bit
+    # for bit; with pass_on every chunk is passed on unchanged.  Either way
+    # each of the d - 1 other slabs is checked once, in chunks of one or of
+    # several slabs
+    if chunk_bytes is not None:
+        monkeypatch.setattr(construct, "_CHUNK_BYTES", chunk_bytes)
+    ring = ring_for_dimension(d)
+    u = random_unitary(k * d, d + k)
+    full = expand_basis(ring, u)
+    stages = {"slabs_checked": 0}
+    [(cols, slab)] = verify._slab_zero(ring, construct.expand_chunks(ring, u), stages)
+    assert np.array_equal(cols, [(xi * d * k + j) for xi in range(d) for j in range(k)])
+    assert np.array_equal(slab.view(np.int64), np.ascontiguousarray(full[:, cols]).view(np.int64))
+    passed = list((c.copy(), x.copy()) for c, x in
+                  verify._slab_zero(ring, construct.expand_chunks(ring, u), stages, pass_on=True))
+    assert [c.tolist() for c, _ in passed] == [c.tolist() for c, _ in construct.expand_chunks(ring, u)]
+    assert all(np.array_equal(x.view(np.int64), np.ascontiguousarray(full[:, c]).view(np.int64))
+               for c, x in passed)
+    assert stages["slabs_checked"] == 2 * (d - 1)
+
+
+def _spoil_one_entry(d, value):
+    """A spoil that sets the last row, (d - 1, kd - 1), of the column
+    (1, 1, 0), in slab 1, to value, leaving slab 0 and the other slabs as
+    they are."""
+    def spoil(cols, chunk):
+        chunk[-1, _translates(d, cols, chunk, 1, 0)[1:2]] = value
+    return spoil
+
+
+@pytest.mark.parametrize("build,value", [
+    (lambda: family_cd(5), 0.5), (lambda: family_cd(19), np.nan),
+    (lambda: family_ckd(3, 4), 0.5), (lambda: rotated_family(family_ckd(3, 4)), 0.5),
+], ids=["5-1", "19-1-nan", "3-4", "rot-3-4"])
+@pytest.mark.parametrize("pairs_only", [False, True], ids=["all", "pairs-only"])
+def test_a_spoiled_slab_raises(monkeypatch, build, value, pairs_only):
+    # one entry of one slab eta != 0 of every expansion but B_I's; the basis
+    # stage, or with pairs_only the first brute-forced pair class, meets it
+    fam = build()
+    _spoil_expansions(monkeypatch, _spoil_one_entry(fam.d, value))
+    with pytest.raises(RuntimeError, match="is not slab 0 with its rows moved by 1"):
+        certify_family(fam, pairs_only=pairs_only)
+
+
+@pytest.mark.parametrize("d,k", [(5, 1), (3, 4), (19, 1)])
+def test_a_spoiled_identity_basis_raises(monkeypatch, d, k):
+    # B_I is read into its column blocks after the same check, whatever the
+    # first stage that reads it
+    fam = family_cd(d) if k == 1 else family_ckd(d, k)
+    size = d if k == 1 or verify._kron_factors(fam.generators[1][1], d) else k * d
+    _spoil_expansions(monkeypatch, _spoil_one_entry(d, 0.5), target=np.eye(size))
+    for pairs_only in (False, True):
+        with pytest.raises(RuntimeError, match="is not slab 0"):
+            certify_family(fam, pairs_only=pairs_only)
+
+
+def test_signed_zeros_and_nans_compare_by_their_bits(monkeypatch):
+    # an exact zero of slab 1 of a permutation's basis turned -0.0 is a
+    # mismatch; a NaN put into slab 0 and into each of its translates is
+    # not, and it fails the basis instead (and, being in the class of every
+    # twist V(a), every twist)
+    fam = family_cd(5)
+    ring = fam.ring
+    perm = fam.generators[1][1]
+    cols, chunk = next(construct.expand_chunks(ring, perm))
+    assert cols[6] == 6  # the column (1, 1, 0), in slab 1
+    zero = np.flatnonzero(chunk[:, 6] == 0)[0]
+    assert not np.signbit(chunk[zero, 6].real)
+
+    def flip(cols, chunk):
+        chunk[zero, 6] = complex(-0.0, chunk[zero, 6].imag)
+    _spoil_expansions(monkeypatch, flip, target=perm)
+    with pytest.raises(RuntimeError, match="is not slab 0 with its rows moved by 1"):
+        list(_slab_zero_of(ring, perm))
+    monkeypatch.undo()
+
+    twist = fam.generators[4][1]  # V(a) for the first a, its basis class's first generator
+
+    def nan_everywhere(cols, chunk):
+        chunk[:, _translates(5, cols, chunk, 1, 0)] = np.nan
+    _spoil_expansions(monkeypatch, nan_everywhere, target=twist)
+    [(_, slab)] = _slab_zero_of(ring, twist)
+    assert np.isnan(slab).any()
+    with np.errstate(invalid="ignore"):
+        report = certify_family(fam)
+    assert not report.passed
+    failing = [b for b in report.basis_results if not b["pass"]]
+    assert [b["label"] for b in failing] == \
+        [label for label, _ in fam.generators if label.startswith("V")]
+    assert all(np.isnan(b["orthonormality"]) and np.isnan(b["entanglement"]) for b in failing)
