@@ -97,16 +97,18 @@ rule (P (x) Q)(R (x) S) = PR (x) QS then gives the three figures:
    (xi, eta, j, l) is |X_jl| times that of Y at (xi, eta).
 
 The factors are read off the entries, never off labels or metadata (see
-_kron_factors), and a generator that is not A (x) C within
-rho = max |U - A (x) C| <= 2^-40 / kd keeps the streamed route.  The
-residual is folded into the figures.  Let e = kd rho, which bounds the
-operator norm of U - A (x) C and so of B_U - B_{A (x) C} =
-(I_d (x) (U - A (x) C)) B_I, B_I being unitary.  For a unitary U, U^dag U
-and the reduced densities of unit columns move by at most 2 e + e^2, so
-that much is added to the orthonormality and entanglement figures.  An
-overlap of two unit columns moves by at most e_s + e_t + e_s e_t; a
-criterion sum, d terms of W with unit phases, by d times that; and their
-agreement by twice that.
+_kron_factors).  A k >= 2 generator that is not A (x) C within
+rho = max |U - A (x) C| <= 2^-40 / kd, and every k = 1 generator, takes
+the trivial factors A = [1], C = U, rho = 0; so do both generators of a
+pair unless both factor.  Then X = [1], the three figures are those of U
+itself, and every residual term below is 0.  The residual is folded into
+the figures.  Let e = kd rho, which bounds the operator norm of
+U - A (x) C and so of B_U - B_{A (x) C} = (I_d (x) (U - A (x) C)) B_I,
+B_I being unitary.  For a unitary U, U^dag U and the reduced densities of
+unit columns move by at most 2 e + e^2, so that much is added to the
+orthonormality and entanglement figures.  An overlap of two unit columns
+moves by at most e_s + e_t + e_s e_t; a criterion sum, d terms of W with
+unit phases, by d times that; and their agreement by twice that.
 
 A pair class whose W is monomial skips B_W: its overlaps are a sparse
 product of B_I with itself (Gustavson, "Two fast algorithms for sparse
@@ -159,16 +161,14 @@ identity for each m used is checked on the computed B_I (_permutes_columns),
 and W keeps its own criterion sums, so its agreement tests the symmetry.  The
 d-level Y of a factored class is matched in the same way against B_{I_d}.
 
-W = U^dag V is a gather when a factor is monomial, one nonzero per column
-read off the entries (_adjoint_product).  If column m of U has its only
-nonzero at row p_m, then W[m, n] = sum_i conj(U[i, m]) V[i, n] drops, next
-to conj(U[p_m, m]) V[p_m, n], only terms conj(0) V[i, n], which are exact
-zeros when V is finite; so row m of W is conj(U[p_m, m]) V[p_m, :], the one
-product that a GEMM would also round.  With a non-finite V the dropped terms
-are NaN, and a singular monomial U need not select the row that holds it, so
-the gather is taken only for a finite V.  Every other W is a GEMM: the
-families built here list their permutation generators first, so in a pair
-i < j a monomial factor is U.
+W = U^dag V is a gather when U has at most one nonzero per column, rho = 0
+under _monomial_part, and V is finite (_adjoint_product).  Let the largest
+|entry| of column m of U be at row p_m; then W[m, n] =
+sum_i conj(U[i, m]) V[i, n] drops, next to conj(U[p_m, m]) V[p_m, n], only
+terms conj(0) V[i, n], exact zeros when V is finite (NaN otherwise), so
+row m of W is conj(U[p_m, m]) V[p_m, :], the one product that a GEMM would
+also round.  Every other W is a GEMM: the families built here list their
+permutation generators first, so in a pair i < j a monomial factor is U.
 
 The criterion sums of W at xi are sum_r lambda(r xi) g[r, c], over the
 columns c = (eta, j, l) of the terms g[r, c] = W[j d + r, l d + index(r +
@@ -302,27 +302,25 @@ def _diagonal_index(ring, k):
     return np.ascontiguousarray(flat.reshape(d // b, b, -1).transpose(0, 2, 1))
 
 
-def _monomial(m):
-    """(rows, values) of the one nonzero in each column of m, or None when a
-    column has none or several.  A NaN counts as nonzero."""
-    nonzero = m != 0
-    if np.count_nonzero(nonzero) != m.shape[1]:
-        return None
-    rows, cols = nonzero.argmax(axis=0), np.arange(m.shape[1])
-    if not nonzero[rows, cols].all():  # a column without a nonzero
-        return None
-    return rows, m[rows, cols]
+def _monomial_part(w):
+    """(rows, values, rho): the row and the entry of the first largest
+    |entry| of each column of w, and rho, the largest |entry| off that
+    pattern.  A NaN is either such an entry or makes rho NaN."""
+    mags = np.abs(w)
+    rows, cols = mags.argmax(axis=0), np.arange(w.shape[1])
+    values = w[rows, cols]
+    mags[rows, cols] = 0.0
+    return rows, values, float(mags.max())
 
 
 def _adjoint_product(u, v):
     """W = U^dag V.  Row m of W is conj(U[p_m, m]) V[p_m, :] when U is
-    monomial, its nonzeros at rows p_m, and V finite, which is exact (module
-    docstring); otherwise W is a GEMM.  A sum is finite only when all its
-    terms are, so a finite sum vouches for V."""
-    mono = _monomial(u)
-    if mono is not None and np.isfinite(v.sum()):
-        rows, vals = mono
-        return vals.conj()[:, None] * v.take(rows, axis=0)
+    monomial, with rho = 0 under _monomial_part, and V finite, which is
+    exact (module docstring); otherwise W is a GEMM.  A sum is finite only
+    when all its terms are, so a finite sum vouches for V."""
+    rows, values, rho = _monomial_part(u)
+    if rho == 0 and np.isfinite(v.sum()):
+        return values.conj()[:, None] * v.take(rows, axis=0)
     return u.conj().T @ v
 
 
@@ -562,17 +560,6 @@ def _kron_factors(u, d):
     return (a, c, rho) if kd * rho <= _FACTOR_LIMIT else None
 
 
-def _monomial_part(w):
-    """(rows, values, rho): the row and the entry of the first largest
-    |entry| of each column of w, and rho, the largest |entry| off that
-    pattern.  A NaN is either such an entry or makes rho NaN."""
-    mags = np.abs(w)
-    rows, cols = mags.argmax(axis=0), np.arange(w.shape[1])
-    values = w[rows, cols]
-    mags[rows, cols] = 0.0
-    return rows, values, float(mags.max())
-
-
 def _digest(rows):
     """A digest of the bytes of a contiguous array, their CRC-32, read in
     place.  Equal digests do not prove equal bytes; the caller confirms each
@@ -628,47 +615,42 @@ def _pair_classes(mats):
 def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
     """Check everything the family claims, holding no N x N array.
 
+    Every generator U has a factor triple (A, C, rho): A (x) C when k >= 2
+    and U factors (_kron_factors), else the trivial A = [1], C = U, rho = 0
+    (module docstring).  The route is "factored" when U really factored,
+    else "streamed"; the code is the same.
+
     Per basis class (skipped when pairs_only), take the class's first
-    generator U as it stands.  When k >= 2 and U factors as A (x) C (see
-    _kron_factors), the route is "factored": stream the d-level expansion
-    of C against the column blocks of B_{I_d} and scale its figures by
-    those of A (figures 1 and 2 of the module docstring).  Otherwise it is
-    "streamed": stream the expansion of U and check orthonormality against
-    (I_d (x) U) B_I and maximal entanglement.  Either way the figures are
-    those of slab 0, once every other slab of the expansion is checked to
-    be its translate (_slab_zero, module docstring).  A class holds
-    the generators R[p] that are row gathers of one another, whose bases
-    B_{R[p]} = (I_d (x) P) B_R are row permutations of one another; that
-    changes neither figure beyond the order of summation (see the module
-    docstring).  Every basis keeps its own report row, in generator order,
-    carrying its class's figures, the class id under "class", the route,
+    generator.  Stream the expansion of C against the column blocks of the
+    identity basis of C's level and scale its figures by A^dag A and the
+    column norms of A (figures 1 and 2 of the module docstring); the
+    figures are those of slab 0, once every other slab is checked to be its
+    translate (_slab_zero).  A class holds the generators R[p] that are row
+    gathers of one another, whose bases B_{R[p]} = (I_d (x) P) B_R are row
+    permutations of one another, which changes neither figure beyond the
+    order of summation.  Every basis keeps its own report row, in generator
+    order, with its class's figures, the class id under "class", the route,
     and for a factored class its "factor_residual" rho.
 
-    Per pair class (see _pair_classes), take its first pair (U, V).  When
-    both factor, as A_s (x) C_s and A_t (x) C_t, the route is "factored":
-    with X = A_s^dag A_t and Y = C_s^dag C_t, the overlap extremes are those
-    of B_{I_d} against B_Y times min |X| and max |X|, and the criterion
-    extremes those of Y times the same (figure 3).  Otherwise, with
-    W = U^dag V, the criterion extremes are those of W, and the overlap
-    extremes those of B_I against B_W = (I_d (x) W) B_I: "sparse" by
-    sparse_unbiased when W is monomial (module docstring), else "streamed",
-    brute force against slab 0 of B_W.  A streamed W at the d-level,
-    that is at k = 1, is first matched against the representative W_rep of
-    each orbit found so far: "orbit" when P_m W P_m^T = W_rep for a unit m
-    (_orbit_unit), which takes W_rep's overlap extremes once the identity
-    (P_m (x) P_m) B_I = B_I Pi_m has been checked for that m
-    (_permutes_columns, RuntimeError when it fails); else W streams and
-    becomes a representative.  A factored Y is routed the same way.  Either
-    way the overlaps
-    are held against 1/sqrt(kd^2), the criterion against 1/sqrt(k), and the
-    two routes must agree after the factor-d rescaling.  Every pair keeps
-    its own report row, in combinations order, carrying its class's
-    figures, the class id under "class", the route, when W or Y took
-    the sparse product its "monomial_residual" rho, and when W or Y took
-    an orbit's figures the class id of its representative under
-    "orbit_of".  A factored or sparse
-    figure includes the bound on how far the residuals can move it (module
-    docstring), so every pass test holds for the generators as they stand.
+    Per pair class (see _pair_classes), take its first pair: the factors of
+    both when both factor, else the trivial factors of both, and
+    Y = C_s^dag C_t.  The overlap extremes are those of the identity basis
+    of Y's level against B_Y, and the criterion extremes those of Y, each
+    times min and max |A_s^dag A_t| (figure 3).  The overlaps of B_Y are
+    "sparse" by sparse_unbiased when Y is monomial, else brute force
+    against slab 0 of B_Y, "streamed".  A streamed Y at the d-level is
+    first matched against the representative of each orbit found so far:
+    "orbit" when P_m Y P_m^T equals it for a unit m (_orbit_unit), which
+    takes its overlap extremes once (P_m (x) P_m) B_I = B_I Pi_m is checked
+    for that m (_permutes_columns, RuntimeError when it fails); else Y
+    becomes a representative.  The overlaps are held against
+    1/sqrt(kd^2), the criterion against 1/sqrt(k), and the two routes must
+    agree after the factor-d rescaling.  Every pair keeps its own report
+    row, in combinations order, with its class's figures, the class id
+    under "class", the route, for a sparse Y its "monomial_residual" rho,
+    and for an orbit the class id of its representative under "orbit_of".
+    Each figure includes the bound on how far the residuals can move it,
+    so every pass test holds for the generators as they stand.
 
     B_I and B_{I_d} are read into column blocks the first time a class
     needs them.  report.stages records the wall time of each stage (the
@@ -740,23 +722,28 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
 
     factors = [_kron_factors(u, d) if k > 1 else None for u in mats]
 
+    def factor_triples(*gens):
+        """Whether all the generators factor, and the triple (A, C, rho) of
+        each: its factors if so, else the trivial A = [1], C = U, rho = 0."""
+        if all(factors[i] is not None for i in gens):
+            return True, [factors[i] for i in gens]
+        return False, [(np.ones((1, 1)), mats[i], 0.0) for i in gens]
+
     t_stage = time.perf_counter()
     if not pairs_only:
         figures = []
         progress("basis classes", 0, len(basis_first))
         for i in basis_first.values():
-            if factors[i] is None:
-                ortho, ent = _basis_deviations(identity_blocks(kd), mats[i], slab_zero(mats[i]))
-                figures.append((ortho, ent, {"route": "streamed"}))
-            else:
-                a, c_mat, rho = factors[i]
-                ortho, ent = _basis_deviations(identity_blocks(d), c_mat, slab_zero(c_mat),
-                                               a.conj().T @ a, (np.abs(a) ** 2).sum(axis=0))
-                e = kd * rho
-                shift = 2 * e + e * e
-                figures.append((ortho + shift, ent + shift,
-                                {"route": "factored", "factor_residual": rho}))
+            factored, [(a, c_mat, rho)] = factor_triples(i)
+            ortho, ent = _basis_deviations(identity_blocks(len(c_mat)), c_mat, slab_zero(c_mat),
+                                           a.conj().T @ a, (np.abs(a) ** 2).sum(axis=0))
+            e = kd * rho
+            shift = 2 * e + e * e
+            route = {"route": "streamed"}
+            if factored:
+                route = {"route": "factored", "factor_residual": rho}
                 stages["factored_basis_classes"] += 1
+            figures.append((ortho + shift, ent + shift, route))
             progress("basis classes", len(figures), len(basis_first))
         for (label, _), c in zip(family.generators, ids):
             ortho, ent, route = figures[c]
@@ -794,46 +781,41 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
             return c, extremes
         return None
 
-    def overlaps(size, w, c):
+    def overlaps(w, c):
         """(lo, hi, e, route fields): the overlap extremes of B^dag B_W for
-        the size-level identity basis B, and e, how far the sparse product
+        the identity basis B of W's level, and e, how far the sparse product
         can move them; c is the pair class of W."""
         rows, values, rho = _monomial_part(w)
         if kd * rho <= _FACTOR_LIMIT:
-            extremes = sparse_unbiased(identity_blocks(size), rows, values)
+            extremes = sparse_unbiased(identity_blocks(len(w)), rows, values)
             if extremes is not None:
                 stages["sparse_pair_classes"] += 1
                 return (*extremes, kd * rho, {"route": "sparse", "monomial_residual": rho})
-        if size != d:
-            return (*bruteforce_unbiased(identity_blocks(size), slab_zero(w)), 0.0,
+        if len(w) != d:
+            return (*bruteforce_unbiased(identity_blocks(len(w)), slab_zero(w)), 0.0,
                     {"route": "streamed"})
         hit = orbit_of(w)
         if hit is not None:
             stages["orbit_pair_classes"] += 1
             return (*hit[1], 0.0, {"route": "orbit", "orbit_of": hit[0]})
-        extremes = bruteforce_unbiased(identity_blocks(size), slab_zero(w))
+        extremes = bruteforce_unbiased(identity_blocks(d), slab_zero(w))
         orbits.append((w, c, extremes))
         return (*extremes, 0.0, {"route": "streamed"})
 
     class_results = []
     progress("pair classes", 0, len(first))
     for c, (i, j) in enumerate(first):
-        if factors[i] is None or factors[j] is None:
-            w = _adjoint_product(mats[i], mats[j])
-            ov_lo, ov_hi, e_w, route = overlaps(kd, w, c)
-            cr_lo, cr_hi = criterion_magnitudes(ring, w)
-            shift = 0.0
-        else:
-            (a_s, c_s, rho_s), (a_t, c_t, rho_t) = factors[i], factors[j]
-            x = np.abs(a_s.conj().T @ a_t)
-            x_lo, x_hi = float(x.min()), float(x.max())
-            y = _adjoint_product(c_s, c_t)
-            ov_lo, ov_hi, e_y, route = overlaps(d, y, c)
-            cr_lo, cr_hi = criterion_magnitudes(ring, y)
-            ov_lo, ov_hi, cr_lo, cr_hi = x_lo * ov_lo, x_hi * ov_hi, x_lo * cr_lo, x_hi * cr_hi
-            e_w = x_hi * e_y
-            e_s, e_t = kd * rho_s, kd * rho_t
-            shift = e_s + e_t + e_s * e_t
+        factored, [(a_s, c_s, rho_s), (a_t, c_t, rho_t)] = factor_triples(i, j)
+        x = np.abs(a_s.conj().T @ a_t)
+        x_lo, x_hi = float(x.min()), float(x.max())
+        y = _adjoint_product(c_s, c_t)
+        ov_lo, ov_hi, e_y, route = overlaps(y, c)
+        cr_lo, cr_hi = criterion_magnitudes(ring, y)
+        ov_lo, ov_hi, cr_lo, cr_hi = x_lo * ov_lo, x_hi * ov_hi, x_lo * cr_lo, x_hi * cr_hi
+        e_w = x_hi * e_y
+        e_s, e_t = kd * rho_s, kd * rho_t
+        shift = e_s + e_t + e_s * e_t
+        if factored:
             route = {**route, "route": "factored"}
             stages["factored_pair_classes"] += 1
         ov_dev = deviation(ov_lo, ov_hi, target) + shift + e_w

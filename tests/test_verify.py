@@ -354,11 +354,12 @@ def test_factored_route_matches_exhaustive_oracle_on_uneven_factors():
     assert not any(p["pass"] or p["criterion_pass"] for p in got.pair_results)
 
 
-def test_tampered_cell_fails_the_factor_check_and_the_streamed_route():
+def test_tampered_cell_fails_the_factor_check_and_the_streamed_route(monkeypatch):
     # generator 0 of family_ckd(3, 4) is I_12; turning one cell of its block
     # (1, 1) to i leaves a unitary (a monomial matrix) and an orthonormal,
     # maximally entangled basis, but no A (x) C, and one no longer unbiased
     # to those of generators 2 and 3
+    calls = _count_expansions(monkeypatch)
     fam = family_ckd(3, 4)
     gens = list(fam.generators)
     label, u = gens[0]
@@ -368,8 +369,10 @@ def test_tampered_cell_fails_the_factor_check_and_the_streamed_route():
     gens[0] = (label, u)
     assert verify._kron_factors(u, 3) is None
     tampered = MEBFamily(3, 4, fam.ring, gens, fam.metadata)
-    got, want = certify_family(tampered), certify_exhaustive(tampered)
-    _assert_same_verdicts(got, want, 1e-12 + _residual_bound(fam))
+    got = certify_family(tampered)
+    # the unfactored pairs read B_I and the factored ones B_{I_d}, each once
+    assert calls.count((12, True)) == calls.count((3, True)) == 1
+    _assert_same_verdicts(got, certify_exhaustive(tampered), 1e-12 + _residual_bound(fam))
     assert [(b["label"], b["route"], b["pass"]) for b in got.basis_results] == \
         [(other, "streamed" if other == label else "factored", True) for other, _ in gens]
     assert [p["route"] for p in got.pair_results] == ["streamed"] * 3 + ["factored"] * 3
@@ -682,10 +685,12 @@ def _kernel_cases(kd, seed):
     perm, mono = _monomial_matrix(rng, kd, False), _monomial_matrix(rng, kd, True)
     spoiled = mono.copy()
     spoiled[(np.flatnonzero(mono[:, 0])[0] + 1) % kd, 0] = 0.5  # two nonzeros in column 0
+    zero_column = mono.copy()
+    zero_column[:, 0] = 0.0  # its row of W is conj(0) times any row of v
     return [("unitary", q1, q2, False), ("permutation", perm, np.eye(kd), True),
             ("permutation-v", q1, perm, False), ("monomial-u", mono, q2, True),
             ("monomial-v", q1, mono, False), ("two-nonzeros-u", spoiled, q2, False),
-            ("two-nonzeros-v", q1, spoiled, False)]
+            ("two-nonzeros-v", q1, spoiled, False), ("zero-column-u", zero_column, q2, True)]
 
 
 @pytest.mark.parametrize("d", [3, 5, 9, 15, 19, 25, 27, 45, 49, 75, 81, 125])
@@ -693,7 +698,7 @@ def test_criterion_kernel_matches_blockwise_oracle(d):
     ring = ring_for_dimension(d)
     for k in (1, 3, 4):
         for name, u, v, gathered in _kernel_cases(k * d, 7 * d + k):
-            assert (verify._monomial(u) is not None) == gathered, name
+            assert (verify._monomial_part(u)[2] == 0) == gathered, name
             w = verify._adjoint_product(u, v)
             w_gemm = u.conj().T @ v
             assert np.abs(w - w_gemm).max() <= 1e-15, name
