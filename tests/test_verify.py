@@ -1,4 +1,6 @@
+import concurrent.futures
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -214,9 +216,19 @@ def test_pair_overlaps_depend_only_on_w(d, k):
     b_w = (w @ b_id.reshape(d, kd, n)).reshape(n, n)
     direct = expand_basis(ring, u).conj().T @ expand_basis(ring, v)
     assert np.abs(direct - b_id.conj().T @ b_w).max() <= 1e-13
-    lo, hi = criterion_magnitudes(ring, w)
+    w_canon = _canonical_w(u, v)  # W summed over the rows of U in sorted order
+    assert np.abs(w_canon - w).max() <= 1e-13
+    lo, hi = criterion_magnitudes(ring, w_canon)
     target = 1.0 / np.sqrt(k)
     assert criterion_check(ring, k, u, v) == max(abs(hi - target), abs(target - lo))
+
+
+def _canonical_w(u, v):
+    """The W = U^dag V that criterion_check forms, C_U^dag C_V[rel]: the rows
+    of U + 0.0 in their sorted order (verify._canonical) against the rows of
+    V + 0.0 in the same order, which are C_V[rel]."""
+    c_u, order = verify._canonical(np.asarray(u, dtype=complex))
+    return verify._adjoint_product(c_u, (np.asarray(v, dtype=complex) + 0.0)[order])
 
 
 def _assert_same_verdicts(got, want, bound=1e-12):
@@ -705,8 +717,137 @@ def test_criterion_kernel_matches_blockwise_oracle(d):
             got = criterion_magnitudes(ring, w)
             want = criterion_magnitudes_blockwise(ring, k, w_gemm)
             assert np.abs(np.subtract(got, want)).max() <= 1e-13, (d, k, name)
-            assert criterion_check(ring, k, u, v) == \
-                verify.deviation(*got, 1.0 / np.sqrt(k)), (d, k, name)
+            assert criterion_check(ring, k, u, v) == verify.deviation(
+                *criterion_magnitudes(ring, _canonical_w(u, v)), 1.0 / np.sqrt(k)), (d, k, name)
+
+
+# ---------------------------------------------------------------------------
+# the pair-class memo of criterion_check
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """criterion_check with an empty memo; returns the function that empties it."""
+    monkeypatch.setattr(verify, "_canonicals", {})
+    monkeypatch.setattr(verify, "_pair_memo", {})
+
+    def empty():
+        verify._canonicals.clear()
+        verify._pair_memo.clear()
+    return empty
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: family_cd(9), lambda: family_cd(19), lambda: family_ckd(3, 4),
+    lambda: family_ckd(15, 9),
+], ids=["9-1", "19-1", "3-4", "15-9"])
+def test_a_memo_hit_returns_the_bits_of_a_cold_call(empty_memo, build):
+    fam = build()
+    mats = [u for _, u in fam.generators]
+    pairs = list(itertools.combinations(range(len(mats)), 2))
+
+    def check(i, j):
+        return criterion_check(fam.ring, fam.k, mats[i], mats[j])
+    forward = [check(i, j) for i, j in pairs]
+    empty_memo()
+    backward = [check(i, j) for i, j in reversed(pairs)][::-1]
+    cold = []
+    for i, j in pairs:
+        empty_memo()
+        cold.append(check(i, j))
+    assert _bits(forward) == _bits(backward) == _bits(cold)
+    assert max(cold) <= 1e-12
+
+
+def test_the_memo_computes_the_sums_once_per_pair_class(empty_memo, monkeypatch):
+    fam = family_cd(19)
+    classes = certify_family(fam, pairs_only=True).stages["classes"]
+    calls = []
+    magnitudes = verify.criterion_magnitudes
+    monkeypatch.setattr(verify, "criterion_magnitudes",
+                        lambda ring, w: calls.append(1) or magnitudes(ring, w))
+    for (_, u), (_, v) in itertools.combinations(fam.generators, 2):
+        assert criterion_check(fam.ring, fam.k, u, v) <= 1e-12
+    assert len(calls) == classes == 52
+
+
+@pytest.mark.parametrize("spoil", ["permutation-one", "permutation-zero", "dense"])
+@pytest.mark.parametrize("permutation_first", [True, False], ids=["gather", "gemm"])
+def test_a_nan_written_in_place_after_a_passing_call_never_passes(empty_memo, spoil,
+                                                                   permutation_first):
+    ring = ring_for_dimension(5)
+    perm, dense = permutation_unitary(ring, 2).astype(complex), v_unitary(ring, 3)
+    u, v = (perm, dense) if permutation_first else (dense, perm)
+    assert criterion_check(ring, 1, u, v) <= 1e-12
+    m = dense if spoil == "dense" else perm
+    cells = np.flatnonzero(m == 0) if spoil == "permutation-zero" else np.flatnonzero(m)
+    m.flat[cells[1]] = np.nan  # in place: u and v are the arrays of the passing call
+    with np.errstate(invalid="ignore"):
+        dev = criterion_check(ring, 1, u, v)
+    assert not dev <= 1e-8
+    assert not np.isfinite(dev)
+
+
+def test_each_ring_keeps_its_own_pair_classes(empty_memo):
+    u, v = random_unitary(15, 1), random_unitary(15, 2)
+    shapes = [(ring_for_dimension(15), 1), (ring_for_dimension(5), 3)]
+    want = [verify.deviation(*criterion_magnitudes(ring, _canonical_w(u, v)), 1.0 / np.sqrt(k))
+            for ring, k in shapes]
+    assert want[0] != want[1]
+    for _ in range(2):
+        assert [criterion_check(ring, k, u, v) for ring, k in shapes] == want
+
+
+def test_the_memo_holds_at_most_four_canonical_matrices(empty_memo):
+    ring = ring_for_dimension(5)
+    mats = [random_unitary(5, seed) for seed in range(10)]
+    want = {}
+    for i, j in [*itertools.combinations(range(10), 2), (0, 1), (8, 9)]:
+        dev = criterion_check(ring, 1, mats[i], mats[j])
+        assert want.setdefault((i, j), dev) == dev
+        assert len(verify._canonicals) <= verify._CANONICAL_LIMIT == 4
+        assert all(key[2] in verify._canonicals and key[3] in verify._canonicals
+                   for key in verify._pair_memo)
+    assert len(verify._canonicals) == 4
+
+
+def test_the_memo_holds_at_most_8_kd_pair_classes(empty_memo):
+    ring = ring_for_dimension(5)
+    u, v = random_unitary(5, 1), random_unitary(5, 2)
+    perms = list(itertools.permutations(range(5)))[:60]
+    want = [criterion_check(ring, 1, u, v[list(p)]) for p in perms]
+    assert len(verify._canonicals) == 2 and len(verify._pair_memo) == 8 * 5
+    assert [criterion_check(ring, 1, u, v[list(p)]) for p in perms] == want
+    assert len(set(want)) > 8 * 5
+
+
+def test_the_memo_holds_across_threads(empty_memo):
+    tasks = []  # three families, 8 canonical matrices: the threads drop and add them
+    for fam in (family_cd(5), family_cd(9), family_ckd(3, 4)):
+        mats = [u for _, u in fam.generators]
+        tasks += [(fam.ring, fam.k, mats[i], mats[j])
+                  for i, j in itertools.combinations(range(len(mats)), 2)]
+    want = _bits([criterion_check(*task) for task in tasks])
+
+    def run(seed):
+        got = [0.0] * len(tasks)
+        for i in np.random.default_rng(seed).permutation(len(tasks)):
+            got[i] = criterion_check(*tasks[i])
+        return _bits(got)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(4) as pool:
+            runs = [pool.submit(run, seed) for seed in range(8)]
+            assert all(r.result(timeout=120) == want for r in runs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(verify._canonicals) <= 4
+    assert all(key[2] in verify._canonicals and key[3] in verify._canonicals
+               for key in verify._pair_memo)
 
 
 @pytest.mark.parametrize("d", [*range(3, 126, 2), 343])
