@@ -248,21 +248,10 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        return {"construct": _cmd_construct, "verify": _cmd_verify, "bound": _cmd_bound,
+                "mols": _cmd_mols, "gauss": _cmd_gauss}[args.command](args)
     except SystemExit as exc:  # --help
         return 0 if not exc.code else int(exc.code)
-    try:
-        if args.command == "construct":
-            return _cmd_construct(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "bound":
-            return _cmd_bound(args)
-        if args.command == "mols":
-            return _cmd_mols(args)
-        return _cmd_gauss(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -274,6 +263,10 @@ def main(argv=None):
         return 3
     except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the allocation it refused
+        print(f"usage error: out of memory: {str(exc) or 'an allocation was refused'}",
+              file=sys.stderr)
         return 1
 
 

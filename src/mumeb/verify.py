@@ -33,9 +33,10 @@ Column (xi, eta, j) of an expansion has the entry
 (1/sqrt(d)) lambda(r xi) U[iB, j d + r], r = iA - eta, at row (iA, iB), so
 slab eta is T_eta y_0: y_0 is slab 0 and T_eta = X_eta (x) I_kd moves row
 (iA - eta, iB) to (iA, iB).  expand_chunks computes each entry as one
-product of the same two numbers in every slab, and _slab_zero checks
-T_eta y_0 bit for bit on every slab of every expansion certify_family
-reads, B_I's included, raising RuntimeError on a mismatch.  For B_I itself
+product of the same two numbers in every slab, and _slab_zero, which
+reads and counts the chunks of the expansion itself, checks T_eta y_0 bit
+for bit on every slab of every expansion certify_family reads, B_I's
+included, raising RuntimeError on a mismatch.  For B_I itself
 this gives T_(-eta) B_I = B_I Pi_eta, Pi_eta the column permutation that
 reads column (xi', eta', j') at (xi', eta' - eta, j'), and so
 B_I^dag T_eta = Pi_eta^T B_I^dag, since T_eta^dag = T_(-eta).
@@ -371,13 +372,15 @@ _memo_lock = threading.Lock()
 
 
 def _canonical(u):
-    """(C, order): the rows of u + 0.0 (which clears signed zeros) sorted by
-    their bytes, C = (u + 0.0)[order], so that u + 0.0 = C[p] for p the
-    inverse of order."""
+    """(C, order, position): the rows of u + 0.0 (which clears signed zeros)
+    sorted by their bytes, C = (u + 0.0)[order], and the inverse p of order,
+    so that u + 0.0 = C[p]."""
     rows = np.ascontiguousarray(u + 0.0)
     order = np.argsort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel(),
                        kind="stable")
-    return rows[order], order
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    return rows[order], order, position
 
 
 def _slot(c):
@@ -413,10 +416,8 @@ def criterion_check(ring, k, u, v):
     kd = k * ring.d
     if u.shape != (kd, kd) or v.shape != (kd, kd):
         raise ValueError(f"need {kd} x {kd} matrices for d={ring.d}, k={k}")
-    (c_u, order_u), (c_v, order_v) = _canonical(u), _canonical(v)
-    position = np.empty_like(order_v)  # p_V, the inverse of order_V
-    position[order_v] = np.arange(kd)
-    rel = position[order_u]
+    (c_u, order_u, _), (c_v, _, position_v) = _canonical(u), _canonical(v)
+    rel = position_v[order_u]
     with _memo_lock:
         key = (ring, k, _slot(c_u), _slot(c_v), rel.tobytes())
         if key not in _pair_memo:
@@ -504,9 +505,10 @@ def _orbit_unit(w, rep, units, perms, one):
     return None
 
 
-def _basis_deviations(b_id, u, chunks, x=np.ones((1, 1)), norms=np.ones(1)):
-    """(orthonormality, entanglement) of the basis B_U of U from its column
-    chunks: max |((I_d (x) U) B_I)^dag B_U - I| and the largest deviation of
+def _basis_deviations(b_id, u, cols, chunk, x=np.ones((1, 1)), norms=np.ones(1)):
+    """(orthonormality, entanglement) of the basis B_U of U from the one
+    column chunk (cols, chunk) that _slab_zero reads off its expansion,
+    slab 0: max |((I_d (x) U) B_I)^dag B_U - I| and the largest deviation of
     a reduced density from I_d / d.  Given the Gram matrix x = A^dag A and
     the squared column norms of a matrix A, the same two figures of the
     basis of A (x) U instead (figures 1 and 2 of the module docstring).
@@ -519,53 +521,46 @@ def _basis_deviations(b_id, u, chunks, x=np.ones((1, 1)), norms=np.ones(1)):
     figures are folded with np.max, so a NaN in any block stays.
     """
     kd = u.shape[0]
-    u_dag = u.conj().T
+    n, c = chunk.shape
     x_diag = np.diagonal(x)
     on_scale = float(np.abs(x_diag).max())  # max_a |X_aa|
     off_scale = float(np.abs(x - np.diag(x_diag)).max())  # max_(a != b) |X_ab|
-    slot = np.full(b_id.shape[1], -1)  # of each column of B_U in the current chunk
-    ortho = ent = g_max = 0.0
-    for cols, chunk in chunks:
-        n, c = chunk.shape
-        ent = np.max((ent, linalg.max_entanglement_deviation(chunk, n // kd, kd, norms)))
-        y = np.matmul(u_dag, chunk.reshape(n // kd, kd, c)).reshape(n, c)
-        slot[cols] = np.arange(c)
-        for ids, block in b_id.adjoint_products(y):
-            own = np.flatnonzero(slot[ids] >= 0)
-            at = (own, slot[ids[own]])
-            diag = block[at]
-            block[at] = 0.0
-            off = float(np.abs(block).max())
-            g_max = np.max((g_max, off, np.abs(diag).max(initial=0.0)))
-            ortho = np.max((ortho, on_scale * off,
-                            np.abs(x_diag[:, None] * diag - 1.0).max(initial=0.0)))
-        slot[cols] = -1
-    return float(np.max((ortho, off_scale * g_max))), float(ent)
+    slot = np.full(b_id.shape[1], -1)  # of each column of B_U in the chunk
+    slot[cols] = np.arange(c)
+    ent = linalg.max_entanglement_deviation(chunk, n // kd, kd, norms)
+    y = np.matmul(u.conj().T, chunk.reshape(n // kd, kd, c)).reshape(n, c)
+    ortho = g_max = 0.0
+    for ids, block in b_id.adjoint_products(y):
+        own = np.flatnonzero(slot[ids] >= 0)
+        at = (own, slot[ids[own]])
+        diag = block[at]
+        block[at] = 0.0
+        off = float(np.abs(block).max())
+        g_max = np.max((g_max, off, np.abs(diag).max(initial=0.0)))
+        ortho = np.max((ortho, on_scale * off,
+                        np.abs(x_diag[:, None] * diag - 1.0).max(initial=0.0)))
+    return float(np.max((ortho, off_scale * g_max))), ent
 
 
-def _tally(chunks, stages):
-    """Pass the chunks on, counting them and the bytes of the largest."""
-    for cols, chunk in chunks:
-        stages["chunks"] += 1
-        stages["max_chunk_bytes"] = max(stages["max_chunk_bytes"], chunk.nbytes)
-        yield cols, chunk
+def _slab_zero(ring, u, stages, pass_on=False):
+    """Expand U (construct.expand_chunks, slab 0 first), check that every
+    eta-slab of the expansion is slab 0 with its rows moved, slab eta at
+    row (iA, iB) being slab 0 at row (iA - eta, iB), and yield slab 0 alone,
+    as one chunk (cols, N x kd array), once every slab is checked; with
+    pass_on, yield each chunk instead, as it is checked.
 
-
-def _slab_zero(ring, chunks, stages, pass_on=False):
-    """Check that every eta-slab of an expansion is slab 0 with its rows
-    moved, slab eta at row (iA, iB) being slab 0 at row (iA - eta, iB), and
-    yield slab 0 alone, as one chunk (cols, N x kd array), once every slab
-    is checked; with pass_on, yield each chunk instead, as it is checked.
-
-    The chunks are those of construct.expand_chunks, slab 0 first.  Entries
-    compare by their bits (int64 views), so -0.0 and NaN count as they are
-    stored.  A mismatch raises RuntimeError; stages["slabs_checked"] counts
-    the slabs eta != 0 compared.  The module docstring proves that slab 0
-    then carries every figure of the whole basis."""
+    Entries compare by their bits (int64 views), so -0.0 and NaN count as
+    they are stored.  A mismatch raises RuntimeError.  stages["chunks"] and
+    stages["max_chunk_bytes"] count the chunks read and the bytes of the
+    largest, and stages["slabs_checked"] the slabs eta != 0 compared.  The
+    module docstring proves that slab 0 then carries every figure of the
+    whole basis."""
     d = ring.d
     sub = fields.add_index_table(ring)[:, fields.neg_index_vector(ring)]  # [iA, eta]: iA - eta
     slab = None
-    for cols, chunk in chunks:
+    for cols, chunk in construct.expand_chunks(ring, u):
+        stages["chunks"] += 1
+        stages["max_chunk_bytes"] = max(stages["max_chunk_bytes"], chunk.nbytes)
         n, c = chunk.shape
         k = n // (d * d)
         etas = cols[:c // d:k] // k  # the slabs of the chunk, read at xi = 0, j = 0
@@ -664,7 +659,7 @@ def _pair_classes(mats):
     """
     firsts, ids, orders, positions = {}, [], [], []  # digest -> the first generator of each id
     for u in mats:
-        rows, order = _canonical(u)
+        rows, order, position = _canonical(u)
         rows = rows.view(np.uint8)  # the bytes of C_i
         known = firsts.setdefault(_digest(rows), [])
         same = next((ids[f] for f in known if np.array_equal(
@@ -673,8 +668,6 @@ def _pair_classes(mats):
             known.append(len(ids))
             same = max(ids, default=-1) + 1  # numbered by first appearance
         ids.append(same)
-        position = np.empty_like(order)  # p_i, the inverse of order
-        position[order] = np.arange(order.size)
         orders.append(order)
         positions.append(position)
     classes, pairs, first = {}, [], []
@@ -696,11 +689,11 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
     else "streamed"; the code is the same.
 
     Per basis class (skipped when pairs_only), take the class's first
-    generator.  Stream the expansion of C against the column blocks of the
-    identity basis of C's level and scale its figures by A^dag A and the
-    column norms of A (figures 1 and 2 of the module docstring); the
-    figures are those of slab 0, once every other slab is checked to be its
-    translate (_slab_zero).  A class holds the generators R[p] that are row
+    generator.  _slab_zero expands C, checks every other slab to be a
+    translate of slab 0 and hands on slab 0, whose figures against the
+    column blocks of the identity basis of C's level, scaled by A^dag A and
+    the column norms of A, are those of the basis (figures 1 and 2 of the
+    module docstring).  A class holds the generators R[p] that are row
     gathers of one another, whose bases B_{R[p]} = (I_d (x) P) B_R are row
     permutations of one another, which changes neither figure beyond the
     order of summation.  Every basis keeps its own report row, in generator
@@ -733,8 +726,9 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
     stage that first needs it) and the counts of bases, basis classes and
     factored basis classes, pairs, pair classes, factored pair classes,
     pair classes whose W or Y took the sparse product and those whose W or
-    Y took an orbit's figures, chunks, the bytes of the largest chunk, and
-    slabs checked as translates of slab 0 (_slab_zero).
+    Y took an orbit's figures, and, as _slab_zero reads each expansion
+    itself, its chunks, the bytes of the largest chunk, and slabs checked
+    as translates of slab 0.
 
     progress, when given, is called as progress(stage, done, total) as each
     stage starts, with done = 0, and after each of its items: "unitarity"
@@ -781,9 +775,6 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
         basis_first.setdefault(c, i)
     stages.update(basis_classes=len(basis_first), pairs=len(pairs), classes=len(first))
 
-    def slab_zero(u, pass_on=False):
-        return _slab_zero(ring, _tally(construct.expand_chunks(ring, u), stages), stages, pass_on)
-
     blocks = {}
 
     def identity_blocks(size):
@@ -791,7 +782,7 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
         whose slabs are checked to be translates of slab 0."""
         if size not in blocks:
             t = time.perf_counter()
-            blocks[size] = linalg.ColumnBlocks(slab_zero(np.eye(size), pass_on=True))
+            blocks[size] = linalg.ColumnBlocks(_slab_zero(ring, np.eye(size), stages, pass_on=True))
             stages["identity_blocks_s"] += time.perf_counter() - t
         return blocks[size]
 
@@ -810,7 +801,8 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
         progress("basis classes", 0, len(basis_first))
         for i in basis_first.values():
             factored, [(a, c_mat, rho)] = factor_triples(i)
-            ortho, ent = _basis_deviations(identity_blocks(len(c_mat)), c_mat, slab_zero(c_mat),
+            ortho, ent = _basis_deviations(identity_blocks(len(c_mat)), c_mat,
+                                           *next(_slab_zero(ring, c_mat, stages)),
                                            a.conj().T @ a, (np.abs(a) ** 2).sum(axis=0))
             e = kd * rho
             shift = 2 * e + e * e
@@ -840,22 +832,6 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
     perms = fields.mul_index_vector(ring, units[:, None])  # row h: index(m x), m = units[h]
     checked = set()  # the h whose (P_m (x) P_m) B_I = B_I Pi_m holds
 
-    def orbit_of(w):
-        """(class id, overlap extremes) of the orbit representative that
-        w is a conjugate of, or None."""
-        for rep, c, extremes in orbits:
-            h = _orbit_unit(w, rep, units, perms, ring.one)
-            if h is None:
-                continue
-            if h not in checked:
-                sigma = (perms[h][:, None] * d + perms[h]).ravel()  # row (iA, iB) -> (m iA, m iB)
-                if not _permutes_columns(identity_blocks(d), sigma):
-                    raise RuntimeError(f"the rows of B_I moved by the unit {units[h]} of {ring} "
-                                       f"are not a column permutation of B_I")
-                checked.add(h)
-            return c, extremes
-        return None
-
     def overlaps(w, c):
         """(lo, hi, e, route fields): the overlap extremes of B^dag B_W for
         the identity basis B of W's level, and e, how far the sparse product
@@ -866,15 +842,21 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
             if extremes is not None:
                 stages["sparse_pair_classes"] += 1
                 return (*extremes, kd * rho, {"route": "sparse", "monomial_residual": rho})
-        if len(w) != d:
-            return (*bruteforce_unbiased(identity_blocks(len(w)), slab_zero(w)), 0.0,
-                    {"route": "streamed"})
-        hit = orbit_of(w)
-        if hit is not None:
+        for rep, r, extremes in orbits if len(w) == d else ():
+            h = _orbit_unit(w, rep, units, perms, ring.one)
+            if h is None:
+                continue
+            if h not in checked:
+                sigma = (perms[h][:, None] * d + perms[h]).ravel()  # row (iA, iB) -> (m iA, m iB)
+                if not _permutes_columns(identity_blocks(d), sigma):
+                    raise RuntimeError(f"the rows of B_I moved by the unit {units[h]} of {ring} "
+                                       f"are not a column permutation of B_I")
+                checked.add(h)
             stages["orbit_pair_classes"] += 1
-            return (*hit[1], 0.0, {"route": "orbit", "orbit_of": hit[0]})
-        extremes = bruteforce_unbiased(identity_blocks(d), slab_zero(w))
-        orbits.append((w, c, extremes))
+            return (*extremes, 0.0, {"route": "orbit", "orbit_of": r})
+        extremes = bruteforce_unbiased(identity_blocks(len(w)), _slab_zero(ring, w, stages))
+        if len(w) == d:
+            orbits.append((w, c, extremes))
         return (*extremes, 0.0, {"route": "streamed"})
 
     class_results = []

@@ -296,3 +296,28 @@ def test_usage_errors(capsys):
     assert run(capsys)[0] == 1
     code, _, _ = run(capsys, "--help")
     assert code == 0
+
+
+
+@pytest.mark.parametrize("module,name,argv", [
+    ("construct", "family_ckd", lambda tmp: ["construct", "--d", "3", "--k", "100000",
+                                             "--out", str(tmp / "big.json")]),
+    ("verify", "certify_family", lambda tmp: ["verify", str(tmp / "fam.json")]),
+    ("verify", "gauss_sum_check", lambda tmp: ["gauss", "--d", "100001"]),
+], ids=["construct", "verify", "gauss"])
+@pytest.mark.parametrize("message", ["Unable to allocate 149. GiB for an array", ""],
+                         ids=["numpy", "bare"])
+def test_out_of_memory_is_a_one_line_usage_error(tmp_path, capsys, monkeypatch, module, name,
+                                                 argv, message):
+    # a refused allocation, with numpy's message or none, exits 1 on one line
+    assert run(capsys, "construct", "--d", "3", "--out", str(tmp_path / "fam.json"))[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+    monkeypatch.setattr(getattr(cli, module), name, refuse)
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("usage error: out of memory: ")
+    assert (message or "an allocation was refused") in err
+    assert not (tmp_path / "big.json").exists()

@@ -104,10 +104,10 @@ def test_basis_deviations_subtract_the_identity_at_the_chunk_columns():
     b_id_full = expand_basis(ring, np.eye(12))
     b_id = linalg.ColumnBlocks(linalg.whole_columns(b_id_full))
     cols = np.array([30, 2, 17])
-    ortho, ent = verify._basis_deviations(b_id, np.eye(12), [(cols, b_id_full[:, cols])])
+    ortho, ent = verify._basis_deviations(b_id, np.eye(12), cols, b_id_full[:, cols])
     assert ortho <= 1e-15 and ent <= 1e-15
     claimed = np.array([2, 30, 17])
-    ortho, _ = verify._basis_deviations(b_id, np.eye(12), [(claimed, b_id_full[:, cols])])
+    ortho, _ = verify._basis_deviations(b_id, np.eye(12), claimed, b_id_full[:, cols])
     assert ortho >= 0.9
 
 
@@ -227,7 +227,7 @@ def _canonical_w(u, v):
     """The W = U^dag V that criterion_check forms, C_U^dag C_V[rel]: the rows
     of U + 0.0 in their sorted order (verify._canonical) against the rows of
     V + 0.0 in the same order, which are C_V[rel]."""
-    c_u, order = verify._canonical(np.asarray(u, dtype=complex))
+    c_u, order, _ = verify._canonical(np.asarray(u, dtype=complex))
     return verify._adjoint_product(c_u, (np.asarray(v, dtype=complex) + 0.0)[order])
 
 
@@ -395,12 +395,16 @@ def test_tampered_cell_fails_the_factor_check_and_the_streamed_route(monkeypatch
     assert got.stages["factored_basis_classes"] == 3 and got.stages["factored_pair_classes"] == 3
 
 
-@pytest.mark.parametrize("build", [lambda: family_cd(3), lambda: family_cd(15),
-                                   lambda: rotated_family(family_ckd(3, 4))],
-                         ids=["3-1", "15-1", "rotated-3-4"])
-def test_unfactored_families_take_the_streamed_route(build):
+@pytest.mark.parametrize("build,n_streamed", [
+    (lambda: family_cd(3), 2), (lambda: family_cd(15), 2),
+    (lambda: rotated_family(family_ckd(3, 4)), 6), (lambda: rotated_family(family_ckd(9, 4)), 10),
+    (lambda: rotated_family(family_ckd_mols(7, 9)), 6),
+], ids=["3-1", "15-1", "rotated-3-4", "rotated-9-4", "rotated-7-9-mols"])
+def test_unfactored_families_take_the_streamed_route(build, n_streamed):
     # k = 1 generators are never factored; rotated k >= 2 generators do not
-    # factor.  A pair class whose W is monomial takes the sparse product
+    # factor.  A pair class whose W is monomial takes the sparse product.
+    # The kd-level classes of a rotated family are brute-forced one by one,
+    # never matched against an orbit representative
     fam = build()
     report = certify_family(fam)
     rows = report.basis_results + report.pair_results
@@ -411,6 +415,8 @@ def test_unfactored_families_take_the_streamed_route(build):
     # of the 3 dense classes of (15,1), 2 are conjugates by a unit multiplication
     orbit = {row["class"] for row in report.pair_results if row["route"] == "orbit"}
     assert report.stages["orbit_pair_classes"] == len(orbit) == (1 if fam.d == 15 else 0)
+    streamed = {row["class"] for row in report.pair_results if row["route"] == "streamed"}
+    assert len(streamed) == n_streamed == report.stages["classes"] - len(sparse) - len(orbit)
     assert not any("factor_residual" in row for row in rows)
     assert report.stages["factored_basis_classes"] == report.stages["factored_pair_classes"] == 0
     assert report.passed
@@ -1263,7 +1269,7 @@ def _slab_cases(fam):
 
 def _slab_zero_of(ring, u):
     """verify._slab_zero over the expansion of u: its one chunk, slab 0."""
-    return verify._slab_zero(ring, construct.expand_chunks(ring, u), {"slabs_checked": 0})
+    return verify._slab_zero(ring, u, {"chunks": 0, "max_chunk_bytes": 0, "slabs_checked": 0})
 
 
 @pytest.mark.parametrize("build,n_dense", [
@@ -1286,7 +1292,7 @@ def test_slab_zero_figures_match_the_full_stream(build, n_dense):
     full = basis_figures_per_basis(MEBFamily(fam.d, k, ring, [(str(i), u)
                                                               for i, u in enumerate(bases)]))
     for u, (_, ortho, ent) in zip(bases, full):
-        got = verify._basis_deviations(b_id, u, _slab_zero_of(ring, u))
+        got = verify._basis_deviations(b_id, u, *next(_slab_zero_of(ring, u)))
         assert np.abs(np.subtract(got, (ortho, ent))).max() <= bound
     for w in dense:
         got = bruteforce_unbiased(b_id, _slab_zero_of(ring, w))
@@ -1300,22 +1306,25 @@ def test_slab_zero_is_slab_zero_of_the_expansion(monkeypatch, d, k, chunk_bytes)
     # the one chunk yielded is the columns (xi, 0, j) of the expansion, bit
     # for bit; with pass_on every chunk is passed on unchanged.  Either way
     # each of the d - 1 other slabs is checked once, in chunks of one or of
-    # several slabs
+    # several slabs, and every chunk of the expansion is counted once
     if chunk_bytes is not None:
         monkeypatch.setattr(construct, "_CHUNK_BYTES", chunk_bytes)
     ring = ring_for_dimension(d)
     u = random_unitary(k * d, d + k)
     full = expand_basis(ring, u)
-    stages = {"slabs_checked": 0}
-    [(cols, slab)] = verify._slab_zero(ring, construct.expand_chunks(ring, u), stages)
+    stages = {"chunks": 0, "max_chunk_bytes": 0, "slabs_checked": 0}
+    [(cols, slab)] = verify._slab_zero(ring, u, stages)
     assert np.array_equal(cols, [(xi * d * k + j) for xi in range(d) for j in range(k)])
     assert np.array_equal(slab.view(np.int64), np.ascontiguousarray(full[:, cols]).view(np.int64))
     passed = list((c.copy(), x.copy()) for c, x in
-                  verify._slab_zero(ring, construct.expand_chunks(ring, u), stages, pass_on=True))
-    assert [c.tolist() for c, _ in passed] == [c.tolist() for c, _ in construct.expand_chunks(ring, u)]
+                  verify._slab_zero(ring, u, stages, pass_on=True))
+    expansion = list(construct.expand_chunks(ring, u))
+    assert [c.tolist() for c, _ in passed] == [c.tolist() for c, _ in expansion]
     assert all(np.array_equal(x.view(np.int64), np.ascontiguousarray(full[:, c]).view(np.int64))
                for c, x in passed)
     assert stages["slabs_checked"] == 2 * (d - 1)
+    assert stages["chunks"] == 2 * len(expansion)
+    assert stages["max_chunk_bytes"] == max(x.nbytes for _, x in expansion)
 
 
 def _spoil_one_entry(d, value):
