@@ -1,11 +1,11 @@
 """Complex linear algebra for unitaries, bases, and entanglement checks.
 
 Matrices are numpy complex128 arrays, row-major, zero-based.  A basis is a
-square array whose columns are the basis vectors; a large one is handled as
-column chunks, (cols, N x c array) pairs, so that no N x N array is needed.
-Adjoint products A^dag X skip the exact zeros of A (ColumnBlocks): an
-expanded basis has d nonzeros per column, so A^dag X costs 8 d N c flops
-for an N x c chunk X instead of 8 N^2 c.
+square array whose columns are the basis vectors.  Adjoint products A^dag X
+skip the exact zeros of A (ColumnBlocks): an expanded basis has d nonzeros
+per column, so A^dag X costs 8 d N c flops for an N x c array X instead of
+8 N^2 c.  ColumnBlocks builds an expanded basis from kd of its N columns
+and the row moves that give the others, so no N x N array is needed.
 """
 
 import numpy as np
@@ -29,68 +29,53 @@ def gram_deviation(basis):
     return is_unitary(basis)[1]
 
 
-def whole_columns(a):
-    """The matrix `a` as a single column chunk, [(cols, a)]."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"need a matrix, got shape {a.shape}")
-    return [(np.arange(a.shape[1]), a)]
-
-
 class ColumnBlocks:
-    """A matrix A, N x N for a basis, held as its column groups, each group
-    being the columns that share one row support (the rows where they are
-    nonzero).
+    """A matrix A held as its column groups, each group being the columns
+    that share one row support (the rows where they are nonzero).
 
     Groups of one shape, s support rows by m columns, form a bucket of
-    `rows` (G, s), `cols` (G, m) and adjoint values A[rows, cols]^dag
-    (G, m, s).  An expanded basis is one bucket of N/d groups of d x d, so
-    it is held in N·d entries; a dense matrix is one group.  The pattern is
-    read off the entries themselves, once, never off a formula.
+    `rows` (G, s), ascending, `cols` (G, m) and adjoint values
+    A[rows, cols]^dag (G, m, s).  An expanded basis is one bucket of N/d
+    groups of d x d, held in N·d entries; a dense matrix is one group.  The
+    pattern is read off the entries themselves, never off a formula.
     """
 
-    def __init__(self, chunks):
-        """Read A from (cols, N x c array) column chunks that together hold
-        each of its columns once, such as construct.expand_chunks yields.  Each
-        array is copied from as it comes, so it may be reused for the next."""
-        col_ids, keys, depths, values = [], [], [], []
-        n = None
-        for cols, chunk in chunks:
-            if n is None:
-                n = chunk.shape[0]
-            if chunk.ndim != 2 or chunk.shape != (n, len(cols)):
-                raise ValueError(f"chunk of shape {chunk.shape} does not fit {n} rows "
-                                 f"and {len(cols)} columns")
-            support = chunk != 0
-            col_ids.append(np.asarray(cols))
-            keys.append(np.packbits(support, axis=0).T)
-            depths.append(support.sum(axis=0))
-            values.append(chunk.T[support.T])  # column by column, rows ascending
-        if n is None:
-            raise ValueError("no column chunks")
-        cols = np.concatenate(col_ids)
-        if not np.array_equal(np.sort(cols), np.arange(cols.size)):
-            raise ValueError("column chunks must hold each column once")
-        self.shape = (n, cols.size)
+    def __init__(self, a, moves=None):
+        """Read the N x c matrix `a` off its entries.  Given row moves, a
+        p x N index array, A is instead the N x pc matrix of p copies of `a`,
+        copy t having row R of `a` at row moves[t, R] and its column i
+        numbered t c + i; each copy's groups are those of `a` with their rows
+        moved and put back in ascending order, their values with them."""
+        a = np.asarray(a, dtype=complex)
+        if a.ndim != 2:
+            raise ValueError(f"need a matrix, got shape {a.shape}")
+        n, c = a.shape
+        moves = np.arange(n)[None] if moves is None else np.asarray(moves)
+        self.shape = (n, c * len(moves))
         self._work = {}
 
-        keys = np.ascontiguousarray(np.concatenate(keys))
-        depths = np.concatenate(depths)
-        values = np.concatenate(values)
-        start = np.cumsum(depths) - depths  # of each column's entries in `values`
+        support = a != 0
+        keys = np.ascontiguousarray(np.packbits(support, axis=0).T)
         flat_keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
         _, first, group = np.unique(flat_keys, return_index=True, return_inverse=True)
         width = np.bincount(group)
-        depth = depths[first]
-        members = np.argsort(group, kind="stable")  # read positions, group by group
+        depth = support.sum(axis=0)[first]
+        members = np.argsort(group, kind="stable")  # columns, group by group
         offset = np.cumsum(width) - width
+        copies = np.arange(len(moves))[:, None, None] * c
         self.buckets = []
         for s, m in np.unique(np.stack([depth, width], axis=1), axis=0):
             g = np.flatnonzero((depth == s) & (width == m))
-            pos = members[offset[g][:, None] + np.arange(m)]
-            rows = np.nonzero(np.unpackbits(keys[first[g]], axis=1, count=n))[1]
-            adj = values[start[pos][..., None] + np.arange(s)].conj()
-            self.buckets.append((rows.reshape(g.size, s), cols[pos], adj))
+            cols = members[offset[g][:, None] + np.arange(m)]
+            rows = np.nonzero(np.unpackbits(keys[first[g]], axis=1, count=n))[1].reshape(g.size, s)
+            adj = a[rows[:, None], cols[:, :, None]].conj()  # [group, column, row]
+            moved = moves[:, rows]  # [copy, group, row]
+            order = np.argsort(moved, axis=2)
+            size = len(moves) * g.size
+            self.buckets.append((
+                np.take_along_axis(moved, order, axis=2).reshape(size, s),
+                (copies + cols).reshape(size, m),
+                np.take_along_axis(adj[None], order[:, :, None], axis=3).reshape(size, m, s)))
 
     def row_groups(self):
         """(group, lo, hi) for an A of one bucket whose groups' row supports
@@ -117,7 +102,7 @@ class ColumnBlocks:
 
     def _scratch(self, name, shape):
         """A complex work array of this shape, reused from call to call:
-        fresh arrays of a chunk's size cost more to fault in than to fill."""
+        fresh arrays of an operand's size cost more to fault in than to fill."""
         size = int(np.prod(shape))
         if name not in self._work or self._work[name].size < size:
             self._work[name] = np.empty(size, dtype=complex)
@@ -145,7 +130,7 @@ class ColumnBlocks:
 
 def max_entanglement_deviation(basis, d, dprime, norms=np.ones(1)):
     """Largest deviation of n rho from I_d / d over the reduced densities
-    rho of the columns of a basis or of a column chunk of one, and over the
+    rho of the columns of a basis or of some columns of one, and over the
     weights n in `norms`, taken 64 columns at a time so that the
     temporaries stay small beside it."""
     basis = np.asarray(basis, dtype=complex)

@@ -18,15 +18,16 @@ pairs that provably share one W.
 
 Nothing here holds an N x N array.  Each expansion streams in column
 chunks (construct.expand_chunks), and every product B_I^dag X runs over
-the column blocks of B_I, read once (linalg.ColumnBlocks): each column of
+the column blocks of B_I, built once (linalg.ColumnBlocks): each column of
 B_I has d nonzeros, shared by the d columns of one (eta, j), so a product
-with an N x c chunk costs 8 d N c flops.  The overlaps of a class are
-B_I^dag B_W over slab 0 of B_W = (I_d (x) W) B_I (see below), which is the
-expansion of W itself, or for a monomial W the sparse product below.  The
-orthonormality of a basis is
+with an N x c array costs 8 d N c flops.  The blocks are read off slab 0
+of B_I and moved to the other slabs (see below).  The overlaps of a
+class are B_I^dag B_W over slab 0 of B_W = (I_d (x) W) B_I (see below),
+which is the expansion of W itself, or for a monomial W the sparse
+product below.  The orthonormality of a basis is
 max |((I_d (x) U) B_I)^dag B_U - I| = max |B_I^dag ((I_d (x) U^dag) B_U) - I|,
-taken chunk by chunk; it reads the bytes of the expanded B_U and, for
-unitary U, equals its Gram defect max |B_U^dag B_U - I|.
+taken on slab 0 (see below); it reads the bytes of the expanded B_U and,
+for unitary U, equals its Gram defect max |B_U^dag B_U - I|.
 
 Every figure of a basis is read off its slab 0, the kd columns (xi, 0, j).
 Column (xi, eta, j) of an expansion has the entry
@@ -57,6 +58,14 @@ B_I^dag T_eta = Pi_eta^T B_I^dag, since T_eta^dag = T_(-eta).
 Each figure is so equal to that of slab 0 up to the order of summation,
 and the per-basis products and the brute-force overlaps run on kd of the N
 columns, d times fewer flops.  Every chunk is still expanded and compared.
+
+The column blocks of B_I are built from its slab 0 too, once every slab
+of B_I is checked: slab eta = T_eta y_0 has slab 0's row supports moved
+by T_eta (fields.add_index_table) and slab 0's entries there, bit for bit.
+So linalg.ColumnBlocks reads slab 0's groups off its entries and moves
+their rows, put back in ascending order: every group and product block is
+bit for bit that of a read of all N columns.  The blocks number the
+columns (eta, xi, j), so the ids below kd are slab 0's, in its order.
 
 The per-basis checks run once per basis class.  A generator that is a row
 gather U = R[p] of another, R, has the basis B_U = (I_d (x) P) B_R, a row
@@ -429,24 +438,22 @@ def criterion_check(ring, k, u, v):
 
 
 def bruteforce_unbiased(basis_a, basis_b):
-    """(min, max) magnitude over all N^2 cross inner products of two bases.
+    """(min, max) magnitude over all cross inner products of two bases.
 
     basis_a is an N x N array or its linalg.ColumnBlocks; basis_b is an
-    N x N array or its column chunks, as construct.expand_chunks yields
-    them.  The products run over the column blocks of basis_a, one chunk of
-    basis_b at a time, and are reduced as they come.
+    N x N array or N x c columns of one, such as the slab 0 that
+    _slab_zero returns.  The products run over the column blocks of
+    basis_a and are reduced as they come.
     """
     if not isinstance(basis_a, linalg.ColumnBlocks):
-        basis_a = linalg.ColumnBlocks(linalg.whole_columns(basis_a))
-    if isinstance(basis_b, np.ndarray):
-        if basis_b.shape != basis_a.shape:
-            raise ValueError("bases have different shapes")
-        basis_b = linalg.whole_columns(basis_b)
+        basis_a = linalg.ColumnBlocks(basis_a)
+    basis_b = np.asarray(basis_b, dtype=complex)
+    if basis_b.ndim != 2 or basis_b.shape[0] != basis_a.shape[0]:
+        raise ValueError("bases have different shapes")
     lo, hi = np.inf, 0.0
-    for _, chunk in basis_b:
-        for _, block in basis_a.adjoint_products(chunk):
-            mags = np.abs(block)
-            lo, hi = np.minimum(lo, mags.min()), np.maximum(hi, mags.max())  # NaN stays
+    for _, block in basis_a.adjoint_products(basis_b):
+        mags = np.abs(block)
+        lo, hi = np.minimum(lo, mags.min()), np.maximum(hi, mags.max())  # NaN stays
     return float(lo), float(hi)
 
 
@@ -505,34 +512,32 @@ def _orbit_unit(w, rep, units, perms, one):
     return None
 
 
-def _basis_deviations(b_id, u, cols, chunk, x=np.ones((1, 1)), norms=np.ones(1)):
-    """(orthonormality, entanglement) of the basis B_U of U from the one
-    column chunk (cols, chunk) that _slab_zero reads off its expansion,
-    slab 0: max |((I_d (x) U) B_I)^dag B_U - I| and the largest deviation of
-    a reduced density from I_d / d.  Given the Gram matrix x = A^dag A and
-    the squared column norms of a matrix A, the same two figures of the
-    basis of A (x) U instead (figures 1 and 2 of the module docstring).
+def _basis_deviations(b_id, u, slab, x=np.ones((1, 1)), norms=np.ones(1)):
+    """(orthonormality, entanglement) of the basis B_U of U from slab 0 of
+    its expansion (_slab_zero): max |((I_d (x) U) B_I)^dag B_U - I| and the
+    largest deviation of a reduced density from I_d / d.  Given the Gram
+    matrix x = A^dag A and the squared column norms of a matrix A, the same
+    two figures of the basis of A (x) U instead (figures 1 and 2 of the
+    module docstring).
 
     The first is B_I^dag ((I_d (x) U^dag) B_U) - I over the column blocks
     of B_I.  For a unitary U it equals the Gram defect max |B_U^dag B_U - I|,
     since B_U = (I_d (x) U) B_I; unlike the Gram defect it also catches
     columns of B_U that are out of place.  I is subtracted where a row of a
-    product block, a column id of B_I, is one of the chunk's columns.  The
-    figures are folded with np.max, so a NaN in any block stays.
+    product block, a column id of B_I, is below kd, one of slab 0's (module
+    docstring).  The figures are folded with np.max, so a NaN in any block
+    stays.
     """
     kd = u.shape[0]
-    n, c = chunk.shape
+    n = slab.shape[0]
     x_diag = np.diagonal(x)
     on_scale = float(np.abs(x_diag).max())  # max_a |X_aa|
     off_scale = float(np.abs(x - np.diag(x_diag)).max())  # max_(a != b) |X_ab|
-    slot = np.full(b_id.shape[1], -1)  # of each column of B_U in the chunk
-    slot[cols] = np.arange(c)
-    ent = linalg.max_entanglement_deviation(chunk, n // kd, kd, norms)
-    y = np.matmul(u.conj().T, chunk.reshape(n // kd, kd, c)).reshape(n, c)
+    ent = linalg.max_entanglement_deviation(slab, n // kd, kd, norms)
+    y = np.matmul(u.conj().T, slab.reshape(n // kd, kd, kd)).reshape(n, kd)
     ortho = g_max = 0.0
     for ids, block in b_id.adjoint_products(y):
-        own = np.flatnonzero(slot[ids] >= 0)
-        at = (own, slot[ids[own]])
+        at = (np.flatnonzero(ids < kd), ids[ids < kd])  # I's entries, at slab 0's columns
         diag = block[at]
         block[at] = 0.0
         off = float(np.abs(block).max())
@@ -542,12 +547,11 @@ def _basis_deviations(b_id, u, cols, chunk, x=np.ones((1, 1)), norms=np.ones(1))
     return float(np.max((ortho, off_scale * g_max))), ent
 
 
-def _slab_zero(ring, u, stages, pass_on=False):
+def _slab_zero(ring, u, stages):
     """Expand U (construct.expand_chunks, slab 0 first), check that every
     eta-slab of the expansion is slab 0 with its rows moved, slab eta at
-    row (iA, iB) being slab 0 at row (iA - eta, iB), and yield slab 0 alone,
-    as one chunk (cols, N x kd array), once every slab is checked; with
-    pass_on, yield each chunk instead, as it is checked.
+    row (iA, iB) being slab 0 at row (iA - eta, iB), and return slab 0, the
+    N x kd array of the columns (xi, 0, j) in (xi, j) order.
 
     Entries compare by their bits (int64 views), so -0.0 and NaN count as
     they are stored.  A mismatch raises RuntimeError.  stages["chunks"] and
@@ -574,13 +578,7 @@ def _slab_zero(ring, u, stages, pass_on=False):
                 raise RuntimeError(f"slab {eta} of an expansion over {ring} is not slab 0 "
                                    f"with its rows moved by {eta}")
         stages["slabs_checked"] += int(np.count_nonzero(etas))
-        if pass_on:
-            yield cols, chunk
-    if not pass_on:
-        del chunk, bits  # so that the last chunk's buffer is freed while slab 0 is read
-        k = slab.shape[3] // 2
-        cols = (np.arange(d)[:, None] * (d * k) + np.arange(k)).ravel()  # (xi, 0, j)
-        yield cols, slab.view(complex).reshape(-1, cols.size)
+    return slab.view(complex).reshape(n, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +688,7 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
 
     Per basis class (skipped when pairs_only), take the class's first
     generator.  _slab_zero expands C, checks every other slab to be a
-    translate of slab 0 and hands on slab 0, whose figures against the
+    translate of slab 0 and returns slab 0, whose figures against the
     column blocks of the identity basis of C's level, scaled by A^dag A and
     the column norms of A, are those of the basis (figures 1 and 2 of the
     module docstring).  A class holds the generators R[p] that are row
@@ -720,15 +718,16 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
     Each figure includes the bound on how far the residuals can move it,
     so every pass test holds for the generators as they stand.
 
-    B_I and B_{I_d} are read into column blocks the first time a class
-    needs them.  report.stages records the wall time of each stage (the
-    reading of B_I or B_{I_d}, under identity_blocks_s, is also part of the
-    stage that first needs it) and the counts of bases, basis classes and
-    factored basis classes, pairs, pair classes, factored pair classes,
-    pair classes whose W or Y took the sparse product and those whose W or
-    Y took an orbit's figures, and, as _slab_zero reads each expansion
-    itself, its chunks, the bytes of the largest chunk, and slabs checked
-    as translates of slab 0.
+    B_I and B_{I_d} are built into column blocks from their checked slab 0
+    (module docstring) the first time a class needs them.  report.stages
+    records the wall time of each stage (the building of B_I or B_{I_d},
+    under identity_blocks_s, is also part of the stage that first needs
+    it) and the counts of bases, basis classes and factored basis classes,
+    pairs, pair classes, factored pair classes, pair classes whose W or Y
+    took the sparse product and those whose W or Y took an orbit's
+    figures, and, as _slab_zero reads each expansion itself, its chunks,
+    the bytes of the largest chunk, and slabs checked as translates of
+    slab 0.
 
     progress, when given, is called as progress(stage, done, total) as each
     stage starts, with done = 0, and after each of its items: "unitarity"
@@ -779,10 +778,12 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
 
     def identity_blocks(size):
         """The column blocks of B_I for size kd, or of B_{I_d} for size d,
-        whose slabs are checked to be translates of slab 0."""
+        from its checked slab 0 and the moves T_eta of its rows."""
         if size not in blocks:
             t = time.perf_counter()
-            blocks[size] = linalg.ColumnBlocks(_slab_zero(ring, np.eye(size), stages, pass_on=True))
+            added = fields.add_index_table(ring).T  # [eta, iA]: iA + eta
+            moves = (added[:, :, None] * size + np.arange(size)).reshape(d, -1)  # [eta, (iA, iB)]
+            blocks[size] = linalg.ColumnBlocks(_slab_zero(ring, np.eye(size), stages), moves)
             stages["identity_blocks_s"] += time.perf_counter() - t
         return blocks[size]
 
@@ -802,7 +803,7 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
         for i in basis_first.values():
             factored, [(a, c_mat, rho)] = factor_triples(i)
             ortho, ent = _basis_deviations(identity_blocks(len(c_mat)), c_mat,
-                                           *next(_slab_zero(ring, c_mat, stages)),
+                                           _slab_zero(ring, c_mat, stages),
                                            a.conj().T @ a, (np.abs(a) ** 2).sum(axis=0))
             e = kd * rho
             shift = 2 * e + e * e

@@ -9,8 +9,10 @@ quadratic sums through multiplicative characters, the criterion sums one
 d x d block at a time, the unbiased bases of a net one column at a time, the
 per-basis checks once per basis instead of once per basis class, family
 certification with every basis expanded and one overlap product per pair,
-matrices as the nested lists json.dump writes, and family files read by
-json.load alone instead of the family-file scanner.
+matrices as the nested lists json.dump writes, family files read by
+json.load alone instead of the family-file scanner, and the row moves from
+slab 0 of an identity basis to its other slabs by that field arithmetic
+instead of the add table.
 
 rotated_family builds inputs rather than checking them: a family whose
 generators Q U_t, for one fixed random unitary Q, keep every
@@ -110,6 +112,15 @@ def expand_basis_whole(ring, u, k):
     return np.divide(basis, np.sqrt(d), out=basis)
 
 
+def slab_moves(ring, size):
+    """The row moves T_eta, a d x (d size) array, that take slab 0 of the
+    identity basis of C^d (x) C^size to slab eta: row (iA, iB) to
+    (iA + eta, iB), each iA + eta by field_add."""
+    added = np.array([[ring_op(ring, field_add, i_a, eta) for i_a in range(ring.d)]
+                      for eta in range(ring.d)])  # [eta, iA]
+    return (added[:, :, None] * size + np.arange(size)).reshape(ring.d, -1)
+
+
 def mubs_from_net_columns(net):
     """mols.mubs_from_net one column at a time: column i*x + ell is row ell of
     the order-x Fourier matrix H, H_mn = exp(2 pi i m n / x), placed on the
@@ -203,7 +214,7 @@ def basis_figures_per_basis(family, slab_zero=False):
     the slab that certify_family reads; otherwise over every column."""
     ring, k = family.ring, family.k
     kd = k * family.d
-    b_id = linalg.ColumnBlocks(construct.expand_chunks(ring, np.eye(kd)))
+    b_id = linalg.ColumnBlocks(construct.expand_basis(ring, np.eye(kd)))
     out = []
     for label, u in family.generators:
         u_dag = u.conj().T

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from mumeb import linalg
-from mumeb.construct import expand_basis, expand_chunks, fourier_unitary
+from mumeb.construct import expand_basis, fourier_unitary
 from mumeb.fields import ring_for_dimension
 from mumeb.verify import bruteforce_unbiased
-from oracles import reduced_density_check
+from oracles import reduced_density_check, slab_moves
 
 
 def test_is_unitary():
@@ -58,9 +58,9 @@ def test_batched_entanglement_matches_per_vector_route():
 
 
 def _assemble(a, b):
-    """A^dag B from the column blocks of `a`, read off it as one chunk, and
-    the number of column groups they found."""
-    blocks = linalg.ColumnBlocks(linalg.whole_columns(a))
+    """A^dag B from the column blocks of `a`, read off it, and the number of
+    column groups they found."""
+    blocks = linalg.ColumnBlocks(a)
     out = np.full((a.shape[1], b.shape[1]), np.nan, dtype=complex)
     for cols, block in blocks.adjoint_products(b):
         assert np.isnan(out[cols]).all()  # every column in exactly one group
@@ -74,43 +74,61 @@ def _random_complex(shape, seed):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _slab_major(d, k, ids):
+    """The (xi, eta, j) ids of B_I's columns numbered (eta, xi, j)."""
+    eta, xi, j = ids // (k * d), ids // k % d, ids % k
+    return (xi * d + eta) * k + j
+
+
+def _moved_blocks(ring, k):
+    """The column blocks of B_I read off its slab 0, the columns (xi, 0, j),
+    and moved to the other slabs, columns numbered (eta, xi, j)."""
+    d = ring.d
+    slab = expand_basis(ring, np.eye(k * d))[:, _slab_major(d, k, np.arange(k * d))]
+    return linalg.ColumnBlocks(slab, slab_moves(ring, k * d))
+
+
 @pytest.mark.parametrize("d,k", [(5, 1), (3, 4), (7, 9)])
 def test_adjoint_product_blocks_on_identity_basis(d, k):
     # B_I has d nonzeros per column; the d columns of one (eta, j) share
-    # them, so its N/d groups of d x d make one bucket, read here chunk by
-    # chunk as certify_family reads it
+    # them, so its N/d groups of d x d make one bucket, read whole and read
+    # off slab 0 as certify_family reads it
     ring = ring_for_dimension(d)
     a = expand_basis(ring, np.eye(k * d))
     b = _random_complex(a.shape, seed=d + k)
     got, groups = _assemble(a, b)
     assert groups == d * k
     assert np.abs(got - a.conj().T @ b).max() <= 1e-13
-    blocks = linalg.ColumnBlocks(expand_chunks(ring, np.eye(k * d)))
+    blocks = _moved_blocks(ring, k)
     [(rows, cols, adj)] = blocks.buckets
     assert rows.shape == cols.shape == (d * k, d) and adj.shape == (d * k, d, d)
+    assert blocks.shape == a.shape
     for cols, block in blocks.adjoint_products(b):
-        assert np.abs(block - got[cols]).max() <= 1e-13
+        assert np.abs(block - got[_slab_major(d, k, cols)]).max() <= 1e-13
 
 
-def test_column_blocks_need_each_column_once():
-    a = _random_complex((4, 4), seed=5)
-    with pytest.raises(ValueError):
-        linalg.ColumnBlocks([(np.arange(1, 4), a[:, :3])])
-    with pytest.raises(ValueError):
-        linalg.ColumnBlocks([(np.arange(4), a), (np.arange(1), a[:, :1])])
-    with pytest.raises(ValueError):
-        linalg.ColumnBlocks([])
-    blocks = linalg.ColumnBlocks(linalg.whole_columns(a))
-    with pytest.raises(ValueError):
-        list(blocks.adjoint_products(a[:3]))
-
-
-def test_column_blocks_reject_a_chunk_that_does_not_fit_its_columns():
-    a = _random_complex((4, 4), seed=5)
-    with pytest.raises(ValueError, match=r"chunk of shape \(4, 4\) does not fit 4 rows and 3 "):
-        linalg.ColumnBlocks([(np.arange(3), a)])
-    with pytest.raises(ValueError, match=r"chunk of shape \(3, 2\) does not fit 4 rows and 2 "):
-        linalg.ColumnBlocks([(np.arange(2), a[:, :2]), (np.arange(2, 4), a[:3, 2:])])
+@pytest.mark.parametrize("d,k", [(5, 1), (3, 4), (15, 1), (7, 9)])
+def test_moved_blocks_are_the_full_read(d, k):
+    # the groups of B_I moved from slab 0 are those read off all N columns,
+    # matched by their column sets, with the same rows and adjoint values
+    # bit for bit; so is every row of a product with them
+    ring = ring_for_dimension(d)
+    full = linalg.ColumnBlocks(expand_basis(ring, np.eye(k * d)))
+    moved = _moved_blocks(ring, k)
+    [(rows, cols, adj)], [(m_rows, m_cols, m_adj)] = full.buckets, moved.buckets
+    at = {tuple(c): g for g, c in enumerate(cols.tolist())}
+    g = np.array([at[tuple(c)] for c in _slab_major(d, k, m_cols).tolist()])
+    assert np.array_equal(np.sort(g), np.arange(len(g)))
+    assert np.array_equal(m_rows, rows[g])
+    assert np.array_equal(m_adj.view(np.int64), adj[g].view(np.int64))
+    x = _random_complex((k * d * d, 6), seed=d * k)
+    want = np.zeros((k * d * d, 6), dtype=complex)
+    got = np.zeros_like(want)
+    for ids, block in full.adjoint_products(x):
+        want[ids] = block
+    for ids, block in moved.adjoint_products(x):
+        got[_slab_major(d, k, ids)] = block
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_adjoint_product_blocks_dense_is_one_group():
@@ -118,6 +136,10 @@ def test_adjoint_product_blocks_dense_is_one_group():
     got, groups = _assemble(a, b)
     assert groups == 1
     assert np.abs(got - a.conj().T @ b).max() <= 1e-13
+    with pytest.raises(ValueError, match="need 12 rows"):
+        list(linalg.ColumnBlocks(a).adjoint_products(b[:11]))
+    with pytest.raises(ValueError, match="need a matrix"):
+        linalg.ColumnBlocks(a[0])
 
 
 def test_adjoint_product_blocks_mixed_supports_and_a_zero_column():
@@ -150,7 +172,7 @@ def test_row_groups_read_each_row_off_its_one_group(d, k):
     # group, and row_groups gives the extreme squared magnitudes there
     ring = ring_for_dimension(d)
     a = expand_basis(ring, np.eye(k * d))
-    blocks = linalg.ColumnBlocks(expand_chunks(ring, np.eye(k * d)))
+    blocks = linalg.ColumnBlocks(a)
     group, lo, hi = blocks.row_groups()
     [(_, cols, _)] = blocks.buckets
     for r in range(a.shape[0]):
@@ -166,14 +188,14 @@ def test_row_groups_need_rows_that_lie_in_one_group():
     # a dense matrix is one group holding every row; two groups of one shape
     # that share row 1 and miss row 3, or groups of two shapes, are refused
     a = _random_complex((4, 4), seed=3)
-    group, lo, hi = linalg.ColumnBlocks(linalg.whole_columns(a)).row_groups()
+    group, lo, hi = linalg.ColumnBlocks(a).row_groups()
     squares = np.abs(a) ** 2
     assert not group.any()
     assert np.allclose(lo, squares.min(axis=1), rtol=1e-15, atol=0)
     assert np.allclose(hi, squares.max(axis=1), rtol=1e-15, atol=0)
     overlapping = np.array([[1, 0], [1, 1], [0, 1], [0, 0]], dtype=complex)
     with pytest.raises(ValueError, match="partition"):
-        linalg.ColumnBlocks([(np.arange(2), overlapping)]).row_groups()
+        linalg.ColumnBlocks(overlapping).row_groups()
     two_shapes = np.array([[1, 0], [0, 1], [0, 1]], dtype=complex)
     with pytest.raises(ValueError, match="single bucket"):
-        linalg.ColumnBlocks([(np.arange(2), two_shapes)]).row_groups()
+        linalg.ColumnBlocks(two_shapes).row_groups()

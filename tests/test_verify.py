@@ -18,7 +18,7 @@ from mumeb.verify import (_pair_classes, bruteforce_unbiased, certify_family,
                           quadratic_sum_direct)
 from oracles import (basis_figures_per_basis, certify_exhaustive,
                      criterion_magnitudes_blockwise, gauss_sum_reference, random_unitary,
-                     rotated_family)
+                     rotated_family, slab_moves)
 
 
 def test_criterion_self_pair_peaks_at_d():
@@ -91,23 +91,23 @@ def test_bruteforce_unbiased():
     b2 = expand_basis(ring, permutation_unitary(ring, 2))
     lo, hi = bruteforce_unbiased(b1, b2)
     assert abs(lo - 1 / 3) < 1e-9 and abs(hi - 1 / 3) < 1e-9
-    with pytest.raises(ValueError):
+    assert bruteforce_unbiased(b1, b2[:, 1:]) == (lo, hi)  # some columns of a basis
+    with pytest.raises(ValueError, match="bases have different shapes"):
         bruteforce_unbiased(b1, np.eye(4))
-    with pytest.raises(ValueError, match="need 9 rows, got shape"):
-        bruteforce_unbiased(b1, [(np.arange(3), b2[:8, :3])])  # a chunk of 8 rows, not 9
+    with pytest.raises(ValueError, match="bases have different shapes"):
+        bruteforce_unbiased(b1, b2[:8, :3])  # 8 rows, not 9
 
 
 def test_basis_deviations_subtract_the_identity_at_the_chunk_columns():
-    # a chunk of B_I's own columns, out of order, has orthonormality 0 at
-    # the columns it names, and an entry of 1 left over where it names others
+    # slab 0 of B_I has orthonormality 0 against the blocks of B_I, whose
+    # ids below kd are its columns; with two of its columns swapped, an
+    # entry of 1 is left over where each meets the other's id
     ring = ring_for_dimension(3)
-    b_id_full = expand_basis(ring, np.eye(12))
-    b_id = linalg.ColumnBlocks(linalg.whole_columns(b_id_full))
-    cols = np.array([30, 2, 17])
-    ortho, ent = verify._basis_deviations(b_id, np.eye(12), cols, b_id_full[:, cols])
+    b_id = _identity_blocks(ring, 12)
+    slab = _slab_zero_of(ring, np.eye(12))  # the columns (xi, 0, j) of B_I
+    ortho, ent = verify._basis_deviations(b_id, np.eye(12), slab)
     assert ortho <= 1e-15 and ent <= 1e-15
-    claimed = np.array([2, 30, 17])
-    ortho, _ = verify._basis_deviations(b_id, np.eye(12), claimed, b_id_full[:, cols])
+    ortho, _ = verify._basis_deviations(b_id, np.eye(12), slab[:, [2, 1, 0] + list(range(3, 12))])
     assert ortho >= 0.9
 
 
@@ -977,14 +977,14 @@ def test_sparse_route_matches_the_streamed_route_on_every_pair_class(build, exac
     # tensor families are the k = 1 W of their C_t
     fam = build()
     kd = fam.k * fam.d
-    b_id = linalg.ColumnBlocks(construct.expand_chunks(fam.ring, np.eye(fam.d)))
+    b_id = linalg.ColumnBlocks(expand_basis(fam.ring, np.eye(fam.d)))
     counts = [0, 0]
     for w in _class_ws(fam):
         rows, values, rho = verify._monomial_part(w)
         if not kd * rho <= verify._FACTOR_LIMIT:
             continue
         got = verify.sparse_unbiased(b_id, rows, values)
-        want = bruteforce_unbiased(b_id, construct.expand_chunks(fam.ring, w))
+        want = bruteforce_unbiased(b_id, expand_basis(fam.ring, w))
         assert np.abs(np.subtract(got, want)).max() <= _SPARSE_ROUNDING + kd * rho
         counts[rho > 0] += 1
     assert counts == [exact, near]
@@ -996,7 +996,7 @@ def test_single_row_blocks_give_the_extremes_of_all_their_products(d):
     # extremes, taken from the extreme squared magnitudes of the two rows,
     # equal bit for bit those of all N d^2 products |w|^2 |x_a|^2 |y_b|^2
     fam = family_cd(d)
-    b_id = linalg.ColumnBlocks(construct.expand_chunks(fam.ring, np.eye(d)))
+    b_id = linalg.ColumnBlocks(expand_basis(fam.ring, np.eye(d)))
     group = b_id.row_groups()[0]
     [(_, cols, _)] = b_id.buckets
     n = d * d
@@ -1033,12 +1033,12 @@ def test_rows_that_meet_in_one_block_take_the_streamed_route(d, a, b):
     w = u.conj().T @ v
     rows, values, rho = verify._monomial_part(w)
     assert rho == 0
-    b_id = linalg.ColumnBlocks(construct.expand_chunks(ring, np.eye(d)))
+    b_id = linalg.ColumnBlocks(expand_basis(ring, np.eye(d)))
     group = b_id.row_groups()[0]
     key = group[np.arange(d * d) - np.arange(d * d) % d + np.tile(rows, d)] * d + group
     assert np.bincount(key).max() > 1
     assert verify.sparse_unbiased(b_id, rows, values) is None
-    want = bruteforce_unbiased(b_id, construct.expand_chunks(ring, w))
+    want = bruteforce_unbiased(b_id, expand_basis(ring, w))
     assert want[0] == 0.0
     slab = bruteforce_unbiased(b_id, _slab_zero_of(ring, w))
     assert abs(slab[1] - want[1]) <= _slab_rounding(d)
@@ -1118,11 +1118,19 @@ def test_a_w_holding_nan_never_passes(monkeypatch, where):
 
 
 def test_brute_force_extremes_keep_a_nan():
-    # a NaN in the second chunk must not be passed over by the running extremes
-    spoiled = np.eye(4, dtype=complex)[:, 2:]
-    spoiled[0, 1] = np.nan
-    chunks = [(np.arange(2), np.eye(4, dtype=complex)[:, :2]), (np.arange(2, 4), spoiled)]
-    lo, hi = bruteforce_unbiased(np.eye(4), chunks)
+    # basis_a has two buckets, columns 0 and 1 on one row each and columns
+    # 2 and 3 on rows 2 and 3, and the NaN sits in row 3 of basis_b, which
+    # only the later product block meets: the running extremes must not
+    # pass it over
+    a = np.eye(4, dtype=complex)
+    a[2:, 2:] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    b = np.eye(4, dtype=complex)
+    b[3, 0] = np.nan
+    blocks = linalg.ColumnBlocks(a)
+    assert [np.isnan(block).any() for _, block in blocks.adjoint_products(b)] == [False, True]
+    lo, hi = bruteforce_unbiased(blocks, b)
+    assert np.isnan(lo) and np.isnan(hi)
+    lo, hi = bruteforce_unbiased(a, b)
     assert np.isnan(lo) and np.isnan(hi)
 
 
@@ -1152,14 +1160,14 @@ def test_orbit_route_matches_brute_force_on_every_dense_class(build, merged):
     fam = build()
     report = certify_family(fam, pairs_only=True)
     rows = {p["class"]: p for p in report.pair_results}
-    b_id = linalg.ColumnBlocks(construct.expand_chunks(fam.ring, np.eye(fam.d)))
+    b_id = linalg.ColumnBlocks(expand_basis(fam.ring, np.eye(fam.d)))
     mats = [u for _, u in fam.generators]
     orbit = 0
     for c, ((i, j), w) in enumerate(zip(_pair_classes(mats)[1], _class_ws(fam))):
         row = rows[c]
         if "monomial_residual" in row:
             continue
-        lo, hi = bruteforce_unbiased(b_id, construct.expand_chunks(fam.ring, w))
+        lo, hi = bruteforce_unbiased(b_id, expand_basis(fam.ring, w))
         if fam.k > 1:
             (a_s, _, _), (a_t, _, _) = (verify._kron_factors(mats[m], fam.d) for m in (i, j))
             x = np.abs(a_s.conj().T @ a_t)
@@ -1184,7 +1192,7 @@ def test_unit_multiplications_permute_the_columns_of_the_identity_basis(d):
     # by one keeps the supports but multiplies column (xi, eta) by
     # lambda(xi).  None of them is a column permutation
     ring = ring_for_dimension(d)
-    b_id = linalg.ColumnBlocks(construct.expand_chunks(ring, np.eye(d)))
+    b_id = linalg.ColumnBlocks(expand_basis(ring, np.eye(d)))
 
     def both(q):
         return (q[:, None] * d + q).ravel()
@@ -1268,8 +1276,14 @@ def _slab_cases(fam):
 
 
 def _slab_zero_of(ring, u):
-    """verify._slab_zero over the expansion of u: its one chunk, slab 0."""
+    """verify._slab_zero over the expansion of u: slab 0, N x kd."""
     return verify._slab_zero(ring, u, {"chunks": 0, "max_chunk_bytes": 0, "slabs_checked": 0})
+
+
+def _identity_blocks(ring, size):
+    """The column blocks of the identity basis of C^d (x) C^size as
+    certify_family builds them: slab 0 and the row moves to the others."""
+    return linalg.ColumnBlocks(_slab_zero_of(ring, np.eye(size)), slab_moves(ring, size))
 
 
 @pytest.mark.parametrize("build,n_dense", [
@@ -1288,42 +1302,56 @@ def test_slab_zero_figures_match_the_full_stream(build, n_dense):
     k, bases, dense = _slab_cases(fam)
     assert len(dense) == n_dense
     bound = _slab_rounding(fam.d)
-    b_id = linalg.ColumnBlocks(construct.expand_chunks(ring, np.eye(k * fam.d)))
+    b_id = _identity_blocks(ring, k * fam.d)
     full = basis_figures_per_basis(MEBFamily(fam.d, k, ring, [(str(i), u)
                                                               for i, u in enumerate(bases)]))
     for u, (_, ortho, ent) in zip(bases, full):
-        got = verify._basis_deviations(b_id, u, *next(_slab_zero_of(ring, u)))
+        got = verify._basis_deviations(b_id, u, _slab_zero_of(ring, u))
         assert np.abs(np.subtract(got, (ortho, ent))).max() <= bound
     for w in dense:
         got = bruteforce_unbiased(b_id, _slab_zero_of(ring, w))
-        want = bruteforce_unbiased(b_id, construct.expand_chunks(ring, w))
+        want = bruteforce_unbiased(b_id, expand_basis(ring, w))
         assert np.abs(np.subtract(got, want)).max() <= bound
+
+
+@pytest.mark.parametrize("build", [lambda: family_cd(25), lambda: family_ckd(9, 4)],
+                         ids=["25-1", "9-4"])
+def test_identity_blocks_are_read_off_kd_columns(monkeypatch, build):
+    # B_I (or B_{I_d} for a factored family) is built once, from slab 0,
+    # so no matrix that ColumnBlocks reads has more than kd columns
+    shapes = []
+
+    class Recording(linalg.ColumnBlocks):
+        def __init__(self, a, moves=None):
+            shapes.append(a.shape)
+            super().__init__(a, moves)
+
+    monkeypatch.setattr(linalg, "ColumnBlocks", Recording)
+    fam = build()
+    assert certify_family(fam).passed
+    kd = fam.k * fam.d
+    assert len(shapes) == 1 and shapes[0][1] <= kd
+    assert shapes[0][0] == shapes[0][1] * fam.d
 
 
 @pytest.mark.parametrize("d,k,chunk_bytes", [(5, 1, None), (3, 4, None), (9, 1, 16 * 81 * 9),
                                              (7, 3, 16 * 147 * 21 * 2)])
 def test_slab_zero_is_slab_zero_of_the_expansion(monkeypatch, d, k, chunk_bytes):
-    # the one chunk yielded is the columns (xi, 0, j) of the expansion, bit
-    # for bit; with pass_on every chunk is passed on unchanged.  Either way
-    # each of the d - 1 other slabs is checked once, in chunks of one or of
-    # several slabs, and every chunk of the expansion is counted once
+    # the array returned is the columns (xi, 0, j) of the expansion, bit for
+    # bit; each of the d - 1 other slabs is checked once, in chunks of one or
+    # of several slabs, and every chunk of the expansion is counted once
     if chunk_bytes is not None:
         monkeypatch.setattr(construct, "_CHUNK_BYTES", chunk_bytes)
     ring = ring_for_dimension(d)
     u = random_unitary(k * d, d + k)
     full = expand_basis(ring, u)
     stages = {"chunks": 0, "max_chunk_bytes": 0, "slabs_checked": 0}
-    [(cols, slab)] = verify._slab_zero(ring, u, stages)
-    assert np.array_equal(cols, [(xi * d * k + j) for xi in range(d) for j in range(k)])
+    slab = verify._slab_zero(ring, u, stages)
+    cols = [(xi * d * k + j) for xi in range(d) for j in range(k)]
     assert np.array_equal(slab.view(np.int64), np.ascontiguousarray(full[:, cols]).view(np.int64))
-    passed = list((c.copy(), x.copy()) for c, x in
-                  verify._slab_zero(ring, u, stages, pass_on=True))
     expansion = list(construct.expand_chunks(ring, u))
-    assert [c.tolist() for c, _ in passed] == [c.tolist() for c, _ in expansion]
-    assert all(np.array_equal(x.view(np.int64), np.ascontiguousarray(full[:, c]).view(np.int64))
-               for c, x in passed)
-    assert stages["slabs_checked"] == 2 * (d - 1)
-    assert stages["chunks"] == 2 * len(expansion)
+    assert stages["slabs_checked"] == d - 1
+    assert stages["chunks"] == len(expansion)
     assert stages["max_chunk_bytes"] == max(x.nbytes for _, x in expansion)
 
 
@@ -1379,7 +1407,7 @@ def test_signed_zeros_and_nans_compare_by_their_bits(monkeypatch):
         chunk[zero, 6] = complex(-0.0, chunk[zero, 6].imag)
     _spoil_expansions(monkeypatch, flip, target=perm)
     with pytest.raises(RuntimeError, match="is not slab 0 with its rows moved by 1"):
-        list(_slab_zero_of(ring, perm))
+        _slab_zero_of(ring, perm)
     monkeypatch.undo()
 
     twist = fam.generators[4][1]  # V(a) for the first a, its basis class's first generator
@@ -1387,7 +1415,7 @@ def test_signed_zeros_and_nans_compare_by_their_bits(monkeypatch):
     def nan_everywhere(cols, chunk):
         chunk[:, _translates(5, cols, chunk, 1, 0)] = np.nan
     _spoil_expansions(monkeypatch, nan_everywhere, target=twist)
-    [(_, slab)] = _slab_zero_of(ring, twist)
+    slab = _slab_zero_of(ring, twist)
     assert np.isnan(slab).any()
     with np.errstate(invalid="ignore"):
         report = certify_family(fam)
