@@ -218,9 +218,27 @@ monomial U the gather gives the W of U and V themselves; a GEMM sums the
 rows of C_U in sorted order, which can move W by rounding.  At most
 _CANONICAL_LIMIT = 4 canonical matrices are held, 16 (kd)^2 bytes each, and
 one that is dropped takes every class naming it; at most 8 kd classes are
-held, 8 kd bytes of key each.  A call sorts the rows of U and V and
-compares bytes; a miss also forms W and its sums, as before.  The 12,720
-pairs of family_cd(81) fall into 238 classes.
+held, 8 kd bytes of key each.  The 12,720 pairs of family_cd(81) fall into
+238 classes.
+
+The canonical form of each input array is recalled as well, so a family
+loop sorts each generator once, not once per pair: the last
+(serial, order, p) found for an array is kept under its id, and reused when
+the canonical matrix C under that serial is still held, the array is
+C-contiguous complex128 of C's size, and its bits equal those of C[p].
+That reuse is exact.  C holds no -0.0, since +-0 + 0.0 = +0.0 under
+round-to-nearest, and a NaN of C is a quiet one, which + 0.0 returns as it
+is.  So bits of U equal to those of C[p] give U + 0.0 = U = C[p] bit for
+bit; a stable sort of equal bytes gives the same order, so _canonical(U)
+would return exactly (C, order, p), the key is the same, and so is the
+deviation.  A write in place that changes any bits, such as a -0.0 over a
++0.0 or a NaN over a number, fails the bit test, and so does a new array
+that took a freed one's id unless it has the same bits; an array holding a
+-0.0 is sorted on every call.  A record holds no copy of the array, only 2 kd
+indices; at most 8 kd are held, the oldest dropped first, and a canonical
+matrix that is dropped takes every record naming it.  A hit costs one row
+gather of C and one comparison; a miss sorts the rows, compares C with the
+matrices held and, for a new class, forms W and its sums.
 """
 
 import dataclasses
@@ -370,11 +388,14 @@ def criterion_magnitudes(ring, w):
 
 
 # The pair-class memo of criterion_check (module docstring): the bytes of
-# the canonical matrices held, least recently used first, by serial number,
-# and the deviation of each class (ring, k, serial of C_U, serial of C_V,
-# rel.tobytes()), oldest first.  One lock guards both across threads.
+# the canonical matrices held, least recently used first, by serial number;
+# the (serial, order, position) last found for each input array, by id,
+# oldest first; and the deviation of each class (ring, k, serial of C_U,
+# serial of C_V, rel.tobytes()), oldest first.  One lock guards all three
+# across threads.
 _CANONICAL_LIMIT = 4
 _canonicals = {}
+_recalled = {}
 _pair_memo = {}
 _serials = itertools.count()
 _memo_lock = threading.Lock()
@@ -395,8 +416,9 @@ def _canonical(u):
 def _slot(c):
     """The serial of the held canonical matrix equal to c bit for bit, which
     becomes the most recently used; else c is held under a new serial, and
-    the least recently used matrix is dropped, with every class naming it,
-    once _CANONICAL_LIMIT are held.  Each comparison is one memcmp of bytes."""
+    the least recently used matrix is dropped, with every class and recalled
+    array naming it, once _CANONICAL_LIMIT are held.  Each comparison is one
+    memcmp of bytes."""
     c = c.tobytes()
     for serial, held in reversed(_canonicals.items()):
         if held == c:
@@ -407,9 +429,35 @@ def _slot(c):
         del _canonicals[dropped]
         for key in [key for key in _pair_memo if dropped in key[2:4]]:
             del _pair_memo[key]
+        for key in [key for key, entry in _recalled.items() if entry[0] == dropped]:
+            del _recalled[key]
     serial = next(_serials)
     _canonicals[serial] = c
     return serial
+
+
+def _recall(u):
+    """(C, order, position, serial) of u, as _canonical and _slot give them.
+
+    They are recalled when u is the array last seen under its id and still
+    has its bits: C is held, u is C-contiguous complex128 of C's size, and
+    the bits of u equal those of C[position] (module docstring).  Else they
+    are computed and recorded, the oldest record dropped once 8 kd are held.
+    Call under _memo_lock."""
+    serial, order, position = _recalled.get(id(u), (None, None, None))
+    held = _canonicals.get(serial)
+    if (held is not None and u.dtype == complex and u.flags.c_contiguous and u.nbytes == len(held)
+            and np.array_equal(u.view(np.uint64),
+                               np.frombuffer(held, np.uint64).reshape(len(u), -1)[position])):
+        _canonicals[serial] = _canonicals.pop(serial)
+        return np.frombuffer(held, complex).reshape(u.shape), order, position, serial
+    c, order, position = _canonical(u)
+    serial = _slot(c)
+    _recalled.pop(id(u), None)
+    if len(_recalled) >= 2 * _CANONICAL_LIMIT * len(u):
+        del _recalled[next(iter(_recalled))]
+    _recalled[id(u)] = (serial, order, position)
+    return c, order, position, serial
 
 
 def criterion_check(ring, k, u, v):
@@ -418,17 +466,20 @@ def criterion_check(ring, k, u, v):
     With U + 0.0 = C_U[p_U] and V + 0.0 = C_V[p_V] (_canonical),
     U^dag V = C_U^dag C_V[rel], rel = p_V[order_U], up to the order of
     summation.  The sums are those of that canonical product, computed once
-    per class (ring, k, C_U, C_V, rel) and then recalled (module docstring),
-    so a repeated class returns the bits of its first call."""
+    per class (ring, k, C_U, C_V, rel) and then recalled, so a repeated class
+    returns the bits of its first call.  The canonical form of an array is
+    recalled too while its bits are unchanged, which gives exactly the
+    (C, order, p) that sorting its rows again would (module docstring)."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     kd = k * ring.d
     if u.shape != (kd, kd) or v.shape != (kd, kd):
         raise ValueError(f"need {kd} x {kd} matrices for d={ring.d}, k={k}")
-    (c_u, order_u, _), (c_v, _, position_v) = _canonical(u), _canonical(v)
-    rel = position_v[order_u]
     with _memo_lock:
-        key = (ring, k, _slot(c_u), _slot(c_v), rel.tobytes())
+        c_u, order_u, _, serial_u = _recall(u)
+        c_v, _, position_v, serial_v = _recall(v)
+        rel = position_v[order_u]
+        key = (ring, k, serial_u, serial_v, rel.tobytes())
         if key not in _pair_memo:
             if len(_pair_memo) >= 2 * _CANONICAL_LIMIT * kd:
                 del _pair_memo[next(iter(_pair_memo))]

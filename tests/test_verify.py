@@ -734,10 +734,12 @@ def test_criterion_kernel_matches_blockwise_oracle(d):
 def empty_memo(monkeypatch):
     """criterion_check with an empty memo; returns the function that empties it."""
     monkeypatch.setattr(verify, "_canonicals", {})
+    monkeypatch.setattr(verify, "_recalled", {})
     monkeypatch.setattr(verify, "_pair_memo", {})
 
     def empty():
         verify._canonicals.clear()
+        verify._recalled.clear()
         verify._pair_memo.clear()
     return empty
 
@@ -815,18 +817,18 @@ def test_the_memo_holds_at_most_four_canonical_matrices(empty_memo):
         dev = criterion_check(ring, 1, mats[i], mats[j])
         assert want.setdefault((i, j), dev) == dev
         assert len(verify._canonicals) <= verify._CANONICAL_LIMIT == 4
-        assert all(key[2] in verify._canonicals and key[3] in verify._canonicals
-                   for key in verify._pair_memo)
+        _assert_memo_names_held_matrices(kd=5)
     assert len(verify._canonicals) == 4
 
 
 def test_the_memo_holds_at_most_8_kd_pair_classes(empty_memo):
     ring = ring_for_dimension(5)
     u, v = random_unitary(5, 1), random_unitary(5, 2)
-    perms = list(itertools.permutations(range(5)))[:60]
-    want = [criterion_check(ring, 1, u, v[list(p)]) for p in perms]
+    vs = [v[list(p)] for p in list(itertools.permutations(range(5)))[:60]]  # 60 live arrays
+    want = [criterion_check(ring, 1, u, w) for w in vs]
     assert len(verify._canonicals) == 2 and len(verify._pair_memo) == 8 * 5
-    assert [criterion_check(ring, 1, u, v[list(p)]) for p in perms] == want
+    assert len(verify._recalled) == 8 * 5 and id(vs[0]) not in verify._recalled
+    assert [criterion_check(ring, 1, u, w) for w in vs] == want
     assert len(set(want)) > 8 * 5
 
 
@@ -852,8 +854,127 @@ def test_the_memo_holds_across_threads(empty_memo):
     finally:
         sys.setswitchinterval(interval)
     assert len(verify._canonicals) <= 4
+    _assert_memo_names_held_matrices(kd=12)
+
+
+def _assert_memo_names_held_matrices(kd):
+    """No class or recalled array names a dropped canonical matrix, and at
+    most 8 kd arrays are recalled."""
     assert all(key[2] in verify._canonicals and key[3] in verify._canonicals
                for key in verify._pair_memo)
+    assert all(serial in verify._canonicals for serial, _, _ in verify._recalled.values())
+    assert len(verify._recalled) <= 8 * kd
+
+
+def _count_canonical(monkeypatch):
+    calls = []
+    canonical = verify._canonical
+    monkeypatch.setattr(verify, "_canonical", lambda u: calls.append(1) or canonical(u))
+    return calls
+
+
+def _cold(empty_memo, ring, k, u, v):
+    empty_memo()
+    return criterion_check(ring, k, np.array(u, dtype=complex), np.array(v, dtype=complex))
+
+
+@pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
+@pytest.mark.parametrize("change", ["row-swap", "phase"])
+@pytest.mark.parametrize("side", ["u", "v"])
+def test_an_array_changed_in_place_is_sorted_again(empty_memo, layout, change, side):
+    ring = ring_for_dimension(5)
+    u, v = ({"c": np.array, "fortran": np.asfortranarray,
+             "strided": lambda m: np.repeat(m, 2, axis=1)[:, ::2]}[layout](random_unitary(5, seed))
+            for seed in (1, 2))
+    first = criterion_check(ring, 1, u, v)
+    assert criterion_check(ring, 1, u, v) == first
+    m = u if side == "u" else v
+    if change == "row-swap":
+        m[[0, 3]] = m[[3, 0]]
+    else:
+        m[2] *= 1j
+    got = criterion_check(ring, 1, u, v)
+    assert _bits([got]) == _bits([_cold(empty_memo, ring, 1, u, v)])
+    assert got != first
+
+
+def test_a_negative_zero_fails_the_bit_test(empty_memo, monkeypatch):
+    # u + 0.0 clears the -0.0, so the value stays; the recall must still miss
+    ring = ring_for_dimension(5)
+    u, v = permutation_unitary(ring, 2).astype(complex), v_unitary(ring, 3)
+    calls = _count_canonical(monkeypatch)
+    first = criterion_check(ring, 1, u, v)
+    assert criterion_check(ring, 1, u, v) == first and len(calls) == 2
+    u.flat[np.flatnonzero(u == 0)[0]] = -0.0
+    got = criterion_check(ring, 1, u, v)
+    assert len(calls) == 3
+    assert _bits([got]) == _bits([_cold(empty_memo, ring, 1, u, v)]) == _bits([first])
+
+
+@pytest.mark.parametrize("convert", [lambda m: m, lambda m: m.tolist()], ids=["real", "list"])
+def test_converted_inputs_give_the_bits_of_a_cold_call(empty_memo, convert):
+    # each call converts to a new complex array, which may take the id of
+    # the previous call's
+    ring = ring_for_dimension(5)
+    v = random_unitary(5, 0)
+    mats = [np.random.default_rng(seed).standard_normal((5, 5)) for seed in range(8)]
+    got = [criterion_check(ring, 1, convert(m), v) for m in mats]
+    cold = [_cold(empty_memo, ring, 1, m, v) for m in mats]
+    assert _bits(got) == _bits(cold)
+    assert len(set(cold)) == len(cold)
+
+
+def test_a_freed_array_whose_id_is_reused_is_sorted_again(empty_memo):
+    ring = ring_for_dimension(5)
+    u, v = random_unitary(5, 1), random_unitary(5, 0)
+    first = criterion_check(ring, 1, u, v)
+    freed = id(u)
+    del u
+    pool = [np.empty((5, 5), dtype=complex) for _ in range(64)]
+    reused = [m for m in pool if id(m) == freed]
+    assert reused, "no new array took the freed id"
+    reused[0][...] = random_unitary(5, 2)
+    got = criterion_check(ring, 1, reused[0], v)
+    assert _bits([got]) == _bits([_cold(empty_memo, ring, 1, reused[0], v)])
+    assert got != first
+
+
+def test_each_generator_is_sorted_once(empty_memo, monkeypatch):
+    fam = family_cd(19)
+    mats = [u for _, u in fam.generators]
+    calls = _count_canonical(monkeypatch)
+    pairs = list(itertools.combinations(range(len(mats)), 2))
+    want = [criterion_check(fam.ring, fam.k, mats[i], mats[j]) for i, j in pairs]
+    assert len(pairs) == 630 and len(calls) == len(mats) == 36
+    mats[5].flat[np.flatnonzero(mats[5] == 0)[0]] = -0.0  # same value, other bits
+    assert [criterion_check(fam.ring, fam.k, mats[i], mats[j]) for i, j in pairs] == want
+    assert len(calls) == 36 + 35  # a -0.0 never matches C, so each pair of U_5 sorts it
+
+
+def test_the_memo_holds_no_copy_of_a_generator(empty_memo):
+    # what a full pair loop leaves held: the canonical matrices, 16 (kd)^2
+    # bytes each, and O(kd) bytes per recalled array and per pair class
+    fam = family_cd(19)
+    kd = fam.k * fam.ring.d
+    mats = [u for _, u in fam.generators]
+    criterion_check(fam.ring, fam.k, mats[0], mats[1])  # the ring's cached tables
+    empty_memo()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for u, v in itertools.combinations(mats, 2):
+            criterion_check(fam.ring, fam.k, u, v)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(verify._canonicals) <= verify._CANONICAL_LIMIT
+    assert all(len(c) == 16 * kd * kd for c in verify._canonicals.values())
+    assert all(order.nbytes + position.nbytes == 16 * kd
+               for _, order, position in verify._recalled.values())
+    assert len(verify._recalled) == 36 and len(verify._pair_memo) == 52
+    per_entry = 16 * kd + 512  # two index arrays, or one key of 8 kd bytes, with their objects
+    bound = verify._CANONICAL_LIMIT * 16 * kd * kd + (36 + 52) * per_entry
+    assert held <= bound < 36 * 16 * kd * kd / 2, (held, bound)
 
 
 @pytest.mark.parametrize("d", [*range(3, 126, 2), 343])
