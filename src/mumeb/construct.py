@@ -7,8 +7,9 @@ vectors (1/sqrt(d)) sum_r lambda(r xi) |e_(r+eta)> (x) U|e'_(r,j)> indexed by
 row-major over the pair (A index, B index), and the kd basis e'_(r,j) of the
 B side maps to column j*d + index(r) of U.
 
-expand_chunks yields a basis in column chunks of whole eta-slabs, so that
-certification never holds an N x N array; expand_basis assembles them.
+expand_slabs yields a basis one eta-slab (the kd columns of one eta) at a
+time, so that certification never holds an N x N array; expand_basis
+assembles them.
 """
 
 import numpy as np
@@ -75,14 +76,6 @@ def v_unitary(ring, a):
     return fourier_unitary(ring)[_unit_permutation(ring, a)]
 
 
-# Bytes per column chunk of an expansion: as many whole eta-slabs (N x kd
-# each) as fit, and one slab when a single slab is larger.  A few
-# chunk-sized temporaries of certify_family then sit far below one N x N
-# array, while an N of a few hundred, such as d = 19 with k = 1, is still
-# one or two chunks.
-_CHUNK_BYTES = 3 << 19  # 1.5 MiB
-
-
 def _generator_order(ring, u):
     """u as a complex array and its k, after checking that u is kd x kd."""
     d = ring.d
@@ -92,39 +85,29 @@ def _generator_order(ring, u):
     return u, u.shape[0] // d
 
 
-def expand_chunks(ring, u):
-    """Yield the basis of one generator (see expand_basis) in column chunks.
+def expand_slabs(ring, u):
+    """Yield the basis of one generator (see expand_basis) one eta-slab at a
+    time, for eta = 0..d-1.
 
-    Each item is (cols, chunk): the global column indices and the N x c
-    array of those columns, for a run of whole eta-slabs, the kd columns
-    (xi, eta, j) of one eta; within a chunk the columns keep the (xi, eta, j)
-    order.  A chunk holds at most _CHUNK_BYTES unless one slab is larger.
-    The array is overwritten by the next chunk, so copy what must outlive
-    one iteration.
+    Slab eta is the N x kd array of the columns (xi, eta, j) in (xi, j)
+    order.  Each slab overwrites the one before it, so copy what must
+    outlive one iteration.
     """
     u, k = _generator_order(ring, u)
     d = ring.d
     kd = k * d
-    n = kd * d
     lam = fields.char_table(ring)
     add = fields.add_index_table(ring)
     neg = fields.neg_index_vector(ring)
     ucols = u.reshape(kd, k, d)  # ucols[iB, j, r] = u[iB, j*d + r]
-
-    per = max(1, _CHUNK_BYTES // (16 * n * kd))  # slabs per chunk at most
-    n_chunks = -(-d // per)
-    bounds = [d * i // n_chunks for i in range(n_chunks + 1)]  # even runs of slabs
-    buf = np.empty(n * kd * (bounds[-1] - bounds[-2]), dtype=complex)  # the longest run
+    psi = np.empty((d, kd, d, k), dtype=complex)  # [iA, iB, xi, j]
+    slab = psi.reshape(kd * d, kd)
     scale = np.sqrt(d)
-    for eta0, eta1 in zip(bounds, bounds[1:]):
-        etas = np.arange(eta0, eta1)
-        psi = buf[:n * etas.size * kd].reshape(d, kd, d, etas.size, k)  # [iA, iB, xi, eta, j]
-        r_of = add[:, neg[etas]]  # [iA, eta]: the r with r + eta = iA
-        # [iA, eta, xi] phases times [iB, j, iA, eta] columns
-        np.einsum("aex,bjae->abxej", lam[r_of, :], ucols[:, :, r_of], out=psi)
-        cols = ((np.arange(d)[:, None] * d + etas)[:, :, None] * k + np.arange(k)).ravel()
-        chunk = psi.reshape(n, cols.size)
-        yield cols, np.divide(chunk, scale, out=chunk)
+    for eta in range(d):
+        r_of = add[:, neg[eta]]  # [iA]: the r with r + eta = iA
+        # [iA, xi] phases times [iB, j, iA] columns
+        np.einsum("ax,bja->abxj", lam[r_of], ucols[:, :, r_of], out=psi)
+        yield np.divide(slab, scale, out=slab)
 
 
 def expand_basis(ring, u):
@@ -133,14 +116,16 @@ def expand_basis(ring, u):
 
     Returns an N x N array (N = kd^2) whose columns are the basis vectors in
     lexicographic (xi, eta, j) order by canonical ring index, assembled from
-    expand_chunks.  certify_family never holds it; the tests and their
+    expand_slabs.  certify_family never holds it; the tests and their
     oracle do.
     """
     u, k = _generator_order(ring, u)
-    n = k * ring.d * ring.d
+    d = ring.d
+    n = k * d * d
     basis = np.empty((n, n), dtype=complex)
-    for cols, chunk in expand_chunks(ring, u):
-        basis[:, cols] = chunk
+    cols = basis.reshape(n, d, d, k)  # [row, xi, eta, j]
+    for eta, slab in enumerate(expand_slabs(ring, u)):
+        cols[:, :, eta] = slab.reshape(n, d, k)
     return basis
 
 

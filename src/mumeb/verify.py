@@ -16,8 +16,8 @@ B_U = (I_d (x) U) B_I, so B_U^dag B_V = B_I^dag (I_d (x) W) B_I.
 certify_family therefore runs both routes once per pair class, a set of
 pairs that provably share one W.
 
-Nothing here holds an N x N array.  Each expansion streams in column
-chunks (construct.expand_chunks), and every product B_I^dag X runs over
+Nothing here holds an N x N array.  Each expansion streams one eta-slab
+at a time (construct.expand_slabs), and every product B_I^dag X runs over
 the column blocks of B_I, built once (linalg.ColumnBlocks): each column of
 B_I has d nonzeros, shared by the d columns of one (eta, j), so a product
 with an N x c array costs 8 d N c flops.  The blocks are read off slab 0
@@ -33,9 +33,9 @@ Every figure of a basis is read off its slab 0, the kd columns (xi, 0, j).
 Column (xi, eta, j) of an expansion has the entry
 (1/sqrt(d)) lambda(r xi) U[iB, j d + r], r = iA - eta, at row (iA, iB), so
 slab eta is T_eta y_0: y_0 is slab 0 and T_eta = X_eta (x) I_kd moves row
-(iA - eta, iB) to (iA, iB).  expand_chunks computes each entry as one
+(iA - eta, iB) to (iA, iB).  expand_slabs computes each entry as one
 product of the same two numbers in every slab, and _slab_zero, which
-reads and counts the chunks of the expansion itself, checks T_eta y_0 bit
+reads and counts the slabs of the expansion itself, checks T_eta y_0 bit
 for bit on every slab of every expansion certify_family reads, B_I's
 included, raising RuntimeError on a mismatch.  For B_I itself
 this gives T_(-eta) B_I = B_I Pi_eta, Pi_eta the column permutation that
@@ -57,7 +57,7 @@ B_I^dag T_eta = Pi_eta^T B_I^dag, since T_eta^dag = T_(-eta).
    B_W are those over its slab 0.
 Each figure is so equal to that of slab 0 up to the order of summation,
 and the per-basis products and the brute-force overlaps run on kd of the N
-columns, d times fewer flops.  Every chunk is still expanded and compared.
+columns, d times fewer flops.  Every slab is still expanded and compared.
 
 The column blocks of B_I are built from its slab 0 too, once every slab
 of B_I is checked: slab eta = T_eta y_0 has slab 0's row supports moved
@@ -69,7 +69,7 @@ columns (eta, xi, j), so the ids below kd are slab 0's, in its order.
 
 The per-basis checks run once per basis class.  A generator that is a row
 gather U = R[p] of another, R, has the basis B_U = (I_d (x) P) B_R, a row
-permutation of B_R: expand_chunks fills row (iA, iB) of B_U with the same
+permutation of B_R: expand_slabs fills row (iA, iB) of B_U with the same
 products as row (iA, p[iB]) of B_R, bit for bit.  Then
 (I_d (x) U^dag) B_U = (I_d (x) R^dag P^T P) B_R = (I_d (x) R^dag) B_R, and
 the reduced density M M^dag of each column, M its d x kd reshape, becomes
@@ -599,37 +599,29 @@ def _basis_deviations(b_id, u, slab, x=np.ones((1, 1)), norms=np.ones(1)):
 
 
 def _slab_zero(ring, u, stages):
-    """Expand U (construct.expand_chunks, slab 0 first), check that every
-    eta-slab of the expansion is slab 0 with its rows moved, slab eta at
-    row (iA, iB) being slab 0 at row (iA - eta, iB), and return slab 0, the
-    N x kd array of the columns (xi, 0, j) in (xi, j) order.
+    """Expand U (construct.expand_slabs), check that every eta-slab of the
+    expansion is slab 0 with its rows moved, slab eta at row (iA, iB) being
+    slab 0 at row (iA - eta, iB), and return slab 0, the N x kd array of the
+    columns (xi, 0, j) in (xi, j) order.
 
-    Entries compare by their bits (int64 views), so -0.0 and NaN count as
-    they are stored.  A mismatch raises RuntimeError.  stages["chunks"] and
-    stages["max_chunk_bytes"] count the chunks read and the bytes of the
-    largest, and stages["slabs_checked"] the slabs eta != 0 compared.  The
-    module docstring proves that slab 0 then carries every figure of the
-    whole basis."""
+    Each row block iA of slab 0 is compared with row block iA + eta of slab
+    eta by their bytes, so -0.0 and NaN count as they are stored.  A
+    mismatch raises RuntimeError.  stages["slabs_checked"] counts the slabs
+    eta != 0 compared.  The module docstring proves that slab 0 then
+    carries every figure of the whole basis."""
     d = ring.d
-    sub = fields.add_index_table(ring)[:, fields.neg_index_vector(ring)]  # [iA, eta]: iA - eta
-    slab = None
-    for cols, chunk in construct.expand_chunks(ring, u):
-        stages["chunks"] += 1
-        stages["max_chunk_bytes"] = max(stages["max_chunk_bytes"], chunk.nbytes)
-        n, c = chunk.shape
-        k = n // (d * d)
-        etas = cols[:c // d:k] // k  # the slabs of the chunk, read at xi = 0, j = 0
-        bits = chunk.view(np.int64).reshape(d, d * k, d, etas.size, 2 * k)  # [iA, iB, xi, eta, j]
-        if slab is None:
-            slab = bits[:, :, :, 0].copy()
-        for i_a, rows in enumerate(sub[:, etas]):  # row block iA of each slab against slab 0
-            same = (slab[rows] == bits[i_a].transpose(2, 0, 1, 3)).reshape(etas.size, -1)
-            if not same.all():
-                eta = etas[np.argmin(same.all(axis=1))]
+    add = fields.add_index_table(ring)  # [iA, eta]: iA + eta
+    slabs = construct.expand_slabs(ring, u)
+    zero = next(slabs).copy()
+    blocks = zero.reshape(d, -1)  # [iA]: the kd x kd row block iA
+    for eta, slab in enumerate(slabs, 1):
+        moved = slab.reshape(d, -1)
+        for i_a, block in enumerate(blocks):
+            if block.tobytes() != moved[add[i_a, eta]].tobytes():
                 raise RuntimeError(f"slab {eta} of an expansion over {ring} is not slab 0 "
                                    f"with its rows moved by {eta}")
-        stages["slabs_checked"] += int(np.count_nonzero(etas))
-    return slab.view(complex).reshape(n, -1)
+        stages["slabs_checked"] += 1
+    return zero
 
 
 # ---------------------------------------------------------------------------
@@ -776,9 +768,8 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
     it) and the counts of bases, basis classes and factored basis classes,
     pairs, pair classes, factored pair classes, pair classes whose W or Y
     took the sparse product and those whose W or Y took an orbit's
-    figures, and, as _slab_zero reads each expansion itself, its chunks,
-    the bytes of the largest chunk, and slabs checked as translates of
-    slab 0.
+    figures, and, as _slab_zero reads each expansion itself, the slabs
+    checked as translates of slab 0.
 
     progress, when given, is called as progress(stage, done, total) as each
     stage starts, with done = 0, and after each of its items: "unitarity"
@@ -802,8 +793,7 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
     stages = report.stages
     stages.update(bases=family.n_bases, basis_classes=0, factored_basis_classes=0, pairs=0,
                   classes=0, factored_pair_classes=0, sparse_pair_classes=0,
-                  orbit_pair_classes=0, chunks=0, max_chunk_bytes=0, slabs_checked=0,
-                  identity_blocks_s=0.0)
+                  orbit_pair_classes=0, slabs_checked=0, identity_blocks_s=0.0)
 
     progress = progress or (lambda stage, done, total: None)
     progress("unitarity", 0, family.n_bases)

@@ -4,7 +4,7 @@ Each one recomputes a quantity by a route the package itself does not take:
 field arithmetic by polynomials and Frobenius powers instead of exp/log and
 trace vectors, the GR(4,a) trace by the 2-adic Frobenius, characters from
 that arithmetic, Pauli operators as monomial matrices, the expansion as one
-whole array instead of column chunks, entanglement one vector at a time,
+whole array instead of eta-slabs, entanglement one vector at a time,
 quadratic sums through multiplicative characters, the criterion sums one
 d x d block at a time, the unbiased bases of a net one column at a time, the
 per-basis checks once per basis instead of once per basis class, family
@@ -97,7 +97,7 @@ def pauli_matrix(ring, xi, eta):
 def expand_basis_whole(ring, u, k):
     """The N x N expansion of u filled one eta at a time into a single
     array, then scaled by 1/sqrt(d) in place, as construct.expand_basis did
-    before it was assembled from column chunks."""
+    before it was assembled from eta-slabs."""
     d = ring.d
     kd, n = k * d, k * d * d
     lam = fields.char_table(ring)
@@ -209,25 +209,24 @@ def basis_figures_per_basis(family, slab_zero=False):
     and checked in turn: the per-basis loop of verify.certify_family before
     it ran once per basis class, with verify._basis_deviations written out
     and I subtracted where a product row's column id of B_I equals one of
-    the chunk's columns.  With slab_zero, over the kd columns (xi, 0, j) of
-    each basis alone, copied out of its first chunk into one N x kd array,
-    the slab that certify_family reads; otherwise over every column."""
-    ring, k = family.ring, family.k
-    kd = k * family.d
+    the slab's columns.  With slab_zero, over the kd columns (xi, 0, j) of
+    each basis alone, slab 0, which certify_family reads; otherwise over
+    every slab."""
+    ring, d, k = family.ring, family.d, family.k
+    kd = k * d
     b_id = linalg.ColumnBlocks(construct.expand_basis(ring, np.eye(kd)))
+    col_ids = np.arange(kd * d).reshape(d, d, k)  # [xi, eta, j]
     out = []
     for label, u in family.generators:
         u_dag = u.conj().T
         ortho = ent = 0.0
-        for cols, chunk in construct.expand_chunks(ring, u):
-            if slab_zero:
-                keep = cols // k % family.d == 0
-                if not keep.any():
-                    continue
-                cols, chunk = cols[keep], chunk[:, keep]
-            n, c = chunk.shape
-            ent = max(ent, linalg.max_entanglement_deviation(chunk, n // kd, kd))
-            x = np.matmul(u_dag, chunk.reshape(n // kd, kd, c)).reshape(n, c)
+        for eta, slab in enumerate(construct.expand_slabs(ring, u)):
+            if slab_zero and eta:
+                break
+            cols = col_ids[:, eta].ravel()
+            n = len(slab)
+            ent = max(ent, linalg.max_entanglement_deviation(slab, n // kd, kd))
+            x = np.matmul(u_dag, slab.reshape(n // kd, kd, kd)).reshape(n, kd)
             for ids, block in b_id.adjoint_products(x):
                 block = block - (ids[:, None] == cols)
                 ortho = max(ortho, float(np.abs(block).max()))

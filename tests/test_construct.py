@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mumeb import construct, fields, linalg
-from mumeb.construct import (MEBFamily, b_block, b_tensor, expand_basis, expand_chunks,
+from mumeb import fields, linalg
+from mumeb.construct import (MEBFamily, b_block, b_tensor, expand_basis, expand_slabs,
                              family_cd, family_ckd, family_ckd_mols, k_factors,
                              fourier_unitary, permutation_unitary, v_unitary)
 from mumeb.fields import FiniteField, GaloisRing, ring_for_dimension
@@ -150,14 +150,14 @@ def test_expand_basis_matches_pauli_route():
                 assert np.abs(got[:, col] - h @ base_cols[:, j]).max() < 1e-12
 
 
-_CHUNK_SHAPES = pytest.mark.parametrize(
+_SLAB_SHAPES = pytest.mark.parametrize(
     "build", [lambda: family_ckd(3, 4), lambda: family_cd(15), lambda: family_ckd_mols(7, 9)],
     ids=["3-4", "15-1", "7-9-mols"])
 
 
-@_CHUNK_SHAPES
+@_SLAB_SHAPES
 def test_expand_basis_scales_in_place_bit_identically(build, monkeypatch):
-    # the 1/sqrt(d) scaling writes into each unscaled chunk; its bytes must
+    # the 1/sqrt(d) scaling writes into each unscaled slab; its bytes must
     # be those of the out-of-place quotient
     fam = build()
     unscaled = []
@@ -170,33 +170,28 @@ def test_expand_basis_scales_in_place_bit_identically(build, monkeypatch):
         return divide(x, y, out=out)
 
     monkeypatch.setattr(np, "divide", recording)
-    got = [chunk.copy() for _, chunk in expand_chunks(fam.ring, fam.generators[-1][1])]
+    got = [slab.copy() for slab in expand_slabs(fam.ring, fam.generators[-1][1])]
     monkeypatch.undo()
-    assert len(unscaled) == len(got) >= 1
-    for chunk, raw in zip(got, unscaled):
-        assert chunk.tobytes() == (raw / np.sqrt(fam.d)).tobytes()
+    assert len(unscaled) == len(got) == fam.d
+    for slab, raw in zip(got, unscaled):
+        assert slab.tobytes() == (raw / np.sqrt(fam.d)).tobytes()
 
 
-@_CHUNK_SHAPES
-def test_chunks_assemble_to_the_whole_expansion_bit_for_bit(build):
+@_SLAB_SHAPES
+def test_slabs_assemble_to_the_whole_expansion_bit_for_bit(build):
+    # slab eta is the columns (xi, eta, j) of the whole expansion, in (xi, j)
+    # order, bit for bit
     fam = build()
     d, k = fam.d, fam.k
     n = k * d * d
-    slab = 16 * n * k * d  # bytes of the kd columns of one eta
     for _, u in fam.generators:
-        assembled = np.full((n, n), np.nan, dtype=complex)
-        etas = []
-        for cols, chunk in expand_chunks(fam.ring, u):
-            assert chunk.shape == (n, cols.size) and cols.size % (k * d) == 0
-            assert chunk.nbytes <= max(construct._CHUNK_BYTES, slab)
-            etas.append(np.unique(cols // k % d))
-            assert cols.size == d * k * etas[-1].size  # whole eta-slabs
-            assert np.array_equal(cols, np.sort(cols))  # in (xi, eta, j) order
-            assert np.isnan(assembled[:, cols]).all()
-            assembled[:, cols] = chunk
-        assert np.array_equal(np.concatenate(etas), np.arange(d))
-        whole = expand_basis_whole(fam.ring, u, k)
-        assert assembled.tobytes() == whole.tobytes()
+        whole = expand_basis_whole(fam.ring, u, k).reshape(n, d, d, k)  # [row, xi, eta, j]
+        etas = 0
+        for eta, slab in enumerate(expand_slabs(fam.ring, u)):
+            assert slab.shape == (n, k * d)
+            assert slab.tobytes() == np.ascontiguousarray(whole[:, :, eta]).tobytes()
+            etas += 1
+        assert etas == d
         assert expand_basis(fam.ring, u).tobytes() == whole.tobytes()
 
 
@@ -216,16 +211,6 @@ def test_row_gather_permutes_the_expansion_rows_bit_for_bit(build):
         gathered = expand_basis(fam.ring, r[p])
         permuted = expand_basis(fam.ring, r)[rows]
         assert np.array_equal(gathered, permuted) and gathered.tobytes() == permuted.tobytes()
-
-
-@pytest.mark.parametrize("d,k,chunks", [(19, 1, 2), (15, 1, 1), (15, 4, 15), (7, 9, 3)])
-def test_chunk_counts(d, k, chunks):
-    # a small N is one or two chunks; past the budget, chunks are even runs
-    # of slabs, one slab each once a slab alone fills the budget
-    ring = ring_for_dimension(d)
-    widths = [c.size for c, _ in expand_chunks(ring, np.eye(k * d))]
-    assert len(widths) == chunks
-    assert max(widths) - min(widths) <= k * d
 
 
 def test_expand_basis_guards():

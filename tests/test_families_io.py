@@ -371,19 +371,19 @@ def test_integer_entry_beyond_the_float_range_is_malformed(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-def _assert_header_stages(tmp_path, fam, factored, sparse, n):
+def _assert_header_stages(tmp_path, fam, factored, sparse):
     report = certify_family(fam)
     path = tmp_path / "report.json"
     save_report(report, path)
     doc = json.loads(path.read_text())
     stages = doc["header"]["stages"]
-    keys = ("bases", "pairs", "classes", "chunks", "factored_basis_classes",
+    keys = ("bases", "pairs", "classes", "slabs_checked", "factored_basis_classes",
             "factored_pair_classes", "sparse_pair_classes")
+    # d - 1 slabs checked per expansion: B_I, 4 bases, and the dense classes
     assert {key: stages[key] for key in keys} == \
-        {"bases": 4, "pairs": 6, "classes": 6, "chunks": 1 + 4 + 6 - sparse,
+        {"bases": 4, "pairs": 6, "classes": 6, "slabs_checked": (fam.d - 1) * (1 + 4 + 6 - sparse),
          "factored_basis_classes": 4 * factored, "factored_pair_classes": 6 * factored,
          "sparse_pair_classes": sparse}
-    assert stages["max_chunk_bytes"] == 16 * n * n  # each expansion is one chunk
     assert all(stages[key] >= 0 for key in ("unitarity_s", "identity_blocks_s",
                                             "bases_s", "classes_s"))
     # outside the header the report is to_dict()
@@ -394,14 +394,14 @@ def _assert_header_stages(tmp_path, fam, factored, sparse, n):
 def test_report_header_carries_stage_timings_and_counts(tmp_path):
     # the rotated family does not factor and no W is monomial, so it streams
     # B_I, 4 bases and 6 B_W at N = 36
-    _assert_header_stages(tmp_path, rotated_family(family_ckd(3, 4)), False, 0, 36)
+    _assert_header_stages(tmp_path, rotated_family(family_ckd(3, 4)), False, 0)
 
 
 def test_report_header_counts_the_factored_classes(tmp_path):
     # family_ckd(3, 4) factors, so it streams B_{I_d}, 4 bases B_C and the
     # 4 dense B_Y at the d-level N = 9; the Y of the U-U and V-V pairs are
     # monomial and take the sparse product
-    _assert_header_stages(tmp_path, family_ckd(3, 4), True, 2, 9)
+    _assert_header_stages(tmp_path, family_ckd(3, 4), True, 2)
 
 
 @pytest.mark.parametrize("edit,message", [

@@ -441,13 +441,13 @@ def test_spoiled_family_fails_the_same_pairs_in_both_routes():
 def _count_expansions(monkeypatch):
     """Record (size, whether it is the identity) of every expansion."""
     calls = []
-    chunks = construct.expand_chunks
+    slabs = construct.expand_slabs
 
     def counting(ring, u):
         calls.append((len(u), np.array_equal(u, np.eye(len(u)))))
-        return chunks(ring, u)
+        return slabs(ring, u)
 
-    monkeypatch.setattr(construct, "expand_chunks", counting)
+    monkeypatch.setattr(construct, "expand_slabs", counting)
     return calls
 
 
@@ -473,40 +473,38 @@ def test_factored_pairs_only_expands_the_d_level_identity_basis_once(monkeypatch
 
 
 def _spoil_expansions(monkeypatch, spoil, target=None):
-    """Make construct.expand_chunks apply `spoil(cols, chunk)` to the chunks
-    of the expansion of `target`, or of every expansion but B_I's if target
-    is None; construct.expand_basis, which the oracle uses, assembles the
-    same chunks."""
-    chunks = construct.expand_chunks
+    """Make construct.expand_slabs apply `spoil(eta, slab)` to the slabs of
+    the expansion of `target`, or of every expansion but B_I's if target is
+    None; construct.expand_basis, which the oracle uses, assembles the same
+    slabs."""
+    slabs = construct.expand_slabs
 
     def spoiled(ring, u):
         hit = (not np.array_equal(u, np.eye(len(u))) if target is None
                else np.array_equal(u, target))
-        for cols, chunk in chunks(ring, u):
+        for eta, slab in enumerate(slabs(ring, u)):
             if hit:
-                spoil(cols, chunk)
-            yield cols, chunk
+                spoil(eta, slab)
+            yield slab
 
-    monkeypatch.setattr(construct, "expand_chunks", spoiled)
+    monkeypatch.setattr(construct, "expand_slabs", spoiled)
 
 
 def _failing_bases(report):
     return [b["label"] for b in report.basis_results if not b["pass"]]
 
 
-def _translates(d, cols, chunk, xi, j):
-    """The positions, among the columns `cols` of a chunk of an expansion
-    over a size-d ring, of the columns (xi, eta, j), one per slab eta: the
-    slab-0 column (xi, 0, j) and its translates."""
-    k = chunk.shape[0] // (d * d)
-    return np.flatnonzero((cols // k // d == xi) & (cols % k == j))
+def _translate(d, slab, xi, j):
+    """The position of the column (xi, eta, j) in slab eta of an expansion
+    over a size-d ring: the slab-0 column (xi, 0, j) or its translate."""
+    return xi * (slab.shape[1] // d) + j
 
 
 def _scale_translates(d):
     """A spoil that scales the column (1, eta, 0) of every slab eta by 1.01,
     which keeps every slab the translate of slab 0."""
-    def spoil(cols, chunk):
-        chunk[:, _translates(d, cols, chunk, 1, 0)] *= 1.01
+    def spoil(eta, slab):
+        slab[:, _translate(d, slab, 1, 0)] *= 1.01
     return spoil
 
 
@@ -580,10 +578,9 @@ def test_spoiled_class_representative_fails_every_member(monkeypatch):
 def _swap_translates(d):
     """A spoil that swaps the columns (0, eta, 0) and (1, eta, 0) of every
     slab eta, which keeps every slab the translate of slab 0."""
-    def spoil(cols, chunk):
-        at = [_translates(d, cols, chunk, xi, 0) for xi in (0, 1)]
-        assert at[0].size == at[1].size  # the two columns of a slab share its chunk
-        chunk[:, np.concatenate(at)] = chunk[:, np.concatenate(at[::-1])]
+    def spoil(eta, slab):
+        at = [_translate(d, slab, xi, 0) for xi in (0, 1)]
+        slab[:, at] = slab[:, at[::-1]]
     return spoil
 
 
@@ -630,16 +627,13 @@ def test_certify_family_holds_no_n_by_n_array():
     _assert_peak_below_half_an_n_by_n_array(rotated_family(family_ckd(15, 4)), {"streamed"})
 
 
-def test_sparse_certify_family_holds_no_n_by_n_array(monkeypatch):
-    # at N = 625 the default chunk is a quarter of an N x N array, so the
-    # chunks shrink to one eta-slab, N x d, and any N x N array would show
-    monkeypatch.setattr(construct, "_CHUNK_BYTES", 16 * 625 * 25)
+def test_sparse_certify_family_holds_no_n_by_n_array():
     _assert_peak_below_half_an_n_by_n_array(family_cd(25), {"streamed", "sparse", "orbit"})
 
 
 def test_sparse_pair_classes_hold_no_n_by_n_array():
-    # at the default chunk budget: the pairs of the permutations U(a) of
-    # (25,1) are all monomial, and only B_I is expanded
+    # the pairs of the permutations U(a) of (25,1) are all monomial, and
+    # only B_I is expanded
     fam = family_cd(25)
     fam = MEBFamily(fam.d, fam.k, fam.ring, [g for g in fam.generators if g[0].startswith("U")])
     _assert_peak_below_half_an_n_by_n_array(fam, {"sparse"}, pairs_only=True)
@@ -652,21 +646,19 @@ def test_factored_certify_family_holds_no_n_by_n_array():
 def test_stages_count_the_streamed_work():
     report = certify_family(family_cd(19))
     stages = report.stages
-    # 2 chunks per expansion: B_I, 2 basis classes, and one pair class for
-    # each of the 2 orbits of the 18 whose W is dense; the other 16 dense
-    # classes take their orbit's figures and the other 34 the sparse product
+    # expansions: B_I, 2 basis classes, and one pair class for each of the
+    # 2 orbits of the 18 whose W is dense; the other 16 dense classes take
+    # their orbit's figures and the other 34 the sparse product
     assert {key: stages[key] for key in ("bases", "basis_classes", "pairs", "classes",
-                                         "sparse_pair_classes", "orbit_pair_classes",
-                                         "chunks")} == \
+                                         "sparse_pair_classes", "orbit_pair_classes")} == \
         {"bases": 36, "basis_classes": 2, "pairs": 630, "classes": 52,
-         "sparse_pair_classes": 34, "orbit_pair_classes": 16, "chunks": 2 * (1 + 2 + 2)}
+         "sparse_pair_classes": 34, "orbit_pair_classes": 16}
     assert stages["slabs_checked"] == 18 * (1 + 2 + 2)  # every slab but slab 0 of each
-    assert stages["max_chunk_bytes"] == 16 * 361 * 19 * 10  # 10 of the 19 eta-slabs
     for key in ("unitarity_s", "identity_blocks_s", "bases_s", "classes_s"):
         assert 0 <= stages[key] <= report.wall_time_s
     assert "stages" not in report.to_dict()
     only = certify_family(family_cd(19), pairs_only=True).stages
-    assert (only["chunks"], only["slabs_checked"]) == (2 * (1 + 2), 18 * (1 + 2))
+    assert only["slabs_checked"] == 18 * (1 + 2)
 
 
 def _first_last_w(d, k):
@@ -1398,7 +1390,7 @@ def _slab_cases(fam):
 
 def _slab_zero_of(ring, u):
     """verify._slab_zero over the expansion of u: slab 0, N x kd."""
-    return verify._slab_zero(ring, u, {"chunks": 0, "max_chunk_bytes": 0, "slabs_checked": 0})
+    return verify._slab_zero(ring, u, {"slabs_checked": 0})
 
 
 def _identity_blocks(ring, size):
@@ -1455,33 +1447,27 @@ def test_identity_blocks_are_read_off_kd_columns(monkeypatch, build):
     assert shapes[0][0] == shapes[0][1] * fam.d
 
 
-@pytest.mark.parametrize("d,k,chunk_bytes", [(5, 1, None), (3, 4, None), (9, 1, 16 * 81 * 9),
-                                             (7, 3, 16 * 147 * 21 * 2)])
-def test_slab_zero_is_slab_zero_of_the_expansion(monkeypatch, d, k, chunk_bytes):
+@pytest.mark.parametrize("d,k", [(5, 1), (3, 4), (9, 1), (7, 3)])
+def test_slab_zero_is_slab_zero_of_the_expansion(d, k):
     # the array returned is the columns (xi, 0, j) of the expansion, bit for
-    # bit; each of the d - 1 other slabs is checked once, in chunks of one or
-    # of several slabs, and every chunk of the expansion is counted once
-    if chunk_bytes is not None:
-        monkeypatch.setattr(construct, "_CHUNK_BYTES", chunk_bytes)
+    # bit, and each of the d - 1 other slabs is checked once
     ring = ring_for_dimension(d)
     u = random_unitary(k * d, d + k)
     full = expand_basis(ring, u)
-    stages = {"chunks": 0, "max_chunk_bytes": 0, "slabs_checked": 0}
+    stages = {"slabs_checked": 0}
     slab = verify._slab_zero(ring, u, stages)
     cols = [(xi * d * k + j) for xi in range(d) for j in range(k)]
     assert np.array_equal(slab.view(np.int64), np.ascontiguousarray(full[:, cols]).view(np.int64))
-    expansion = list(construct.expand_chunks(ring, u))
     assert stages["slabs_checked"] == d - 1
-    assert stages["chunks"] == len(expansion)
-    assert stages["max_chunk_bytes"] == max(x.nbytes for _, x in expansion)
 
 
 def _spoil_one_entry(d, value):
     """A spoil that sets the last row, (d - 1, kd - 1), of the column
     (1, 1, 0), in slab 1, to value, leaving slab 0 and the other slabs as
     they are."""
-    def spoil(cols, chunk):
-        chunk[-1, _translates(d, cols, chunk, 1, 0)[1:2]] = value
+    def spoil(eta, slab):
+        if eta == 1:
+            slab[-1, _translate(d, slab, 1, 0)] = value
     return spoil
 
 
@@ -1511,6 +1497,25 @@ def test_a_spoiled_identity_basis_raises(monkeypatch, d, k):
             certify_family(fam, pairs_only=pairs_only)
 
 
+@pytest.mark.parametrize("build", [lambda: family_cd(9), lambda: family_ckd(3, 4)],
+                         ids=["9-1", "3-4"])
+def test_every_row_block_of_every_slab_is_compared(monkeypatch, build):
+    # one bit of the last slab, eta = d - 1, in the row block that the last
+    # row block of slab 0, iA = d - 1, moves to: neither row block 0 of slab
+    # 0 nor row block 0 of slab eta meets it
+    fam = build()
+    d, kd, u = fam.d, fam.k * fam.d, fam.generators[-1][1]
+    block = fields.add_index_table(fam.ring)[d - 1, d - 1]
+    assert block != 0
+
+    def flip_a_bit(eta, slab):
+        if eta == d - 1:
+            slab.view(np.int64)[block * kd, _translate(d, slab, 1, 0) * 2] ^= 1
+    _spoil_expansions(monkeypatch, flip_a_bit, target=u)
+    with pytest.raises(RuntimeError, match=f"is not slab 0 with its rows moved by {d - 1}"):
+        _slab_zero_of(fam.ring, u)
+
+
 def test_signed_zeros_and_nans_compare_by_their_bits(monkeypatch):
     # an exact zero of slab 1 of a permutation's basis turned -0.0 is a
     # mismatch; a NaN put into slab 0 and into each of its translates is
@@ -1519,13 +1524,15 @@ def test_signed_zeros_and_nans_compare_by_their_bits(monkeypatch):
     fam = family_cd(5)
     ring = fam.ring
     perm = fam.generators[1][1]
-    cols, chunk = next(construct.expand_chunks(ring, perm))
-    assert cols[6] == 6  # the column (1, 1, 0), in slab 1
-    zero = np.flatnonzero(chunk[:, 6] == 0)[0]
-    assert not np.signbit(chunk[zero, 6].real)
+    slabs = construct.expand_slabs(ring, perm)
+    next(slabs)
+    col = next(slabs)[:, 1]  # the column (1, 1, 0), in slab 1
+    zero = np.flatnonzero(col == 0)[0]
+    assert not np.signbit(col[zero].real)
 
-    def flip(cols, chunk):
-        chunk[zero, 6] = complex(-0.0, chunk[zero, 6].imag)
+    def flip(eta, slab):
+        if eta == 1:
+            slab[zero, 1] = complex(-0.0, slab[zero, 1].imag)
     _spoil_expansions(monkeypatch, flip, target=perm)
     with pytest.raises(RuntimeError, match="is not slab 0 with its rows moved by 1"):
         _slab_zero_of(ring, perm)
@@ -1533,8 +1540,8 @@ def test_signed_zeros_and_nans_compare_by_their_bits(monkeypatch):
 
     twist = fam.generators[4][1]  # V(a) for the first a, its basis class's first generator
 
-    def nan_everywhere(cols, chunk):
-        chunk[:, _translates(5, cols, chunk, 1, 0)] = np.nan
+    def nan_everywhere(eta, slab):
+        slab[:, _translate(5, slab, 1, 0)] = np.nan
     _spoil_expansions(monkeypatch, nan_everywhere, target=twist)
     slab = _slab_zero_of(ring, twist)
     assert np.isnan(slab).any()
