@@ -2,8 +2,9 @@
 
 Matrices are numpy complex128 arrays, row-major, zero-based.  A basis is a
 square array whose columns are the basis vectors.  Adjoint products A^dag X
-skip the exact zeros of A (ColumnBlocks): an expanded basis has d nonzeros
-per column, so A^dag X costs 8 d N c flops for an N x c array X instead of
+skip the exact zeros of A (ColumnBlocks), whose column groups have one
+shape, else make one dense group: an expanded basis has d nonzeros per
+column, so A^dag X costs 8 d N c flops for an N x c array X instead of
 8 N^2 c.  ColumnBlocks builds an expanded basis from kd of its N columns
 and the row moves that give the others, so no N x N array is needed.
 """
@@ -33,11 +34,12 @@ class ColumnBlocks:
     """A matrix A held as its column groups, each group being the columns
     that share one row support (the rows where they are nonzero).
 
-    Groups of one shape, s support rows by m columns, form a bucket of
-    `rows` (G, s), ascending, `cols` (G, m) and adjoint values
-    A[rows, cols]^dag (G, m, s).  An expanded basis is one bucket of N/d
-    groups of d x d, held in N·d entries; a dense matrix is one group.  The
-    pattern is read off the entries themselves, never off a formula.
+    The groups have one shape, s support rows by m columns, held as `rows`
+    (G, s), ascending, `cols` (G, m) and adjoint values A[rows, cols]^dag
+    (G, m, s).  An expanded basis is N/d groups of d x d, held in N·d
+    entries.  A matrix whose groups differ in shape is held as one dense
+    group, every row by every column.  The pattern is read off the entries
+    themselves, never off a formula.
     """
 
     def __init__(self, a, moves=None):
@@ -47,7 +49,7 @@ class ColumnBlocks:
         numbered t c + i; each copy's groups are those of `a` with their rows
         moved and put back in ascending order, their values with them."""
         a = np.asarray(a, dtype=complex)
-        if a.ndim != 2:
+        if a.ndim != 2 or not a.size:
             raise ValueError(f"need a matrix, got shape {a.shape}")
         n, c = a.shape
         moves = np.arange(n)[None] if moves is None else np.asarray(moves)
@@ -57,36 +59,30 @@ class ColumnBlocks:
         support = a != 0
         keys = np.ascontiguousarray(np.packbits(support, axis=0).T)
         flat_keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
-        _, first, group = np.unique(flat_keys, return_index=True, return_inverse=True)
-        width = np.bincount(group)
-        depth = support.sum(axis=0)[first]
-        members = np.argsort(group, kind="stable")  # columns, group by group
-        offset = np.cumsum(width) - width
-        copies = np.arange(len(moves))[:, None, None] * c
-        self.buckets = []
-        for s, m in np.unique(np.stack([depth, width], axis=1), axis=0):
-            g = np.flatnonzero((depth == s) & (width == m))
-            cols = members[offset[g][:, None] + np.arange(m)]
-            rows = np.nonzero(np.unpackbits(keys[first[g]], axis=1, count=n))[1].reshape(g.size, s)
-            adj = a[rows[:, None], cols[:, :, None]].conj()  # [group, column, row]
-            moved = moves[:, rows]  # [copy, group, row]
-            order = np.argsort(moved, axis=2)
-            size = len(moves) * g.size
-            self.buckets.append((
-                np.take_along_axis(moved, order, axis=2).reshape(size, s),
-                (copies + cols).reshape(size, m),
-                np.take_along_axis(adj[None], order[:, :, None], axis=3).reshape(size, m, s)))
+        _, group = np.unique(flat_keys, return_inverse=True)
+        width, depth = np.bincount(group), support.sum(axis=0)
+        if (width != width[0]).any() or (depth != depth[0]).any():
+            support[:] = True  # groups of several shapes: one dense group
+            group[:] = 0
+        cols = np.argsort(group, kind="stable").reshape(group.max() + 1, -1)  # [group, column]
+        rows = np.nonzero(support[:, cols[:, 0]].T)[1].reshape(len(cols), -1)
+        adj = a[rows[:, None], cols[:, :, None]].conj()  # [group, column, row]
+        moved = moves[:, rows]  # [copy, group, row]
+        order = np.argsort(moved, axis=2)
+        (g, m), s = cols.shape, rows.shape[1]
+        size = len(moves) * g
+        self.rows = np.take_along_axis(moved, order, axis=2).reshape(size, s)
+        self.cols = (np.arange(len(moves))[:, None, None] * c + cols).reshape(size, m)
+        self.adj = np.take_along_axis(adj[None], order[:, :, None], axis=3).reshape(size, m, s)
 
     def row_groups(self):
-        """(group, lo, hi) for an A of one bucket whose groups' row supports
-        partition the rows, as an expanded basis's do: group[R] is the group
-        whose support holds row R, and lo[R] and hi[R] the least and the
-        largest squared magnitude of the row's m entries there.  ValueError
-        for any other A.  Computed once."""
+        """(group, lo, hi) for an A whose groups' row supports partition the
+        rows, as an expanded basis's do: group[R] is the group whose support
+        holds row R, and lo[R] and hi[R] the least and the largest squared
+        magnitude of the row's m entries there.  ValueError for any other
+        A.  A dense group holds every row.  Computed once."""
         if not hasattr(self, "_row_groups"):
-            if len(self.buckets) != 1:
-                raise ValueError("row groups need a single bucket")
-            rows, _, adj = self.buckets[0]
+            rows, adj = self.rows, self.adj
             if not np.array_equal(np.bincount(rows.ravel(), minlength=self.shape[0]),
                                   np.ones(self.shape[0], dtype=np.intp)):
                 raise ValueError("the row supports of the groups do not partition the rows")
@@ -108,10 +104,10 @@ class ColumnBlocks:
             self._work[name] = np.empty(size, dtype=complex)
         return self._work[name][:size].reshape(shape)
 
-    def adjoint_products(self, x):
-        """Yield (cols, A[:, cols]^dag @ x) for each bucket, with cols flat:
-        one batched product per bucket, and together the rows of A^dag x.
-        Each block is overwritten by the next one and by the next call.
+    def adjoint_product(self, x):
+        """(cols, A[:, cols]^dag @ x), with cols flat: one batched product
+        over the groups, whose rows are those of A^dag x.  The block is
+        overwritten by the next call.
 
         Only exact-zero terms are dropped, so this equals the dense product
         up to summation order, at 8 d N c flops for an expanded basis and an
@@ -120,12 +116,11 @@ class ColumnBlocks:
         if x.ndim != 2 or x.shape[0] != self.shape[0]:
             raise ValueError(f"need {self.shape[0]} rows, got shape {x.shape}")
         c = x.shape[1]
-        for rows, cols, adj in self.buckets:
-            # mode="clip" since rows are in range; the default buffers `out`
-            gathered = np.take(x, rows, axis=0, mode="clip",
-                               out=self._scratch("gathered", rows.shape + (c,)))
-            block = np.matmul(adj, gathered, out=self._scratch("block", adj.shape[:2] + (c,)))
-            yield cols.ravel(), block.reshape(cols.size, c)
+        # mode="clip" since rows are in range; the default buffers `out`
+        gathered = np.take(x, self.rows, axis=0, mode="clip",
+                           out=self._scratch("gathered", self.rows.shape + (c,)))
+        block = np.matmul(self.adj, gathered, out=self._scratch("block", self.adj.shape[:2] + (c,)))
+        return self.cols.ravel(), block.reshape(self.cols.size, c)
 
 
 def max_entanglement_deviation(basis, d, dprime, norms=np.ones(1)):

@@ -225,18 +225,19 @@ The canonical form of each input array is recalled as well, so a family
 loop sorts each generator once, not once per pair: the last
 (serial, order, p) found for an array is kept under its id, and reused when
 the canonical matrix C under that serial is still held, the array is
-C-contiguous complex128 of C's size, and its bits equal those of C[p].
-That reuse is exact.  C holds no -0.0, since +-0 + 0.0 = +0.0 under
-round-to-nearest, and a NaN of C is a quiet one, which + 0.0 returns as it
-is.  So bits of U equal to those of C[p] give U + 0.0 = U = C[p] bit for
-bit; a stable sort of equal bytes gives the same order, so _canonical(U)
-would return exactly (C, order, p), the key is the same, and so is the
-deviation.  A write in place that changes any bits, such as a -0.0 over a
-+0.0 or a NaN over a number, fails the bit test, and so does a new array
-that took a freed one's id unless it has the same bits; an array holding a
--0.0 is sorted on every call.  A record holds no copy of the array, only 2 kd
-indices; at most 8 kd are held, the oldest dropped first, and a canonical
-matrix that is dropped takes every record naming it.  A hit costs one row
+C-contiguous of C's size, and its entries, read as float64, equal those of
+C[p].  That reuse is exact.  C holds no -0.0, since +-0 + 0.0 = +0.0 under
+round-to-nearest.  So for entries that are not NaN, U = C[p] as floats
+gives U + 0.0 = C[p] bit for bit: equal nonzero floats have equal bits,
+and a +-0 of U becomes the +0.0 that C holds.  A stable sort of equal
+bytes gives the same order, so _canonical(U) would return exactly
+(C, order, p), the key is the same, and so is the deviation.  A NaN never
+compares equal, so an array holding one is sorted on every call; so is an
+array written in place to other values, and a new array that took a freed
+one's id unless it has the same values, while a -0.0 over a +0.0 is
+recalled.  A record holds no copy of the array, only 2 kd indices; at
+most 8 kd are held, the oldest dropped first, and a canonical matrix that
+is dropped takes every record naming it.  A hit costs one row
 gather of C and one comparison; a miss sorts the rows, compares C with the
 matrices held and, for a new class, forms W and its sums.
 """
@@ -439,16 +440,15 @@ def _slot(c):
 def _recall(u):
     """(C, order, position, serial) of u, as _canonical and _slot give them.
 
-    They are recalled when u is the array last seen under its id and still
-    has its bits: C is held, u is C-contiguous complex128 of C's size, and
-    the bits of u equal those of C[position] (module docstring).  Else they
-    are computed and recorded, the oldest record dropped once 8 kd are held.
-    Call under _memo_lock."""
+    They are recalled when u, complex128, is the array last seen under its
+    id and still has its values: C is held, u is C-contiguous of C's size,
+    and u equals C[position] as float64 entries (module docstring).  Else
+    they are computed and recorded, the oldest record dropped once 8 kd are
+    held.  Call under _memo_lock."""
     serial, order, position = _recalled.get(id(u), (None, None, None))
     held = _canonicals.get(serial)
-    if (held is not None and u.dtype == complex and u.flags.c_contiguous and u.nbytes == len(held)
-            and np.array_equal(u.view(np.uint64),
-                               np.frombuffer(held, np.uint64).reshape(len(u), -1)[position])):
+    if (held is not None and u.flags.c_contiguous and u.nbytes == len(held)
+            and np.array_equal(u.view(float), np.frombuffer(held).reshape(len(u), -1)[position])):
         _canonicals[serial] = _canonicals.pop(serial)
         return np.frombuffer(held, complex).reshape(u.shape), order, position, serial
     c, order, position = _canonical(u)
@@ -468,7 +468,7 @@ def criterion_check(ring, k, u, v):
     summation.  The sums are those of that canonical product, computed once
     per class (ring, k, C_U, C_V, rel) and then recalled, so a repeated class
     returns the bits of its first call.  The canonical form of an array is
-    recalled too while its bits are unchanged, which gives exactly the
+    recalled too while its values are unchanged, which gives exactly the
     (C, order, p) that sorting its rows again would (module docstring)."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -493,31 +493,28 @@ def bruteforce_unbiased(basis_a, basis_b):
 
     basis_a is an N x N array or its linalg.ColumnBlocks; basis_b is an
     N x N array or N x c columns of one, such as the slab 0 that
-    _slab_zero returns.  The products run over the column blocks of
-    basis_a and are reduced as they come.
+    _slab_zero returns.  The products run over the column groups of
+    basis_a, of one shape, else one dense group.  A NaN stays in both.
     """
     if not isinstance(basis_a, linalg.ColumnBlocks):
         basis_a = linalg.ColumnBlocks(basis_a)
     basis_b = np.asarray(basis_b, dtype=complex)
     if basis_b.ndim != 2 or basis_b.shape[0] != basis_a.shape[0]:
         raise ValueError("bases have different shapes")
-    lo, hi = np.inf, 0.0
-    for _, block in basis_a.adjoint_products(basis_b):
-        mags = np.abs(block)
-        lo, hi = np.minimum(lo, mags.min()), np.maximum(hi, mags.max())  # NaN stays
-    return float(lo), float(hi)
+    mags = np.abs(basis_a.adjoint_product(basis_b)[1])
+    return float(mags.min()), float(mags.max())
 
 
 def sparse_unbiased(basis_a, rows, values):
     """(min, max) magnitude over all N^2 entries of B^dag (I_d (x) W) B, for
     B the N x N basis held as linalg.ColumnBlocks basis_a, an expanded
-    basis, and W the kd x kd monomial matrix with the entry values[n] at
-    (rows[n], n); None when two rows of B meet in one block, a class for
-    the streamed route.  Holds no N x N array.  The proofs are in the
-    module docstring.
+    basis, whose groups have one shape, and W the kd x kd monomial matrix
+    with the entry values[n] at (rows[n], n); None when two rows of B meet
+    in one block, a class for the streamed route.  Holds no N x N array.
+    The proofs are in the module docstring.
     """
     group, row_lo, row_hi = basis_a.row_groups()
-    n_groups = basis_a.buckets[0][0].shape[0]
+    n_groups = len(basis_a.rows)
     n = group.size
     col = np.arange(n) % rows.size
     dst = np.arange(n) - col + rows[col]  # row (iA, rows[n]) for row (iA, n)
@@ -533,13 +530,14 @@ def sparse_unbiased(basis_a, rows, values):
 def _permutes_columns(basis_a, sigma):
     """Whether A[sigma] = A Pi, bit for bit, for some column permutation Pi,
     A being the N x N basis held as linalg.ColumnBlocks basis_a, an expanded
-    basis, and sigma a permutation of its rows.  Row R of A[sigma] is row
-    sigma[R] of A.  The moved support sigma(S_h) of each group h must be the
-    support S_g of one group g, and the columns of g read at the rows
-    sigma(S_h) must be those of h as a multiset of byte strings; then every
-    column of A[sigma] is a column of A, one for one.  O(N d log d)."""
+    basis, whose groups have one shape, and sigma a permutation of its
+    rows.  Row R of A[sigma] is row sigma[R] of A.  The moved support
+    sigma(S_h) of each group h must be the support S_g of one group g, and
+    the columns of g read at the rows sigma(S_h) must be those of h as a
+    multiset of byte strings; then every column of A[sigma] is a column of
+    A, one for one.  O(N d log d)."""
     group = basis_a.row_groups()[0]
-    rows, _, adj = basis_a.buckets[0]  # adj[g, i, j] = conj(A[rows[g, j], cols[g, i]])
+    rows, adj = basis_a.rows, basis_a.adj  # adj[g, i, j] = conj(A[rows[g, j], cols[g, i]])
     moved = sigma[rows]
     to = group[moved]
     if (to != to[:, :1]).any():
@@ -563,20 +561,19 @@ def _orbit_unit(w, rep, units, perms, one):
     return None
 
 
-def _basis_deviations(b_id, u, slab, x=np.ones((1, 1)), norms=np.ones(1)):
-    """(orthonormality, entanglement) of the basis B_U of U from slab 0 of
-    its expansion (_slab_zero): max |((I_d (x) U) B_I)^dag B_U - I| and the
-    largest deviation of a reduced density from I_d / d.  Given the Gram
-    matrix x = A^dag A and the squared column norms of a matrix A, the same
-    two figures of the basis of A (x) U instead (figures 1 and 2 of the
-    module docstring).
+def _basis_deviations(b_id, u, slab, x, norms):
+    """(orthonormality, entanglement) of the basis of A (x) U from slab 0 of
+    the expansion of U (_slab_zero), given the Gram matrix x = A^dag A and
+    the squared column norms of A (figures 1 and 2 of the module
+    docstring).  For A = [1] they are max |((I_d (x) U) B_I)^dag B_U - I|
+    and the largest deviation of a reduced density from I_d / d.
 
     The first is B_I^dag ((I_d (x) U^dag) B_U) - I over the column blocks
     of B_I.  For a unitary U it equals the Gram defect max |B_U^dag B_U - I|,
     since B_U = (I_d (x) U) B_I; unlike the Gram defect it also catches
-    columns of B_U that are out of place.  I is subtracted where a row of a
-    product block, a column id of B_I, is below kd, one of slab 0's (module
-    docstring).  The figures are folded with np.max, so a NaN in any block
+    columns of B_U that are out of place.  I is subtracted where a row of
+    the product block, a column id of B_I, is below kd, one of slab 0's
+    (module docstring).  The figures are folded with np.max, so a NaN
     stays.
     """
     kd = u.shape[0]
@@ -586,15 +583,13 @@ def _basis_deviations(b_id, u, slab, x=np.ones((1, 1)), norms=np.ones(1)):
     off_scale = float(np.abs(x - np.diag(x_diag)).max())  # max_(a != b) |X_ab|
     ent = linalg.max_entanglement_deviation(slab, n // kd, kd, norms)
     y = np.matmul(u.conj().T, slab.reshape(n // kd, kd, kd)).reshape(n, kd)
-    ortho = g_max = 0.0
-    for ids, block in b_id.adjoint_products(y):
-        at = (np.flatnonzero(ids < kd), ids[ids < kd])  # I's entries, at slab 0's columns
-        diag = block[at]
-        block[at] = 0.0
-        off = float(np.abs(block).max())
-        g_max = np.max((g_max, off, np.abs(diag).max(initial=0.0)))
-        ortho = np.max((ortho, on_scale * off,
-                        np.abs(x_diag[:, None] * diag - 1.0).max(initial=0.0)))
+    ids, block = b_id.adjoint_product(y)
+    at = (np.flatnonzero(ids < kd), ids[ids < kd])  # I's entries, at slab 0's columns
+    diag = block[at]
+    block[at] = 0.0
+    off = float(np.abs(block).max())
+    g_max = np.max((off, np.abs(diag).max()))
+    ortho = np.max((on_scale * off, np.abs(x_diag[:, None] * diag - 1.0).max()))
     return float(np.max((ortho, off_scale * g_max))), ent
 
 
@@ -602,26 +597,28 @@ def _slab_zero(ring, u, stages):
     """Expand U (construct.expand_slabs), check that every eta-slab of the
     expansion is slab 0 with its rows moved, slab eta at row (iA, iB) being
     slab 0 at row (iA - eta, iB), and return slab 0, the N x kd array of the
-    columns (xi, 0, j) in (xi, j) order.
+    columns (xi, 0, j) in (xi, j) order, as a read-only view of its bytes.
 
-    Each row block iA of slab 0 is compared with row block iA + eta of slab
-    eta by their bytes, so -0.0 and NaN count as they are stored.  A
-    mismatch raises RuntimeError.  stages["slabs_checked"] counts the slabs
-    eta != 0 compared.  The module docstring proves that slab 0 then
-    carries every figure of the whole basis."""
+    Slab 0 is kept once as bytes, and each row block iA + eta of slab eta
+    is compared in place with its row block iA, one memcmp that copies
+    neither, so -0.0 and NaN count as they are stored.  A mismatch raises
+    RuntimeError.  stages["slabs_checked"] counts the slabs eta != 0
+    compared.  The module docstring proves that slab 0 then carries every
+    figure of the whole basis."""
     d = ring.d
     add = fields.add_index_table(ring)  # [iA, eta]: iA + eta
     slabs = construct.expand_slabs(ring, u)
-    zero = next(slabs).copy()
-    blocks = zero.reshape(d, -1)  # [iA]: the kd x kd row block iA
+    first = next(slabs)
+    shape, zero = first.shape, first.tobytes()
+    size = len(zero) // d  # the bytes of one kd x kd row block
     for eta, slab in enumerate(slabs, 1):
-        moved = slab.reshape(d, -1)
-        for i_a, block in enumerate(blocks):
-            if block.tobytes() != moved[add[i_a, eta]].tobytes():
+        moved = slab.reshape(d, -1)  # [iA]: the row block iA
+        for i_a in range(d):
+            if not zero.startswith(moved[add[i_a, eta]], i_a * size):
                 raise RuntimeError(f"slab {eta} of an expansion over {ring} is not slab 0 "
                                    f"with its rows moved by {eta}")
         stages["slabs_checked"] += 1
-    return zero
+    return np.frombuffer(zero, complex).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

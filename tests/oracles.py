@@ -227,9 +227,9 @@ def basis_figures_per_basis(family, slab_zero=False):
             n = len(slab)
             ent = max(ent, linalg.max_entanglement_deviation(slab, n // kd, kd))
             x = np.matmul(u_dag, slab.reshape(n // kd, kd, kd)).reshape(n, kd)
-            for ids, block in b_id.adjoint_products(x):
-                block = block - (ids[:, None] == cols)
-                ortho = max(ortho, float(np.abs(block).max()))
+            ids, block = b_id.adjoint_product(x)
+            block = block - (ids[:, None] == cols)
+            ortho = max(ortho, float(np.abs(block).max()))
         out.append((label, ortho, ent))
     return out
 

@@ -62,11 +62,10 @@ def _assemble(a, b):
     column groups they found."""
     blocks = linalg.ColumnBlocks(a)
     out = np.full((a.shape[1], b.shape[1]), np.nan, dtype=complex)
-    for cols, block in blocks.adjoint_products(b):
-        assert np.isnan(out[cols]).all()  # every column in exactly one group
-        out[cols] = block
-    groups = sum(rows.shape[0] for rows, _, _ in blocks.buckets)
-    return out, groups
+    cols, block = blocks.adjoint_product(b)
+    assert np.array_equal(np.sort(cols), np.arange(a.shape[1]))  # every column in one group
+    out[cols] = block
+    return out, len(blocks.rows)
 
 
 def _random_complex(shape, seed):
@@ -91,7 +90,7 @@ def _moved_blocks(ring, k):
 @pytest.mark.parametrize("d,k", [(5, 1), (3, 4), (7, 9)])
 def test_adjoint_product_blocks_on_identity_basis(d, k):
     # B_I has d nonzeros per column; the d columns of one (eta, j) share
-    # them, so its N/d groups of d x d make one bucket, read whole and read
+    # them, so its N/d groups of d x d have one shape, read whole and read
     # off slab 0 as certify_family reads it
     ring = ring_for_dimension(d)
     a = expand_basis(ring, np.eye(k * d))
@@ -100,11 +99,11 @@ def test_adjoint_product_blocks_on_identity_basis(d, k):
     assert groups == d * k
     assert np.abs(got - a.conj().T @ b).max() <= 1e-13
     blocks = _moved_blocks(ring, k)
-    [(rows, cols, adj)] = blocks.buckets
-    assert rows.shape == cols.shape == (d * k, d) and adj.shape == (d * k, d, d)
+    assert blocks.rows.shape == blocks.cols.shape == (d * k, d)
+    assert blocks.adj.shape == (d * k, d, d)
     assert blocks.shape == a.shape
-    for cols, block in blocks.adjoint_products(b):
-        assert np.abs(block - got[_slab_major(d, k, cols)]).max() <= 1e-13
+    cols, block = blocks.adjoint_product(b)
+    assert np.abs(block - got[_slab_major(d, k, cols)]).max() <= 1e-13
 
 
 @pytest.mark.parametrize("d,k", [(5, 1), (3, 4), (15, 1), (7, 9)])
@@ -115,19 +114,18 @@ def test_moved_blocks_are_the_full_read(d, k):
     ring = ring_for_dimension(d)
     full = linalg.ColumnBlocks(expand_basis(ring, np.eye(k * d)))
     moved = _moved_blocks(ring, k)
-    [(rows, cols, adj)], [(m_rows, m_cols, m_adj)] = full.buckets, moved.buckets
-    at = {tuple(c): g for g, c in enumerate(cols.tolist())}
-    g = np.array([at[tuple(c)] for c in _slab_major(d, k, m_cols).tolist()])
+    at = {tuple(c): g for g, c in enumerate(full.cols.tolist())}
+    g = np.array([at[tuple(c)] for c in _slab_major(d, k, moved.cols).tolist()])
     assert np.array_equal(np.sort(g), np.arange(len(g)))
-    assert np.array_equal(m_rows, rows[g])
-    assert np.array_equal(m_adj.view(np.int64), adj[g].view(np.int64))
+    assert np.array_equal(moved.rows, full.rows[g])
+    assert np.array_equal(moved.adj.view(np.int64), full.adj[g].view(np.int64))
     x = _random_complex((k * d * d, 6), seed=d * k)
     want = np.zeros((k * d * d, 6), dtype=complex)
     got = np.zeros_like(want)
-    for ids, block in full.adjoint_products(x):
-        want[ids] = block
-    for ids, block in moved.adjoint_products(x):
-        got[_slab_major(d, k, ids)] = block
+    ids, block = full.adjoint_product(x)
+    want[ids] = block
+    ids, block = moved.adjoint_product(x)
+    got[_slab_major(d, k, ids)] = block
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -137,12 +135,14 @@ def test_adjoint_product_blocks_dense_is_one_group():
     assert groups == 1
     assert np.abs(got - a.conj().T @ b).max() <= 1e-13
     with pytest.raises(ValueError, match="need 12 rows"):
-        list(linalg.ColumnBlocks(a).adjoint_products(b[:11]))
-    with pytest.raises(ValueError, match="need a matrix"):
-        linalg.ColumnBlocks(a[0])
+        linalg.ColumnBlocks(a).adjoint_product(b[:11])
+    for empty in (a[0], a[:, :0], a[:0, :0]):
+        with pytest.raises(ValueError, match="need a matrix"):
+            linalg.ColumnBlocks(empty)
 
 
 def test_adjoint_product_blocks_mixed_supports_and_a_zero_column():
+    # groups of several shapes are held as one dense group
     a = _random_complex((6, 7), seed=3)
     a[:3, 0] = 0      # support {3, 4, 5}
     a[:3, 4] = 0      # the same support as column 0
@@ -151,7 +151,7 @@ def test_adjoint_product_blocks_mixed_supports_and_a_zero_column():
     a[:, 6] = 0       # no support at all
     b = _random_complex((6, 4), seed=4)
     got, groups = _assemble(a, b)
-    assert groups == 5
+    assert groups == 1
     assert np.abs(got - a.conj().T @ b).max() <= 1e-13
     assert not got[6].any()
 
@@ -174,7 +174,7 @@ def test_row_groups_read_each_row_off_its_one_group(d, k):
     a = expand_basis(ring, np.eye(k * d))
     blocks = linalg.ColumnBlocks(a)
     group, lo, hi = blocks.row_groups()
-    [(_, cols, _)] = blocks.buckets
+    cols = blocks.cols
     for r in range(a.shape[0]):
         squares = np.abs(a[r, cols[group[r]]]) ** 2
         assert np.isclose(lo[r], squares.min(), rtol=1e-15, atol=0)
@@ -185,8 +185,9 @@ def test_row_groups_read_each_row_off_its_one_group(d, k):
 
 
 def test_row_groups_need_rows_that_lie_in_one_group():
-    # a dense matrix is one group holding every row; two groups of one shape
-    # that share row 1 and miss row 3, or groups of two shapes, are refused
+    # a dense matrix is one group holding every row, and so are groups of
+    # two shapes; two groups of one shape that share row 1 and miss row 3
+    # are refused
     a = _random_complex((4, 4), seed=3)
     group, lo, hi = linalg.ColumnBlocks(a).row_groups()
     squares = np.abs(a) ** 2
@@ -197,5 +198,6 @@ def test_row_groups_need_rows_that_lie_in_one_group():
     with pytest.raises(ValueError, match="partition"):
         linalg.ColumnBlocks(overlapping).row_groups()
     two_shapes = np.array([[1, 0], [0, 1], [0, 1]], dtype=complex)
-    with pytest.raises(ValueError, match="single bucket"):
-        linalg.ColumnBlocks(two_shapes).row_groups()
+    group, lo, hi = linalg.ColumnBlocks(two_shapes).row_groups()
+    assert not group.any() and group.shape == (3,)
+    assert np.array_equal(lo, [0, 0, 0]) and np.array_equal(hi, [1, 1, 1])

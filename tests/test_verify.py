@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mumeb import construct, fields, linalg, verify
+from mumeb import construct, fields, linalg, mols, verify
 from mumeb.cli import main
 from mumeb.construct import (MEBFamily, expand_basis, family_cd, family_ckd,
                              family_ckd_mols, fourier_unitary,
@@ -105,9 +105,9 @@ def test_basis_deviations_subtract_the_identity_at_the_chunk_columns():
     ring = ring_for_dimension(3)
     b_id = _identity_blocks(ring, 12)
     slab = _slab_zero_of(ring, np.eye(12))  # the columns (xi, 0, j) of B_I
-    ortho, ent = verify._basis_deviations(b_id, np.eye(12), slab)
+    ortho, ent = _basis_figures(b_id, np.eye(12), slab)
     assert ortho <= 1e-15 and ent <= 1e-15
-    ortho, _ = verify._basis_deviations(b_id, np.eye(12), slab[:, [2, 1, 0] + list(range(3, 12))])
+    ortho, _ = _basis_figures(b_id, np.eye(12), slab[:, [2, 1, 0] + list(range(3, 12))])
     assert ortho >= 0.9
 
 
@@ -890,8 +890,8 @@ def test_an_array_changed_in_place_is_sorted_again(empty_memo, layout, change, s
     assert got != first
 
 
-def test_a_negative_zero_fails_the_bit_test(empty_memo, monkeypatch):
-    # u + 0.0 clears the -0.0, so the value stays; the recall must still miss
+def test_a_negative_zero_is_recalled(empty_memo, monkeypatch):
+    # u + 0.0 clears the -0.0, so the canonical form stays and is recalled
     ring = ring_for_dimension(5)
     u, v = permutation_unitary(ring, 2).astype(complex), v_unitary(ring, 3)
     calls = _count_canonical(monkeypatch)
@@ -899,8 +899,20 @@ def test_a_negative_zero_fails_the_bit_test(empty_memo, monkeypatch):
     assert criterion_check(ring, 1, u, v) == first and len(calls) == 2
     u.flat[np.flatnonzero(u == 0)[0]] = -0.0
     got = criterion_check(ring, 1, u, v)
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert _bits([got]) == _bits([_cold(empty_memo, ring, 1, u, v)]) == _bits([first])
+
+
+def test_an_array_holding_a_nan_is_sorted_on_every_call(empty_memo, monkeypatch):
+    # a NaN never compares equal, so u never matches its canonical form
+    ring = ring_for_dimension(5)
+    u, v = random_unitary(5, 1), random_unitary(5, 2)
+    u[1, 2] = np.nan
+    calls = _count_canonical(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        got = [criterion_check(ring, 1, u, v) for _ in range(3)]
+    assert np.isnan(got).all()
+    assert len(calls) == 3 + 1  # u on every call, v once
 
 
 @pytest.mark.parametrize("convert", [lambda m: m, lambda m: m.tolist()], ids=["real", "list"])
@@ -940,7 +952,7 @@ def test_each_generator_is_sorted_once(empty_memo, monkeypatch):
     assert len(pairs) == 630 and len(calls) == len(mats) == 36
     mats[5].flat[np.flatnonzero(mats[5] == 0)[0]] = -0.0  # same value, other bits
     assert [criterion_check(fam.ring, fam.k, mats[i], mats[j]) for i, j in pairs] == want
-    assert len(calls) == 36 + 35  # a -0.0 never matches C, so each pair of U_5 sorts it
+    assert len(calls) == 36  # U_5 + 0.0 is still C_5[p_5], so U_5 is recalled
 
 
 def test_the_memo_holds_no_copy_of_a_generator(empty_memo):
@@ -1111,7 +1123,7 @@ def test_single_row_blocks_give_the_extremes_of_all_their_products(d):
     fam = family_cd(d)
     b_id = linalg.ColumnBlocks(expand_basis(fam.ring, np.eye(d)))
     group = b_id.row_groups()[0]
-    [(_, cols, _)] = b_id.buckets
+    cols = b_id.cols
     n = d * d
     a = expand_basis(fam.ring, np.eye(d))
     entries = a[np.arange(n)[:, None], cols[group]]  # each row on its group's columns
@@ -1231,16 +1243,16 @@ def test_a_w_holding_nan_never_passes(monkeypatch, where):
 
 
 def test_brute_force_extremes_keep_a_nan():
-    # basis_a has two buckets, columns 0 and 1 on one row each and columns
-    # 2 and 3 on rows 2 and 3, and the NaN sits in row 3 of basis_b, which
-    # only the later product block meets: the running extremes must not
-    # pass it over
+    # columns 0 and 1 of basis_a lie on one row each and columns 2 and 3 on
+    # rows 2 and 3, groups of two shapes, so basis_a is one dense group; the
+    # NaN sits in row 3 of basis_b, and the extremes must not pass it over
     a = np.eye(4, dtype=complex)
     a[2:, 2:] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     b = np.eye(4, dtype=complex)
     b[3, 0] = np.nan
     blocks = linalg.ColumnBlocks(a)
-    assert [np.isnan(block).any() for _, block in blocks.adjoint_products(b)] == [False, True]
+    assert blocks.adj.shape == (1, 4, 4)
+    assert np.isnan(blocks.adjoint_product(b)[1]).sum() == 4  # 0 * NaN is NaN: column 0 of every row
     lo, hi = bruteforce_unbiased(blocks, b)
     assert np.isnan(lo) and np.isnan(hi)
     lo, hi = bruteforce_unbiased(a, b)
@@ -1393,6 +1405,11 @@ def _slab_zero_of(ring, u):
     return verify._slab_zero(ring, u, {"slabs_checked": 0})
 
 
+def _basis_figures(b_id, u, slab):
+    """verify._basis_deviations of B_U itself, the trivial factor A = [1]."""
+    return verify._basis_deviations(b_id, u, slab, np.ones((1, 1)), np.ones(1))
+
+
 def _identity_blocks(ring, size):
     """The column blocks of the identity basis of C^d (x) C^size as
     certify_family builds them: slab 0 and the row moves to the others."""
@@ -1419,7 +1436,7 @@ def test_slab_zero_figures_match_the_full_stream(build, n_dense):
     full = basis_figures_per_basis(MEBFamily(fam.d, k, ring, [(str(i), u)
                                                               for i, u in enumerate(bases)]))
     for u, (_, ortho, ent) in zip(bases, full):
-        got = verify._basis_deviations(b_id, u, _slab_zero_of(ring, u))
+        got = _basis_figures(b_id, u, _slab_zero_of(ring, u))
         assert np.abs(np.subtract(got, (ortho, ent))).max() <= bound
     for w in dense:
         got = bruteforce_unbiased(b_id, _slab_zero_of(ring, w))
@@ -1445,6 +1462,32 @@ def test_identity_blocks_are_read_off_kd_columns(monkeypatch, build):
     kd = fam.k * fam.d
     assert len(shapes) == 1 and shapes[0][1] <= kd
     assert shapes[0][0] == shapes[0][1] * fam.d
+
+
+@pytest.mark.parametrize("build", [lambda: family_cd(19), lambda: family_ckd(3, 4),
+                                   lambda: family_ckd(15, 9)], ids=["19-1", "3-4", "15-9"])
+def test_certify_family_builds_column_blocks_of_one_square_shape(monkeypatch, build):
+    # B_I, and B_{I_d} of a factored family, is N/d groups of d x d
+    built = []
+
+    class Recording(linalg.ColumnBlocks):
+        def __init__(self, a, moves=None):
+            super().__init__(a, moves)
+            built.append(self)
+
+    monkeypatch.setattr(linalg, "ColumnBlocks", Recording)
+    fam = build()
+    assert certify_family(fam).passed
+    assert built
+    for blocks in built:
+        n = blocks.shape[0]
+        assert blocks.shape == (n, n) and blocks.adj.shape == (n // fam.d, fam.d, fam.d)
+
+
+def test_net_bases_have_column_blocks_of_one_square_shape():
+    # each basis of a MacNeish net of order 6 is 6 groups of 6 x 6, one per line
+    for basis in mols.mubs_from_net(mols.net_from_mols(mols.best_mols(6))):
+        assert linalg.ColumnBlocks(basis).adj.shape == (6, 6, 6)
 
 
 @pytest.mark.parametrize("d,k", [(5, 1), (3, 4), (9, 1), (7, 3)])
