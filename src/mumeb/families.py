@@ -10,16 +10,19 @@ A family repeats a few distinct numbers many times, so matrices are coded
 through a dictionary.  The writer encodes each distinct cell (by its 16
 bytes) and each distinct row once with json.dumps and joins the texts; the
 file holds the bytes json.dump(doc, fh, sort_keys=True) would write.  The
-loader's scanner reads the matrices of a file in exactly that layout,
-decoding each distinct row and cell text once and gathering the arrays with
-numpy.  The rest of the document goes through json.loads and
-family_from_dict, and a file the scanner does not fully recognise (other
-whitespace, integer cells, non-finite values, duplicate keys, ...) is
-parsed by json.loads alone, so both routes give the same family or the same
-error.
+loader's scanner reads the file as bytes, a piece at a time, and never
+holds the whole file or a decoded copy of it.  It reads the matrices of a
+file in exactly that layout, decoding each distinct row and cell text once
+and gathering the arrays with numpy.  The rest of the document goes
+through json.loads and family_from_dict.  A file the scanner does not fully
+recognise (other whitespace, integer cells, non-finite values, duplicate
+keys, bytes that are not UTF-8, ...) is read again from its start as text
+and parsed by json.loads alone, so both routes give the same family or the
+same error.
 """
 
 import cmath
+import io
 import json
 import re
 import time
@@ -201,10 +204,79 @@ def _reject_constant(name):
 # im], ...], ...]} with exactly these separators.  A cell literal must have a
 # fraction or an exponent: json reads an integer literal such as -0 as an
 # int, which float() would read differently.
-_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
-_CELL = re.compile(f"({_NUMBER}), ({_NUMBER})")
-_HEAD = re.compile(r'\{"d": -?[0-9]+, "generators": \[')
-_ENTRY = re.compile(r'\{"label": "(?:[^"\\]|\\.)*", "matrix": (?=\[\[\[)')
+_NUMBER = rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+_CELL = re.compile(b"(" + _NUMBER + b"), (" + _NUMBER + b")")
+_HEAD = re.compile(rb'\{"d": -?[0-9]+, "generators": \[')
+_ENTRY = re.compile(rb'\{"label": "(?:[^"\\]|\\.)*", "matrix": (?=\[\[\[)')
+_NEXT, _END = re.compile(rb"\}, "), re.compile(rb"\}\]")
+# the fixed start of each pattern: bytes that do not begin with it cannot
+# match, however many more are read
+_LEADS = {_HEAD: b'{"d": ', _ENTRY: b'{"label": "', _NEXT: b"}, ", _END: b"}]"}
+# the scanner reads a family file this many bytes at a time
+_CHUNK = 1 << 20
+
+
+class _Unread:
+    """The bytes of a binary file not yet taken: `buf` holds them from `pos`
+    on, and the file holds the rest."""
+
+    def __init__(self, fh):
+        self.fh, self.buf, self.pos = fh, b"", 0
+
+    def _drop(self):
+        """Take the bytes from pos and hold none."""
+        rest, self.buf, self.pos = self.buf[self.pos:], b"", 0
+        return rest
+
+    def match(self, pattern):
+        """Take the bytes `pattern` matches from pos, or None if it does not
+        match.  Until it matches, or the bytes held leave its fixed start,
+        they double, by at least _CHUNK, up to the end of the file.  For
+        these patterns a match on a prefix of the file is the match on the
+        whole file: each repeated part stops at a byte it cannot take."""
+        lead = _LEADS[pattern]
+        while True:
+            found = pattern.match(self.buf, self.pos)
+            if found:
+                self.pos = found.end()
+                return found[0]
+            if not self.buf.startswith(lead[:len(self.buf) - self.pos], self.pos):
+                return None
+            held = self._drop()
+            more = self.fh.read(max(len(held), _CHUNK))
+            self.buf = held + more
+            if not more:
+                return None
+
+    def until(self, token):
+        """Take the bytes from pos through the first `token`, or None if the
+        file has none.  Each chunk read is searched once, with the
+        len(token) - 1 bytes before it, and the parts are joined once."""
+        end = self.buf.find(token, self.pos)
+        if end >= 0:
+            start, self.pos = self.pos, end + len(token)
+            return self.buf[start:self.pos]
+        keep = len(token) - 1
+        parts = [self._drop()]
+        tail = parts[0][-keep:]
+        while True:
+            chunk = self.fh.read(_CHUNK)
+            if not chunk:
+                return None
+            found = (tail + chunk[:keep]).find(token)  # at the seam, else in the chunk
+            if found < 0 and (found := chunk.find(token)) >= 0:
+                found += len(tail)
+            if found >= 0:
+                end = found + len(token) - len(tail)
+                parts.append(memoryview(chunk)[:end])
+                self.buf, self.pos = chunk, end
+                return b"".join(parts)
+            parts.append(chunk)
+            tail = (tail + chunk[-keep:])[-keep:]
+
+    def rest(self):
+        """Take every byte left."""
+        return self._drop() + self.fh.read()
 
 
 def _unique_keys(pairs):
@@ -219,12 +291,12 @@ def _scan_matrix(span, rows, cells, values):
     unless it is square and in the writer's layout.  `rows` and `cells` map
     each row and cell text seen so far to its codes; a new cell's value is
     appended to `values`."""
-    row_texts = span[3:-3].split("]], [[")
+    row_texts = span[3:-3].split(b"]], [[")
     codes = []
     for text in row_texts:
         row = rows.get(text)
         if row is None:
-            parts = text.split("], [")
+            parts = text.split(b"], [")
             for part in set(parts).difference(cells):
                 match = _CELL.fullmatch(part)
                 if match is None:
@@ -238,56 +310,56 @@ def _scan_matrix(span, rows, cells, values):
     return np.array(codes)
 
 
-def _scan_generators(text, pos):
-    """(pieces, codes, values) for the generators list whose first entry
-    starts at `pos`, or None unless every entry is in the writer's layout:
-    the text with each matrix cut out and replaced by 0, in pieces; each
-    matrix's square array of cell codes; the distinct cell values.  The row
-    and cell dictionaries end with this call, before the arrays are built."""
-    last, pieces, codes = 0, [], []
-    rows, cells, values = {}, {}, []
+def _scan_generators(source, pieces):
+    """(codes, values) for the generators list whose first entry starts at
+    the unread bytes of `source`, or None unless every entry is in the
+    writer's layout: each matrix's square array of cell codes, and the
+    distinct cell values.  The bytes outside the matrices are appended to
+    `pieces`, each matrix replaced by 0.  The row and cell dictionaries end
+    with this call, before the arrays are built."""
+    codes, rows, cells, values = [], {}, {}, []
     while True:
-        entry = _ENTRY.match(text, pos)
-        if entry is None:
+        entry = source.match(_ENTRY)
+        span = entry and source.until(b"]]]")
+        if not span:
             return None
-        start, end = entry.end(), text.find("]]]", entry.end())
-        if end < 0:
+        codes.append(_scan_matrix(span, rows, cells, values))
+        close = source.match(_NEXT) or source.match(_END)
+        if codes[-1] is None or close is None:
             return None
-        end += 3
-        codes.append(_scan_matrix(text[start:end], rows, cells, values))
-        if codes[-1] is None:
-            return None
-        pieces += [text[last:start], "0"]
-        last = pos = end
-        if not text.startswith("}, ", pos):
+        pieces += [entry, b"0", close]
+        if close == b"}]":
             break
-        pos += 3
-    if not text.startswith("}]", pos):
-        return None
-    pieces.append(text[last:])
-    return pieces, codes, values
+    pieces.append(source.rest())
+    return codes, values
 
 
-def _scan_family(text):
-    """The family document in `text` with every matrix already decoded into
-    a complex array, or None unless the generators are laid out exactly as
-    save_family writes them, with finite entries and no duplicate key
-    anywhere.
+def _scan_family(fh):
+    """The family document in the binary file `fh` with every matrix already
+    decoded into a complex array, or None unless the generators are laid out
+    exactly as save_family writes them, with finite entries, no duplicate
+    key anywhere, and UTF-8 text.
 
-    Only the matrices are read here: each distinct row and cell text is
-    decoded once, and the arrays are gathered from the distinct values.
-    Everything else goes through json.loads with the matrices cut out, so
-    the result is json.loads's.  On None the caller parses the text with
-    json.loads, so every error reads as it would without the scanner."""
-    head = _HEAD.match(text)
-    scanned = head and _scan_generators(text, head.end())
+    The file is read in pieces of _CHUNK bytes, larger only while a long
+    entry needs them, and neither it nor a decoded copy of it is ever held
+    whole.  Only the matrices are read here, as
+    ASCII bytes: each distinct row and cell text is decoded once, and the
+    arrays are gathered from the distinct values.  Everything else is
+    decoded as strict UTF-8 and goes through json.loads with the matrices
+    cut out, so the result is json.loads's; each cut falls on an ASCII
+    byte, so it splits no UTF-8 sequence.  On None the caller reads the file
+    again as text and parses it with json.loads, so every error reads as it
+    would without the scanner."""
+    source = _Unread(fh)
+    pieces = [source.match(_HEAD)]
+    scanned = pieces[0] and _scan_generators(source, pieces)
     if not scanned:
         return None
-    pieces, codes, values = scanned
+    codes, values = scanned
     try:
-        payload = json.loads("".join(pieces), parse_constant=_reject_constant,
+        payload = json.loads(b"".join(pieces).decode("utf-8"), parse_constant=_reject_constant,
                              object_pairs_hook=_unique_keys)
-    except ValueError:
+    except ValueError:  # UnicodeDecodeError too
         return None
     table = np.array(values, dtype=float).view(complex).ravel()
     if not np.isfinite(table).all():
@@ -299,11 +371,14 @@ def _scan_family(text):
 
 def load_family(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        payload = _scan_family(text)
-        if payload is None:
-            payload = json.loads(text, parse_constant=_reject_constant)
+        with open(path, "rb") as fh:
+            if not fh.seekable():  # a pipe: hold its bytes, so they can be read twice
+                fh = io.BytesIO(fh.read())
+            payload = _scan_family(fh)
+            if payload is None:  # the json route reads the file again from its start, as text
+                fh.seek(0)
+                text = io.TextIOWrapper(fh, encoding="utf-8").read()
+                payload = json.loads(text, parse_constant=_reject_constant)
     except SchemaError:
         raise
     except json.JSONDecodeError as exc:

@@ -448,7 +448,7 @@ def _recall(u):
     serial, order, position = _recalled.get(id(u), (None, None, None))
     held = _canonicals.get(serial)
     if (held is not None and u.flags.c_contiguous and u.nbytes == len(held)
-            and np.array_equal(u.view(float), np.frombuffer(held).reshape(len(u), -1)[position])):
+            and (u.view(float) == np.frombuffer(held).reshape(len(u), -1)[position]).all()):
         _canonicals[serial] = _canonicals.pop(serial)
         return np.frombuffer(held, complex).reshape(u.shape), order, position, serial
     c, order, position = _canonical(u)

@@ -2,9 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import signal
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,7 +271,13 @@ def test_save_load_save_gives_the_same_bytes(tmp_path, build):
     save_family(loaded, second)
     texts = [_without_header(p.read_text(encoding="utf-8")) for p in (first, second)]
     assert texts[0] == texts[1]
-    assert families._scan_family(first.read_text(encoding="utf-8")) is not None
+    assert _scanned(first) is not None
+
+
+def _scanned(path):
+    """What the scanner makes of the file at `path`: the document, or None."""
+    with open(path, "rb") as fh:
+        return families._scan_family(fh)
 
 
 def _first(old, new):
@@ -331,7 +339,7 @@ def test_scanner_and_json_routes_agree(tmp_path, case):
     text = edit(path.read_text(encoding="utf-8"))
     assert text != path.read_text(encoding="utf-8") or case == "canonical"
     path.write_text(text, encoding="utf-8")
-    assert (families._scan_family(text) is not None) == scanned
+    assert (_scanned(path) is not None) == scanned
     assert load_outcome(load_family, path) == load_outcome(load_family_json, path)
 
 
@@ -341,14 +349,130 @@ def test_scanner_and_json_routes_agree(tmp_path, case):
 def test_scanner_reads_saved_families_bit_for_bit(tmp_path, build):
     path = tmp_path / "fam.json"
     save_family(build(), path)
-    assert families._scan_family(path.read_text(encoding="utf-8")) is not None
+    assert _scanned(path) is not None
     assert load_outcome(load_family, path) == load_outcome(load_family_json, path)
     # an indented copy is left to json.loads and matrix_from_json's cell loop
     indented = tmp_path / "indented.json"
     with open(path, encoding="utf-8") as src, open(indented, "w", encoding="utf-8") as fh:
         json.dump(json.load(src), fh, indent=1)
-    assert families._scan_family(indented.read_text(encoding="utf-8")) is None
+    assert _scanned(indented) is None
     assert load_outcome(load_family, indented) == load_outcome(load_family, path)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+def test_scanner_gives_the_same_verdicts_in_chunks_of_a_few_bytes(tmp_path, monkeypatch, chunk):
+    # every cut of the file into reads: the seams of "]]]" and of each entry
+    # fall at every offset, and no verdict or outcome moves
+    base = tmp_path / "base.json"
+    save_family(family_cd(3), base)
+    text = base.read_text(encoding="utf-8")
+    want = {}
+    for case, (edit, _) in LOADER_CASES.items():
+        path = tmp_path / f"{case}.json"
+        path.write_text(edit(text), encoding="utf-8")
+        want[case] = (_scanned(path) is not None, load_outcome(load_family, path))
+    monkeypatch.setattr(families, "_CHUNK", chunk)
+    for case, (_, scanned) in LOADER_CASES.items():
+        path = tmp_path / f"{case}.json"
+        assert (_scanned(path) is not None, load_outcome(load_family, path)) == want[case], case
+        assert want[case][0] == scanned, case
+
+
+@pytest.mark.parametrize("case", ["space-before-document", "reordered-top-keys",
+                                  "reordered-entry-keys", "newline-between-entries"])
+def test_scanner_stops_reading_where_the_layout_departs(tmp_path, monkeypatch, case):
+    # bytes that leave a pattern's fixed start cannot match, so the scanner
+    # gives up there rather than read on to the end of the file
+    edit, scanned = LOADER_CASES[case]
+    path = tmp_path / "edited.json"
+    save_family(family_cd(3), path)
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    monkeypatch.setattr(families, "_CHUNK", 16)
+    with open(path, "rb") as fh:
+        assert not scanned and families._scan_family(fh) is None
+        assert fh.tell() < path.stat().st_size // 2
+
+
+@pytest.mark.parametrize("build", [lambda: family_ckd(3, 4), lambda: family_ckd_mols(5, 4),
+                                   lambda: family_cd(15)], ids=["3-4", "5-4-mols", "15-1"])
+def test_saved_families_load_bit_for_bit_in_chunks_of_a_few_bytes(tmp_path, monkeypatch, build):
+    path = tmp_path / "fam.json"
+    save_family(build(), path)
+    want = load_outcome(load_family_json, path)
+    monkeypatch.setattr(families, "_CHUNK", 5)
+    assert _scanned(path) is not None
+    assert load_outcome(load_family, path) == want
+
+
+def test_long_label_holding_brackets_across_a_read_is_scanned(tmp_path, monkeypatch):
+    # the odd-label case with 100 more "]": its entry is longer than the
+    # first bytes the scanner holds, so it reads on until the entry matches
+    edit, _ = LOADER_CASES["odd-label"]
+    path = tmp_path / "odd.json"
+    save_family(family_cd(3), path)
+    text = edit(path.read_text(encoding="utf-8")).replace('⊗"', "⊗" + "]" * 100 + '"', 1)
+    path.write_text(text, encoding="utf-8")
+    data = path.read_bytes()
+    brackets = data.index(b"U]]]")
+    assert data.index(b"]]]") == brackets + 1  # the label's come before any matrix's
+    want = load_outcome(load_family_json, path)
+    for cut in range(brackets + 1, brackets + 5):  # a read ends before, inside and after them
+        monkeypatch.setattr(families, "_CHUNK", cut)
+        assert _scanned(path) is not None, cut
+        assert load_outcome(load_family, path) == want, cut
+
+
+def test_crlf_file_reads_as_text_does(tmp_path):
+    # the scanner reads bytes, where "\r\n" is two characters; the json route
+    # reads text with universal newlines, where it is one
+    path = tmp_path / "crlf.json"
+    save_family(family_cd(3), path)
+    data = path.read_bytes()
+    data = data.replace(b', "k": ', b',\r\n"k": ').replace(b"}\n", b"}\r\n")
+    path.write_bytes(data)
+    assert _scanned(path) is not None
+    assert load_outcome(load_family, path) == load_outcome(load_family_json, path)
+    path.write_bytes(data + b"x")
+    assert _scanned(path) is None
+    outcome = load_outcome(load_family, path)
+    assert outcome == load_outcome(load_family_json, path)
+    assert outcome[1].startswith("not valid JSON: Extra data: line 3 column 1")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("indent", [None, 1], ids=["scanned", "json-route"])
+def test_family_is_read_from_a_pipe(tmp_path, indent):
+    # a pipe cannot be read twice, so the json route gets the bytes the
+    # scanner held
+    path = tmp_path / "fam.json"
+    save_family(family_cd(3), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    data = (json.dumps(doc, sort_keys=True, indent=indent) + "\n").encode()
+    path.write_bytes(data)
+    read, write = os.pipe()
+    try:
+        os.write(write, data)  # a few KB, within the pipe's buffer
+        os.close(write)
+        outcome = load_outcome(load_family, f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+    assert outcome == load_outcome(load_family_json, path)
+
+
+def test_load_holds_no_copy_of_the_file(tmp_path):
+    # the 6.25 MB file of family_cd(49) holds 3.69 MB of generators; reading
+    # the whole text held the file twice over (bytes and str) as well
+    path = tmp_path / "fam.json"
+    save_family(family_cd(49), path)
+    tracemalloc.start()
+    try:
+        fam = load_family(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    generator_bytes = sum(mat.nbytes for _, mat in fam.generators)
+    assert path.stat().st_size > 6_000_000 and generator_bytes > 3_600_000
+    assert peak < generator_bytes + 2 * 2 ** 20, (peak, generator_bytes)
 
 
 def test_matrix_from_json_keeps_every_bit_of_each_entry():
