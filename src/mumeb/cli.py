@@ -14,6 +14,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import bounds, construct, families, fields, mols, verify
 
 
@@ -221,10 +223,8 @@ def _cmd_mols(args):
     x, k = net.x, net.x ** 2
     bases = mols.mubs_from_net(net)
     target = 1.0 / x
-    worst = 0.0
-    for a, b in itertools.combinations(bases, 2):
-        lo, hi = verify.bruteforce_unbiased(a, b)
-        worst = max(worst, verify.deviation(lo, hi, target))
+    worst = float(np.max([verify.deviation(*verify.bruteforce_unbiased(a, b), target)
+                          for a, b in itertools.combinations(bases, 2)], initial=0.0))  # NaN stays
     if args.out:
         families.write_json(args.out, {"k": k, "x": x, "n_bases": len(bases)}, "bases",
                             families.matrix_texts(bases))

@@ -18,16 +18,40 @@ from . import fields
 from .fields import FiniteField, GaloisRing
 
 
+def frozen(a):
+    """a's values as a C-contiguous complex array over an immutable bytes
+    object, or a itself when it is one already (is_frozen).  Numpy refuses
+    to make such an array, or any view of it, writeable, so its values can
+    never change."""
+    if is_frozen(a):
+        return a
+    a = np.asarray(a, dtype=complex)
+    return np.frombuffer(a.tobytes(), complex).reshape(a.shape)
+
+
+def is_frozen(a):
+    """Whether a is a C-contiguous complex array whose memory is a bytes
+    object, as frozen returns it."""
+    if not isinstance(a, np.ndarray) or a.dtype != complex or not a.flags.c_contiguous:
+        return False
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return type(a) is bytes
+
+
 class MEBFamily:
     """A labeled set of generator unitaries plus construction metadata.
 
-    Shapes and labels are checked here; unitarity only in certify_family."""
+    Each generator is held frozen (read-only over immutable bytes, see
+    frozen), so its values never change; the builders here freeze each one
+    as they make it, and an array that arrives writeable is copied.  Shapes
+    and labels are checked here; unitarity only in certify_family."""
 
     def __init__(self, d, k, ring, generators, metadata=None):
         self.d = d
         self.k = k
         self.ring = ring
-        self.generators = [(label, np.asarray(mat, dtype=complex)) for label, mat in generators]
+        self.generators = [(label, frozen(mat)) for label, mat in generators]
         self.metadata = dict(metadata or {})
         if ring.d != d:
             raise ValueError(f"ring size {ring.d} does not match d={d}")
@@ -139,9 +163,9 @@ def family_cd(d):
     s_set = fields.unit_difference_set(ring)
     gens = []
     for a in s_set:
-        gens.append((f"U(a={a})", permutation_unitary(ring, a)))
+        gens.append((f"U(a={a})", frozen(permutation_unitary(ring, a))))
     for a in s_set:
-        gens.append((f"V(a={a})", v_unitary(ring, a)))
+        gens.append((f"V(a={a})", frozen(v_unitary(ring, a))))
     meta = {
         "construction": "gauss-dd",
         "s_indices": s_set,
@@ -213,7 +237,7 @@ def _tensor_family(d, k, block, n_k, prefix, meta):
     called only for those t.  The metadata is family_cd's, overridden by
     `meta`."""
     base = family_cd(d)
-    gens = [(f"{prefix}_{t}⊗{label}", np.kron(block(t), u))
+    gens = [(f"{prefix}_{t}⊗{label}", frozen(np.kron(block(t), u)))
             for t, (label, u) in enumerate(base.generators[:n_k])]
     return MEBFamily(base.d, k, base.ring, gens, {**base.metadata, **meta})
 

@@ -13,7 +13,8 @@ file holds the bytes json.dump(doc, fh, sort_keys=True) would write.  The
 loader's scanner reads the file as bytes, a piece at a time, and never
 holds the whole file or a decoded copy of it.  It reads the matrices of a
 file in exactly that layout, decoding each distinct row and cell text once
-and gathering the arrays with numpy.  The rest of the document goes
+and gathering the arrays with numpy, each frozen (construct.frozen) as it is
+gathered.  The rest of the document goes
 through json.loads and family_from_dict.  A file the scanner does not fully
 recognise (other whitespace, integer cells, non-finite values, duplicate
 keys, bytes that are not UTF-8, ...) is read again from its start as text
@@ -30,7 +31,7 @@ import time
 import numpy as np
 
 from . import __version__, fields
-from .construct import MEBFamily
+from .construct import MEBFamily, frozen
 
 
 class SchemaError(ValueError):
@@ -97,7 +98,7 @@ def _generator(entry, size):
     label = entry["label"]
     if not isinstance(label, str):
         raise SchemaError(f"generator label {label!r} is not a string")
-    return label, matrix_from_json(entry["matrix"], size, label)
+    return label, frozen(matrix_from_json(entry["matrix"], size, label))
 
 
 def family_from_dict(payload):
@@ -290,7 +291,9 @@ def _scan_matrix(span, rows, cells, values):
     """The cell codes of one matrix text [[[re, im], ...], ...], or None
     unless it is square and in the writer's layout.  `rows` and `cells` map
     each row and cell text seen so far to its codes; a new cell's value is
-    appended to `values`."""
+    appended to `values`.  A new row's codes take the smallest unsigned
+    dtype that indexes `values` as it then stands, and the matrix the
+    widest of its rows'."""
     row_texts = span[3:-3].split(b"]], [[")
     codes = []
     for text in row_texts:
@@ -303,7 +306,8 @@ def _scan_matrix(span, rows, cells, values):
                     return None
                 cells[part] = len(values)
                 values.append((float(match[1]), float(match[2])))
-            row = rows[text] = np.array([cells[part] for part in parts], dtype=np.intp)
+            row = rows[text] = np.array([cells[part] for part in parts],
+                                        dtype=np.min_scalar_type(len(values) - 1))
         if len(row) != len(row_texts):
             return None
         codes.append(row)
@@ -365,7 +369,7 @@ def _scan_family(fh):
     if not np.isfinite(table).all():
         return None
     for i, entry in enumerate(payload["generators"]):
-        entry["matrix"], codes[i] = table[codes[i]], None  # free each code array once used
+        entry["matrix"], codes[i] = frozen(table[codes[i]]), None  # free each code array once used
     return payload
 
 

@@ -221,24 +221,25 @@ one that is dropped takes every class naming it; at most 8 kd classes are
 held, 8 kd bytes of key each.  The 12,720 pairs of family_cd(81) fall into
 238 classes.
 
-The canonical form of each input array is recalled as well, so a family
-loop sorts each generator once, not once per pair: the last
-(serial, order, p) found for an array is kept under its id, and reused when
-the canonical matrix C under that serial is still held, the array is
-C-contiguous of C's size, and its entries, read as float64, equal those of
-C[p].  That reuse is exact.  C holds no -0.0, since +-0 + 0.0 = +0.0 under
-round-to-nearest.  So for entries that are not NaN, U = C[p] as floats
-gives U + 0.0 = C[p] bit for bit: equal nonzero floats have equal bits,
-and a +-0 of U becomes the +0.0 that C holds.  A stable sort of equal
-bytes gives the same order, so _canonical(U) would return exactly
-(C, order, p), the key is the same, and so is the deviation.  A NaN never
-compares equal, so an array holding one is sorted on every call; so is an
-array written in place to other values, and a new array that took a freed
-one's id unless it has the same values, while a -0.0 over a +0.0 is
-recalled.  A record holds no copy of the array, only 2 kd indices; at
-most 8 kd are held, the oldest dropped first, and a canonical matrix that
-is dropped takes every record naming it.  A hit costs one row
-gather of C and one comparison; a miss sorts the rows, compares C with the
+The canonical form of each frozen input (construct.is_frozen: a
+C-contiguous complex array over an immutable bytes object, as every
+generator of an MEBFamily is) is recalled as well, so a family loop sorts
+each generator once, not once per pair.  The (serial, order, p) found for
+it is recorded under its id with a weak reference to it, and a call whose
+input is that very object, the reference resolving to it, reuses them
+without reading a value.  That reuse is exact: the bytes under a frozen
+array cannot change, and numpy refuses to make it or any view of it
+writeable; is_frozen and the shape check hold on every call, so the object
+still reads those bytes as the same C-contiguous kd x kd complex array;
+and the weak reference proves the object is the one recorded, not a new
+one that took a freed one's id.  So u + 0.0 and its stable sort are what
+they were, and _canonical(u) would return exactly (C, order, p).  When C
+has been dropped since, it is held again as (u + 0.0)[order], the same
+bits by the same argument, gathered without a sort.  Every other input is
+sorted on every call.  A record holds no copy of the array, only 2 kd
+indices; at most 8 kd are held, the oldest dropped first, and no weak
+reference has a callback, so all memo state changes under one lock.  A
+hit costs a dictionary lookup; a miss sorts the rows, compares C with the
 matrices held and, for a new class, forms W and its sums.
 """
 
@@ -247,6 +248,7 @@ import functools
 import itertools
 import threading
 import time
+import weakref
 import zlib
 
 import numpy as np
@@ -390,10 +392,10 @@ def criterion_magnitudes(ring, w):
 
 # The pair-class memo of criterion_check (module docstring): the bytes of
 # the canonical matrices held, least recently used first, by serial number;
-# the (serial, order, position) last found for each input array, by id,
-# oldest first; and the deviation of each class (ring, k, serial of C_U,
-# serial of C_V, rel.tobytes()), oldest first.  One lock guards all three
-# across threads.
+# the (weak reference, serial, order, position) recorded for each frozen
+# input array, by id, oldest first; and the deviation of each class (ring,
+# k, serial of C_U, serial of C_V, rel.tobytes()), oldest first.  One lock
+# guards all three across threads.
 _CANONICAL_LIMIT = 4
 _canonicals = {}
 _recalled = {}
@@ -417,9 +419,9 @@ def _canonical(u):
 def _slot(c):
     """The serial of the held canonical matrix equal to c bit for bit, which
     becomes the most recently used; else c is held under a new serial, and
-    the least recently used matrix is dropped, with every class and recalled
-    array naming it, once _CANONICAL_LIMIT are held.  Each comparison is one
-    memcmp of bytes."""
+    the least recently used matrix is dropped, with every class naming it,
+    once _CANONICAL_LIMIT are held.  A record naming it stays (_recall).
+    Each comparison is one memcmp of bytes."""
     c = c.tobytes()
     for serial, held in reversed(_canonicals.items()):
         if held == c:
@@ -430,8 +432,6 @@ def _slot(c):
         del _canonicals[dropped]
         for key in [key for key in _pair_memo if dropped in key[2:4]]:
             del _pair_memo[key]
-        for key in [key for key, entry in _recalled.items() if entry[0] == dropped]:
-            del _recalled[key]
     serial = next(_serials)
     _canonicals[serial] = c
     return serial
@@ -440,23 +440,28 @@ def _slot(c):
 def _recall(u):
     """(C, order, position, serial) of u, as _canonical and _slot give them.
 
-    They are recalled when u, complex128, is the array last seen under its
-    id and still has its values: C is held, u is C-contiguous of C's size,
-    and u equals C[position] as float64 entries (module docstring).  Else
-    they are computed and recorded, the oldest record dropped once 8 kd are
-    held.  Call under _memo_lock."""
-    serial, order, position = _recalled.get(id(u), (None, None, None))
-    held = _canonicals.get(serial)
-    if (held is not None and u.flags.c_contiguous and u.nbytes == len(held)
-            and (u.view(float) == np.frombuffer(held).reshape(len(u), -1)[position]).all()):
-        _canonicals[serial] = _canonicals.pop(serial)
-        return np.frombuffer(held, complex).reshape(u.shape), order, position, serial
-    c, order, position = _canonical(u)
+    They are recalled when u is frozen (construct.is_frozen) and the record
+    under its id refers to u itself, and C is held again as
+    (u + 0.0)[order] if it was dropped (module docstring).  Else they are
+    computed, and recorded for a frozen u, the oldest record dropped once
+    8 kd are held.  Call under _memo_lock."""
+    frozen = construct.is_frozen(u)
+    record = _recalled.get(id(u)) if frozen else None
+    if record is not None and record[0]() is u:
+        _, serial, order, position = record
+        held = _canonicals.get(serial)
+        if held is not None:
+            _canonicals[serial] = _canonicals.pop(serial)
+            return np.frombuffer(held, complex).reshape(u.shape), order, position, serial
+        c = (u + 0.0)[order]
+    else:
+        c, order, position = _canonical(u)
     serial = _slot(c)
-    _recalled.pop(id(u), None)
-    if len(_recalled) >= 2 * _CANONICAL_LIMIT * len(u):
-        del _recalled[next(iter(_recalled))]
-    _recalled[id(u)] = (serial, order, position)
+    if frozen:
+        _recalled.pop(id(u), None)
+        if len(_recalled) >= 2 * _CANONICAL_LIMIT * len(u):
+            del _recalled[next(iter(_recalled))]
+        _recalled[id(u)] = (weakref.ref(u), serial, order, position)
     return c, order, position, serial
 
 
@@ -467,9 +472,10 @@ def criterion_check(ring, k, u, v):
     U^dag V = C_U^dag C_V[rel], rel = p_V[order_U], up to the order of
     summation.  The sums are those of that canonical product, computed once
     per class (ring, k, C_U, C_V, rel) and then recalled, so a repeated class
-    returns the bits of its first call.  The canonical form of an array is
-    recalled too while its values are unchanged, which gives exactly the
-    (C, order, p) that sorting its rows again would (module docstring)."""
+    returns the bits of its first call.  The canonical form of a frozen
+    array (construct.frozen), such as a family's generator, is recalled
+    too, which gives exactly the (C, order, p) that sorting its rows again
+    would (module docstring); any other array is sorted on every call."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     kd = k * ring.d

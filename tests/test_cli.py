@@ -282,6 +282,16 @@ def test_mols_net_and_mubs(tmp_path, capsys):
     assert np.abs(overlaps - 1 / 3).max() < 1e-9
 
 
+def test_mols_mubs_exits_3_on_a_nan_deviation(capsys, monkeypatch):
+    # a NaN overlap must fail, not be folded away by max(0.0, nan) = 0.0
+    from mumeb import verify
+    calls = []
+    monkeypatch.setattr(verify, "bruteforce_unbiased",
+                        lambda a, b: calls.append(1) or (float("nan"), float("nan")))
+    code, out, _ = run(capsys, "mols", "mubs", "--x", "3")
+    assert code == 3 and "worst-overlap-dev=nan" in out and len(calls) == 6
+
+
 def test_gauss_command(capsys):
     code, out, _ = run(capsys, "gauss", "--d", "21")
     assert code == 0 and "max |sum - sqrt(d)|" in out

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mumeb
-from mumeb import families
+from mumeb import construct, families
 from mumeb.cli import main
 from mumeb.construct import MEBFamily, family_cd, family_ckd, family_ckd_mols
 from mumeb.families import (SchemaError, family_from_dict, load_family,
@@ -357,6 +357,64 @@ def test_scanner_reads_saved_families_bit_for_bit(tmp_path, build):
         json.dump(json.load(src), fh, indent=1)
     assert _scanned(indented) is None
     assert load_outcome(load_family, indented) == load_outcome(load_family, path)
+
+
+def _assert_read_only(family):
+    """Every generator is frozen: numpy refuses to write it or to make it,
+    or a view of it, writeable."""
+    for label, mat in family.generators:
+        assert construct.is_frozen(mat) and not mat.flags.writeable, label
+        for view in (mat, mat[1:], mat.T):
+            with pytest.raises(ValueError):
+                view.setflags(write=True)
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0.5
+
+
+@pytest.mark.parametrize("route", ["scanned", "json-route"])
+@pytest.mark.parametrize("build", [lambda: family_cd(5), lambda: family_ckd(3, 4),
+                                   lambda: family_ckd_mols(3, 4)],
+                         ids=["5-1", "3-4", "3-4-mols"])
+def test_every_builder_gives_read_only_generators(tmp_path, build, route):
+    family = build()
+    _assert_read_only(family)
+    path = tmp_path / "fam.json"
+    save_family(family, path)
+    if route == "json-route":
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(doc, indent=1), encoding="utf-8")
+    assert (_scanned(path) is not None) == (route == "scanned")
+    loaded = load_family(path)
+    _assert_read_only(loaded)
+    assert all(np.array_equal(a.view(np.uint8), b.view(np.uint8))
+               for (_, a), (_, b) in zip(family.generators, loaded.generators))
+
+
+def test_a_family_of_user_arrays_holds_read_only_copies():
+    ring = ring_for_dimension(3)
+    mine = [np.eye(3), np.eye(3, dtype=complex)[::-1], np.eye(3, dtype=complex).T]
+    family = MEBFamily(3, 1, ring, [(f"m{i}", m) for i, m in enumerate(mine)])
+    _assert_read_only(family)
+    for m, (_, held) in zip(mine, family.generators):
+        assert m.flags.writeable and np.array_equal(held, m)
+    again = MEBFamily(3, 1, ring, family.generators)  # frozen arrays are not copied
+    assert all(a is b for (_, a), (_, b) in zip(family.generators, again.generators))
+
+
+def test_scanned_cell_codes_take_the_smallest_unsigned_dtype(tmp_path, monkeypatch):
+    ring = ring_for_dimension(5)
+    rng = np.random.default_rng(7)
+    # a matrix of one distinct cell, then one of 400, past 256
+    family = MEBFamily(5, 4, ring, [("flat", np.full((20, 20), 0.5 + 0.0j)),
+                                   ("random", rng.standard_normal((20, 20)) + 0.5j)])
+    path = tmp_path / "fam.json"
+    save_family(family, path)
+    scan, codes = families._scan_matrix, []
+    monkeypatch.setattr(families, "_scan_matrix", lambda *a: codes.append(scan(*a)) or codes[-1])
+    loaded = load_family(path)
+    assert [c.dtype for c in codes] == [np.uint8, np.uint16]
+    assert all(np.array_equal(a.view(np.uint8), b.view(np.uint8))
+               for (_, a), (_, b) in zip(family.generators, loaded.generators))
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])

@@ -803,20 +803,21 @@ def test_each_ring_keeps_its_own_pair_classes(empty_memo):
 
 def test_the_memo_holds_at_most_four_canonical_matrices(empty_memo):
     ring = ring_for_dimension(5)
-    mats = [random_unitary(5, seed) for seed in range(10)]
+    mats = [construct.frozen(random_unitary(5, seed)) for seed in range(10)]
     want = {}
     for i, j in [*itertools.combinations(range(10), 2), (0, 1), (8, 9)]:
         dev = criterion_check(ring, 1, mats[i], mats[j])
         assert want.setdefault((i, j), dev) == dev
         assert len(verify._canonicals) <= verify._CANONICAL_LIMIT == 4
-        _assert_memo_names_held_matrices(kd=5)
-    assert len(verify._canonicals) == 4
+        _assert_memo_is_consistent(kd=5)
+    assert len(verify._canonicals) == 4 and len(verify._recalled) == 10
 
 
 def test_the_memo_holds_at_most_8_kd_pair_classes(empty_memo):
     ring = ring_for_dimension(5)
     u, v = random_unitary(5, 1), random_unitary(5, 2)
-    vs = [v[list(p)] for p in list(itertools.permutations(range(5)))[:60]]  # 60 live arrays
+    vs = [construct.frozen(v[list(p)])  # 60 live frozen arrays
+          for p in list(itertools.permutations(range(5)))[:60]]
     want = [criterion_check(ring, 1, u, w) for w in vs]
     assert len(verify._canonicals) == 2 and len(verify._pair_memo) == 8 * 5
     assert len(verify._recalled) == 8 * 5 and id(vs[0]) not in verify._recalled
@@ -846,16 +847,24 @@ def test_the_memo_holds_across_threads(empty_memo):
     finally:
         sys.setswitchinterval(interval)
     assert len(verify._canonicals) <= 4
-    _assert_memo_names_held_matrices(kd=12)
+    _assert_memo_is_consistent(kd=12)
 
 
-def _assert_memo_names_held_matrices(kd):
-    """No class or recalled array names a dropped canonical matrix, and at
-    most 8 kd arrays are recalled."""
+def _assert_memo_is_consistent(kd):
+    """No class names a dropped canonical matrix; at most 8 kd arrays are
+    recorded, and the record of each live one, a frozen array, holds the
+    order and position that sorting it gives, and its canonical matrix if
+    that is still held.  A record may name a dropped matrix."""
     assert all(key[2] in verify._canonicals and key[3] in verify._canonicals
                for key in verify._pair_memo)
-    assert all(serial in verify._canonicals for serial, _, _ in verify._recalled.values())
     assert len(verify._recalled) <= 8 * kd
+    for ref, serial, order, position in verify._recalled.values():
+        u = ref()
+        if u is not None:
+            c, want_order, want_position = verify._canonical(u)
+            assert construct.is_frozen(u)
+            assert np.array_equal(order, want_order) and np.array_equal(position, want_position)
+            assert verify._canonicals.get(serial, c.tobytes()) == c.tobytes()
 
 
 def _count_canonical(monkeypatch):
@@ -891,28 +900,52 @@ def test_an_array_changed_in_place_is_sorted_again(empty_memo, layout, change, s
 
 
 def test_a_negative_zero_is_recalled(empty_memo, monkeypatch):
-    # u + 0.0 clears the -0.0, so the canonical form stays and is recalled
+    # a frozen array holding a -0.0 is sorted once, and u + 0.0 clears the
+    # -0.0, so it gives the bits of the same array holding +0.0
     ring = ring_for_dimension(5)
-    u, v = permutation_unitary(ring, 2).astype(complex), v_unitary(ring, 3)
+    plain, v = permutation_unitary(ring, 2), construct.frozen(v_unitary(ring, 3))
+    signed = plain.copy()
+    signed.flat[np.flatnonzero(signed == 0)[0]] = -0.0
+    u = construct.frozen(signed)
     calls = _count_canonical(monkeypatch)
-    first = criterion_check(ring, 1, u, v)
-    assert criterion_check(ring, 1, u, v) == first and len(calls) == 2
-    u.flat[np.flatnonzero(u == 0)[0]] = -0.0
-    got = criterion_check(ring, 1, u, v)
+    got = [criterion_check(ring, 1, u, v) for _ in range(3)]
     assert len(calls) == 2
-    assert _bits([got]) == _bits([_cold(empty_memo, ring, 1, u, v)]) == _bits([first])
+    assert _bits(got) == 3 * _bits([_cold(empty_memo, ring, 1, u, v)]) \
+        == 3 * _bits([_cold(empty_memo, ring, 1, plain, v)])
 
 
 def test_an_array_holding_a_nan_is_sorted_on_every_call(empty_memo, monkeypatch):
-    # a NaN never compares equal, so u never matches its canonical form
+    # a writeable array is sorted on every call, a frozen one once
     ring = ring_for_dimension(5)
-    u, v = random_unitary(5, 1), random_unitary(5, 2)
+    u, v = random_unitary(5, 1), construct.frozen(random_unitary(5, 2))
     u[1, 2] = np.nan
     calls = _count_canonical(monkeypatch)
     with np.errstate(invalid="ignore"):
         got = [criterion_check(ring, 1, u, v) for _ in range(3)]
     assert np.isnan(got).all()
     assert len(calls) == 3 + 1  # u on every call, v once
+
+
+def test_a_frozen_array_holding_a_nan_is_sorted_once(empty_memo, monkeypatch):
+    ring = ring_for_dimension(5)
+    spoiled = random_unitary(5, 1)
+    spoiled[1, 2] = np.nan
+    u, v = construct.frozen(spoiled), construct.frozen(random_unitary(5, 2))
+    calls = _count_canonical(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        got = [criterion_check(ring, 1, u, v) for _ in range(3)]
+        cold = _cold(empty_memo, ring, 1, u, v)
+    assert np.isnan([*got, cold]).all()
+    assert len(calls) == 2 + 2  # u and v once, then the cold call's copies
+
+
+def test_a_writeable_array_is_sorted_on_every_call(empty_memo, monkeypatch):
+    ring = ring_for_dimension(5)
+    u, v = random_unitary(5, 1), random_unitary(5, 2)
+    calls = _count_canonical(monkeypatch)
+    got = [criterion_check(ring, 1, u, v) for _ in range(3)]
+    assert len(calls) == 2 * 3 and not verify._recalled
+    assert _bits(got) == 3 * _bits([_cold(empty_memo, ring, 1, u, v)])
 
 
 @pytest.mark.parametrize("convert", [lambda m: m, lambda m: m.tolist()], ids=["real", "list"])
@@ -943,6 +976,24 @@ def test_a_freed_array_whose_id_is_reused_is_sorted_again(empty_memo):
     assert got != first
 
 
+def test_a_freed_frozen_array_whose_id_is_reused_is_sorted_again(empty_memo, monkeypatch):
+    ring = ring_for_dimension(5)
+    u, v = construct.frozen(random_unitary(5, 1)), construct.frozen(random_unitary(5, 0))
+    first = criterion_check(ring, 1, u, v)
+    freed, other = id(u), random_unitary(5, 2).tobytes()
+    del u
+    # np.ndarray over bytes is a frozen array made as one object, so the
+    # freed id is free for it; construct.frozen makes two
+    pool = [np.ndarray((5, 5), complex, other) for _ in range(64)]
+    reused = [m for m in pool if id(m) == freed]
+    assert reused and construct.is_frozen(reused[0]), "no new frozen array took the freed id"
+    calls = _count_canonical(monkeypatch)
+    got = criterion_check(ring, 1, reused[0], v)
+    assert len(calls) == 1  # the record's weak reference is dead
+    assert _bits([got]) == _bits([_cold(empty_memo, ring, 1, reused[0], v)])
+    assert got != first
+
+
 def test_each_generator_is_sorted_once(empty_memo, monkeypatch):
     fam = family_cd(19)
     mats = [u for _, u in fam.generators]
@@ -950,9 +1001,24 @@ def test_each_generator_is_sorted_once(empty_memo, monkeypatch):
     pairs = list(itertools.combinations(range(len(mats)), 2))
     want = [criterion_check(fam.ring, fam.k, mats[i], mats[j]) for i, j in pairs]
     assert len(pairs) == 630 and len(calls) == len(mats) == 36
-    mats[5].flat[np.flatnonzero(mats[5] == 0)[0]] = -0.0  # same value, other bits
+    with pytest.raises(ValueError):
+        mats[5][0, 0] = 0.5  # a generator is read-only, so its record holds
     assert [criterion_check(fam.ring, fam.k, mats[i], mats[j]) for i, j in pairs] == want
-    assert len(calls) == 36  # U_5 + 0.0 is still C_5[p_5], so U_5 is recalled
+    assert len(calls) == 36
+
+
+def test_a_generator_is_sorted_once_past_the_four_matrix_limit(empty_memo, monkeypatch):
+    # 10 basis classes, 4 canonical matrices held: a dropped one is held
+    # again by the gather (u + 0.0)[order], without a sort
+    fam = family_ckd(25, 9)
+    mats = [u for _, u in fam.generators]
+    pairs = list(itertools.combinations(range(len(mats)), 2))
+    calls = _count_canonical(monkeypatch)
+    got = [criterion_check(fam.ring, fam.k, mats[i], mats[j]) for i, j in pairs]
+    assert len(pairs) == 45 and len(calls) == len(mats) == 10
+    assert _bits(got) == _bits([_cold(empty_memo, fam.ring, fam.k, mats[i], mats[j])
+                                for i, j in pairs])
+    assert max(got) <= 1e-12
 
 
 def test_the_memo_holds_no_copy_of_a_generator(empty_memo):
@@ -974,9 +1040,9 @@ def test_the_memo_holds_no_copy_of_a_generator(empty_memo):
     assert len(verify._canonicals) <= verify._CANONICAL_LIMIT
     assert all(len(c) == 16 * kd * kd for c in verify._canonicals.values())
     assert all(order.nbytes + position.nbytes == 16 * kd
-               for _, order, position in verify._recalled.values())
+               for _, _, order, position in verify._recalled.values())
     assert len(verify._recalled) == 36 and len(verify._pair_memo) == 52
-    per_entry = 16 * kd + 512  # two index arrays, or one key of 8 kd bytes, with their objects
+    per_entry = 16 * kd + 512  # two index arrays and a weak reference, or one key of 8 kd bytes
     bound = verify._CANONICAL_LIMIT * 16 * kd * kd + (36 + 52) * per_entry
     assert held <= bound < 36 * 16 * kd * kd / 2, (held, bound)
 
