@@ -153,26 +153,45 @@ def expand_basis(ring, u):
     return basis
 
 
-def family_cd(d):
-    """The 2(q_1 - 1) pairwise-unbiased generators of C^d (x) C^d for odd d.
+def _stacked(rows, order):
+    """The frozen (is_frozen) matrix whose i-th row is rows[order[i]], for
+    equally long C-contiguous complex rows: one bytes join of them, so one
+    copy."""
+    data = b"".join([rows[i] for i in order])
+    return np.frombuffer(data, complex).reshape(len(order), -1)
 
-    Half are multiplication permutations U(a) and half their Fourier twists
-    V(a) = U(a) W, with a running over the aligned-unit set S.
-    """
+
+def _gauss_generators(d):
+    """The ring and metadata of family_cd(d), its kernels [I, W], and
+    (label, kernel position, p) for each of its generators, which is
+    kernel[p]: U(a) = I[p_a] and V(a) = W[p_a] (see v_unitary), with
+    p_a = index(a*r) over r, for a in the aligned-unit set S.  W is computed
+    once, and every p_a in one call."""
     ring = fields.ring_for_dimension(d)
     s_set = fields.unit_difference_set(ring)
-    gens = []
-    for a in s_set:
-        gens.append((f"U(a={a})", frozen(permutation_unitary(ring, a))))
-    for a in s_set:
-        gens.append((f"V(a={a})", frozen(v_unitary(ring, a))))
+    perms = fields.mul_index_vector(ring, np.array(s_set)[:, None]).tolist()
     meta = {
         "construction": "gauss-dd",
         "s_indices": s_set,
         "unitarity_tol": 1e-9,
         "vector_order": "(xi,eta,j) lexicographic",
     }
-    return MEBFamily(ring.d, 1, ring, gens, meta)
+    kernels = [np.eye(ring.d, dtype=complex), fourier_unitary(ring)]
+    return ring, meta, kernels, [(f"{name}(a={a})", i, p) for i, name in enumerate("UV")
+                                 for a, p in zip(s_set, perms)]
+
+
+def family_cd(d):
+    """The 2(q_1 - 1) pairwise-unbiased generators of C^d (x) C^d for odd d.
+
+    Half are multiplication permutations U(a) and half their Fourier twists
+    V(a) = U(a) W, with a running over the aligned-unit set S.  Each is built
+    frozen, as a join of its kernel's rows.
+    """
+    ring, meta, kernels, labelled = _gauss_generators(d)
+    rows = [list(kernel) for kernel in kernels]  # each row view made once
+    return MEBFamily(ring.d, 1, ring, [(label, _stacked(rows[i], p)) for label, i, p in labelled],
+                     meta)
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +252,17 @@ def b_tensor(k, j, factors=None):
 
 def _tensor_family(d, k, block, n_k, prefix, meta):
     """The first min{n_k, 2(q_1 - 1)} generators block(t) (x) U_t of
-    C^d (x) C^kd, U_t running over family_cd; block(t) is the k x k side,
-    called only for those t.  The metadata is family_cd's, overridden by
-    `meta`."""
-    base = family_cd(d)
-    gens = [(f"{prefix}_{t}⊗{label}", frozen(np.kron(block(t), u)))
-            for t, (label, u) in enumerate(base.generators[:n_k])]
-    return MEBFamily(base.d, k, base.ring, gens, {**base.metadata, **meta})
+    C^d (x) C^kd, U_t = kernel[p] running over family_cd; block(t) is the
+    k x k side, called only for those t.  Row i d + r of block(t) (x) U_t is
+    row i d + p[r] of block(t) (x) kernel, so each generator is built frozen
+    as a join of that product's rows.  The metadata is family_cd's,
+    overridden by `meta`."""
+    ring, base_meta, kernels, labelled = _gauss_generators(d)
+    gens = []
+    for t, (label, i, p) in enumerate(labelled[:n_k]):
+        order = (np.arange(0, k * d, d)[:, None] + p).ravel().tolist()
+        gens.append((f"{prefix}_{t}⊗{label}", _stacked(np.kron(block(t), kernels[i]), order)))
+    return MEBFamily(ring.d, k, ring, gens, {**base_meta, **meta})
 
 
 def family_ckd(d, k):

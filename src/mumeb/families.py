@@ -7,11 +7,11 @@ version) and is excluded from determinism comparisons; everything else is
 written with sorted keys so equal payloads are byte-identical.
 
 A family repeats a few distinct numbers many times, so matrices are coded
-through a dictionary.  The writer encodes each distinct cell (by its 16
-bytes) and each distinct row once with json.dumps and joins the texts; the
-file holds the bytes json.dump(doc, fh, sort_keys=True) would write.  The
-loader's scanner reads the file as bytes, a piece at a time, and never
-holds the whole file or a decoded copy of it.  It reads the matrices of a
+through a dictionary.  The writer encodes each distinct cell (by the bits
+of its real and imaginary halves) and each distinct row once with
+json.dumps and joins the texts; the file holds the bytes json.dump(doc,
+fh, sort_keys=True) would write.  The loader's scanner reads the file as
+bytes, a piece at a time, and never holds the whole file or a decoded copy of it.  It reads the matrices of a
 file in exactly that layout, decoding each distinct row and cell text once
 and gathering the arrays with numpy, each frozen (construct.frozen) as it is
 gathered.  The rest of the document goes
@@ -145,25 +145,28 @@ def matrix_texts(matrices):
     """Yield the text json.dumps gives for each complex matrix written as
     [[[re, im], ...], ...], in order.
 
-    Each distinct row (by its bytes) and each distinct cell (by its 16 bytes,
-    so -0.0 stays apart from 0.0) is encoded once across all the matrices.
-    Identical bytes give identical text, so every text is json.dumps's."""
+    Each distinct row (by its bytes) and each distinct cell (by the bits of
+    its two halves, so -0.0 stays apart from 0.0) is encoded once across all
+    the matrices.  Identical bits give identical text, so every text is
+    json.dumps's."""
     cells, rows = {}, {}
     for mat in matrices:
         mat = np.ascontiguousarray(mat, dtype=complex)
-        keys = [row.tobytes() for row in mat]
+        keys = mat.view(f"V{mat.strides[0]}").ravel().tolist()  # the bytes of each row
         fresh = {}
         for i, key in enumerate(keys):
             if key not in rows:
                 fresh.setdefault(key, i)
         if fresh:
-            block = mat[list(fresh.values())]
-            distinct, inverse = np.unique(block.view("V16"), return_inverse=True)
-            distinct = distinct.tolist()
+            bits = mat[list(fresh.values())].view(np.uint64)  # re, im, re, im, ... per row
+            re, re_codes = np.unique(bits[:, 0::2], return_inverse=True)
+            im, im_codes = np.unique(bits[:, 1::2], return_inverse=True)
+            pairs, inverse = np.unique(re_codes * len(im) + im_codes, return_inverse=True)
+            distinct = list(zip(re[pairs // len(im)].tolist(), im[pairs % len(im)].tolist()))
             for cell in set(distinct).difference(cells):
-                cells[cell] = json.dumps(np.frombuffer(cell).tolist())
+                cells[cell] = json.dumps(np.array(cell, np.uint64).view(float).tolist())
             text = np.array([cells[cell] for cell in distinct], dtype=object)
-            for key, codes in zip(fresh, inverse.reshape(block.shape)):
+            for key, codes in zip(fresh, inverse.reshape(len(fresh), -1)):
                 rows[key] = "[" + ", ".join(text[codes]) + "]"
         yield "[" + ", ".join(rows[key] for key in keys) + "]"
 

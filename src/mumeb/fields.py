@@ -130,7 +130,9 @@ class FiniteField:
         self.digits = np.arange(self.q)[:, None] // self._place % p
         for g in range(1, self.q):  # stop at the least primitive element
             self.exp = self._powers(g)
-            if len(np.unique(self.exp)) == self.q - 1:
+            # the powers of g cycle, so they are distinct iff 1 (index 1)
+            # comes back only at g^(q-1)
+            if np.count_nonzero(self.exp == 1) == 1:
                 break
         self.log = np.zeros(self.q, dtype=np.int64)
         self.log[self.exp] = np.arange(self.q - 1)
@@ -222,20 +224,37 @@ class GaloisRing:
     @staticmethod
     def _find_modulus(a):
         """The modulus and the Teichmuller rows 0, 1, x, ..., x^(q-2), read off
-        the walk through the powers of the root x that accepts the modulus."""
+        the walk through the powers of the root x that accepts the modulus.
+
+        A power of x is one int holding its a Z_4 coefficients in 3-bit
+        fields, so multiplying by x is a shift plus the top coefficient c
+        times x^a = -(cand_0 + ... + cand_(a-1) x^(a-1)), then each field
+        mod 4, which also drops the shifted-out field: two coefficients sum
+        to at most 6, so no field carries into the next.
+        """
         q = 2 ** a
-        one = (1,) + (0,) * (a - 1)
+        top = 3 * (a - 1)
+        low = sum(3 << 3 * i for i in range(a))  # the two low bits of fields 0..a-1
+        irreducible = {}  # mod-2 reduction -> whether it is irreducible
         for cand in _monic(4, a):
-            if not _is_irreducible(tuple(ci % 2 for ci in cand), 2):
+            reduced = tuple(ci % 2 for ci in cand)
+            if reduced not in irreducible:
+                irreducible[reduced] = _is_irreducible(reduced, 2)
+            if not irreducible[reduced]:
                 continue
+            wrap = [sum((-c * ci) % 4 << 3 * i for i, ci in enumerate(cand[:-1]))
+                    for c in range(4)]  # c x^a, reduced
             # require x^(q - 1) = 1 and no smaller power, so that the powers
             # of x enumerate the Teichmuller set
-            x = ((0, 1) + (0,) * (a - 2)) if a >= 2 else ((-cand[0]) % 4,)
-            powers = [x]
-            while len(powers) < q - 1 and powers[-1] != one:
-                powers.append(_poly_mul_mod(powers[-1], x, cand, 4))
-            if len(powers) == q - 1 and powers[-1] == one:
-                return cand, np.array([(0,) * a, one] + powers[:-1], dtype=np.int64)
+            powers, power = [], 1
+            while len(powers) < q - 1:
+                powers.append(power)
+                power = (power << 3) + wrap[power >> top] & low
+                if power == 1:
+                    break
+            if power == 1 and len(powers) == q - 1:
+                rows = np.array([0] + powers)[:, None] >> 3 * np.arange(a) & 3
+                return cand, rows.astype(np.int64)
         raise RuntimeError(f"no basic irreducible modulus for GR(4,{a})")
 
     def mul(self, u, v):

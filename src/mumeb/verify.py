@@ -304,9 +304,16 @@ class VerificationReport:
         return out
 
 
+def _nan_max(a, b):
+    """The larger of a and b, or a NaN if either is one; Python's max keeps
+    a NaN only in first place."""
+    return b if b > a or b != b else a
+
+
 def deviation(lo, hi, target):
-    """How far the extremes lo <= hi of a set of magnitudes stray from target."""
-    return max(abs(hi - target), abs(target - lo))
+    """How far the extremes lo <= hi of a set of magnitudes stray from
+    target; NaN if either extreme is NaN."""
+    return _nan_max(abs(hi - target), abs(target - lo))
 
 
 def _dft(primes):
@@ -641,13 +648,13 @@ def quadratic_sum_direct(ring, c):
 
 def gauss_sum_check(ring):
     """Max deviation of |sum_r lambda(c r^2)| from sqrt(d), exhaustive over
-    invertible c.  Only rings of odd size qualify."""
+    invertible c, or NaN if any sum is NaN.  Only rings of odd size qualify."""
     if ring.d % 2 == 0:
         raise ValueError("quadratic sums need 2 invertible, so odd size")
     target = np.sqrt(ring.d)
     worst = 0.0
     for c in ring.units().tolist():
-        worst = max(worst, abs(abs(quadratic_sum_direct(ring, c)) - target))
+        worst = _nan_max(worst, abs(abs(quadratic_sum_direct(ring, c)) - target))
     return worst
 
 

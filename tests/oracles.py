@@ -12,7 +12,10 @@ certification with every basis expanded and one overlap product per pair,
 matrices as the nested lists json.dump writes, family files read by
 json.load alone instead of the family-file scanner, and the row moves from
 slab 0 of an identity basis to its other slabs by that field arithmetic
-instead of the add table.
+instead of the add table, the GR(4,a) modulus by a walk over polynomial
+products, the least primitive element by counting distinct powers with
+np.unique, and family generators as plain arrays (np.zeros plus ones, row
+gathers of the Fourier kernel, np.kron) instead of joins of kernel rows.
 
 rotated_family builds inputs rather than checking them: a family whose
 generators Q U_t, for one fixed random unitary Q, keep every
@@ -60,6 +63,59 @@ def ring_op(ring, op, x, y):
     """field_add or field_mul applied to each component of ring indices x, y."""
     return ring.from_components(op(f, u, v) for f, u, v in
                                 zip(ring.factors, ring.components(x), ring.components(y)))
+
+
+def galois_modulus_walk(a):
+    """The modulus and Teichmuller rows 0, 1, x, ..., x^(q-2) of GR(4,a):
+    the first candidate over Z_4, in fields._monic order, whose reduction
+    mod 2 is irreducible (tested afresh for each candidate) and whose root x
+    has multiplicative order q - 1, each power of x a polynomial product."""
+    q = 2 ** a
+    one = (1,) + (0,) * (a - 1)
+    for cand in fields._monic(4, a):
+        if not fields._is_irreducible(tuple(ci % 2 for ci in cand), 2):
+            continue
+        x = ((0, 1) + (0,) * (a - 2)) if a >= 2 else ((-cand[0]) % 4,)
+        powers = [x]
+        while len(powers) < q - 1 and powers[-1] != one:
+            powers.append(fields._poly_mul_mod(powers[-1], x, cand, 4))
+        if len(powers) == q - 1 and powers[-1] == one:
+            return cand, np.array([(0,) * a, one] + powers[:-1], dtype=np.int64)
+    raise RuntimeError(f"no basic irreducible modulus for GR(4,{a})")
+
+
+def primitive_powers_by_unique(field):
+    """index(g^m), m = 0..q-2, for the least g whose q - 1 powers are q - 1
+    distinct elements, counted with np.unique."""
+    for g in range(1, field.q):
+        exp = field._powers(g)
+        if len(np.unique(exp)) == field.q - 1:
+            return exp
+    raise AssertionError(f"no primitive element in {field}")
+
+
+def gauss_generators_by_arrays(d):
+    """(label, generator) of family_cd(d) built as plain arrays: U(a) is
+    np.zeros with a one at (r, index(a r)), and V(a) is the row gather
+    (char_table / sqrt(d))[index(a r)]."""
+    ring = fields.ring_for_dimension(d)
+    s_set = fields.unit_difference_set(ring)
+    out = []
+    for a in s_set:
+        u = np.zeros((d, d), dtype=complex)
+        u[np.arange(d), fields.mul_index_vector(ring, a)] = 1.0
+        out.append((f"U(a={a})", u))
+    for a in s_set:
+        kernel = fields.char_table(ring) / np.sqrt(d)
+        out.append((f"V(a={a})", kernel[fields.mul_index_vector(ring, a)]))
+    return out
+
+
+def tensor_generators_by_kron(d, blocks, prefix):
+    """(label, np.kron(block_t, U_t)) over the blocks and the family_cd(d)
+    generators U_t, as many as the shorter of the two lists."""
+    return [(f"{prefix}_{t}⊗{label}", np.kron(block, u))
+            for t, (block, (label, u)) in enumerate(zip(blocks, gauss_generators_by_arrays(d)))]
 
 
 def gr_trace(ring, u):

@@ -1,6 +1,10 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,3 +335,28 @@ def test_out_of_memory_is_a_one_line_usage_error(tmp_path, capsys, monkeypatch, 
     assert err.startswith("usage error: out of memory: ")
     assert (message or "an allocation was refused") in err
     assert not (tmp_path / "big.json").exists()
+
+
+NO_MASKED_ARRAYS = """
+import contextlib, io, sys
+from mumeb import cli
+for d, k, extra in [(19, 1, []), (15, 9, []), (3, 64, []), (5, 16, ["--variant", "mols"])]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = (cli.main(["construct", "--d", str(d), "--k", str(k), "--out", "f.json", *extra]),
+                 cli.main(["verify", "f.json"]))
+    assert codes == (0, 0), (d, k, codes)
+    assert "numpy.ma" not in sys.modules, f"numpy.ma imported by construct + verify at d={d} k={k}"
+"""
+
+
+def test_construct_and_verify_never_import_numpy_ma(tmp_path):
+    # numpy.ma costs ~10 ms to import, and nothing here needs masked arrays;
+    # numpy 2.4's np.unique without return_* flags imports it
+    bare = subprocess.run([sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
+                          capture_output=True, text=True, check=True)
+    if bare.stdout.strip() == "True":
+        pytest.skip("import numpy alone loads numpy.ma here")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from mumeb import fields, linalg
+from mumeb import construct, fields, linalg, mols
 from mumeb.construct import (MEBFamily, b_block, b_tensor, expand_basis, expand_slabs,
                              family_cd, family_ckd, family_ckd_mols, k_factors,
                              fourier_unitary, permutation_unitary, v_unitary)
 from mumeb.fields import FiniteField, GaloisRing, ring_for_dimension
 from mumeb.mols import OrthogonalityViolation, mols_prime_power
-from oracles import (expand_basis_whole, field_add, field_mul, generic_character,
-                     pauli_matrix, random_unitary, ring_op)
+from oracles import (expand_basis_whole, field_add, field_mul, gauss_generators_by_arrays,
+                     generic_character, pauli_matrix, random_unitary, ring_op,
+                     tensor_generators_by_kron)
 
 
 def test_permutation_unitary_is_group_homomorphism():
@@ -346,3 +347,30 @@ def test_family_ckd_mols_guards():
         family_ckd_mols(3, 9, squares=[sq, sq])  # a square is never orthogonal to itself
     with pytest.raises(ValueError):
         family_ckd_mols(3, 4, squares=mols_prime_power(3))  # order mismatch
+
+
+def _mols_blocks(k):
+    x = int(round(np.sqrt(k)))
+    return mols.mubs_from_net(mols.net_from_mols(mols.best_mols(x), order=x))
+
+
+@pytest.mark.parametrize("build, oracle", [
+    *[(lambda d=d: family_cd(d), lambda d=d: gauss_generators_by_arrays(d))
+      for d in (3, 9, 15, 19, 25, 45, 81)],
+    *[(lambda d=d, k=k: family_ckd(d, k),
+       lambda d=d, k=k: tensor_generators_by_kron(d, (b_tensor(k, t) for t in range(k + 1)), "B"))
+      for d, k in ((3, 4), (15, 9), (3, 64))],
+    (lambda: family_ckd_mols(7, 9), lambda: tensor_generators_by_kron(7, _mols_blocks(9), "G")),
+], ids=["cd-3", "cd-9", "cd-15", "cd-19", "cd-25", "cd-45", "cd-81",
+        "ckd-3-4", "ckd-15-9", "ckd-3-64", "mols-7-9"])
+def test_generators_are_built_frozen_with_the_bits_of_array_builders(monkeypatch, build, oracle):
+    # built frozen, so MEBFamily never has to copy one
+    copied, frozen = [], construct.frozen
+    monkeypatch.setattr(construct, "frozen",
+                        lambda a: frozen(a) if construct.is_frozen(a) else copied.append(1) or frozen(a))
+    fam, want = build(), oracle()
+    assert not copied
+    assert [label for label, _ in fam.generators] == [label for label, _ in want]
+    for (label, got), (_, mat) in zip(fam.generators, want):
+        assert construct.is_frozen(got), label
+        assert got.shape == mat.shape and got.tobytes() == mat.tobytes(), label

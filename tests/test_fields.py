@@ -9,7 +9,8 @@ from mumeb.fields import (FiniteField, GaloisRing, ProductRing, default_modulus,
                           factor_into_prime_powers, galois_trace_z4, is_prime,
                           prime_power_split, ring_for_dimension, unit_difference_set)
 from oracles import (coeffs, field_add, field_mul, field_trace, from_coeffs,
-                     generic_character, gr_trace, ring_op)
+                     galois_modulus_walk, generic_character, gr_trace,
+                     primitive_powers_by_unique, ring_op)
 
 # exhaustive up to q = 81, randomized spot checks above
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4),
@@ -365,3 +366,28 @@ def test_descriptors_round_trip():
     ring = ring_for_dimension(15)
     rebuilt = fields.ring_from_descriptor(ring.descriptor())
     assert rebuilt == ring
+
+
+@pytest.mark.parametrize("a", range(1, 9))
+def test_galois_modulus_search_matches_the_polynomial_walk(a):
+    modulus, rows = galois_modulus_walk(a)
+    ring = GaloisRing(a)
+    assert ring.modulus == modulus
+    assert ring.teichmuller.dtype == rows.dtype and ring.teichmuller.shape == rows.shape
+    assert np.array_equal(ring.teichmuller, rows)
+
+
+PRIME_POWERS_TO_343 = [q for q in range(2, 344) if fields.prime_power_split(q)]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_343)
+def test_primitive_element_matches_the_distinct_powers_count(q):
+    # every field of size <= 343, so every one the tests build
+    field = FiniteField(*fields.prime_power_split(q))
+    exp = primitive_powers_by_unique(field)
+    log = np.zeros(q, dtype=np.int64)
+    log[exp] = np.arange(q - 1)
+    assert field.exp.dtype == exp.dtype and np.array_equal(field.exp, exp)
+    assert field.log.dtype == log.dtype and np.array_equal(field.log, log)
+    trace = fields._frobenius_trace(field.digits[exp], log[1:], field.p, field.p)
+    assert field.trace.dtype == trace.dtype and np.array_equal(field.trace, trace)

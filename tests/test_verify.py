@@ -122,6 +122,30 @@ def test_gauss_sum_check_all_odd_d(d):
     assert gauss_sum_check(ring_for_dimension(d)) < 1e-10
 
 
+@pytest.mark.parametrize("lo, hi", [(float("nan"), 0.5), (0.5, float("nan")),
+                                     (float("nan"), float("nan")), (0.2, float("nan"))])
+def test_deviation_of_a_nan_extreme_is_nan(lo, hi):
+    # Python's max(0.0, nan) is 0.0: a NaN after the first place must not pass
+    assert np.isnan(verify.deviation(lo, hi, 0.5))
+
+
+def test_deviation_keeps_the_bits_of_finite_extremes():
+    for lo, hi, target in [(0.25, 0.75, 0.5), (0.5, 0.5, 0.5), (0.1, 0.3, 1 / np.sqrt(3)),
+                           (0.0, 0.0, 0.0), (1e-300, 1e300, 1.0)]:
+        assert verify.deviation(lo, hi, target) == max(abs(hi - target), abs(target - lo))
+
+
+@pytest.mark.parametrize("at", [0, 1, 5])
+def test_gauss_sum_check_of_a_nan_sum_is_nan(monkeypatch, at):
+    # a NaN sum after the first must not be dropped by a fold from 0.0
+    ring = ring_for_dimension(9)
+    units = ring.units().tolist()
+    direct = verify.quadratic_sum_direct
+    monkeypatch.setattr(verify, "quadratic_sum_direct",
+                        lambda r, c: complex("nan") if c == units[at] else direct(r, c))
+    assert np.isnan(gauss_sum_check(ring))
+
+
 def test_gauss_sum_check_rejects_even_rings():
     with pytest.raises(ValueError):
         gauss_sum_check(ProductRing([FiniteField(2, 2)]))
