@@ -8,6 +8,7 @@ object so repeated runs produce byte-identical payloads.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -142,7 +143,8 @@ def _cmd_verify(args):
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
     else:
-        worst_pair = max((p["overlap_deviation"] for p in report.pair_results), default=0.0)
+        worst_pair = functools.reduce(verify._nan_max, [p["overlap_deviation"] for p in
+                                                        report.pair_results] or [0.0])
         print(f"family={report.family_id} bases={report.n_bases} "
               f"pairs={len(report.pair_results)} worst-overlap-dev={worst_pair:.3e} "
               f"agreement={report.agreement_deviation:.3e} "
@@ -227,7 +229,7 @@ def _cmd_mols(args):
                           for a, b in itertools.combinations(bases, 2)], initial=0.0))  # NaN stays
     if args.out:
         families.write_json(args.out, {"k": k, "x": x, "n_bases": len(bases)}, "bases",
-                            families.matrix_texts(bases))
+                            families.matrix_texts(bases, k))  # one block per row
     print(f"k={k} bases={len(bases)} worst-overlap-dev={worst:.3e}")
     return 0 if worst <= 1e-9 else 3
 

@@ -7,14 +7,18 @@ version) and is excluded from determinism comparisons; everything else is
 written with sorted keys so equal payloads are byte-identical.
 
 A family repeats a few distinct numbers many times, so matrices are coded
-through a dictionary.  The writer encodes each distinct cell (by the bits
-of its real and imaginary halves) and each distinct row once with
-json.dumps and joins the texts; the file holds the bytes json.dump(doc,
-fh, sort_keys=True) would write.  The loader's scanner reads the file as
-bytes, a piece at a time, and never holds the whole file or a decoded copy of it.  It reads the matrices of a
-file in exactly that layout, decoding each distinct row and cell text once
-and gathering the arrays with numpy, each frozen (construct.frozen) as it is
-gathered.  The rest of the document goes
+through a dictionary whose unit is a block of d consecutive cells of a row.
+At k = 1 a block is a whole row.  At k >= 2 a generator B (x) U has rows
+(a, b) whose j-th block is B[a, j] U[b, :], and these repeat across rows and
+generators where whole rows seldom do.  The writer encodes each distinct
+cell (by the bits of its real and imaginary halves) and each distinct block
+once with json.dumps and joins the texts; the file holds the bytes
+json.dump(doc, fh, sort_keys=True) would write.  The loader's scanner reads
+the file as bytes, a piece at a time, and never holds the whole file or a
+decoded copy of it.  It reads the matrices of a file in exactly that
+layout, with d taken from the document's head, decoding each distinct
+block and cell text once and gathering the arrays with numpy, each frozen
+(construct.frozen) as it is gathered.  The rest of the document goes
 through json.loads and family_from_dict.  A file the scanner does not fully
 recognise (other whitespace, integer cells, non-finite values, duplicate
 keys, bytes that are not UTF-8, ...) is read again from its start as text
@@ -141,34 +145,49 @@ def _header(extra=None):
     return head
 
 
-def matrix_texts(matrices):
+# the writer keys at most this many blocks of a matrix at once, so a k >= 2
+# matrix never holds a bytes object for each of its blocks at the same time
+_KEYED = 256
+
+
+def matrix_texts(matrices, width):
     """Yield the text json.dumps gives for each complex matrix written as
     [[[re, im], ...], ...], in order.
 
-    Each distinct row (by its bytes) and each distinct cell (by the bits of
-    its two halves, so -0.0 stays apart from 0.0) is encoded once across all
-    the matrices.  Identical bits give identical text, so every text is
-    json.dumps's."""
-    cells, rows = {}, {}
+    The dictionary unit is a block of `width` consecutive cells of a row;
+    width divides the row length.  Each distinct block (by its bytes) and
+    each distinct cell (by the bits of its two halves, so -0.0 stays apart
+    from 0.0) is encoded once across all the matrices, and one join renders
+    each matrix from its block texts.  Identical bits give identical text,
+    so every text is json.dumps's."""
+    cells, blocks, parts = {}, {}, []
     for mat in matrices:
-        mat = np.ascontiguousarray(mat, dtype=complex)
-        keys = mat.view(f"V{mat.strides[0]}").ravel().tolist()  # the bytes of each row
-        fresh = {}
-        for i, key in enumerate(keys):
-            if key not in rows:
-                fresh.setdefault(key, i)
-        if fresh:
-            bits = mat[list(fresh.values())].view(np.uint64)  # re, im, re, im, ... per row
-            re, re_codes = np.unique(bits[:, 0::2], return_inverse=True)
-            im, im_codes = np.unique(bits[:, 1::2], return_inverse=True)
-            pairs, inverse = np.unique(re_codes * len(im) + im_codes, return_inverse=True)
-            distinct = list(zip(re[pairs // len(im)].tolist(), im[pairs % len(im)].tolist()))
-            for cell in set(distinct).difference(cells):
-                cells[cell] = json.dumps(np.array(cell, np.uint64).view(float).tolist())
-            text = np.array([cells[cell] for cell in distinct], dtype=object)
-            for key, codes in zip(fresh, inverse.reshape(len(fresh), -1)):
-                rows[key] = "[" + ", ".join(text[codes]) + "]"
-        yield "[" + ", ".join(rows[key] for key in keys) + "]"
+        cut = np.ascontiguousarray(mat, dtype=complex).reshape(-1, width)
+        texts = []
+        for start in range(0, len(cut), _KEYED):
+            slab = cut[start:start + _KEYED]
+            keys = slab.view(f"V{slab.strides[0]}").ravel().tolist()  # the bytes of each block
+            fresh = {}
+            for i, key in enumerate(keys):
+                if key not in blocks:
+                    fresh.setdefault(key, i)
+            if fresh:
+                bits = slab[list(fresh.values())].view(np.uint64)  # re, im, re, im, ... per block
+                re, re_codes = np.unique(bits[:, 0::2], return_inverse=True)
+                im, im_codes = np.unique(bits[:, 1::2], return_inverse=True)
+                pairs, inverse = np.unique(re_codes * len(im) + im_codes, return_inverse=True)
+                distinct = list(zip(re[pairs // len(im)].tolist(), im[pairs % len(im)].tolist()))
+                for cell in set(distinct).difference(cells):
+                    cells[cell] = json.dumps(np.array(cell, np.uint64).view(float).tolist())
+                text = np.array([cells[cell] for cell in distinct], dtype=object)
+                for key, codes in zip(fresh, inverse.reshape(len(fresh), -1)):
+                    blocks[key] = ", ".join(text[codes])
+            texts += [blocks[key] for key in keys]
+        if len(parts) != 2 * len(texts) + 1:  # what goes before each block, and the close
+            parts = [", "] * (2 * len(texts) + 1)
+            parts[::2 * len(texts) // len(mat)] = ["[["] + ["], ["] * (len(mat) - 1) + ["]]"]
+        parts[1::2] = texts
+        yield "".join(parts)
 
 
 def write_json(path, members, key, items):
@@ -193,7 +212,7 @@ def save_family(family, path):
     document, one generator entry at a time."""
     members = {"header": _header(), "d": family.d, "k": family.k,
                "ring": family.ring.descriptor(), "metadata": family.metadata}
-    texts = matrix_texts(mat for _, mat in family.generators)
+    texts = matrix_texts((mat for _, mat in family.generators), family.d)
     write_json(path, members, "generators",
                ('{"label": ' + json.dumps(label) + ', "matrix": ' + text + "}"
                 for (label, _), text in zip(family.generators, texts)))
@@ -290,18 +309,56 @@ def _unique_keys(pairs):
     return obj
 
 
-def _scan_matrix(span, rows, cells, values):
+def _block_texts(span, width, size):
+    """The text of each block of `width` cells, in order, in the matrix text
+    `span` whose first row has `size` cells, or None unless the matrix is
+    size x size and every byte between blocks is the writer's: ", [" after a
+    block inside a row, "], [[" after a row.  The cells are cut with numpy,
+    at each "]" that closes one; the cells of a block are left to the
+    caller."""
+    at = np.frombuffer(span, np.uint8)
+    close = np.flatnonzero(at == ord("]"))
+    ends = close[at[close - 1] != ord("]")]  # a row's or the matrix's "]" follows another
+    if len(ends) != size * size:
+        return None
+    # the "]" ending each block; the last is the first of the span's closing
+    # "]]]", and two more blocks follow each row's last, so no separator
+    # read below runs past the span
+    ends = ends[width - 1::width].reshape(size, size // width)
+    inner, last = ends[:, :-1], ends[:-1, -1]
+    for offset, byte in enumerate(b", [", 1):
+        if not (at[inner + offset] == byte).all():
+            return None
+    for offset, byte in enumerate(b"], [[", 1):
+        if not (at[last + offset] == byte).all():
+            return None
+    starts = ends + 4
+    starts[:, -1] += 2
+    starts = [3, *starts.ravel()[:-1].tolist()]
+    return map(span.__getitem__, map(slice, starts, ends.ravel().tolist()))
+
+
+def _scan_matrix(span, blocks, cells, values, width):
     """The cell codes of one matrix text [[[re, im], ...], ...], or None
-    unless it is square and in the writer's layout.  `rows` and `cells` map
-    each row and cell text seen so far to its codes; a new cell's value is
-    appended to `values`.  A new row's codes take the smallest unsigned
+    unless it is square and in the writer's layout.  The dictionary unit is
+    a block of `width` cells of a row when that cuts each row into two or
+    more blocks, and the whole row otherwise.  `blocks` and `cells` map each
+    block and cell text seen so far to its codes; a new cell's value is
+    appended to `values`.  A new block's codes take the smallest unsigned
     dtype that indexes `values` as it then stands, and the matrix the
-    widest of its rows'."""
-    row_texts = span[3:-3].split(b"]], [[")
+    widest of its blocks'."""
+    size = span.count(b"], [", 3, span.find(b"]]")) + 1  # the cells of the first row
+    if 1 <= width < size and size % width == 0:
+        texts = _block_texts(span, width, size)
+        if texts is None:
+            return None
+    else:
+        texts = span[3:-3].split(b"]], [[")
+        size = width = len(texts)  # as many cells in each row as there are rows
     codes = []
-    for text in row_texts:
-        row = rows.get(text)
-        if row is None:
+    for text in texts:
+        block = blocks.get(text)
+        if block is None:
             parts = text.split(b"], [")
             for part in set(parts).difference(cells):
                 match = _CELL.fullmatch(part)
@@ -309,28 +366,29 @@ def _scan_matrix(span, rows, cells, values):
                     return None
                 cells[part] = len(values)
                 values.append((float(match[1]), float(match[2])))
-            row = rows[text] = np.array([cells[part] for part in parts],
-                                        dtype=np.min_scalar_type(len(values) - 1))
-        if len(row) != len(row_texts):
+            block = blocks[text] = np.array([cells[part] for part in parts],
+                                            dtype=np.min_scalar_type(len(values) - 1))
+        if len(block) != width:
             return None
-        codes.append(row)
-    return np.array(codes)
+        codes.append(block)
+    return np.concatenate(codes).reshape(size, size)
 
 
-def _scan_generators(source, pieces):
+def _scan_generators(source, pieces, width):
     """(codes, values) for the generators list whose first entry starts at
     the unread bytes of `source`, or None unless every entry is in the
     writer's layout: each matrix's square array of cell codes, and the
-    distinct cell values.  The bytes outside the matrices are appended to
-    `pieces`, each matrix replaced by 0.  The row and cell dictionaries end
-    with this call, before the arrays are built."""
-    codes, rows, cells, values = [], {}, {}, []
+    distinct cell values.  Blocks are `width` cells wide (the document's d).
+    The bytes outside the matrices are appended to `pieces`, each matrix
+    replaced by 0.  The block and cell dictionaries end with this call,
+    before the arrays are built."""
+    codes, blocks, cells, values = [], {}, {}, []
     while True:
         entry = source.match(_ENTRY)
         span = entry and source.until(b"]]]")
         if not span:
             return None
-        codes.append(_scan_matrix(span, rows, cells, values))
+        codes.append(_scan_matrix(span, blocks, cells, values, width))
         close = source.match(_NEXT) or source.match(_END)
         if codes[-1] is None or close is None:
             return None
@@ -349,17 +407,21 @@ def _scan_family(fh):
 
     The file is read in pieces of _CHUNK bytes, larger only while a long
     entry needs them, and neither it nor a decoded copy of it is ever held
-    whole.  Only the matrices are read here, as
-    ASCII bytes: each distinct row and cell text is decoded once, and the
-    arrays are gathered from the distinct values.  Everything else is
-    decoded as strict UTF-8 and goes through json.loads with the matrices
+    whole.  Only the matrices are read here, as ASCII bytes cut into blocks
+    of d cells by the document's "d" (a d of ten digits or more cuts no
+    row): each distinct block and cell text is decoded once, and the arrays
+    are gathered from the distinct values.  Everything else is decoded as
+    strict UTF-8 and goes through json.loads with the matrices
     cut out, so the result is json.loads's; each cut falls on an ASCII
     byte, so it splits no UTF-8 sequence.  On None the caller reads the file
     again as text and parses it with json.loads, so every error reads as it
     would without the scanner."""
     source = _Unread(fh)
     pieces = [source.match(_HEAD)]
-    scanned = pieces[0] and _scan_generators(source, pieces)
+    if not pieces[0]:
+        return None
+    digits = pieces[0][6:-17]  # {"d": <digits>, "generators": [
+    scanned = _scan_generators(source, pieces, int(digits) if len(digits) < 10 else 0)
     if not scanned:
         return None
     codes, values = scanned

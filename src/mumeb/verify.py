@@ -945,7 +945,8 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
         report.pair_results.append({"a": family.generators[i][0], "b": family.generators[j][0],
                                     **class_results[c], "class": c})
 
-    report.agreement_deviation = max((r["agreement"] for r in class_results), default=0.0)
+    report.agreement_deviation = functools.reduce(_nan_max, [r["agreement"] for r in
+                                                             class_results] or [0.0])
     report.passed = (
         all(b["pass"] for b in report.basis_results)
         and all(c["pass"] and c["criterion_pass"] for c in class_results)

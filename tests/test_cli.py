@@ -296,6 +296,22 @@ def test_mols_mubs_exits_3_on_a_nan_deviation(capsys, monkeypatch):
     assert code == 3 and "worst-overlap-dev=nan" in out and len(calls) == 6
 
 
+def test_verify_summary_keeps_a_nan_in_a_later_pair_class(tmp_path, capsys, monkeypatch):
+    # pair class 0 of family_cd(3) takes the sparse route and classes 1 and 2
+    # the streamed one, so only later classes are NaN; Python's max keeps a
+    # NaN only in first place
+    from mumeb import verify
+    fam = tmp_path / "fam.json"
+    assert run(capsys, "construct", "--d", "3", "--k", "1", "--out", str(fam))[0] == 0
+    monkeypatch.setattr(verify, "bruteforce_unbiased", lambda *a: (float("nan"), float("nan")))
+    code, out, _ = run(capsys, "verify", str(fam))
+    assert code == 3 and "worst-overlap-dev=nan" in out and "agreement=nan" in out
+    code, out, _ = run(capsys, "verify", str(fam), "--json")
+    routes = {p["class"]: (p["route"], p["overlap_deviation"]) for p in json.loads(out)["pairs"]}
+    assert code == 3 and routes[0][0] == "sparse" and np.isfinite(routes[0][1])
+    assert routes[1][0] == "streamed" and np.isnan(routes[1][1])
+
+
 def test_gauss_command(capsys):
     code, out, _ = run(capsys, "gauss", "--d", "21")
     assert code == 0 and "max |sum - sqrt(d)|" in out

@@ -216,6 +216,11 @@ EXTREMES = _in_memory(("tiny", _filled(5e-324, complex(-5e-324, 1e308))),
 ODD_LABELS = _in_memory(('quote " and backslash \\', _filled(1.0)),
                         ("B_0\u2297U(a=1) \u00e9", _filled(0.5j)))
 RNG = np.random.default_rng(7)
+# d = 3, k = 3: each generator a Haar-random 9 x 9 unitary, so no block of 3
+# cells repeats anywhere in the family
+NO_REPEATED_BLOCK = MEBFamily(3, 3, ring_for_dimension(3), [
+    (f"W{i}", np.linalg.qr(RNG.standard_normal((9, 9)) + 1j * RNG.standard_normal((9, 9)))[0])
+    for i in range(3)])
 DISJOINT = _in_memory(*[(f"G{i}", RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3)))
                         for i in range(3)])
 
@@ -224,8 +229,9 @@ DISJOINT = _in_memory(*[(f"G{i}", RNG.standard_normal((3, 3)) + 1j * RNG.standar
     lambda: family_cd(81), lambda: family_ckd(3, 64), lambda: family_ckd(9, 4),
     lambda: family_ckd(15, 9), lambda: family_ckd_mols(7, 9), lambda: SIGNED_ZEROS,
     lambda: NON_FINITE, lambda: EXTREMES, lambda: ODD_LABELS, lambda: DISJOINT,
+    lambda: NO_REPEATED_BLOCK,
 ], ids=["81-1", "3-64", "9-4", "15-9", "7-9-mols", "signed-zeros", "nan-inf", "5e-324-1e308",
-        "quote-backslash-non-ascii-labels", "no-shared-cells"])
+        "quote-backslash-non-ascii-labels", "no-shared-cells", "no-repeated-block"])
 def test_save_family_writes_the_bytes_of_json_dump(tmp_path, build):
     fam = build()
     fast, slow = tmp_path / "fast.json", tmp_path / "slow.json"
@@ -238,6 +244,16 @@ def test_save_family_writes_the_bytes_of_json_dump(tmp_path, build):
                for p in (fast, slow)]
     assert digests[0] == digests[1]
     assert json.loads(fast.read_text(encoding="utf-8"))["header"]["tool"] == "mumeb 0.1.0"
+
+
+@pytest.mark.parametrize("keyed", [1, 5, 256])
+def test_blocks_keyed_a_few_at_a_time_give_the_same_bytes(tmp_path, monkeypatch, keyed):
+    # new blocks first seen in any slab of a matrix, at any slab size
+    family = family_ckd(9, 4)
+    want = "".join(families.matrix_texts((mat for _, mat in family.generators), 9))
+    assert want == "".join(json.dumps(matrix_to_json(mat)) for _, mat in family.generators)
+    monkeypatch.setattr(families, "_KEYED", keyed)
+    assert "".join(families.matrix_texts((mat for _, mat in family.generators), 9)) == want
 
 
 def test_headers_name_the_package_version(tmp_path):
@@ -259,11 +275,16 @@ def test_in_memory_families_hold_what_they_claim():
     texts = [json.dumps(matrix_to_json(mat)) for _, mat in DISJOINT.generators]
     cells = [set(re.findall(r"\[[^][]*\]", text)) for text in texts]
     assert not (cells[0] & cells[1] or cells[0] & cells[2] or cells[1] & cells[2])
+    blocks = [mat.reshape(-1, 3).tobytes() for _, mat in NO_REPEATED_BLOCK.generators]
+    blocks = [b[i:i + 48] for b in blocks for i in range(0, len(b), 48)]
+    assert len(set(blocks)) == len(blocks) == 81
+    assert all(np.allclose(mat.conj().T @ mat, np.eye(9))
+               for _, mat in NO_REPEATED_BLOCK.generators)
 
 
 @pytest.mark.parametrize("build", [lambda: family_cd(81), lambda: family_ckd(3, 64),
-                                   lambda: family_ckd_mols(7, 9)],
-                         ids=["81-1", "3-64", "7-9-mols"])
+                                   lambda: family_ckd_mols(7, 9), lambda: family_ckd(15, 9)],
+                         ids=["81-1", "3-64", "7-9-mols", "15-9"])
 def test_save_load_save_gives_the_same_bytes(tmp_path, build):
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     save_family(build(), first)
@@ -344,8 +365,11 @@ def test_scanner_and_json_routes_agree(tmp_path, case):
 
 
 @pytest.mark.parametrize("build", [lambda: family_ckd(3, 4), lambda: family_ckd_mols(5, 4),
-                                   lambda: family_cd(15), lambda: family_ckd_mols(7, 9)],
-                         ids=["3-4", "5-4-mols", "15-1", "7-9-mols"])
+                                   lambda: family_cd(15), lambda: family_ckd_mols(7, 9),
+                                   lambda: family_ckd(15, 9), lambda: family_ckd(3, 64),
+                                   lambda: NO_REPEATED_BLOCK],
+                         ids=["3-4", "5-4-mols", "15-1", "7-9-mols", "15-9", "3-64",
+                              "no-repeated-block"])
 def test_scanner_reads_saved_families_bit_for_bit(tmp_path, build):
     path = tmp_path / "fam.json"
     save_family(build(), path)
@@ -460,6 +484,122 @@ def test_saved_families_load_bit_for_bit_in_chunks_of_a_few_bytes(tmp_path, monk
     monkeypatch.setattr(families, "_CHUNK", 5)
     assert _scanned(path) is not None
     assert load_outcome(load_family, path) == want
+
+
+@pytest.mark.parametrize("build", [lambda: family_cd(9), lambda: family_ckd(3, 4),
+                                   lambda: family_ckd(15, 9), lambda: family_ckd(3, 64),
+                                   lambda: family_ckd_mols(7, 9), lambda: NO_REPEATED_BLOCK],
+                         ids=["9-1", "3-4", "15-9", "3-64", "7-9-mols", "no-repeated-block"])
+def test_scanner_keys_each_distinct_block_of_d_cells_once(tmp_path, monkeypatch, build):
+    # the dictionary unit is a block of d cells of a row, which is a whole
+    # row at k = 1: no row text of a k >= 2 matrix is held
+    family = build()
+    path = tmp_path / "fam.json"
+    save_family(family, path)
+    scan, held = families._scan_matrix, []
+    monkeypatch.setattr(families, "_scan_matrix",
+                        lambda span, blocks, *a: held.append(blocks) or scan(span, blocks, *a))
+    loaded = load_family(path)
+    distinct = {mat[r, c:c + family.d].tobytes() for _, mat in family.generators
+                for r in range(len(mat)) for c in range(0, len(mat), family.d)}
+    assert len(held[-1]) == len(distinct)
+    assert {text.count(b"], [") + 1 for text in held[-1]} == {family.d}
+    assert all(np.array_equal(a.view(np.uint8), b.view(np.uint8))
+               for (_, a), (_, b) in zip(family.generators, loaded.generators))
+
+
+def test_a_changed_cell_in_a_repeated_block_changes_that_entry_alone(tmp_path):
+    family = family_ckd(3, 4)
+    label, mat = family.generators[2]
+    blocks = [m[r, c:c + 3].tobytes() for _, m in family.generators
+              for r in range(12) for c in range(0, 12, 3)]
+    row, col = 4, 7  # in block (4, 6:9), which holds other bits than [5.0, 0.0]
+    assert blocks.count(mat[row, 6:9].tobytes()) > 1 and mat[row, col] != 5.0
+    doc = family_to_dict(family)
+    doc["generators"][2]["matrix"][row][col] = [5.0, 0.0]
+    path = tmp_path / "tampered.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True)
+    assert _scanned(path) is not None
+    loaded = load_family(path)  # schema-valid, so this must not raise
+    want = np.array(mat)
+    want[row, col] = 5.0
+    for (_, a), (_, b) in zip(loaded.generators, family.generators):
+        assert np.array_equal(a.view(np.uint8), (want if b is mat else b).view(np.uint8))
+    report = certify_family(loaded)
+    assert not report.passed
+    assert report.generator_errors[0]["label"] == label
+
+
+def _after_cell(n, old, new):
+    """An edit of the bytes `old` that follow the n-th cell of the first
+    matrix (n counted from 1) into `new`."""
+    def edit(text):
+        closers = re.compile(r"[0-9]\]").finditer(text, text.index("[[["))
+        at = [match.end() - 1 for _, match in zip(range(n), closers)][-1]
+        assert text.startswith(old, at), text[at:at + 8]
+        return text[:at] + new + text[at + len(old):]
+    return edit
+
+
+def _rows(edit):
+    """An edit of the list of row texts of the first matrix."""
+    def edited(text):
+        start = text.index("[[[") + 3
+        end = text.index("]]]", start)
+        rows = edit(text[start:end].split("]], [["))
+        return text[:start] + "]], [[".join(rows) + text[end:]
+    return edited
+
+
+# edits of the text of a saved family_ckd(3, 4), whose rows hold 4 blocks of
+# 3 cells; the scanner leaves each to json.loads (False) or reads it (True).
+# A separator in the first row also changes the row length the scanner
+# reads, so most edits are in the second row.
+BLOCK_CASES = {
+    "canonical": (lambda text: text, True),
+    "newline-between-blocks": (_after_cell(3, "], [", "],\n["), False),
+    "newline-between-blocks-of-row-2": (_after_cell(15, "], [", "],\n["), False),
+    "space-for-comma-between-blocks": (_after_cell(15, "], [", "]  ["), False),
+    "no-space-between-blocks": (_after_cell(18, "], [", "],["), False),
+    "brace-between-blocks": (_after_cell(15, "], [", "}, ["), False),
+    "newline-inside-a-block": (_after_cell(13, "], [", "],\n["), False),
+    "newline-between-rows": (_after_cell(12, "]], [[", "]],\n[["), False),
+    "space-for-comma-between-rows": (_after_cell(24, "]], [[", "]]  [["), False),
+    "space-before-last-block": (_after_cell(9 * 12 + 9, "], [", "],  ["), False),
+    "a-row-more": (_rows(lambda rows: rows + rows[1:2]), False),
+    "a-row-fewer": (_rows(lambda rows: rows[:-1]), False),
+    "three-rows-more": (_rows(lambda rows: rows + rows[1:4]), False),
+    "a-block-more-in-row-2": (_rows(lambda rows: [rows[0], rows[1] + "], [" + "], [".join(
+        rows[1].split("], [")[:3]), *rows[2:]]), False),
+    "a-block-fewer-in-row-2": (_rows(lambda rows: [rows[0], "], [".join(
+        rows[1].split("], [")[3:]), *rows[2:]]), False),
+    "d-5-divides-no-row": (_first('{"d": 3, ', '{"d": 5, '), True),
+    "d-4-divides-the-row": (_first('{"d": 3, ', '{"d": 4, '), True),
+    "d-1": (_first('{"d": 3, ', '{"d": 1, '), True),
+    "d-12-a-row": (_first('{"d": 3, ', '{"d": 12, '), True),
+    "d-24": (_first('{"d": 3, ', '{"d": 24, '), True),
+    "d-0": (_first('{"d": 3, ', '{"d": 0, '), True),
+    "d-minus-3": (_first('{"d": 3, ', '{"d": -3, '), True),
+    "d-of-40-digits": (_first('{"d": 3, ', '{"d": ' + "3" * 40 + ", "), True),
+    "d-with-a-leading-zero": (_first('{"d": 3, ', '{"d": 03, '), False),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3, 7])
+def test_block_layout_edits_load_as_json_loads_reads_them(tmp_path, monkeypatch, chunk):
+    # a changed separator byte between two blocks or rows, or a "d" that cuts
+    # the rows into other blocks or none, loads or fails as the json route does
+    base = tmp_path / "base.json"
+    save_family(family_ckd(3, 4), base)
+    text = base.read_text(encoding="utf-8")
+    if chunk:
+        monkeypatch.setattr(families, "_CHUNK", chunk)
+    for case, (edit, scanned) in BLOCK_CASES.items():
+        path = tmp_path / f"{case}.json"
+        path.write_text(edit(text), encoding="utf-8")
+        assert (_scanned(path) is not None) == scanned, case
+        assert load_outcome(load_family, path) == load_outcome(load_family_json, path), case
 
 
 def test_long_label_holding_brackets_across_a_read_is_scanned(tmp_path, monkeypatch):

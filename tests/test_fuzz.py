@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mumeb.cli import main
-from mumeb.construct import family_cd
+from mumeb.construct import family_cd, family_ckd
 from mumeb.families import load_family, save_family
 from mumeb.mols import best_mols, format_mols
 from oracles import load_family_json, load_outcome
@@ -49,6 +49,15 @@ def base_text(tmp_path_factory):
     """The text of a saved family_cd(3) file, the seed of every mutation."""
     path = tmp_path_factory.mktemp("fuzz") / "base.json"
     save_family(family_cd(3), path)
+    return path.read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def block_text(tmp_path_factory):
+    """The text of a saved family_ckd(3, 4) file, whose rows the scanner cuts
+    into blocks of d = 3 cells."""
+    path = tmp_path_factory.mktemp("fuzz") / "blocks.json"
+    save_family(family_ckd(3, 4), path)
     return path.read_text(encoding="utf-8")
 
 
@@ -153,6 +162,22 @@ def test_fuzzed_family_text_loads_alike_by_scanner_and_json(tmp_path_factory, ba
     start = data.draw(st.one_of(st.integers(lo, hi), st.integers(0, len(text))))
     stop = data.draw(st.integers(start, min(len(text), start + 8)))
     insert = data.draw(st.text(alphabet='[]{}",:0123456789.eE-+ \nNaIfity\\', max_size=6))
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(text[:start] + insert + text[stop:], encoding="utf-8")
+    assert load_outcome(load_family, path) == load_outcome(load_family_json, path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_block_family_text_loads_alike_by_scanner_and_json(tmp_path_factory, block_text,
+                                                                  data):
+    # the edits land in the first matrix, where the blocks are cut, or in "d"
+    text = block_text
+    lo = text.index('"matrix": ')
+    hi = text.index("]]]", lo)
+    start = data.draw(st.one_of(st.integers(lo, hi), st.integers(0, 12)))
+    stop = data.draw(st.integers(start, min(len(text), start + 8)))
+    insert = data.draw(st.text(alphabet='[]{}",:0123456789.eE-+ \n', max_size=6))
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
     path.write_text(text[:start] + insert + text[stop:], encoding="utf-8")
     assert load_outcome(load_family, path) == load_outcome(load_family_json, path)

@@ -1685,3 +1685,12 @@ def test_signed_zeros_and_nans_compare_by_their_bits(monkeypatch):
     assert [b["label"] for b in failing] == \
         [label for label, _ in fam.generators if label.startswith("V")]
     assert all(np.isnan(b["orthonormality"]) and np.isnan(b["entanglement"]) for b in failing)
+
+
+def test_agreement_deviation_keeps_a_nan_in_a_later_pair_class(monkeypatch):
+    # class 0 takes the sparse route, so only the streamed classes after it are NaN
+    monkeypatch.setattr(verify, "bruteforce_unbiased", lambda *a: (float("nan"), float("nan")))
+    report = certify_family(family_cd(3))
+    first = report.pair_results[0]
+    assert first["class"] == 0 and first["route"] == "sparse" and np.isfinite(first["agreement"])
+    assert np.isnan(report.agreement_deviation) and not report.passed
