@@ -29,6 +29,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def _build_parser():
     parser = _Parser(prog="mumeb", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

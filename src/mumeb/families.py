@@ -231,10 +231,10 @@ _NUMBER = rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)
 _CELL = re.compile(b"(" + _NUMBER + b"), (" + _NUMBER + b")")
 _HEAD = re.compile(rb'\{"d": -?[0-9]+, "generators": \[')
 _ENTRY = re.compile(rb'\{"label": "(?:[^"\\]|\\.)*", "matrix": (?=\[\[\[)')
-_NEXT, _END = re.compile(rb"\}, "), re.compile(rb"\}\]")
+_NEXT, _END = re.compile(rb", "), re.compile(rb"\]")
 # the fixed start of each pattern: bytes that do not begin with it cannot
 # match, however many more are read
-_LEADS = {_HEAD: b'{"d": ', _ENTRY: b'{"label": "', _NEXT: b"}, ", _END: b"}]"}
+_LEADS = {_HEAD: b'{"d": ', _ENTRY: b'{"label": "', _NEXT: b", ", _END: b"]"}
 # the scanner reads a family file this many bytes at a time
 _CHUNK = 1 << 20
 
@@ -271,31 +271,21 @@ class _Unread:
             if not more:
                 return None
 
-    def until(self, token):
-        """Take the bytes from pos through the first `token`, or None if the
-        file has none.  Each chunk read is searched once, with the
-        len(token) - 1 bytes before it, and the parts are joined once."""
-        end = self.buf.find(token, self.pos)
-        if end >= 0:
-            start, self.pos = self.pos, end + len(token)
-            return self.buf[start:self.pos]
-        keep = len(token) - 1
-        parts = [self._drop()]
-        tail = parts[0][-keep:]
-        while True:
-            chunk = self.fh.read(_CHUNK)
+    def until(self, byte):
+        """Take the bytes from pos through the first `byte`, or None if the
+        file has none.  Each chunk read is searched once, and the parts are
+        joined once."""
+        chunk, start, parts = self.buf, self.pos, []
+        end = chunk.find(byte, start) + 1
+        while not end:
+            parts.append(memoryview(chunk)[start:])
+            chunk, start = self.fh.read(_CHUNK), 0
             if not chunk:
                 return None
-            found = (tail + chunk[:keep]).find(token)  # at the seam, else in the chunk
-            if found < 0 and (found := chunk.find(token)) >= 0:
-                found += len(tail)
-            if found >= 0:
-                end = found + len(token) - len(tail)
-                parts.append(memoryview(chunk)[:end])
-                self.buf, self.pos = chunk, end
-                return b"".join(parts)
-            parts.append(chunk)
-            tail = (tail + chunk[-keep:])[-keep:]
+            end = chunk.find(byte) + 1
+        parts.append(memoryview(chunk)[start:end])
+        self.buf, self.pos = chunk, end
+        return b"".join(parts)
 
     def rest(self):
         """Take every byte left."""
@@ -339,21 +329,21 @@ def _block_texts(span, width, size):
 
 
 def _scan_matrix(span, blocks, cells, values, width):
-    """The cell codes of one matrix text [[[re, im], ...], ...], or None
-    unless it is square and in the writer's layout.  The dictionary unit is
-    a block of `width` cells of a row when that cuts each row into two or
-    more blocks, and the whole row otherwise.  `blocks` and `cells` map each
-    block and cell text seen so far to its codes; a new cell's value is
-    appended to `values`.  A new block's codes take the smallest unsigned
-    dtype that indexes `values` as it then stands, and the matrix the
-    widest of its blocks'."""
+    """The cell codes of one matrix text [[[re, im], ...], ...] and the "}"
+    after it, or None unless it is square and in the writer's layout.  The
+    dictionary unit is a block of `width` cells of a row when that cuts each
+    row into two or more blocks, and the whole row otherwise.  `blocks` and
+    `cells` map each block and cell text seen so far to its codes; a new
+    cell's value is appended to `values`.  A new block's codes take the
+    smallest unsigned dtype that indexes `values` as it then stands, and the
+    matrix the widest of its blocks'."""
     size = span.count(b"], [", 3, span.find(b"]]")) + 1  # the cells of the first row
     if 1 <= width < size and size % width == 0:
         texts = _block_texts(span, width, size)
         if texts is None:
             return None
     else:
-        texts = span[3:-3].split(b"]], [[")
+        texts = span[3:-4].split(b"]], [[")
         size = width = len(texts)  # as many cells in each row as there are rows
     codes = []
     for text in texts:
@@ -385,15 +375,15 @@ def _scan_generators(source, pieces, width):
     codes, blocks, cells, values = [], {}, {}, []
     while True:
         entry = source.match(_ENTRY)
-        span = entry and source.until(b"]]]")
-        if not span:
+        span = entry and source.until(b"}")  # the matrix and the "}" closing its entry
+        if not span or not span.endswith(b"]]]}") or span.endswith(b"]]]]}"):  # "]]]" exactly
             return None
         codes.append(_scan_matrix(span, blocks, cells, values, width))
         close = source.match(_NEXT) or source.match(_END)
         if codes[-1] is None or close is None:
             return None
-        pieces += [entry, b"0", close]
-        if close == b"}]":
+        pieces += [entry, b"0}", close]
+        if close == b"]":
             break
     pieces.append(source.rest())
     return codes, values

@@ -2,8 +2,8 @@
 
 Matrices are numpy complex128 arrays, row-major, zero-based.  A basis is a
 square array whose columns are the basis vectors.  Adjoint products A^dag X
-skip the exact zeros of A (ColumnBlocks), whose column groups have one
-shape, else make one dense group: an expanded basis has d nonzeros per
+skip the exact zeros of A (ColumnBlocks), whose column groups share one
+block, else make one dense group: an expanded basis has d nonzeros per
 column, so A^dag X costs 8 d N c flops for an N x c array X instead of
 8 N^2 c.  ColumnBlocks builds an expanded basis from kd of its N columns
 and the row moves that give the others, so no N x N array is needed.
@@ -35,10 +35,11 @@ class ColumnBlocks:
     that share one row support (the rows where they are nonzero).
 
     The groups have one shape, s support rows by m columns, held as `rows`
-    (G, s), ascending, `cols` (G, m) and adjoint values A[rows, cols]^dag
-    (G, m, s).  An expanded basis is N/d groups of d x d, held in N·d
-    entries.  A matrix whose groups differ in shape is held as one dense
-    group, every row by every column.  The pattern is read off the entries
+    (G, s), each ordered by the bytes of its rows of A, `cols` (G, m) and one
+    `block` (m, s) of adjoint values, A[rows[g], cols[g]]^dag bit for bit
+    for every g.  An expanded basis is N/d groups of d x d, held in d^2
+    entries.  Any other matrix is held as one dense group, every row by
+    every column.  The pattern and the block are read off the entries
     themselves, never off a formula.
     """
 
@@ -47,7 +48,7 @@ class ColumnBlocks:
         p x N index array, A is instead the N x pc matrix of p copies of `a`,
         copy t having row R of `a` at row moves[t, R] and its column i
         numbered t c + i; each copy's groups are those of `a` with their rows
-        moved and put back in ascending order, their values with them."""
+        moved, in the same order, so they hold the same block."""
         a = np.asarray(a, dtype=complex)
         if a.ndim != 2 or not a.size:
             raise ValueError(f"need a matrix, got shape {a.shape}")
@@ -61,19 +62,20 @@ class ColumnBlocks:
         flat_keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
         _, group = np.unique(flat_keys, return_inverse=True)
         width, depth = np.bincount(group), support.sum(axis=0)
-        if (width != width[0]).any() or (depth != depth[0]).any():
-            support[:] = True  # groups of several shapes: one dense group
-            group[:] = 0
-        cols = np.argsort(group, kind="stable").reshape(group.max() + 1, -1)  # [group, column]
-        rows = np.nonzero(support[:, cols[:, 0]].T)[1].reshape(len(cols), -1)
-        adj = a[rows[:, None], cols[:, :, None]].conj()  # [group, column, row]
-        moved = moves[:, rows]  # [copy, group, row]
-        order = np.argsort(moved, axis=2)
-        (g, m), s = cols.shape, rows.shape[1]
-        size = len(moves) * g
-        self.rows = np.take_along_axis(moved, order, axis=2).reshape(size, s)
-        self.cols = (np.arange(len(moves))[:, None, None] * c + cols).reshape(size, m)
-        self.adj = np.take_along_axis(adj[None], order[:, :, None], axis=3).reshape(size, m, s)
+        rows, cols = np.arange(n)[None], np.arange(c)[None]  # one dense group, unless
+        if (width == width[0]).all() and (depth == depth[0]).all():  # one shape, and one block
+            g_cols = np.argsort(group, kind="stable").reshape(-1, width[0])  # [group, column]
+            g_rows = np.nonzero(support[:, g_cols[:, 0]].T)[1].reshape(len(g_cols), -1)
+            values = a[g_rows[:, :, None], g_cols[:, None]]  # [group, row, column]
+            row_bytes = values.view(np.dtype((np.void, a.itemsize * width[0])))[..., 0]
+            g_rows = np.take_along_axis(g_rows, row_bytes.argsort(axis=1, kind="stable"), axis=1)
+            values = a[g_rows[:, :, None], g_cols[:, None]].view(np.uint64)
+            if (values == values[:1]).all():
+                rows, cols = g_rows, g_cols
+        size = len(moves) * len(rows)
+        self.rows = np.take(moves, rows, axis=1).reshape(size, rows.shape[1])
+        self.cols = (np.arange(len(moves))[:, None, None] * c + cols).reshape(size, cols.shape[1])
+        self.block = np.ascontiguousarray(a[rows[0][:, None], cols[0]].conj().T)
 
     def row_groups(self):
         """(group, lo, hi) for an A whose groups' row supports partition the
@@ -82,17 +84,16 @@ class ColumnBlocks:
         magnitude of the row's m entries there.  ValueError for any other
         A.  A dense group holds every row.  Computed once."""
         if not hasattr(self, "_row_groups"):
-            rows, adj = self.rows, self.adj
+            rows, block = self.rows, self.block
             if not np.array_equal(np.bincount(rows.ravel(), minlength=self.shape[0]),
                                   np.ones(self.shape[0], dtype=np.intp)):
                 raise ValueError("the row supports of the groups do not partition the rows")
-            g, _, s = adj.shape
             group = np.empty(self.shape[0], dtype=np.intp)
-            group[rows.ravel()] = np.repeat(np.arange(g), s)
-            squares = adj.real ** 2 + adj.imag ** 2
+            group[rows] = np.arange(len(rows))[:, None]
+            squares = block.real ** 2 + block.imag ** 2
             lo, hi = np.empty(self.shape[0]), np.empty(self.shape[0])
-            lo[rows.ravel()] = squares.min(axis=1).ravel()
-            hi[rows.ravel()] = squares.max(axis=1).ravel()
+            lo[rows] = squares.min(axis=0)
+            hi[rows] = squares.max(axis=0)
             self._row_groups = group, lo, hi
         return self._row_groups
 
@@ -105,9 +106,9 @@ class ColumnBlocks:
         return self._work[name][:size].reshape(shape)
 
     def adjoint_product(self, x):
-        """(cols, A[:, cols]^dag @ x), with cols flat: one batched product
-        over the groups, whose rows are those of A^dag x.  The block is
-        overwritten by the next call.
+        """(cols, A[:, cols]^dag @ x), with cols flat: one product of the
+        block with the rows of x gathered group by group, whose rows are
+        those of A^dag x.  The product is overwritten by the next call.
 
         Only exact-zero terms are dropped, so this equals the dense product
         up to summation order, at 8 d N c flops for an expanded basis and an
@@ -115,12 +116,12 @@ class ColumnBlocks:
         """
         if x.ndim != 2 or x.shape[0] != self.shape[0]:
             raise ValueError(f"need {self.shape[0]} rows, got shape {x.shape}")
-        c = x.shape[1]
         # mode="clip" since rows are in range; the default buffers `out`
-        gathered = np.take(x, self.rows, axis=0, mode="clip",
-                           out=self._scratch("gathered", self.rows.shape + (c,)))
-        block = np.matmul(self.adj, gathered, out=self._scratch("block", self.adj.shape[:2] + (c,)))
-        return self.cols.ravel(), block.reshape(self.cols.size, c)
+        gathered = np.take(x, self.rows.T, axis=0, mode="clip",
+                           out=self._scratch("gathered", self.rows.T.shape + x.shape[1:]))
+        product = np.matmul(self.block, gathered.reshape(len(gathered), -1),
+                            out=self._scratch("product", (len(self.block), gathered[0].size)))
+        return self.cols.T.ravel(), product.reshape(self.cols.size, -1)
 
 
 def max_entanglement_deviation(basis, d, dprime, norms=np.ones(1)):

@@ -62,10 +62,10 @@ columns, d times fewer flops.  Every slab is still expanded and compared.
 The column blocks of B_I are built from its slab 0 too, once every slab
 of B_I is checked: slab eta = T_eta y_0 has slab 0's row supports moved
 by T_eta (fields.add_index_table) and slab 0's entries there, bit for bit.
-So linalg.ColumnBlocks reads slab 0's groups off its entries and moves
-their rows, put back in ascending order: every group and product block is
-bit for bit that of a read of all N columns.  The blocks number the
-columns (eta, xi, j), so the ids below kd are slab 0's, in its order.
+So linalg.ColumnBlocks reads slab 0's groups and their one d x d block,
+lambda(r xi) / sqrt(d), off its entries and moves the groups' rows: every
+group and the block are bit for bit those of a read of all N columns.  The
+blocks number the columns (eta, xi, j), so the ids below kd are slab 0's.
 
 The per-basis checks run once per basis class.  A generator that is a row
 gather U = R[p] of another, R, has the basis B_U = (I_d (x) P) B_R, a row
@@ -167,8 +167,9 @@ since lambda(m r' xi) = lambda(r' (m xi)).  Then
 B_I^dag (I_d (x) P_m^T W P_m) B_I = Pi_m^T (B_I^dag (I_d (x) W) B_I) Pi_m,
 the same overlaps in another order.  So a W with P_m W P_m^T equal to an
 earlier dense W_rep, entry for entry, takes W_rep's overlap extremes.  The
-identity for each m used is checked on the computed B_I (_permutes_columns),
-and W keeps its own criterion sums, so its agreement tests the symmetry.  The
+identity for each m used is checked on the computed B_I (_permutes_columns,
+O(N) and a d x d sort), and W keeps its own criterion sums, so its
+agreement tests the symmetry.  The
 d-level Y of a factored class is matched in the same way against B_{I_d}.
 
 W = U^dag V is a gather when U has at most one nonzero per column, rho = 0
@@ -507,7 +508,8 @@ def bruteforce_unbiased(basis_a, basis_b):
     basis_a is an N x N array or its linalg.ColumnBlocks; basis_b is an
     N x N array or N x c columns of one, such as the slab 0 that
     _slab_zero returns.  The products run over the column groups of
-    basis_a, of one shape, else one dense group.  A NaN stays in both.
+    basis_a, which share one block, else one dense group.  A NaN stays in
+    both.
     """
     if not isinstance(basis_a, linalg.ColumnBlocks):
         basis_a = linalg.ColumnBlocks(basis_a)
@@ -521,7 +523,7 @@ def bruteforce_unbiased(basis_a, basis_b):
 def sparse_unbiased(basis_a, rows, values):
     """(min, max) magnitude over all N^2 entries of B^dag (I_d (x) W) B, for
     B the N x N basis held as linalg.ColumnBlocks basis_a, an expanded
-    basis, whose groups have one shape, and W the kd x kd monomial matrix
+    basis, whose groups share one block, and W the kd x kd monomial matrix
     with the entry values[n] at (rows[n], n); None when two rows of B meet
     in one block, a class for the streamed route.  Holds no N x N array.
     The proofs are in the module docstring.
@@ -543,24 +545,26 @@ def sparse_unbiased(basis_a, rows, values):
 def _permutes_columns(basis_a, sigma):
     """Whether A[sigma] = A Pi, bit for bit, for some column permutation Pi,
     A being the N x N basis held as linalg.ColumnBlocks basis_a, an expanded
-    basis, whose groups have one shape, and sigma a permutation of its
+    basis, whose groups share one block, and sigma a permutation of its
     rows.  Row R of A[sigma] is row sigma[R] of A.  The moved support
     sigma(S_h) of each group h must be the support S_g of one group g, and
-    the columns of g read at the rows sigma(S_h) must be those of h as a
-    multiset of byte strings; then every column of A[sigma] is a column of
-    A, one for one.  O(N d log d)."""
+    the columns of g read at the rows sigma(S_h), the block's columns taken
+    in h's row map, must be the block's as a multiset of byte strings; then
+    every column of A[sigma] is a column of A, one for one.  O(N), and one
+    d x d sort per distinct row map."""
     group = basis_a.row_groups()[0]
-    rows, adj = basis_a.rows, basis_a.adj  # adj[g, i, j] = conj(A[rows[g, j], cols[g, i]])
+    rows, block = basis_a.rows, basis_a.block  # block[i, j] = conj(A[rows[g, j], cols[g, i]])
     moved = sigma[rows]
     to = group[moved]
     if (to != to[:, :1]).any():
         return False
     slot = np.empty_like(group)  # of each row within its group's support
     slot[rows] = np.arange(rows.shape[1])
-    read = np.take_along_axis(adj[to[:, 0]], slot[moved][:, None, :], axis=2)
-    column = np.dtype((np.void, adj.itemsize * adj.shape[2]))
-    return np.array_equal(np.sort(read.view(column), axis=1),
-                          np.sort(np.ascontiguousarray(adj).view(column), axis=1))
+    maps = {q.tobytes(): q for q in slot[moved]}.values()  # h's row map: the slots of sigma(S_h)
+    column = np.dtype((np.void, block.itemsize * block.shape[1]))
+    want = np.sort(block.view(column), axis=0)
+    return all(np.array_equal(np.sort(block.take(q, axis=1).view(column), axis=0), want)
+               for q in maps)
 
 
 def _orbit_unit(w, rep, units, perms, one):

@@ -341,6 +341,7 @@ LOADER_CASES = {
     "odd-label": (_first('"U(a=1)"', r'"U]]]\"}, {\\ ⊗"'), True),
     "bad-escape-in-label": (_first('"U(a=1)"', r'"U\q"'), False),
     "wrong-row-count": (_first("]], [[", "]]]}, {\"label\": \"extra\", \"matrix\": [[["), False),
+    "four-closing-brackets": (_first("]]]}", "]]]]}"), False),
     "non-square": (lambda text: text.replace("], [0.0, 0.0]], [[", "]], [[", 1), False),
     "two-by-two-matrix": (lambda text: re.sub(r'"matrix": \[\[\[.*?\]\]\]',
                                               '"matrix": [[[1.0, 0.0], [0.0, 0.0]], '
@@ -443,8 +444,8 @@ def test_scanned_cell_codes_take_the_smallest_unsigned_dtype(tmp_path, monkeypat
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
 def test_scanner_gives_the_same_verdicts_in_chunks_of_a_few_bytes(tmp_path, monkeypatch, chunk):
-    # every cut of the file into reads: the seams of "]]]" and of each entry
-    # fall at every offset, and no verdict or outcome moves
+    # every cut of the file into reads: a read ends at every offset of each
+    # entry and of its closing "}", and no verdict or outcome moves
     base = tmp_path / "base.json"
     save_family(family_cd(3), base)
     text = base.read_text(encoding="utf-8")
@@ -574,6 +575,7 @@ BLOCK_CASES = {
         rows[1].split("], [")[:3]), *rows[2:]]), False),
     "a-block-fewer-in-row-2": (_rows(lambda rows: [rows[0], "], [".join(
         rows[1].split("], [")[3:]), *rows[2:]]), False),
+    "four-closing-brackets": (_first("]]]}", "]]]]}"), False),
     "d-5-divides-no-row": (_first('{"d": 3, ', '{"d": 5, '), True),
     "d-4-divides-the-row": (_first('{"d": 3, ', '{"d": 4, '), True),
     "d-1": (_first('{"d": 3, ', '{"d": 1, '), True),

@@ -1241,8 +1241,9 @@ def test_rows_that_meet_in_one_block_take_the_streamed_route(d, a, b):
     # meet in its diagonal block; for units a, b with a - b a zero divisor,
     # several rows of U(a)^dag U(b) meet in one block.  Either way the N rows
     # leave some of the N blocks unreached, so the pair streams and fails
-    # with lo = 0.  Its maximum is that of the slab-0 columns of B_W, bit
-    # for bit, and that of all its columns up to the order of summation
+    # with lo = 0.  Its maximum is that of the slab-0 columns of B_W against
+    # B_I held as certify_family holds it, bit for bit, and that of all its
+    # columns up to the order of summation
     ring = ring_for_dimension(d)
     u, v = permutation_unitary(ring, a), permutation_unitary(ring, b)
     w = u.conj().T @ v
@@ -1255,7 +1256,7 @@ def test_rows_that_meet_in_one_block_take_the_streamed_route(d, a, b):
     assert verify.sparse_unbiased(b_id, rows, values) is None
     want = bruteforce_unbiased(b_id, expand_basis(ring, w))
     assert want[0] == 0.0
-    slab = bruteforce_unbiased(b_id, _slab_zero_of(ring, w))
+    slab = bruteforce_unbiased(_identity_blocks(ring, d), _slab_zero_of(ring, w))
     assert abs(slab[1] - want[1]) <= _slab_rounding(d)
     report = certify_family(MEBFamily(d, 1, ring, [("U(a)", u), ("U(b)", v)]))
     (row,) = report.pair_results
@@ -1341,7 +1342,7 @@ def test_brute_force_extremes_keep_a_nan():
     b = np.eye(4, dtype=complex)
     b[3, 0] = np.nan
     blocks = linalg.ColumnBlocks(a)
-    assert blocks.adj.shape == (1, 4, 4)
+    assert blocks.block.shape == (4, 4) and blocks.rows.shape == (1, 4)
     assert np.isnan(blocks.adjoint_product(b)[1]).sum() == 4  # 0 * NaN is NaN: column 0 of every row
     lo, hi = bruteforce_unbiased(blocks, b)
     assert np.isnan(lo) and np.isnan(hi)
@@ -1421,6 +1422,29 @@ def test_unit_multiplications_permute_the_columns_of_the_identity_basis(d):
     rows[[d, d + 2]] = rows[[d + 2, d]]
     assert not verify._permutes_columns(b_id, rows)
     assert not verify._permutes_columns(b_id, both(fields.add_index_table(ring)[ring.one]))
+
+
+@pytest.mark.parametrize("d", [9, 15, 25])
+def test_a_unit_that_moves_a_spoiled_entry_does_not_permute_the_columns(d):
+    # spoiling the entry of column (xi, eta) = (1, 0) at row (1, 1) keeps
+    # every row support of B_I but makes it one dense group.  A unit that
+    # keeps every support of B_I and moves row (1, 1) leaves the spoiled
+    # value at a row where no column of B_I holds it
+    ring = ring_for_dimension(d)
+    b_id = expand_basis(ring, np.eye(d))
+    spoiled = b_id.copy()
+    spoiled[d + 1, d] *= 1 + 2 ** -40
+    b_id, spoiled = linalg.ColumnBlocks(b_id), linalg.ColumnBlocks(spoiled)
+    assert spoiled.block.shape == (d * d, d * d)
+    refused = 0
+    for m in ring.units():
+        q = fields.mul_index_vector(ring, m)
+        sigma = (q[:, None] * d + q).ravel()
+        assert verify._permutes_columns(b_id, sigma)
+        if sigma[d + 1] != d + 1:
+            assert not verify._permutes_columns(spoiled, sigma)
+            refused += 1
+    assert refused
 
 
 def test_a_w_that_is_no_unit_conjugate_does_not_merge():
@@ -1571,13 +1595,15 @@ def test_certify_family_builds_column_blocks_of_one_square_shape(monkeypatch, bu
     assert built
     for blocks in built:
         n = blocks.shape[0]
-        assert blocks.shape == (n, n) and blocks.adj.shape == (n // fam.d, fam.d, fam.d)
+        assert blocks.shape == (n, n) and blocks.block.shape == (fam.d, fam.d)
+        assert blocks.rows.shape == (n // fam.d, fam.d)
 
 
 def test_net_bases_have_column_blocks_of_one_square_shape():
     # each basis of a MacNeish net of order 6 is 6 groups of 6 x 6, one per line
     for basis in mols.mubs_from_net(mols.net_from_mols(mols.best_mols(6))):
-        assert linalg.ColumnBlocks(basis).adj.shape == (6, 6, 6)
+        blocks = linalg.ColumnBlocks(basis)
+        assert blocks.block.shape == (6, 6) and blocks.rows.shape == (6, 6)
 
 
 @pytest.mark.parametrize("d,k", [(5, 1), (3, 4), (9, 1), (7, 3)])
