@@ -68,8 +68,9 @@ class ColumnBlocks:
             g_rows = np.nonzero(support[:, g_cols[:, 0]].T)[1].reshape(len(g_cols), -1)
             values = a[g_rows[:, :, None], g_cols[:, None]]  # [group, row, column]
             row_bytes = values.view(np.dtype((np.void, a.itemsize * width[0])))[..., 0]
-            g_rows = np.take_along_axis(g_rows, row_bytes.argsort(axis=1, kind="stable"), axis=1)
-            values = a[g_rows[:, :, None], g_cols[:, None]].view(np.uint64)
+            order = row_bytes.argsort(axis=1, kind="stable")
+            g_rows = np.take_along_axis(g_rows, order, axis=1)
+            values = np.take_along_axis(values, order[..., None], axis=1).view(np.uint64)
             if (values == values[:1]).all():
                 rows, cols = g_rows, g_cols
         size = len(moves) * len(rows)

@@ -265,15 +265,13 @@ def basis_figures_per_basis(family, slab_zero=False):
     and checked in turn: the per-basis loop of verify.certify_family before
     it ran once per basis class, with verify._basis_deviations written out
     and I subtracted where a product row's column id of B_I equals one of
-    the slab's columns.  B_I is held as certify_family holds it, its slab 0
-    moved to the other slabs, so each product sums in the same places.  With
-    slab_zero, over the kd columns (xi, 0, j) of each basis alone, slab 0,
-    which certify_family reads; otherwise over every slab."""
+    the slab's columns.  With slab_zero, over the kd columns (xi, 0, j) of
+    each basis alone, slab 0, which certify_family reads; otherwise over
+    every slab."""
     ring, d, k = family.ring, family.d, family.k
     kd = k * d
-    identity_slab = next(construct.expand_slabs(ring, np.eye(kd)))
-    b_id = linalg.ColumnBlocks(identity_slab, slab_moves(ring, kd))
-    col_ids = np.arange(kd * d).reshape(d, kd)  # [eta, (xi, j)]
+    b_id = linalg.ColumnBlocks(construct.expand_basis(ring, np.eye(kd)))
+    col_ids = np.arange(kd * d).reshape(d, d, k)  # [xi, eta, j]
     out = []
     for label, u in family.generators:
         u_dag = u.conj().T
@@ -281,7 +279,7 @@ def basis_figures_per_basis(family, slab_zero=False):
         for eta, slab in enumerate(construct.expand_slabs(ring, u)):
             if slab_zero and eta:
                 break
-            cols = col_ids[eta]
+            cols = col_ids[:, eta].ravel()
             n = len(slab)
             ent = max(ent, linalg.max_entanglement_deviation(slab, n // kd, kd))
             x = np.matmul(u_dag, slab.reshape(n // kd, kd, kd)).reshape(n, kd)

@@ -110,9 +110,8 @@ def test_adjoint_product_blocks_on_identity_basis(d, k):
 def test_moved_blocks_are_the_full_read(d, k):
     # the groups of B_I moved from slab 0 are those read off all N columns,
     # matched by their column sets, with the same rows and one block of
-    # adjoint values bit for bit; so every row of a product with them sums
-    # the same terms in the same order, each group at another place in the
-    # one GEMM, which may round it differently
+    # adjoint values bit for bit; so is every row of a product with them,
+    # once the full read's groups take the same places in the one GEMM
     ring = ring_for_dimension(d)
     full = linalg.ColumnBlocks(expand_basis(ring, np.eye(k * d)))
     moved = _moved_blocks(ring, k)
@@ -124,11 +123,12 @@ def test_moved_blocks_are_the_full_read(d, k):
     x = _random_complex((k * d * d, 6), seed=d * k)
     want = np.zeros((k * d * d, 6), dtype=complex)
     got = np.zeros_like(want)
+    full.rows, full.cols = full.rows[g], full.cols[g]
     ids, block = full.adjoint_product(x)
     want[ids] = block
     ids, block = moved.adjoint_product(x)
     got[_slab_major(d, k, ids)] = block
-    assert np.abs(got - want).max() <= 1e-13
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_adjoint_product_blocks_dense_is_one_group():
