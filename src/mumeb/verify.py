@@ -76,7 +76,27 @@ the reduced density M M^dag of each column, M its d x kd reshape, becomes
 M P^T P M^dag = M M^dag.  So both per-basis figures of U equal those of R
 up to the order of the kd terms of each sum, and certify_family computes
 them once for the first generator of each class of generators that share
-one canonical matrix (see _pair_classes).
+one canonical matrix (see _pair_classes).  Unitarity is checked once per
+such class too: U = C[p] gives U^dag U = C^dag C up to the order of
+summation over the rows, so the check of the class's first generator
+stands for every member.
+
+The same identity lets one expansion serve every matrix that is a row
+gather of it.  certify_family plans its run before it expands anything but
+I: the matrices to expand, each once, are I at each level used, the matrix
+of each basis class and each W or Y that the brute force needs, and a
+matrix u is read off an M already planned when u = M[q] bit for bit.  Its
+slab 0 is then slab 0 of B_M with rows (iA, iB) read at (iA, q[iB]), bit
+for bit, so every figure is the one that u's own expansion gives.  The
+canonical forms say only that u + 0.0 = (M + 0.0)[q]; a -0.0 in u where M
+holds 0.0 gives B_u a -0.0 where B_M has 0.0, so such a u is planned
+itself.  The plan decides every route (sparse, orbit, streamed) in class
+order without an expansion, and each expansion is read by all its readers
+and dropped before the next is made.  So the run holds one slab at a time,
+but slab 0 of both B_I and B_{I_d}, when both are used, while the plan is
+made.  For family_cd the plan is I, which U(1) is, and F, of which every
+twist V(a) = U(a) F and every dense W = U(a)^dag V(b) is a row gather:
+2 expansions.
 
 A k >= 2 generator built as U = A (x) C, A k x k and C d x d, is certified
 from its factors, with the mixed-product and reshaping rules of the
@@ -578,12 +598,18 @@ def _orbit_unit(w, rep, units, perms, one):
     return None
 
 
-def _basis_deviations(b_id, u, slab, x, norms):
+def _basis_deviations(b_id, u, slab, x, norms, q=None):
     """(orthonormality, entanglement) of the basis of A (x) U from slab 0 of
     the expansion of U (_slab_zero), given the Gram matrix x = A^dag A and
     the squared column norms of A (figures 1 and 2 of the module
     docstring).  For A = [1] they are max |((I_d (x) U) B_I)^dag B_U - I|
-    and the largest deviation of a reduced density from I_d / d.
+    and the largest deviation of a reduced density from I_d / d.  Given q,
+    slab is slab 0 of the expansion of M with U = M[q] bit for bit, whose
+    rows (iA, iB) read at (iA, q[iB]) are slab 0 of U's, bit for bit
+    (module docstring).  The rows are gathered 8 columns at a time for
+    the entanglement, whose reduced densities are each computed and folded
+    alone, and one row block iA at a time for (I_d (x) U^dag) B_U, so that
+    no copy of slab 0 is held beside the products.
 
     The first is B_I^dag ((I_d (x) U^dag) B_U) - I over the column blocks
     of B_I.  For a unitary U it equals the Gram defect max |B_U^dag B_U - I|,
@@ -598,16 +624,23 @@ def _basis_deviations(b_id, u, slab, x, norms):
     x_diag = np.diagonal(x)
     on_scale = float(np.abs(x_diag).max())  # max_a |X_aa|
     off_scale = float(np.abs(x - np.diag(x_diag)).max())  # max_(a != b) |X_ab|
-    ent = linalg.max_entanglement_deviation(slab, n // kd, kd, norms)
-    y = np.matmul(u.conj().T, slab.reshape(n // kd, kd, kd)).reshape(n, kd)
-    ids, block = b_id.adjoint_product(y)
+    row_blocks = slab.reshape(n // kd, kd, kd)  # [iA]: the row block iA
+    rows = slice(None) if q is None else q
+    ent = np.max([linalg.max_entanglement_deviation(row_blocks[:, rows, c:c + 8].reshape(n, -1),
+                                                    n // kd, kd, norms)
+                  for c in range(0, kd, 8)])  # NaN stays
+    u_dag = u.conj().T
+    y = np.empty_like(row_blocks)
+    for i_a, block in enumerate(row_blocks):  # the products of one stacked matmul, bit for bit
+        np.matmul(u_dag, block[rows], out=y[i_a])
+    ids, block = b_id.adjoint_product(y.reshape(n, kd))
     at = (np.flatnonzero(ids < kd), ids[ids < kd])  # I's entries, at slab 0's columns
     diag = block[at]
     block[at] = 0.0
     off = float(np.abs(block).max())
     g_max = np.max((off, np.abs(diag).max()))
     ortho = np.max((on_scale * off, np.abs(x_diag[:, None] * diag - 1.0).max()))
-    return float(np.max((ortho, off_scale * g_max))), ent
+    return float(np.max((ortho, off_scale * g_max))), float(ent)
 
 
 def _slab_zero(ring, u, stages):
@@ -735,59 +768,86 @@ def _pair_classes(mats):
     return pairs, first, ids
 
 
+def _bits(a):
+    """The uint64 words of a's values, C-contiguous, so that two arrays
+    compare equal only bit for bit: -0.0 is not 0.0, and a NaN is itself."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
     """Check everything the family claims, holding no N x N array.
+
+    Unitarity is checked once per canonical matrix: on the first generator
+    of each class of generators that are row gathers of one another (see
+    _pair_classes), since U = C[p] gives U^dag U = C^dag C up to the order
+    of summation.  Every generator of a failing class keeps its own
+    generator_errors row, in generator order, with its class's deviation,
+    and certification stops there.
 
     Every generator U has a factor triple (A, C, rho): A (x) C when k >= 2
     and U factors (_kron_factors), else the trivial A = [1], C = U, rho = 0
     (module docstring).  The route is "factored" when U really factored,
     else "streamed"; the code is the same.
 
-    Per basis class (skipped when pairs_only), take the class's first
-    generator.  _slab_zero expands C, checks every other slab to be a
-    translate of slab 0 and returns slab 0, whose figures against the
-    column blocks of the identity basis of C's level, scaled by A^dag A and
-    the column norms of A, are those of the basis (figures 1 and 2 of the
-    module docstring).  A class holds the generators R[p] that are row
-    gathers of one another, whose bases B_{R[p]} = (I_d (x) P) B_R are row
-    permutations of one another, which changes neither figure beyond the
-    order of summation.  Every basis keeps its own report row, in generator
-    order, with its class's figures, the class id under "class", the route,
-    and for a factored class its "factor_residual" rho.
+    The run is planned before anything but I is expanded.  The plan lists
+    the matrices to expand, each once, and what reads each of them:
+    - I at each level that the basis classes or the pair classes use, whose
+      checked slab 0 (_slab_zero) is read into the column blocks of B_I or
+      B_{I_d} at once;
+    - per basis class (skipped when pairs_only), C of its first generator,
+      whose basis figures are those of the whole class (module docstring);
+    - per pair class, in class order, the Y = C_s^dag C_t of its first pair
+      (the factors of both when both factor, else the trivial factors of
+      both) when Y is neither sparse nor an orbit member (below).
+    A matrix u joins the planned matrix M with u = M[q] bit for bit, if one
+    is (q from their canonical forms, _canonical), else it is planned
+    itself.  Then each planned matrix is expanded once, every slab compared
+    with slab 0, and every reader runs on slab 0 with rows (iA, iB) read
+    at (iA, q[iB]), which is slab 0 of the expansion of u itself bit for
+    bit, B_{M[q]} = (I_d (x) Q) B_M (module docstring), before the next
+    matrix is expanded.
 
-    Per pair class (see _pair_classes), take its first pair: the factors of
-    both when both factor, else the trivial factors of both, and
-    Y = C_s^dag C_t.  The overlap extremes are those of the identity basis
-    of Y's level against B_Y, and the criterion extremes those of Y, each
-    times min and max |A_s^dag A_t| (figure 3).  The overlaps of B_Y are
-    "sparse" by sparse_unbiased when Y is monomial, else brute force
-    against slab 0 of B_Y, "streamed".  A streamed Y at the d-level is
-    first matched against the representative of each orbit found so far:
-    "orbit" when P_m Y P_m^T equals it for a unit m (_orbit_unit), which
-    takes its overlap extremes once (P_m (x) P_m) B_I = B_I Pi_m is checked
-    for that m (_permutes_columns, RuntimeError when it fails); else Y
-    becomes a representative.  The overlaps are held against
-    1/sqrt(kd^2), the criterion against 1/sqrt(k), and the two routes must
-    agree after the factor-d rescaling.  Every pair keeps its own report
-    row, in combinations order, with its class's figures, the class id
-    under "class", the route, for a sparse Y its "monomial_residual" rho,
-    and for an orbit the class id of its representative under "orbit_of".
-    Each figure includes the bound on how far the residuals can move it,
-    so every pass test holds for the generators as they stand.
+    Per basis class, the figures of slab 0 against the column blocks of
+    the identity basis of C's level, scaled by A^dag A and the column norms
+    of A, are those of the basis (figures 1 and 2 of the module docstring).
+    Every basis keeps its own report row, in generator order, with its
+    class's figures, the class id under "class", the route, and for a
+    factored class its "factor_residual" rho.
 
-    B_I and B_{I_d} are built into column blocks from their checked slab 0
-    (module docstring) the first time a class needs them.  report.stages
-    records the wall time of each stage (the building of B_I or B_{I_d},
-    under identity_blocks_s, is also part of the stage that first needs
-    it) and the counts of bases, basis classes and factored basis classes,
-    pairs, pair classes, factored pair classes, pair classes whose W or Y
-    took the sparse product and those whose W or Y took an orbit's
-    figures, and, as _slab_zero reads each expansion itself, the slabs
-    checked as translates of slab 0.
+    Per pair class (see _pair_classes), the overlap extremes are those of
+    the identity basis of Y's level against B_Y, and the criterion extremes
+    those of Y, each times min and max |A_s^dag A_t| (figure 3).  The
+    overlaps of B_Y are "sparse" by sparse_unbiased when Y is monomial,
+    else brute force against slab 0 of B_Y, "streamed".  A streamed Y at
+    the d-level is first matched against the representative of each orbit
+    found so far: "orbit" when P_m Y P_m^T equals it for a unit m
+    (_orbit_unit), which takes its overlap extremes once
+    (P_m (x) P_m) B_I = B_I Pi_m is checked for that m (_permutes_columns,
+    RuntimeError when it fails); else Y becomes a representative.  These
+    routes are decided in the plan, in class order.  The overlaps are held
+    against 1/sqrt(kd^2), the criterion against 1/sqrt(k), and the two
+    routes must agree after the factor-d rescaling.  Every pair keeps its
+    own report row, in combinations order, with its class's figures, the
+    class id under "class", the route, for a sparse Y its
+    "monomial_residual" rho, and for an orbit the class id of its
+    representative under "orbit_of".  Each figure includes the bound on how
+    far the residuals can move it, so every pass test holds for the
+    generators as they stand.
+
+    report.stages records the wall time of each stage: unitarity_s,
+    identity_blocks_s (expanding I and building its column blocks),
+    classes_s (the plan of the pair classes and their brute force),
+    bases_s (the basis figures) and expansions_s (the expansions other than
+    I's); and the counts of bases, basis classes and factored basis
+    classes, pairs, pair classes, factored pair classes, pair classes whose
+    W or Y took the sparse product and those whose W or Y took an orbit's
+    figures, the expansions, and, as _slab_zero reads each expansion
+    itself, the slabs checked as translates of slab 0, d - 1 per expansion.
 
     progress, when given, is called as progress(stage, done, total) as each
     stage starts, with done = 0, and after each of its items: "unitarity"
-    over the generators, "basis classes" and "pair classes".
+    over the canonical matrices, "pair classes" over the plan's pair
+    classes and "expansions" over the planned matrices.
     """
     t0 = time.perf_counter()
     d, k = family.d, family.k
@@ -807,20 +867,10 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
     stages = report.stages
     stages.update(bases=family.n_bases, basis_classes=0, factored_basis_classes=0, pairs=0,
                   classes=0, factored_pair_classes=0, sparse_pair_classes=0,
-                  orbit_pair_classes=0, slabs_checked=0, identity_blocks_s=0.0)
+                  orbit_pair_classes=0, expansions=0, slabs_checked=0, identity_blocks_s=0.0,
+                  classes_s=0.0, bases_s=0.0, expansions_s=0.0)
 
     progress = progress or (lambda stage, done, total: None)
-    progress("unitarity", 0, family.n_bases)
-    for done, (label, mat) in enumerate(family.generators, 1):
-        ok, dev = linalg.is_unitary(mat, 1e-9)
-        if not ok:
-            report.generator_errors.append({"label": label, "deviation": dev})
-        progress("unitarity", done, family.n_bases)
-    stages["unitarity_s"] = time.perf_counter() - t0
-    if report.generator_errors:
-        report.wall_time_s = time.perf_counter() - t0
-        return report
-
     ring = family.ring
     mats = [mat for _, mat in family.generators]
     pairs, first, ids = _pair_classes(mats)
@@ -829,18 +879,19 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
         basis_first.setdefault(c, i)
     stages.update(basis_classes=len(basis_first), pairs=len(pairs), classes=len(first))
 
-    blocks = {}
-
-    def identity_blocks(size):
-        """The column blocks of B_I for size kd, or of B_{I_d} for size d,
-        from its checked slab 0 and the moves T_eta of its rows."""
-        if size not in blocks:
-            t = time.perf_counter()
-            added = fields.add_index_table(ring).T  # [eta, iA]: iA + eta
-            moves = (added[:, :, None] * size + np.arange(size)).reshape(d, -1)  # [eta, (iA, iB)]
-            blocks[size] = linalg.ColumnBlocks(_slab_zero(ring, np.eye(size), stages), moves)
-            stages["identity_blocks_s"] += time.perf_counter() - t
-        return blocks[size]
+    progress("unitarity", 0, len(basis_first))
+    unitary = {}
+    for c, i in basis_first.items():
+        unitary[c] = linalg.is_unitary(mats[i], 1e-9)
+        progress("unitarity", len(unitary), len(basis_first))
+    for (label, _), c in zip(family.generators, ids):
+        ok, dev = unitary[c]
+        if not ok:
+            report.generator_errors.append({"label": label, "deviation": dev})
+    stages["unitarity_s"] = time.perf_counter() - t0
+    if report.generator_errors:
+        report.wall_time_s = time.perf_counter() - t0
+        return report
 
     factors = [_kron_factors(u, d) if k > 1 else None for u in mats]
 
@@ -851,23 +902,134 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
             return True, [factors[i] for i in gens]
         return False, [(np.ones((1, 1)), mats[i], 0.0) for i in gens]
 
-    t_stage = time.perf_counter()
-    if not pairs_only:
-        figures = []
-        progress("basis classes", 0, len(basis_first))
-        for i in basis_first.values():
-            factored, [(a, c_mat, rho)] = factor_triples(i)
-            ortho, ent = _basis_deviations(identity_blocks(len(c_mat)), c_mat,
-                                           _slab_zero(ring, c_mat, stages),
-                                           a.conj().T @ a, (np.abs(a) ** 2).sum(axis=0))
+    basis_triples = {} if pairs_only else {c: factor_triples(i) for c, i in basis_first.items()}
+    pair_triples = [factor_triples(i, j) for i, j in first]
+
+    plan = []  # (M, the order of M's canonical form, its readers (q, kind, class id))
+    known = {}  # the bytes of a canonical form -> the planned matrices that have it
+
+    def planned(u, kind, c):
+        """Plan a read of u's slab 0 by class c of this kind ("basis" or
+        "pair", None for no read) from a planned M with u = M[q] bit for
+        bit, q None when u = M, or from u itself, planned anew when no M
+        is; return M's place in the plan."""
+        rows, order, position = _canonical(u)
+        same = known.setdefault(rows.tobytes(), [])
+        for m in same:
+            q = plan[m][1][position]  # u + 0.0 = (M + 0.0)[q]
+            if np.array_equal(_bits(u), _bits(plan[m][0][q])):
+                q = None if np.array_equal(q, np.arange(len(q))) else q
+                plan[m][2].append((q, kind, c))
+                return m
+        same.append(len(plan))
+        plan.append((u, order, [(None, kind, c)] if kind else []))
+        return len(plan) - 1
+
+    blocks, held = {}, {}  # the column blocks of B_I per level; I's slab 0 until it is read
+
+    def identity_blocks(size):
+        """Plan and expand I of this size, kd or d, hold its checked slab 0
+        for its readers, and build from it the column blocks of B_I or B_{I_d}
+        with the moves T_eta of its rows."""
+        t = time.perf_counter()
+        m = planned(np.eye(size, dtype=complex), None, None)
+        held[m] = _slab_zero(ring, plan[m][0], stages)
+        stages["expansions"] += 1
+        added = fields.add_index_table(ring).T  # [eta, iA]: iA + eta
+        moves = (added[:, :, None] * size + np.arange(size)).reshape(d, -1)  # [eta, (iA, iB)]
+        blocks[size] = linalg.ColumnBlocks(held[m], moves)
+        stages["identity_blocks_s"] += time.perf_counter() - t
+
+    for size in dict.fromkeys(len(triples[0][1]) for _, triples in  # C's size, kd or d
+                              [*basis_triples.values(), *pair_triples]):
+        identity_blocks(size)
+
+    for c, (factored, [(_, c_mat, _)]) in basis_triples.items():
+        planned(c_mat, "basis", c)
+        stages["factored_basis_classes"] += factored
+
+    t = time.perf_counter()
+    orbits = []  # (Y, class id) of each d-level orbit's representative
+    units = ring.units()
+    perms = fields.mul_index_vector(ring, units[:, None])  # row h: index(m x), m = units[h]
+    checked = set()  # the h whose (P_m (x) P_m) B_I = B_I Pi_m holds
+    extremes = {}  # pair class -> the overlap extremes of its Y
+
+    def overlap_route(w, c):
+        """(e, route fields) of the overlaps of B^dag B_W, for B the identity
+        basis of W's level and c the pair class of W, with e how far the
+        sparse product can move them.  Their extremes go to extremes[c] now
+        when sparse, else when the plan runs."""
+        rows, values, rho = _monomial_part(w)
+        if kd * rho <= _FACTOR_LIMIT:
+            found = sparse_unbiased(blocks[len(w)], rows, values)
+            if found is not None:
+                extremes[c] = found
+                stages["sparse_pair_classes"] += 1
+                return kd * rho, {"route": "sparse", "monomial_residual": rho}
+        for rep, r in orbits if len(w) == d else ():
+            h = _orbit_unit(w, rep, units, perms, ring.one)
+            if h is None:
+                continue
+            if h not in checked:
+                sigma = (perms[h][:, None] * d + perms[h]).ravel()  # row (iA, iB) -> (m iA, m iB)
+                if not _permutes_columns(blocks[d], sigma):
+                    raise RuntimeError(f"the rows of B_I moved by the unit {units[h]} of {ring} "
+                                       f"are not a column permutation of B_I")
+                checked.add(h)
+            stages["orbit_pair_classes"] += 1
+            return 0.0, {"route": "orbit", "orbit_of": r}
+        planned(w, "pair", c)
+        if len(w) == d:
+            orbits.append((w, c))
+        return 0.0, {"route": "streamed"}
+
+    partial = []  # per pair class: its figures but the overlap extremes of Y
+    progress("pair classes", 0, len(first))
+    for c, (factored, [(a_s, c_s, rho_s), (a_t, c_t, rho_t)]) in enumerate(pair_triples):
+        x = np.abs(a_s.conj().T @ a_t)
+        y = _adjoint_product(c_s, c_t)
+        e_y, route = overlap_route(y, c)
+        if factored:
+            route = {**route, "route": "factored"}
+            stages["factored_pair_classes"] += 1
+        partial.append((float(x.min()), float(x.max()), *criterion_magnitudes(ring, y), e_y,
+                        kd * rho_s, kd * rho_t, route))
+        progress("pair classes", c + 1, len(first))
+    stages["classes_s"] += time.perf_counter() - t
+
+    figures = {}  # basis class -> (orthonormality, entanglement, route fields)
+    progress("expansions", 0, len(plan))
+    for m, (mat, _, readers) in enumerate(plan):
+        if m in held:
+            slab = held.pop(m)
+        else:
+            t = time.perf_counter()
+            slab = _slab_zero(ring, mat, stages)
+            stages["expansions"] += 1
+            stages["expansions_s"] += time.perf_counter() - t
+        for q, kind, c in readers:
+            t = time.perf_counter()
+            if kind == "pair":
+                read = slab if q is None else \
+                    np.take(slab.reshape(d, len(mat), -1), q, axis=1).reshape(slab.shape)
+                extremes[c] = bruteforce_unbiased(blocks[len(mat)], read)
+                del read
+                stages["classes_s"] += time.perf_counter() - t
+                continue
+            factored, [(a, c_mat, rho)] = basis_triples[c]
+            ortho, ent = _basis_deviations(blocks[len(mat)], c_mat, slab, a.conj().T @ a,
+                                           (np.abs(a) ** 2).sum(axis=0), q)
             e = kd * rho
             shift = 2 * e + e * e
-            route = {"route": "streamed"}
-            if factored:
-                route = {"route": "factored", "factor_residual": rho}
-                stages["factored_basis_classes"] += 1
-            figures.append((ortho + shift, ent + shift, route))
-            progress("basis classes", len(figures), len(basis_first))
+            route = {"route": "factored", "factor_residual": rho} if factored else \
+                {"route": "streamed"}
+            figures[c] = (ortho + shift, ent + shift, route)
+            stages["bases_s"] += time.perf_counter() - t
+        del slab  # before the next expansion
+        progress("expansions", m + 1, len(plan))
+
+    if not pairs_only:
         for (label, _), c in zip(family.generators, ids):
             ortho, ent, route = figures[c]
             report.basis_results.append({
@@ -879,58 +1041,13 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
                 "class": c,
                 **route,
             })
-    stages["bases_s"] = time.perf_counter() - t_stage
-
-    t_stage = time.perf_counter()
-
-    orbits = []  # (W, class id, overlap extremes) of each d-level orbit's representative
-    units = ring.units()
-    perms = fields.mul_index_vector(ring, units[:, None])  # row h: index(m x), m = units[h]
-    checked = set()  # the h whose (P_m (x) P_m) B_I = B_I Pi_m holds
-
-    def overlaps(w, c):
-        """(lo, hi, e, route fields): the overlap extremes of B^dag B_W for
-        the identity basis B of W's level, and e, how far the sparse product
-        can move them; c is the pair class of W."""
-        rows, values, rho = _monomial_part(w)
-        if kd * rho <= _FACTOR_LIMIT:
-            extremes = sparse_unbiased(identity_blocks(len(w)), rows, values)
-            if extremes is not None:
-                stages["sparse_pair_classes"] += 1
-                return (*extremes, kd * rho, {"route": "sparse", "monomial_residual": rho})
-        for rep, r, extremes in orbits if len(w) == d else ():
-            h = _orbit_unit(w, rep, units, perms, ring.one)
-            if h is None:
-                continue
-            if h not in checked:
-                sigma = (perms[h][:, None] * d + perms[h]).ravel()  # row (iA, iB) -> (m iA, m iB)
-                if not _permutes_columns(identity_blocks(d), sigma):
-                    raise RuntimeError(f"the rows of B_I moved by the unit {units[h]} of {ring} "
-                                       f"are not a column permutation of B_I")
-                checked.add(h)
-            stages["orbit_pair_classes"] += 1
-            return (*extremes, 0.0, {"route": "orbit", "orbit_of": r})
-        extremes = bruteforce_unbiased(identity_blocks(len(w)), _slab_zero(ring, w, stages))
-        if len(w) == d:
-            orbits.append((w, c, extremes))
-        return (*extremes, 0.0, {"route": "streamed"})
 
     class_results = []
-    progress("pair classes", 0, len(first))
-    for c, (i, j) in enumerate(first):
-        factored, [(a_s, c_s, rho_s), (a_t, c_t, rho_t)] = factor_triples(i, j)
-        x = np.abs(a_s.conj().T @ a_t)
-        x_lo, x_hi = float(x.min()), float(x.max())
-        y = _adjoint_product(c_s, c_t)
-        ov_lo, ov_hi, e_y, route = overlaps(y, c)
-        cr_lo, cr_hi = criterion_magnitudes(ring, y)
+    for c, (x_lo, x_hi, cr_lo, cr_hi, e_y, e_s, e_t, route) in enumerate(partial):
+        ov_lo, ov_hi = extremes[route.get("orbit_of", c)]
         ov_lo, ov_hi, cr_lo, cr_hi = x_lo * ov_lo, x_hi * ov_hi, x_lo * cr_lo, x_hi * cr_hi
         e_w = x_hi * e_y
-        e_s, e_t = kd * rho_s, kd * rho_t
         shift = e_s + e_t + e_s * e_t
-        if factored:
-            route = {**route, "route": "factored"}
-            stages["factored_pair_classes"] += 1
         ov_dev = deviation(ov_lo, ov_hi, target) + shift + e_w
         cr_dev = deviation(cr_lo, cr_hi, crit_target) + d * shift
         class_results.append({
@@ -943,8 +1060,6 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
             "criterion_pass": cr_dev <= tolerance,
             **route,
         })
-        progress("pair classes", c + 1, len(first))
-    stages["classes_s"] = time.perf_counter() - t_stage
     for i, j, c in pairs:
         report.pair_results.append({"a": family.generators[i][0], "b": family.generators[j][0],
                                     **class_results[c], "class": c})

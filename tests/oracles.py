@@ -255,8 +255,8 @@ def criterion_magnitudes_blockwise(ring, k, w):
             blk = w[j * d:(j + 1) * d, ell * d:(ell + 1) * d]
             gathered = blk[rows, add]        # [r, eta] = blk[r, index(r + eta)]
             mags = np.abs(lam.T @ gathered)  # [xi, eta]
-            lo = min(lo, float(mags.min()))
-            hi = max(hi, float(mags.max()))
+            lo = float(np.minimum(lo, mags.min()))  # np.minimum and np.maximum keep a NaN
+            hi = float(np.maximum(hi, mags.max()))
     return lo, hi
 
 
@@ -281,11 +281,11 @@ def basis_figures_per_basis(family, slab_zero=False):
                 break
             cols = col_ids[:, eta].ravel()
             n = len(slab)
-            ent = max(ent, linalg.max_entanglement_deviation(slab, n // kd, kd))
+            ent = float(np.maximum(ent, linalg.max_entanglement_deviation(slab, n // kd, kd)))
             x = np.matmul(u_dag, slab.reshape(n // kd, kd, kd)).reshape(n, kd)
             ids, block = b_id.adjoint_product(x)
             block = block - (ids[:, None] == cols)
-            ortho = max(ortho, float(np.abs(block).max()))
+            ortho = float(np.maximum(ortho, np.abs(block).max()))  # a NaN stays
         out.append((label, ortho, ent))
     return out
 
@@ -337,10 +337,11 @@ def certify_exhaustive(family, tolerance=1e-8, pairs_only=False):
             ov_lo, ov_hi = verify.bruteforce_unbiased(bases[i], bases[j])
             u, v = family.generators[i][1], family.generators[j][1]
             cr_lo, cr_hi = criterion_magnitudes_blockwise(family.ring, k, u.conj().T @ v)
-            ov_dev = max(abs(ov_hi - target), abs(target - ov_lo))
-            cr_dev = max(abs(cr_hi - crit_target), abs(crit_target - cr_lo))
-            agreement = max(abs(cr_hi / d - ov_hi), abs(cr_lo / d - ov_lo))
-            agreement_worst = max(agreement_worst, agreement)
+            # folded with np.maximum, which keeps a NaN in either place
+            ov_dev = float(np.maximum(abs(ov_hi - target), abs(target - ov_lo)))
+            cr_dev = float(np.maximum(abs(cr_hi - crit_target), abs(crit_target - cr_lo)))
+            agreement = float(np.maximum(abs(cr_hi / d - ov_hi), abs(cr_lo / d - ov_lo)))
+            agreement_worst = float(np.maximum(agreement_worst, agreement))
             report.pair_results.append({
                 "a": family.generators[i][0],
                 "b": family.generators[j][0],

@@ -59,13 +59,16 @@ def test_verify_progress_goes_to_stderr_alone(tmp_path, capsys, extra):
                for p in (plain, shown)]
     assert payload[0] == payload[1]
     lines = err_p.splitlines()
-    stages = [("unitarity", 36)] + ([] if extra == ["--pairs-only"] else [("basis classes", 2)]) + \
-        [("pair classes", 52)]
+    # unitarity once per canonical matrix (the 18 U(a) are row gathers of
+    # I, the 18 V(a) of F), the plan of the 52 pair classes, then the 2
+    # expansions it lists, B_I and B_F, with or without the basis figures
+    stages = [("unitarity", 2), ("pair classes", 52), ("expansions", 2)]
     assert [line for line in lines if line.endswith(": 0/" + line.split("/")[-1])] == \
         [f"{stage}: 0/{total}" for stage, total in stages]
     for stage, total in stages:
         last = [line for line in lines if line.startswith(f"{stage}: ")][-1]
         assert re.fullmatch(rf"{stage}: {total}/{total} in \d+\.\d s, eta 0\.0 s", last), last
+    assert re.fullmatch(r"expansions: 2/2 in \d+\.\d s, eta 0\.0 s", lines[-1]), lines[-1]
 
 
 def test_progress_prints_at_most_once_a_second_with_an_eta(monkeypatch):

@@ -695,21 +695,22 @@ def test_integer_entry_beyond_the_float_range_is_malformed(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-def _assert_header_stages(tmp_path, fam, factored, sparse):
+def _assert_header_stages(tmp_path, fam, factored, sparse, expansions):
     report = certify_family(fam)
     path = tmp_path / "report.json"
     save_report(report, path)
     doc = json.loads(path.read_text())
     stages = doc["header"]["stages"]
-    keys = ("bases", "pairs", "classes", "slabs_checked", "factored_basis_classes",
+    keys = ("bases", "pairs", "classes", "expansions", "slabs_checked", "factored_basis_classes",
             "factored_pair_classes", "sparse_pair_classes")
-    # d - 1 slabs checked per expansion: B_I, 4 bases, and the dense classes
+    # d - 1 slabs checked per expansion
     assert {key: stages[key] for key in keys} == \
-        {"bases": 4, "pairs": 6, "classes": 6, "slabs_checked": (fam.d - 1) * (1 + 4 + 6 - sparse),
+        {"bases": 4, "pairs": 6, "classes": 6, "expansions": expansions,
+         "slabs_checked": (fam.d - 1) * expansions,
          "factored_basis_classes": 4 * factored, "factored_pair_classes": 6 * factored,
          "sparse_pair_classes": sparse}
     assert all(stages[key] >= 0 for key in ("unitarity_s", "identity_blocks_s",
-                                            "bases_s", "classes_s"))
+                                            "bases_s", "classes_s", "expansions_s"))
     # outside the header the report is to_dict()
     body = {k: v for k, v in doc.items() if k != "header"}
     assert body == json.loads(json.dumps(report.to_dict()))
@@ -717,15 +718,17 @@ def _assert_header_stages(tmp_path, fam, factored, sparse):
 
 def test_report_header_carries_stage_timings_and_counts(tmp_path):
     # the rotated family does not factor and no W is monomial, so it streams
-    # B_I, 4 bases and 6 B_W at N = 36
-    _assert_header_stages(tmp_path, rotated_family(family_ckd(3, 4)), False, 0)
+    # B_I, 4 bases and 6 B_W at N = 36, no one a row gather of another
+    _assert_header_stages(tmp_path, rotated_family(family_ckd(3, 4)), False, 0, 1 + 4 + 6)
 
 
 def test_report_header_counts_the_factored_classes(tmp_path):
-    # family_ckd(3, 4) factors, so it streams B_{I_d}, 4 bases B_C and the
-    # 4 dense B_Y at the d-level N = 9; the Y of the U-U and V-V pairs are
-    # monomial and take the sparse product
-    _assert_header_stages(tmp_path, family_ckd(3, 4), True, 2)
+    # family_ckd(3, 4) factors, so it streams at the d-level N = 9: B_{I_d},
+    # which is also B_C of the first basis, B_C of the second and of the
+    # third, of which the fourth C is a row gather, and one B_Y for the 4
+    # dense Y, the others being row gathers of it or of a planned C; the Y
+    # of the U-U and V-V pairs are monomial and take the sparse product
+    _assert_header_stages(tmp_path, family_ckd(3, 4), True, 2, 4)
 
 
 @pytest.mark.parametrize("edit,message", [

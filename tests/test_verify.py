@@ -499,8 +499,10 @@ def test_factored_pairs_only_expands_the_d_level_identity_basis_once(monkeypatch
     calls = _count_expansions(monkeypatch)
     report = certify_family(family_ckd(3, 4), pairs_only=True)
     assert report.passed and len(report.pair_results) == 6
-    # B_{I_d}, then B_Y once per class but the 2 whose Y is monomial
-    assert calls == [(3, True)] + [(3, False)] * 4
+    # B_{I_d}, then B_Y once per canonical matrix of the 4 classes whose Y
+    # is not monomial: 2, each of the other Y being a row gather of one
+    assert calls == [(3, True)] + [(3, False)] * 2
+    assert report.stages["expansions"] == 3
     assert report.stages["sparse_pair_classes"] == 2
 
 
@@ -678,20 +680,99 @@ def test_factored_certify_family_holds_no_n_by_n_array():
 def test_stages_count_the_streamed_work():
     report = certify_family(family_cd(19))
     stages = report.stages
-    # expansions: B_I, 2 basis classes, and one pair class for each of the
-    # 2 orbits of the 18 whose W is dense; the other 16 dense classes take
-    # their orbit's figures and the other 34 the sparse product
+    # expansions: B_I and B_F, F the first twist.  The first basis class is
+    # that of U(1) = I, the second that of F, and the W of each of the 2
+    # orbits of the 18 dense pair classes is a row gather of F; the other 16
+    # dense classes take their orbit's figures and the other 34 the sparse
+    # product
     assert {key: stages[key] for key in ("bases", "basis_classes", "pairs", "classes",
-                                         "sparse_pair_classes", "orbit_pair_classes")} == \
+                                         "sparse_pair_classes", "orbit_pair_classes",
+                                         "expansions")} == \
         {"bases": 36, "basis_classes": 2, "pairs": 630, "classes": 52,
-         "sparse_pair_classes": 34, "orbit_pair_classes": 16}
-    assert stages["slabs_checked"] == 18 * (1 + 2 + 2)  # every slab but slab 0 of each
-    for key in ("unitarity_s", "identity_blocks_s", "bases_s", "classes_s"):
+         "sparse_pair_classes": 34, "orbit_pair_classes": 16, "expansions": 2}
+    assert stages["slabs_checked"] == 18 * 2  # every slab but slab 0 of each
+    for key in ("unitarity_s", "identity_blocks_s", "bases_s", "classes_s", "expansions_s"):
         assert 0 <= stages[key] <= report.wall_time_s
     assert "stages" not in report.to_dict()
     only = certify_family(family_cd(19), pairs_only=True).stages
-    assert only["slabs_checked"] == 18 * (1 + 2)
+    assert (only["expansions"], only["slabs_checked"]) == (2, 18 * 2)
 
+
+
+@pytest.mark.parametrize("d,k", [(5, 1), (9, 1), (3, 4), (5, 3)])
+def test_the_expansion_of_a_row_gather_is_the_expansion_gathered(d, k):
+    # B_{R[p]} = (I_d (x) P) B_R: row (iA, iB) of each slab of the expansion
+    # of R[p] is row (iA, p[iB]) of that of R, bit for bit, for R random
+    ring = ring_for_dimension(d)
+    kd = k * d
+    rng = np.random.default_rng(10 * d + k)
+    r = rng.standard_normal((kd, kd)) + 1j * rng.standard_normal((kd, kd))
+    p = rng.permutation(kd)
+    assert not np.array_equal(p, np.arange(kd))
+    for got, slab in zip(construct.expand_slabs(ring, r[p]), construct.expand_slabs(ring, r)):
+        want = slab.reshape(d, kd, kd)[:, p].reshape(slab.shape)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("build,expansions", [
+    (lambda: family_cd(19), 2), (lambda: family_cd(25), 2), (lambda: family_ckd(25, 9), 3),
+], ids=["19-1", "25-1", "25-9"])
+def test_certify_family_expands_each_canonical_matrix_once(monkeypatch, build, expansions):
+    # k = 1: I, which U(1) is, and F, of which every V(a) and every dense W
+    # is a row gather; (25,9): I_d and the 2 other canonical d-level factors
+    fam = build()
+    calls = _count_expansions(monkeypatch)
+    report = certify_family(fam)
+    assert report.passed
+    assert len(calls) == report.stages["expansions"] == expansions
+    assert calls[0] == (fam.d, True) and not any(is_eye for _, is_eye in calls[1:])
+    assert report.stages["slabs_checked"] == (fam.d - 1) * expansions
+
+
+def test_a_signed_zero_is_not_read_off_a_matrix_without_it(monkeypatch):
+    # U(1) with one off-diagonal 0.0 turned -0.0 has the canonical form of I
+    # but is not I bit for bit, so the plan expands it itself; signed zeros
+    # move no magnitude, so the payload is that of the family as built
+    fam = family_cd(5)
+    want = certify_family(fam).to_dict()
+    (label, one), *rest = fam.generators
+    signed = np.array(one)
+    signed[0, 1] = complex(-0.0, 0.0)
+    calls = _count_expansions(monkeypatch)
+    expanded = []
+    slabs = construct.expand_slabs
+    monkeypatch.setattr(construct, "expand_slabs",
+                        lambda ring, u: expanded.append(np.array(u)) or slabs(ring, u))
+    report = certify_family(MEBFamily(5, 1, fam.ring, [(label, signed), *rest], fam.metadata))
+    assert calls == [(5, True), (5, True), (5, False)] and report.stages["expansions"] == 3
+    assert np.array_equal(expanded[1].view(np.int64), signed.view(np.int64))
+    assert report.to_dict() == want
+
+
+def test_unitarity_is_checked_once_per_canonical_matrix(monkeypatch):
+    calls = []
+    is_unitary = linalg.is_unitary
+    monkeypatch.setattr(linalg, "is_unitary", lambda a, tol: calls.append(a) or is_unitary(a, tol))
+    assert certify_family(family_cd(19)).passed
+    assert len(calls) == 2
+
+
+def test_every_generator_of_a_non_unitary_class_keeps_its_row():
+    # the twists 1.01 V(a) are row gathers of one another, so one check of
+    # the first fails them all, each on its own row, in generator order,
+    # with the first's deviation: each one's own is that up to the order of
+    # summation
+    fam = family_cd(5)
+    gens = [(label, 1.01 * u if label.startswith("V") else u) for label, u in fam.generators]
+    report = certify_family(MEBFamily(5, 1, fam.ring, gens, fam.metadata))
+    twists = [(label, u) for label, u in gens if label.startswith("V")]
+    assert [e["label"] for e in report.generator_errors] == [label for label, _ in twists]
+    first = linalg.is_unitary(twists[0][1])[1]
+    assert first > 1e-9
+    for e, (_, u) in zip(report.generator_errors, twists):
+        assert e["deviation"] == first
+        assert linalg.is_unitary(u)[1] == pytest.approx(first, rel=1e-12)
+    assert not report.passed and report.pair_results == []
 
 def _first_last_w(d, k):
     fam = family_cd(d) if k == 1 else family_ckd(d, k)
@@ -1720,6 +1801,32 @@ def test_signed_zeros_and_nans_compare_by_their_bits(monkeypatch):
         [label for label, _ in fam.generators if label.startswith("V")]
     assert all(np.isnan(b["orthonormality"]) and np.isnan(b["entanglement"]) for b in failing)
 
+
+
+def test_a_nan_overlap_fails_the_oracle_and_stays_in_its_folds(monkeypatch):
+    # a NaN column in the expansion of the first twist: Python's max would
+    # keep the 0.0 it starts from in every fold; the oracle keeps the NaN
+    fam = family_cd(5)
+    label, twist = fam.generators[4]
+
+    def nan_everywhere(eta, slab):
+        slab[:, _translate(5, slab, 1, 0)] = np.nan
+    _spoil_expansions(monkeypatch, nan_everywhere, target=twist)
+    with np.errstate(invalid="ignore"):
+        want = certify_exhaustive(fam)
+        figures = {b: (ortho, ent) for b, ortho, ent in basis_figures_per_basis(fam)}
+    assert not want.passed and np.isnan(want.agreement_deviation)
+    spoiled = [p for p in want.pair_results if label in (p["a"], p["b"])]
+    assert len(spoiled) == 7
+    for p in spoiled:
+        assert not p["pass"] and np.isnan(p["overlap_deviation"]) and np.isnan(p["agreement"])
+    assert all(p["pass"] for p in want.pair_results if p not in spoiled)
+    assert np.isnan(figures[label]).all()
+    assert not np.isnan([figures[b] for b in figures if b != label]).any()
+    # one NaN in the last block of a k = 2 W: the blockwise criterion keeps it
+    w = np.ones((6, 6), dtype=complex)
+    w[4, 4] = np.nan
+    assert np.isnan(criterion_magnitudes_blockwise(ring_for_dimension(3), 2, w)).all()
 
 def test_agreement_deviation_keeps_a_nan_in_a_later_pair_class(monkeypatch):
     # class 0 takes the sparse route, so only the streamed classes after it are NaN
