@@ -142,7 +142,7 @@ def _cmd_verify(args):
         families.save_report(report, args.report,
                              header_extra={"family_file": args.family})
     if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True))
+        families.write_report(report, sys.stdout)
     else:
         worst_pair = functools.reduce(verify._nan_max, [p["overlap_deviation"] for p in
                                                         report.pair_results] or [0.0])
@@ -229,8 +229,9 @@ def _cmd_mols(args):
     worst = float(np.max([verify.deviation(*verify.bruteforce_unbiased(a, b), target)
                           for a, b in itertools.combinations(bases, 2)], initial=0.0))  # NaN stays
     if args.out:
-        families.write_json(args.out, {"k": k, "x": x, "n_bases": len(bases)}, "bases",
-                            families.matrix_texts(bases, k))  # one block per row
+        with open(args.out, "w", encoding="utf-8") as fh:
+            families.write_json(fh, {"k": k, "x": x, "n_bases": len(bases)},
+                                {"bases": families.matrix_texts(bases, k)})  # one block per row
     print(f"k={k} bases={len(bases)} worst-overlap-dev={worst:.3e}")
     return 0 if worst <= 1e-9 else 3
 

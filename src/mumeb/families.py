@@ -24,11 +24,17 @@ recognise (other whitespace, integer cells, non-finite values, duplicate
 keys, bytes that are not UTF-8, ...) is read again from its start as text
 and parsed by json.loads alone, so both routes give the same family or the
 same error.
+
+A verification report repeats each class's figures in every basis or pair
+row of the class, so write_report builds each row from one text per class
+and the texts of its labels (_row_texts); the file holds the bytes
+json.dumps gives for the whole document.
 """
 
 import cmath
 import io
 import json
+import operator
 import re
 import time
 
@@ -138,6 +144,10 @@ def family_from_dict(payload):
     return MEBFamily(d, k, ring, generators, metadata)
 
 
+# json.dumps(obj, sort_keys=True) builds a new encoder on every call
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def _header(extra=None):
     head = {"created": time.strftime("%Y-%m-%dT%H:%M:%S%z"), "tool": f"mumeb {__version__}"}
     if extra:
@@ -190,21 +200,28 @@ def matrix_texts(matrices, width):
         yield "".join(parts)
 
 
-def write_json(path, members, key, items):
-    """Write the bytes of json.dump(doc, fh, sort_keys=True) and a newline,
-    for doc = members plus {key: [...]}, where `items` yields the JSON text of
-    each element of that list in order; the document is never one string."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, name in enumerate(sorted([*members, key])):
-            fh.write(("{" if i == 0 else ", ") + json.dumps(name) + ": ")
-            if name != key:
-                fh.write(json.dumps(members[name], sort_keys=True))
-                continue
-            fh.write("[")
-            for j, item in enumerate(items):
-                fh.write((", " if j else "") + item)
-            fh.write("]")
-        fh.write("}\n")
+def write_json(fh, members, lists):
+    """Write to the text stream fh the bytes of json.dump(doc, fh,
+    sort_keys=True) and a newline, for doc = members plus, for each name in
+    lists, a list whose elements' JSON texts lists[name] yields in order;
+    the document is never one string."""
+    for i, name in enumerate(sorted([*members, *lists])):
+        fh.write(("{" if i == 0 else ", ") + json.dumps(name) + ": ")
+        if name not in lists:
+            fh.write(_encode(members[name]))
+            continue
+        fh.write("[")
+        batch, size, sep = [], 0, ""
+        for item in lists[name]:  # one write per run of at least 64 KiB, not per item
+            batch.append(item)
+            size += len(item)
+            if size >= 1 << 16:
+                fh.write(sep + ", ".join(batch))
+                batch, size, sep = [], 0, ", "
+        if batch:
+            fh.write(sep + ", ".join(batch))
+        fh.write("]")
+    fh.write("}\n")
 
 
 def save_family(family, path):
@@ -213,9 +230,10 @@ def save_family(family, path):
     members = {"header": _header(), "d": family.d, "k": family.k,
                "ring": family.ring.descriptor(), "metadata": family.metadata}
     texts = matrix_texts((mat for _, mat in family.generators), family.d)
-    write_json(path, members, "generators",
-               ('{"label": ' + json.dumps(label) + ', "matrix": ' + text + "}"
-                for (label, _), text in zip(family.generators, texts)))
+    with open(path, "w", encoding="utf-8") as fh:
+        write_json(fh, members, {"generators": (
+            '{"label": ' + json.dumps(label) + ', "matrix": ' + text + "}"
+            for (label, _), text in zip(family.generators, texts))})
 
 
 def _reject_constant(name):
@@ -451,10 +469,94 @@ def load_family(path):
     return family_from_dict(payload)
 
 
+def _template(row, keys, labels):
+    """The texts of json.dumps(row, sort_keys=True) before, between and
+    after its label values, at the even places of a list with a hole for
+    each label; keys are the keys of row.  The members between two labels
+    are encoded as one dict, whose text is theirs within braces."""
+    parts, run, sep = [""], {}, "{"
+    for key in sorted(keys):
+        if key not in labels:
+            run[key] = row[key]
+            continue
+        if run:
+            parts[-1] += sep + _encode(run)[1:-1]
+            sep, run = ", ", {}
+        parts[-1] += sep + _encode(key) + ": "
+        parts.append("")
+        sep = ", "
+    if run:
+        parts[-1] += sep + _encode(run)[1:-1]
+    parts[-1] += "}"
+    template = [None] * (2 * len(parts) - 1)
+    template[::2] = parts
+    return template
+
+
+def _row_texts(rows, labels):
+    """Yield json.dumps(row, sort_keys=True) for each dict in rows.
+
+    A report row repeats its class's figures beside its own labels.  So a
+    row's text is a template (_template) with the texts of its labels,
+    each label encoded once per object, in its holes.  A template is reused
+    only for a row with the same keys in the same order whose other values
+    are the very objects it was made from, which gives the same text: it is
+    found by those values and then checked object by object, since equal
+    values such as 0.0 and -0.0, or 1 and True, can have other texts.
+    Label texts are keyed by the id of their object, which is held here, so
+    no id is reused while its text is.  A row with fewer than two members,
+    a key that is not a string, a label missing or an unhashable value is
+    encoded by itself."""
+    labels = sorted(labels)
+    shapes, named, held = {}, {}, []  # keys -> (getter, count, templates); label id -> text
+    for row in rows:
+        keys = tuple(row)
+        try:
+            get, count, templates = shapes[keys]
+        except KeyError:
+            others = sorted(set(keys).difference(labels))
+            whole = len(keys) < 2 or not set(labels).issubset(keys) or \
+                any(type(key) is not str for key in keys)
+            get, count, templates = shapes[keys] = \
+                (None, 0, None) if whole else (operator.itemgetter(*others, *labels), len(others), {})
+        if get is None:
+            yield _encode(row)
+            continue
+        values = get(row)
+        figures = values[:count]
+        try:
+            made = templates.get(figures)
+        except TypeError:  # a list or a dict among them
+            yield _encode(row)
+            continue
+        if made is None or not all(map(operator.is_, made[0], figures)):
+            made = templates[figures] = (figures, _template(row, keys, labels))
+        template = made[1]
+        try:
+            template[1::2] = [named[id(value)] for value in values[count:]]
+        except KeyError:
+            for value in values[count:]:
+                if id(value) not in named:
+                    named[id(value)] = _encode(value)
+                    held.append(value)
+            template[1::2] = [named[id(value)] for value in values[count:]]
+        yield "".join(template)
+
+
+def write_report(report, fh, header=None):
+    """Write to the text stream fh the bytes of json.dumps(doc,
+    sort_keys=True) and a newline, for doc = report.to_dict() with header as
+    its "header" member when one is given, one row at a time (_row_texts)."""
+    members = report.to_dict()
+    bases, pairs = members.pop("bases"), members.pop("pairs")
+    if header is not None:
+        members["header"] = header
+    write_json(fh, members, {"bases": _row_texts(bases, ["label"]),
+                             "pairs": _row_texts(pairs, ["a", "b"])})
+
+
 def save_report(report, path, header_extra=None):
     header = {**_header(header_extra), "wall_time_s": report.wall_time_s,
               "stages": report.stages}
-    doc = {"header": header, **report.to_dict()}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True))  # the C encoder; json.dump never uses it
-        fh.write("\n")
+        write_report(report, fh, header)

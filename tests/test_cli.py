@@ -45,6 +45,17 @@ def test_verify_json_is_deterministic(tmp_path, capsys):
     assert run(capsys, "verify", str(fam), "--json") == (0, out, "")
 
 
+@pytest.mark.parametrize("d,k", [(7, 1), (5, 4)])
+def test_verify_json_is_the_report_without_its_header(tmp_path, capsys, d, k):
+    fam, report = tmp_path / "fam.json", tmp_path / "report.json"
+    assert run(capsys, "construct", "--d", str(d), "--k", str(k), "--out", str(fam))[0] == 0
+    code, out, _ = run(capsys, "verify", str(fam), "--report", str(report), "--json")
+    text = report.read_text(encoding="utf-8")
+    member = ', "header": ' + json.dumps(json.loads(text)["header"], sort_keys=True)
+    assert code == 0 and text.count(member) == 1
+    assert out == text.replace(member, "")
+
+
 @pytest.mark.parametrize("extra", [[], ["--json"], ["--pairs-only"]], ids=["text", "json", "pairs-only"])
 def test_verify_progress_goes_to_stderr_alone(tmp_path, capsys, extra):
     # each stage prints its start and its end, done out of the total, with

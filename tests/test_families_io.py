@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 import mumeb
-from mumeb import construct, families
+from mumeb import construct, families, verify
 from mumeb.cli import main
 from mumeb.construct import MEBFamily, family_cd, family_ckd, family_ckd_mols
 from mumeb.families import (SchemaError, family_from_dict, load_family,
                             matrix_from_json, save_family, save_report)
 from mumeb.fields import ring_for_dimension
-from mumeb.verify import certify_family
+from mumeb.verify import VerificationReport, certify_family
 from oracles import load_family_json, load_outcome, matrix_to_json, rotated_family
 
 
@@ -141,8 +141,8 @@ def test_save_report(tmp_path):
 
 
 def test_save_report_writes_the_bytes_of_json_dump(monkeypatch, tmp_path):
-    # save_report encodes with json.dumps, whose C encoder writes what the
-    # pure-Python encoder of json.dump writes, byte for byte
+    # save_report writes its rows from one text per class; the file is what
+    # the pure-Python encoder of json.dump writes for the whole document
     monkeypatch.setattr(families, "_header", lambda extra: {"created": "fixed", **(extra or {})})
     report = certify_family(family_cd(19))
     path = tmp_path / "report.json"
@@ -155,6 +155,88 @@ def test_save_report_writes_the_bytes_of_json_dump(monkeypatch, tmp_path):
     want.write("\n")
     assert path.read_bytes() == want.getvalue().encode("utf-8")
     assert len(doc["pairs"]) == 630
+
+
+def _relabelled(family, labels):
+    return MEBFamily(family.d, family.k, family.ring,
+                     [(label, mat) for label, (_, mat) in zip(labels, family.generators)],
+                     family.metadata)
+
+
+def _spoiled(family, at, factor):
+    gens = list(family.generators)
+    gens[at] = (gens[at][0], gens[at][1] * factor)
+    return MEBFamily(family.d, family.k, family.ring, gens, family.metadata)
+
+
+def _hand_built():
+    """Rows that share a class id, keys and all but one value object: a
+    figure that differs, 0.0 against -0.0, 1 against True and 1.0, and
+    rows a template cannot carry."""
+    report = VerificationReport("hand-d2-k1", 2, 1, 3, {"overlap": 1e-8})
+    zero, one = 0.0, 1
+    shared = {"class": 0, "overlap_max": 0.5, "pass": True, "route": "streamed", "x": zero}
+    report.pair_results = [
+        {"a": "u", "b": "v", **shared},
+        {"a": "u", "b": "w", **shared, "overlap_max": 0.25},
+        {"a": "v", "b": "w", **shared, "x": -0.0},
+        {"a": "u", "b": "v", **shared, "x": one},
+        {"a": "u", "b": "w", **shared, "x": True},
+        {"a": "v", "b": "w", **shared, "x": 1.0},
+        {"b": "v", "a": "u", **shared},  # other insertion order
+        {"a": "u", **shared},  # a label missing
+        {"a": "u", "b": "v", **shared, "x": [zero, {"z": 1, "y": float("nan")}]},  # unhashable
+        {"a": 1, "b": True, **shared},  # labels that are not strings
+        {"a": "u", "b": "v"},
+        {"a": "u"},
+    ]
+    report.basis_results = [{"label": "u", "class": 0, "orthonormality": zero},
+                            {"label": "v", "class": 0, "orthonormality": -0.0},
+                            {"label": "w", "class": 0, "orthonormality": float("inf")}]
+    return report
+
+
+def _nan_certified(family, monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "bruteforce_unbiased", lambda *a: calls.append(1) or (
+        (float("nan"), float("inf")) if len(calls) % 2 else (float("-inf"), 0.5)))
+    return certify_family(family)
+
+
+@pytest.mark.parametrize("make", [
+    lambda mp: certify_family(family_cd(7)),  # sparse, orbit and streamed
+    lambda mp: certify_family(family_ckd(5, 4)),  # factored, with orbit_of and both residuals
+    lambda mp: _nan_certified(family_cd(7), mp),
+    lambda mp: certify_family(_spoiled(family_cd(7), 3, 1.5)),  # generator_errors only
+    lambda mp: certify_family(family_cd(7), pairs_only=True),
+    lambda mp: certify_family(_relabelled(family_cd(3), ['q"', "b\\", "caf\u00e9", "\u4e2d\n"])),
+    lambda mp: _hand_built(),
+], ids=["routes", "factored", "nan-inf", "generator-errors", "pairs-only", "escaped-labels",
+        "hand-built"])
+def test_save_report_writes_json_dumps_of_the_whole_document(make, monkeypatch, tmp_path):
+    # rows are written from one template per class: the bytes must still be
+    # those of json.dumps over the whole document
+    monkeypatch.setattr(families, "_header", lambda extra: {"created": "fixed", **(extra or {})})
+    report = make(monkeypatch)
+    path = tmp_path / "report.json"
+    save_report(report, path, header_extra={"family_file": "f.json"})
+    header = {"created": "fixed", "family_file": "f.json", "wall_time_s": report.wall_time_s,
+              "stages": report.stages}
+    want = json.dumps({"header": header, **report.to_dict()}, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_save_report_encodes_each_class_once(monkeypatch, tmp_path):
+    # four texts per pair class template, three per basis class template,
+    # one per label object in each list, and the document's other members
+    report = certify_family(family_cd(19))
+    calls = []
+    encode = families._encode
+    monkeypatch.setattr(families, "_encode", lambda obj: calls.append(1) or encode(obj))
+    save_report(report, tmp_path / "report.json")
+    stages = report.stages
+    assert len(calls) <= 4 * stages["classes"] + 3 * stages["basis_classes"] + 2 * 36 + 10
+    assert len(calls) < len(report.pair_results) // 2
 
 
 @pytest.mark.parametrize("field,value,message", [
