@@ -25,10 +25,11 @@ keys, bytes that are not UTF-8, ...) is read again from its start as text
 and parsed by json.loads alone, so both routes give the same family or the
 same error.
 
-A verification report repeats each class's figures in every basis or pair
-row of the class, so write_report builds each row from one text per class
-and the texts of its labels (_row_texts); the file holds the bytes
-json.dumps gives for the whole document.
+A verification report repeats each class's figures in every basis row of
+the class, and in every pair row of a class that is not factored, so
+write_report builds each row from one text per set of figures and the
+texts of its labels (_row_texts); the file holds the bytes json.dumps
+gives for the whole document.
 """
 
 import cmath
@@ -496,9 +497,10 @@ def _template(row, keys, labels):
 def _row_texts(rows, labels):
     """Yield json.dumps(row, sort_keys=True) for each dict in rows.
 
-    A report row repeats its class's figures beside its own labels.  So a
-    row's text is a template (_template) with the texts of its labels,
-    each label encoded once per object, in its holes.  A template is reused
+    A report row mostly repeats its class's figures beside its own labels
+    (a factored pair row has its own).  So a row's text is a template
+    (_template) with the texts of its labels, each label encoded once per
+    object, in its holes.  A template is reused
     only for a row with the same keys in the same order whose other values
     are the very objects it was made from, which gives the same text: it is
     found by those values and then checked object by object, since equal

@@ -79,7 +79,8 @@ them once for the first generator of each class of generators that share
 one canonical matrix (see _pair_classes).  Unitarity is checked once per
 such class too: U = C[p] gives U^dag U = C^dag C up to the order of
 summation over the rows, so the check of the class's first generator
-stands for every member.
+stands for every member.  A family whose generators factor is classed
+on its factors instead (below).
 
 The same identity lets one expansion serve every matrix that is a row
 gather of it.  certify_family plans its run before it expands anything but
@@ -110,7 +111,7 @@ of C.  So B_U = P (A (x) B_C) P', with P taking the rows (a, iA, b) to
 (iA, a, b) and P' the columns (j, xi, eta) to (xi, eta, j), both fixed by d
 and k.  In particular B_I = P (I_k (x) B_{I_d}) P', and in the same row
 order I_d (x) U^dag is P (A^dag (x) (I_d (x) C^dag)) P^T.  The mixed-product
-rule (P (x) Q)(R (x) S) = PR (x) QS then gives the three figures:
+rule (P (x) Q)(R (x) S) = PR (x) QS then gives the four figures:
 
 1. Orthonormality.  B_I^dag (I_d (x) U^dag) B_U - I =
    P'^T (X (x) G - I_k (x) I) P', with X = A^dag A and
@@ -125,6 +126,9 @@ rule (P (x) Q)(R (x) S) = PR (x) QS then gives the three figures:
    products |X_ab| |Q_ij|, Q = B_{I_d}^dag B_Y, so their extremes are
    min |X| min |Q| and max |X| max |Q|.  The criterion sum of W at
    (xi, eta, j, l) is |X_jl| times that of Y at (xi, eta).
+4. Unitarity.  (A (x) C)^dag (A (x) C) = X (x) G, now with X = A^dag A
+   and G = C^dag C, so delta = max |X (x) G - I| is read off X and G as
+   in figure 1, at k^3 + d^3 flops rather than (kd)^3.
 
 The factors are read off the entries, never off labels or metadata (see
 _kron_factors).  A k >= 2 generator that is not A (x) C within
@@ -139,6 +143,34 @@ unit columns move by at most 2 e + e^2, so that much is added to the
 orthonormality and entanglement figures.  An overlap of two unit columns
 moves by at most e_s + e_t + e_s e_t; a criterion sum, d terms of W with
 unit phases, by d times that; and their agreement by twice that.
+Unitarity is not assumed there: with E = U - A (x) C,
+U^dag U - I = (X (x) G - I) + (A (x) C)^dag E + E^dag (A (x) C) + E^dag E.
+No entry of a matrix exceeds its operator norm, and
+||A (x) C||_2^2 = ||X (x) G||_2 <= 1 + ||X (x) G - I||_F <= 1 + kd delta,
+the Frobenius norm of kd x kd entries of at most delta.  So
+max |U^dag U - I| <= delta + 2 e sqrt(1 + kd delta) + e^2, which is the
+deviation reported, and the dense figure max |U^dag U - I| is at least
+delta less the same terms, so the two differ by at most twice them.
+
+The classes of such a family are found on its factors, so that no
+kd x kd matrix is sorted or multiplied.  By figure 3, a pair of two
+generators that factor has every figure a function of Y = C_s^dag C_t,
+through the overlaps of B_Y, its criterion sums and its route, and of
+|X| = |A_s^dag A_t|.  With C + 0.0 = K[p] (_canonical),
+C_s^dag C_t = K_s^dag K_t[p_t[p_s^-1]] up to the order of summation, so
+the pairs with equal (K_s, K_t, p_t[p_s^-1]) share Y and with it every
+d-level figure; each pair scales them by the extremes of its own |X| and
+adds the shift of its own e_s and e_t.  Likewise, with A + 0.0 = K_A[p]
+and C + 0.0 = K_C[q], X = A^dag A, the column norms n_j and G of figure 4
+are those of K_A and K_C up to the order of summation, and B_C is a row
+permutation of B_{K_C} (above), whose orthonormality figure G and reduced
+densities M M^dag it keeps; so figures 1, 2 and 4 are functions of
+(K_A, K_C), and the generators with equal (K_A, K_C) form a basis class,
+whose residual shift is that of the largest rho among them.  The d-level
+key merges more pairs than the kd-level one, which asks the generators
+U_s' and U_t' of two pairs to be row gathers of U_s and U_t by one
+relative order: the d-level key asks that only of their C, whatever
+their A.  family_ckd(9, 64) has 37 pair classes on its C for 120 pairs.
 
 A pair class whose W is monomial skips B_W: its overlaps are a sparse
 product of B_I with itself (Gustavson, "Two fast algorithms for sparse
@@ -621,9 +653,6 @@ def _basis_deviations(b_id, u, slab, x, norms, q=None):
     """
     kd = u.shape[0]
     n = slab.shape[0]
-    x_diag = np.diagonal(x)
-    on_scale = float(np.abs(x_diag).max())  # max_a |X_aa|
-    off_scale = float(np.abs(x - np.diag(x_diag)).max())  # max_(a != b) |X_ab|
     row_blocks = slab.reshape(n // kd, kd, kd)  # [iA]: the row block iA
     rows = slice(None) if q is None else q
     ent = np.max([linalg.max_entanglement_deviation(row_blocks[:, rows, c:c + 8].reshape(n, -1),
@@ -637,10 +666,7 @@ def _basis_deviations(b_id, u, slab, x, norms, q=None):
     at = (np.flatnonzero(ids < kd), ids[ids < kd])  # I's entries, at slab 0's columns
     diag = block[at]
     block[at] = 0.0
-    off = float(np.abs(block).max())
-    g_max = np.max((off, np.abs(diag).max()))
-    ortho = np.max((on_scale * off, np.abs(x_diag[:, None] * diag - 1.0).max()))
-    return float(np.max((ortho, off_scale * g_max))), float(ent)
+    return _kron_defect(x, float(np.abs(block).max()), diag), float(ent)
 
 
 def _slab_zero(ring, u, stages):
@@ -704,20 +730,68 @@ _FACTOR_LIMIT = 2.0 ** -40
 
 def _kron_factors(u, d):
     """(A, C, rho) with U within rho = max |U - A (x) C| of A (x) C, A
-    being k x k and C d x d, or None when kd rho exceeds _FACTOR_LIMIT.
+    being k x k and C d x d, or None when kd rho exceeds _FACTOR_LIMIT or U
+    holds a NaN.
 
     C is the d x d block of U holding its first largest |entry|, at row
     i0 d + r0 and column j0 d + s0, and A_ij = U[i d + r0, j d + s0] / that
     entry.  For U = A' (x) C' this is A = A' / A'_(i0 j0) and
-    C = A'_(i0 j0) C', so A (x) C = U up to rounding.
+    C = A'_(i0 j0) C', so A (x) C = U up to rounding.  Both the search for
+    that entry and rho read U in runs of block rows of about 1 MB, into two
+    buffers of one run made once, so no kd x kd temporary is made; each
+    entry of A (x) C is the product A_ij C_rs, as np.kron forms it.
     """
     kd = u.shape[0]
-    at = np.unravel_index(np.argmax(np.abs(u)), u.shape)
-    (i0, r0), (j0, s0) = divmod(int(at[0]), d), divmod(int(at[1]), d)
+    k = kd // d
+    step = min(k, max(1, (1 << 20) // (16 * d * kd)))  # block rows per run
+    mags = np.empty((step, d, k, d))  # |U| or |U - A (x) C| over one run, [i, r, j, s]
+    diff = np.empty((step, d, k, d), complex)
+    best, at = -1.0, None
+    for i in range(0, k, step):
+        part = np.abs(u[i * d:(i + step) * d].reshape(-1, d, k, d), out=mags[:k - i])
+        m = int(part.argmax())
+        if part.flat[m] != part.flat[m]:
+            return None  # a NaN: rho would be one
+        if part.flat[m] > best:  # the first largest, in row-major order
+            best, at = part.flat[m], divmod(i * d * kd + m, kd)
+    (i0, r0), (j0, s0) = divmod(at[0], d), divmod(at[1], d)
     c = u[i0 * d:(i0 + 1) * d, j0 * d:(j0 + 1) * d]
-    a = u[r0::d, s0::d] / u[at]
-    rho = float(np.abs(np.kron(a, c) - u).max())
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = u[r0::d, s0::d] / u[at]
+        rho = 0.0
+        for i in range(0, k, step):
+            out = np.multiply(a[i:i + step, None, :, None], c[:, None, :], out=diff[:k - i])
+            np.subtract(u[i * d:(i + step) * d].reshape(-1, d, k, d), out, out=out)
+            rho = _nan_max(rho, float(np.abs(out, out=mags[:k - i]).max()))
     return (a, c, rho) if kd * rho <= _FACTOR_LIMIT else None
+
+
+def _kron_defect(x, off, diag):
+    """max |X (x) G - I| as figure 1 of the module docstring reads it, from
+    the k x k X, the largest |entry| off of G's diagonal and that diagonal:
+    the larger of max_(a != b) |X_ab| max |G| and
+    max_a max(|X_aa| off, max_i |X_aa G_ii - 1|).  A NaN stays."""
+    x_diag = np.diagonal(x)
+    on_scale = float(np.abs(x_diag).max())  # max_a |X_aa|
+    off_scale = float(np.abs(x - np.diag(x_diag)).max())  # max_(a != b) |X_ab|
+    g_max = np.max((off, np.abs(diag).max()))
+    return float(np.max((on_scale * off, np.abs(x_diag[:, None] * diag - 1.0).max(),
+                         off_scale * g_max)))
+
+
+def _factored_unitarity(a, c, e, tol):
+    """(ok, deviation) of U = A (x) C + E with ||E||_2 <= e: the bound
+    delta + 2 e sqrt(1 + kd delta) + e^2 on max |U^dag U - I|, delta being
+    max |X (x) G - I| for X = A^dag A and G = C^dag C (module docstring),
+    or inf when it is not finite, as linalg.is_unitary gives it."""
+    g = c.conj().T @ c
+    diag = np.diagonal(g).copy()
+    np.fill_diagonal(g, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = _kron_defect(a.conj().T @ a, float(np.abs(g).max()), diag)
+        dev = delta + 2 * e * np.sqrt(1 + len(a) * len(c) * delta) + e * e
+    dev = float(dev) if np.isfinite(dev) else float("inf")
+    return dev <= tol, dev
 
 
 def _digest(rows):
@@ -727,28 +801,20 @@ def _digest(rows):
     return zlib.crc32(rows)
 
 
-def _pair_classes(mats):
-    """(i, j, class) for every pair i < j, in itertools.combinations order,
-    the first pair (i, j) of each class, and the canonical id of each
-    generator, numbered by first appearance.
+def _canonical_ids(mats):
+    """(ids, orders, positions): the canonical id of each matrix, numbered
+    by first appearance, and the order and position of its canonical form
+    (_canonical), u + 0.0 = C[position].  Matrices with one id are row
+    gathers of one another.
 
-    Each generator is a row gather U_i = C_i[p_i] of its canonical matrix
-    C_i: the rows of U_i + 0.0 (which clears signed zeros) sorted by their
-    bytes (_canonical).  Then U_i^dag U_j = C_i^dag C_j[p_j[p_i^-1]] up to
-    summation order, so the pairs with equal (C_i, C_j, p_j[p_i^-1]) share one
-    W = U_i^dag U_j.  The key is read off the matrices, never off the labels,
-    which a loaded file does not vouch for.  Generators with one id are
-    row gathers of one another, which makes the id their basis class.
-
-    The ids are looked up by a digest of C_i (_digest), not by its bytes,
-    so that no second copy of the generators is held; a digest hit counts
-    only when C_i equals the canonical matrix of that id's first generator
-    bit for bit.
-    """
-    firsts, ids, orders, positions = {}, [], [], []  # digest -> the first generator of each id
+    The ids are looked up by a digest of C (_digest), not by its bytes, so
+    that no second copy of the matrices is held; a digest hit counts only
+    when C equals the canonical matrix of that id's first matrix bit for
+    bit."""
+    firsts, ids, orders, positions = {}, [], [], []  # digest -> the first matrix of each id
     for u in mats:
         rows, order, position = _canonical(u)
-        rows = rows.view(np.uint8)  # the bytes of C_i
+        rows = rows.view(np.uint8)  # the bytes of C
         known = firsts.setdefault(_digest(rows), [])
         same = next((ids[f] for f in known if np.array_equal(
             np.ascontiguousarray(mats[f] + 0.0)[orders[f]].view(np.uint8), rows)), None)
@@ -758,9 +824,39 @@ def _pair_classes(mats):
         ids.append(same)
         orders.append(order)
         positions.append(position)
+    return ids, orders, positions
+
+
+def _pair_classes(mats, factors=None):
+    """(i, j, class) for every pair i < j, in itertools.combinations order,
+    the first pair (i, j) of each class, and the basis class id of each
+    generator, both numbered by first appearance.
+
+    factors holds the factor triple (A, C, rho) of each generator that
+    factors (_kron_factors), else None; by default none does.  A pair in
+    which both generators factor is keyed on its d-level factors: with
+    C_i + 0.0 = K_i[p_i] (_canonical), C_i^dag C_j = K_i^dag K_j[p_j[p_i^-1]]
+    up to summation order, so the pairs with equal (K_i, K_j, p_j[p_i^-1])
+    share one Y = C_i^dag C_j.  Any other pair is keyed the same way on the
+    generators themselves, which share one W = U_i^dag U_j.  A generator
+    that factors is in the basis class of its canonical A and C, and one
+    that does not in that of its own canonical matrix (module docstring).
+    The keys are read off the matrices, never off the labels, which a
+    loaded file does not vouch for.  No kd x kd matrix is sorted unless a
+    generator does not factor."""
+    factors = factors or [None] * len(mats)
+    side = _canonical_ids([u if f is None else f[1] for u, f in zip(mats, factors)])  # C, else U
+    mixed = None in factors and any(f is not None for f in factors)
+    whole = _canonical_ids(mats) if mixed else side
+    a_ids = iter(_canonical_ids([f[0] for f in factors if f is not None])[0])
+    basis = {}
+    ids = [basis.setdefault((-1 if f is None else next(a_ids), c), len(basis))
+           for f, c in zip(factors, side[0])]
     classes, pairs, first = {}, [], []
     for i, j in itertools.combinations(range(len(mats)), 2):
-        key = (ids[i], ids[j], positions[j][orders[i]].tobytes())
+        factored = factors[i] is not None and factors[j] is not None
+        keys, orders, positions = side if factored else whole
+        key = (factored, keys[i], keys[j], positions[j][orders[i]].tobytes())
         if key not in classes:
             classes[key] = len(first)
             first.append((i, j))
@@ -777,17 +873,23 @@ def _bits(a):
 def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
     """Check everything the family claims, holding no N x N array.
 
-    Unitarity is checked once per canonical matrix: on the first generator
-    of each class of generators that are row gathers of one another (see
-    _pair_classes), since U = C[p] gives U^dag U = C^dag C up to the order
-    of summation.  Every generator of a failing class keeps its own
-    generator_errors row, in generator order, with its class's deviation,
-    and certification stops there.
-
     Every generator U has a factor triple (A, C, rho): A (x) C when k >= 2
     and U factors (_kron_factors), else the trivial A = [1], C = U, rho = 0
-    (module docstring).  The route is "factored" when U really factored,
-    else "streamed"; the code is the same.
+    (module docstring).  The factors are read first.  The route is
+    "factored" when U really factored, else "streamed"; the code is the
+    same.  The basis and pair classes are then found on the canonical forms
+    of the factors (_pair_classes): a generator that factors is classed by
+    its A and C, a pair of two such generators by their d-level C, and any
+    other generator or pair by the kd x kd matrices themselves.
+
+    Unitarity is checked once per basis class, on its first generator: from
+    X = A^dag A and G = C^dag C when it factors, the rho of the class being
+    the largest of its members' (_factored_unitarity, k^3 + d^3 flops),
+    else by the dense linalg.is_unitary.  Row gathers leave both checks
+    alone up to the order of summation (module docstring).  Every
+    generator of a failing class keeps its own generator_errors row, in
+    generator order, with its class's deviation, and certification stops
+    there.
 
     The run is planned before anything but I is expanded.  The plan lists
     the matrices to expand, each once, and what reads each of them:
@@ -812,42 +914,45 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
     of A, are those of the basis (figures 1 and 2 of the module docstring).
     Every basis keeps its own report row, in generator order, with its
     class's figures, the class id under "class", the route, and for a
-    factored class its "factor_residual" rho.
+    factored class its "factor_residual", the largest rho of its members.
 
-    Per pair class (see _pair_classes), the overlap extremes are those of
-    the identity basis of Y's level against B_Y, and the criterion extremes
-    those of Y, each times min and max |A_s^dag A_t| (figure 3).  The
-    overlaps of B_Y are "sparse" by sparse_unbiased when Y is monomial,
+    Per pair class, the overlap extremes are those of the identity basis of
+    Y's level against B_Y, and the criterion extremes those of Y (figure 3).
+    The overlaps of B_Y are "sparse" by sparse_unbiased when Y is monomial,
     else brute force against slab 0 of B_Y, "streamed".  A streamed Y at
     the d-level is first matched against the representative of each orbit
     found so far: "orbit" when P_m Y P_m^T equals it for a unit m
     (_orbit_unit), which takes its overlap extremes once
     (P_m (x) P_m) B_I = B_I Pi_m is checked for that m (_permutes_columns,
     RuntimeError when it fails); else Y becomes a representative.  These
-    routes are decided in the plan, in class order.  The overlaps are held
-    against 1/sqrt(kd^2), the criterion against 1/sqrt(k), and the two
-    routes must agree after the factor-d rescaling.  Every pair keeps its
-    own report row, in combinations order, with its class's figures, the
+    routes are decided in the plan, in class order.  Every pair keeps its
+    own report row, in combinations order, with its class's figures, each
+    times min and max |A_s^dag A_t| of its own factors (figure 3), the
     class id under "class", the route, for a sparse Y its
     "monomial_residual" rho, and for an orbit the class id of its
-    representative under "orbit_of".  Each figure includes the bound on how
-    far the residuals can move it, so every pass test holds for the
+    representative under "orbit_of".  The overlaps are held against
+    1/sqrt(kd^2), the criterion against 1/sqrt(k), and the two routes must
+    agree after the factor-d rescaling.  Each figure includes the bound on
+    how far the residuals can move it, so every pass test holds for the
     generators as they stand.
 
-    report.stages records the wall time of each stage: unitarity_s,
+    report.stages records the wall time of each stage: factors_s (reading
+    the factors), class_search_s (the basis and pair classes), unitarity_s,
     identity_blocks_s (expanding I and building its column blocks),
     classes_s (the plan of the pair classes and their brute force),
     bases_s (the basis figures) and expansions_s (the expansions other than
     I's); and the counts of bases, basis classes and factored basis
-    classes, pairs, pair classes, factored pair classes, pair classes whose
-    W or Y took the sparse product and those whose W or Y took an orbit's
-    figures, the expansions, and, as _slab_zero reads each expansion
-    itself, the slabs checked as translates of slab 0, d - 1 per expansion.
+    classes, the generators checked by the dense is_unitary (through
+    their class's first generator), pairs, pair classes, factored pair
+    classes, pair classes whose W or Y took the sparse product and those
+    whose W or Y took an orbit's figures, the expansions, and, as
+    _slab_zero reads each expansion itself, the slabs checked as
+    translates of slab 0, d - 1 per expansion.
 
     progress, when given, is called as progress(stage, done, total) as each
     stage starts, with done = 0, and after each of its items: "unitarity"
-    over the canonical matrices, "pair classes" over the plan's pair
-    classes and "expansions" over the planned matrices.
+    over the basis classes, "pair classes" over the plan's pair classes and
+    "expansions" over the planned matrices.
     """
     t0 = time.perf_counter()
     d, k = family.d, family.k
@@ -865,35 +970,25 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
     family_id = f"{family.metadata.get('construction', 'family')}-d{d}-k{k}"
     report = VerificationReport(family_id, d, k, family.n_bases, tolerances)
     stages = report.stages
-    stages.update(bases=family.n_bases, basis_classes=0, factored_basis_classes=0, pairs=0,
-                  classes=0, factored_pair_classes=0, sparse_pair_classes=0,
-                  orbit_pair_classes=0, expansions=0, slabs_checked=0, identity_blocks_s=0.0,
-                  classes_s=0.0, bases_s=0.0, expansions_s=0.0)
+    stages.update(bases=family.n_bases, basis_classes=0, factored_basis_classes=0,
+                  dense_unitarity_generators=0, pairs=0, classes=0, factored_pair_classes=0,
+                  sparse_pair_classes=0, orbit_pair_classes=0, expansions=0, slabs_checked=0,
+                  identity_blocks_s=0.0, classes_s=0.0, bases_s=0.0, expansions_s=0.0)
 
     progress = progress or (lambda stage, done, total: None)
     ring = family.ring
     mats = [mat for _, mat in family.generators]
-    pairs, first, ids = _pair_classes(mats)
-    basis_first = {}  # class id -> its first generator, in class order
+    t = time.perf_counter()
+    factors = [_kron_factors(u, d) for u in mats] if k > 1 else [None] * len(mats)
+    stages["factors_s"] = time.perf_counter() - t
+    t = time.perf_counter()
+    pairs, first, ids = _pair_classes(mats, factors)
+    members = {}  # basis class id -> its generators, the first one first, in class order
     for i, c in enumerate(ids):
-        basis_first.setdefault(c, i)
-    stages.update(basis_classes=len(basis_first), pairs=len(pairs), classes=len(first))
-
-    progress("unitarity", 0, len(basis_first))
-    unitary = {}
-    for c, i in basis_first.items():
-        unitary[c] = linalg.is_unitary(mats[i], 1e-9)
-        progress("unitarity", len(unitary), len(basis_first))
-    for (label, _), c in zip(family.generators, ids):
-        ok, dev = unitary[c]
-        if not ok:
-            report.generator_errors.append({"label": label, "deviation": dev})
-    stages["unitarity_s"] = time.perf_counter() - t0
-    if report.generator_errors:
-        report.wall_time_s = time.perf_counter() - t0
-        return report
-
-    factors = [_kron_factors(u, d) if k > 1 else None for u in mats]
+        members.setdefault(c, []).append(i)
+    stages["class_search_s"] = time.perf_counter() - t
+    stages.update(basis_classes=len(members), pairs=len(pairs), classes=len(first),
+                  dense_unitarity_generators=factors.count(None))
 
     def factor_triples(*gens):
         """Whether all the generators factor, and the triple (A, C, rho) of
@@ -902,7 +997,29 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
             return True, [factors[i] for i in gens]
         return False, [(np.ones((1, 1)), mats[i], 0.0) for i in gens]
 
-    basis_triples = {} if pairs_only else {c: factor_triples(i) for c, i in basis_first.items()}
+    triples = {}  # basis class -> the triple of its first generator, rho its members' largest
+    for c, gens in members.items():
+        factored, [(a, c_mat, _)] = factor_triples(gens[0])
+        rho = max(factors[i][2] for i in gens) if factored else 0.0
+        triples[c] = factored, [(a, c_mat, rho)]
+
+    t = time.perf_counter()
+    progress("unitarity", 0, len(members))
+    unitary = {}
+    for c, (factored, [(a, c_mat, rho)]) in triples.items():
+        unitary[c] = _factored_unitarity(a, c_mat, kd * rho, 1e-9) if factored else \
+            linalg.is_unitary(c_mat, 1e-9)
+        progress("unitarity", len(unitary), len(members))
+    for (label, _), c in zip(family.generators, ids):
+        ok, dev = unitary[c]
+        if not ok:
+            report.generator_errors.append({"label": label, "deviation": dev})
+    stages["unitarity_s"] = time.perf_counter() - t
+    if report.generator_errors:
+        report.wall_time_s = time.perf_counter() - t0
+        return report
+
+    basis_triples = {} if pairs_only else triples
     pair_triples = [factor_triples(i, j) for i, j in first]
 
     plan = []  # (M, the order of M's canonical form, its readers (q, kind, class id))
@@ -984,17 +1101,15 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
             orbits.append((w, c))
         return 0.0, {"route": "streamed"}
 
-    partial = []  # per pair class: its figures but the overlap extremes of Y
+    partial = []  # per pair class: the criterion extremes of Y, e_Y and the route fields
     progress("pair classes", 0, len(first))
-    for c, (factored, [(a_s, c_s, rho_s), (a_t, c_t, rho_t)]) in enumerate(pair_triples):
-        x = np.abs(a_s.conj().T @ a_t)
+    for c, (factored, [(_, c_s, _), (_, c_t, _)]) in enumerate(pair_triples):
         y = _adjoint_product(c_s, c_t)
         e_y, route = overlap_route(y, c)
         if factored:
             route = {**route, "route": "factored"}
             stages["factored_pair_classes"] += 1
-        partial.append((float(x.min()), float(x.max()), *criterion_magnitudes(ring, y), e_y,
-                        kd * rho_s, kd * rho_t, route))
+        partial.append((*criterion_magnitudes(ring, y), e_y, route))
         progress("pair classes", c + 1, len(first))
     stages["classes_s"] += time.perf_counter() - t
 
@@ -1042,15 +1157,18 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
                 **route,
             })
 
-    class_results = []
-    for c, (x_lo, x_hi, cr_lo, cr_hi, e_y, e_s, e_t, route) in enumerate(partial):
+    def pair_figures(c, x_lo, x_hi, e_s, e_t):
+        """The figures of a pair of class c whose |A_s^dag A_t| has the
+        extremes x_lo and x_hi, e_s and e_t being kd rho of its generators
+        (figure 3 and the residual bounds of the module docstring)."""
+        cr_lo, cr_hi, e_y, route = partial[c]
         ov_lo, ov_hi = extremes[route.get("orbit_of", c)]
         ov_lo, ov_hi, cr_lo, cr_hi = x_lo * ov_lo, x_hi * ov_hi, x_lo * cr_lo, x_hi * cr_hi
         e_w = x_hi * e_y
         shift = e_s + e_t + e_s * e_t
         ov_dev = deviation(ov_lo, ov_hi, target) + shift + e_w
         cr_dev = deviation(cr_lo, cr_hi, crit_target) + d * shift
-        class_results.append({
+        return {
             "overlap_min": ov_lo,
             "overlap_max": ov_hi,
             "overlap_deviation": ov_dev,
@@ -1059,16 +1177,28 @@ def certify_family(family, tolerance=1e-8, pairs_only=False, progress=None):
             "pass": ov_dev <= tolerance,
             "criterion_pass": cr_dev <= tolerance,
             **route,
-        })
-    for i, j, c in pairs:
-        report.pair_results.append({"a": family.generators[i][0], "b": family.generators[j][0],
-                                    **class_results[c], "class": c})
+        }
 
-    report.agreement_deviation = functools.reduce(_nan_max, [r["agreement"] for r in
-                                                             class_results] or [0.0])
+    rows, class_rows = [], {}  # the figures of each factored pair; of each other class
+    for i, j, c in pairs:
+        if pair_triples[c][0]:
+            (a_s, _, rho_s), (a_t, _, rho_t) = factors[i], factors[j]
+            x = np.abs(a_s.conj().T @ a_t)
+            row = pair_figures(c, float(x.min()), float(x.max()), kd * rho_s, kd * rho_t)
+            rows.append(row)
+        elif c in class_rows:
+            row = class_rows[c]
+        else:
+            row = class_rows[c] = pair_figures(c, 1.0, 1.0, 0.0, 0.0)
+            rows.append(row)
+        report.pair_results.append({"a": family.generators[i][0], "b": family.generators[j][0],
+                                    **row, "class": c})
+
+    report.agreement_deviation = functools.reduce(_nan_max, [r["agreement"] for r in rows]
+                                                  or [0.0])
     report.passed = (
         all(b["pass"] for b in report.basis_results)
-        and all(c["pass"] and c["criterion_pass"] for c in class_results)
+        and all(r["pass"] and r["criterion_pass"] for r in rows)
         and report.agreement_deviation <= tolerances["agreement"]
     )
     report.wall_time_s = time.perf_counter() - t0

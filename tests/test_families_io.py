@@ -791,8 +791,10 @@ def _assert_header_stages(tmp_path, fam, factored, sparse, expansions):
          "slabs_checked": (fam.d - 1) * expansions,
          "factored_basis_classes": 4 * factored, "factored_pair_classes": 6 * factored,
          "sparse_pair_classes": sparse}
-    assert all(stages[key] >= 0 for key in ("unitarity_s", "identity_blocks_s",
-                                            "bases_s", "classes_s", "expansions_s"))
+    assert all(stages[key] >= 0 for key in ("factors_s", "class_search_s", "unitarity_s",
+                                            "identity_blocks_s", "bases_s", "classes_s",
+                                            "expansions_s"))
+    assert stages["dense_unitarity_generators"] == (0 if factored else 4)
     # outside the header the report is to_dict()
     body = {k: v for k, v in doc.items() if k != "header"}
     assert body == json.loads(json.dumps(report.to_dict()))

@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -276,8 +277,8 @@ def _assert_same_verdicts(got, want, bound=1e-12):
 
 @pytest.mark.parametrize("build,classes", [
     (lambda: family_cd(15), 5),
-    (lambda: family_ckd(9, 4), 10),
-    (lambda: family_ckd_mols(7, 9), 6),
+    (lambda: family_ckd(9, 4), 9),
+    (lambda: family_ckd_mols(7, 9), 5),
     (lambda: family_cd(19), 52),
 ], ids=["15-1", "9-4", "7-9-mols", "19-1"])
 def test_classed_route_matches_exhaustive_oracle(build, classes):
@@ -366,9 +367,10 @@ def test_factored_basis_rows_carry_the_per_basis_figures_of_their_representative
 
 
 @pytest.mark.parametrize("build", [
-    lambda: family_ckd(3, 4), lambda: family_ckd(9, 4), lambda: family_ckd(3, 6),
-    lambda: family_ckd(15, 9), lambda: family_ckd_mols(7, 9), lambda: family_ckd_mols(5, 16),
-], ids=["3-4", "9-4", "3-6", "15-9", "7-9-mols", "5-16-mols"])
+    lambda: family_ckd(3, 4), lambda: family_ckd(5, 4), lambda: family_ckd(9, 4),
+    lambda: family_ckd(3, 6), lambda: family_ckd(15, 9), lambda: family_ckd(3, 64),
+    lambda: family_ckd_mols(7, 9), lambda: family_ckd_mols(5, 16),
+], ids=["3-4", "5-4", "9-4", "3-6", "15-9", "3-64", "7-9-mols", "5-16-mols"])
 def test_factored_route_matches_exhaustive_oracle(build):
     # every generator factors, so every class takes the factored route; the
     # oracle expands and holds every kd-level basis.  Flags and labels must
@@ -398,6 +400,27 @@ def test_factored_route_matches_exhaustive_oracle_on_uneven_factors():
     assert not any(p["pass"] or p["criterion_pass"] for p in got.pair_results)
 
 
+def test_each_pair_of_a_d_level_class_takes_its_own_a_factors():
+    # A_t = D_t M, M a real orthogonal 4 x 4 whose (0, 0) entry is its first
+    # largest and D_t = diag(1, i^t, i^2t, i^3t), so every C read off
+    # A_t (x) U_t is 0.768 U_t and the U(a)^dag U(b) of equal b / a share a
+    # d-level class, while |A_s^dag A_t| = |M^T D_s^dag D_t M| changes with
+    # t - s: the pairs of one class hold other figures, each those of the
+    # oracle on the pair itself
+    m = np.kron([[0.8, -0.6], [0.6, 0.8]], [[0.96, -0.28], [0.28, 0.96]])
+    base = family_cd(5)
+    gens = [(label, np.kron(np.diag(1j ** (t * np.arange(4))) @ m, u))
+            for t, (label, u) in enumerate(base.generators)]
+    fam = MEBFamily(5, 4, base.ring, gens, base.metadata)
+    got = certify_family(fam)
+    assert {row["route"] for row in got.basis_results + got.pair_results} == {"factored"}
+    highs = {}
+    for row in got.pair_results:
+        highs.setdefault(row["class"], set()).add(row["overlap_max"])
+    assert max(len(h) for h in highs.values()) > 1  # a class whose pairs differ
+    _assert_same_verdicts(got, certify_exhaustive(fam), 1e-12 + _residual_bound(fam))
+
+
 def test_tampered_cell_fails_the_factor_check_and_the_streamed_route(monkeypatch):
     # generator 0 of family_ckd(3, 4) is I_12; turning one cell of its block
     # (1, 1) to i leaves a unitary (a monomial matrix) and an orthonormal,
@@ -425,6 +448,164 @@ def test_tampered_cell_fails_the_factor_check_and_the_streamed_route(monkeypatch
     assert failing == [(label, gens[2][0]), (label, gens[3][0])]
     assert not got.passed
     assert got.stages["factored_basis_classes"] == 3 and got.stages["factored_pair_classes"] == 3
+
+
+def _record_shapes(monkeypatch, *names):
+    """Record (name, shape of the first argument) of every call to each
+    (module, name) given, which then runs as before."""
+    calls = []
+    for module, name in names:
+        monkeypatch.setattr(module, name, lambda a, *rest, f=getattr(module, name), name=name:
+                            calls.append((name, a.shape)) or f(a, *rest))
+    return calls
+
+
+@pytest.mark.parametrize("d,k", [(9, 64), (15, 9)])
+def test_a_factored_family_sorts_checks_and_multiplies_no_kd_by_kd_matrix(monkeypatch, d, k):
+    # unitarity comes from A^dag A and C^dag C, and the basis and pair
+    # classes from the canonical forms of the k x k A and the d x d C
+    calls = _record_shapes(monkeypatch, (linalg, "is_unitary"), (verify, "_canonical"),
+                           (verify, "_adjoint_product"))
+    report = certify_family(family_ckd(d, k))
+    assert report.passed
+    assert {name for name, _ in calls} == {"_canonical", "_adjoint_product"}
+    assert max(max(shape) for _, shape in calls) == max(d, k) < k * d
+    assert report.stages["dense_unitarity_generators"] == 0
+    assert report.stages["classes"] == {(9, 64): 37, (15, 9): 6}[d, k]
+
+
+def _scale(m, cols=slice(None)):
+    m[:, cols] *= 1.5
+
+
+def _mix(m):
+    m[:, 1] += 0.5 * m[:, 0]
+
+
+# (what is done to A, to C, whether a cell of A (x) C then moves by 2^-44)
+_FACTOR_SPOILS = {
+    "A": (_scale, None, False), "C": (None, _scale, False),
+    "A-column": (lambda m: _scale(m, 0), None, False),
+    "C-column": (None, lambda m: _scale(m, 0), False),
+    "A-mixed": (_mix, None, False), "C-mixed": (None, _mix, False),
+    "A-moved-cell": (_scale, None, True),
+}
+
+
+@pytest.mark.parametrize("spoil", list(_FACTOR_SPOILS))
+def test_a_spoiled_factor_fails_unitarity_within_the_bound_of_the_dense_figure(
+        monkeypatch, tmp_path, capsys, spoil):
+    # generator 2 of family_ckd(3, 4) rebuilt from its factors with one of
+    # them spoiled: scaled by 1.5, all of it or one column, or with a column
+    # added to another.  It still factors, so it is checked from X (x) G
+    # alone, and its deviation bounds the dense max |U^dag U - I| and
+    # exceeds it by at most twice the residual terms (module docstring).
+    # With a cell moved by 2^-44 along its entry, rho > 0 and the dense
+    # figure grows by ~5e-14, which only those terms cover
+    fam = family_ckd(3, 4)
+    gens = list(fam.generators)
+    label, u = gens[2]
+    a, c, _ = (np.array(m) for m in verify._kron_factors(u, fam.d))
+    on_a, on_c, moved = _FACTOR_SPOILS[spoil]
+    for side, how in ((a, on_a), (c, on_c)):
+        if how:
+            how(side)
+    u = np.kron(a, c)
+    if moved:
+        at = (-1, int(np.abs(u[-1]).argmax()))
+        u[at] *= 1 + 2.0 ** -44 / abs(u[at])
+    factors = verify._kron_factors(u, fam.d)
+    assert factors is not None and (factors[2] > 2.0 ** -45) == moved
+    gens[2] = (label, u)
+    fam = MEBFamily(fam.d, fam.k, fam.ring, gens, fam.metadata)
+    kd = fam.k * fam.d
+    e = kd * factors[2]
+    calls = _record_shapes(monkeypatch, (linalg, "is_unitary"))
+    report = certify_family(fam)
+    assert calls == [] and report.stages["dense_unitarity_generators"] == 0
+    assert [row["label"] for row in report.generator_errors] == [label]
+    dev = report.generator_errors[0]["deviation"]
+    dense = linalg.is_unitary(u)[1]
+    assert dense > 0.1
+    assert dense - 1e-14 <= dev <= dense + 2 * (2 * e * np.sqrt(1 + kd * dev) + e * e) + 1e-14
+    assert not report.passed and report.pair_results == []
+    path = tmp_path / "spoiled.json"
+    save_family(fam, path)
+    assert main(["verify", str(path)]) == 3
+    assert f"FAIL generator {label} not unitary (dev " in capsys.readouterr().out
+
+
+def test_a_tampered_cell_takes_the_dense_unitarity_check(monkeypatch):
+    # generator 0 of family_ckd(3, 4) is I_12; a cell of 1 + 1e-6 leaves no
+    # A (x) C within 2^-40 / kd, so that generator alone takes the dense
+    # check, which it fails with the dense figure, bit for bit
+    fam = family_ckd(3, 4)
+    gens = list(fam.generators)
+    label, u = gens[0]
+    u = np.array(u)
+    u[4, 4] = 1 + 1e-6
+    gens[0] = (label, u)
+    assert verify._kron_factors(u, 3) is None
+    calls = _record_shapes(monkeypatch, (linalg, "is_unitary"))
+    report = certify_family(MEBFamily(3, 4, fam.ring, gens, fam.metadata))
+    assert calls == [("is_unitary", (12, 12))]
+    assert report.generator_errors == [{"label": label, "deviation": linalg.is_unitary(u)[1]}]
+    assert report.stages["dense_unitarity_generators"] == 1
+    assert not report.passed and report.pair_results == []
+
+
+def test_a_basis_class_carries_the_largest_residual_of_its_members():
+    # a copy of a generator with one cell moved by 2^-50, off the cells its
+    # factors are read from, has the same A and C and so the same basis
+    # class, but its own residual, which the class's figures then include
+    fam = family_ckd(3, 4)
+    gens = list(fam.generators)
+    label, u = gens[2]
+    moved = np.array(u)
+    moved[-1, -1] += 2.0 ** -50
+    (a, c, rho), (a2, c2, rho2) = (verify._kron_factors(m, 3) for m in (u, moved))
+    assert np.array_equal(a, a2) and np.array_equal(c, c2) and rho < rho2
+    gens.append((label + "'", moved))
+    report = certify_family(MEBFamily(3, 4, fam.ring, gens, fam.metadata))
+    rows = [row for row in report.basis_results if row["class"] == report.basis_results[2]["class"]]
+    assert [row["label"] for row in rows] == [label, label + "'"]
+    e = 12 * rho2
+    for row in rows:
+        assert row["factor_residual"] == rho2
+        assert min(row["orthonormality"], row["entanglement"]) >= 2 * e + e * e
+    assert report.stages["basis_classes"] == 4
+
+
+@pytest.mark.parametrize("d,k,kd_level,d_level", [
+    (9, 4, 10, 9), (25, 9, 45, 36), (45, 9, 28, 26), (81, 9, 45, 41), (9, 64, 120, 37),
+], ids=["9-4", "25-9", "45-9", "81-9", "9-64"])
+def test_factored_pair_classes_are_keyed_on_the_d_level_factors(d, k, kd_level, d_level):
+    # the pairs of one class share Y = C_s^dag C_t up to summation order,
+    # which merges pairs that the kd-level key keeps apart; each generator
+    # of family_ckd stays its own basis class
+    fam = family_ckd(d, k)
+    mats = [u for _, u in fam.generators]
+    factors = [verify._kron_factors(u, d) for u in mats]
+    assert len(_pair_classes(mats)[1]) == kd_level
+    pairs, first, ids = _pair_classes(mats, factors)
+    assert len(first) == d_level and ids == list(range(fam.n_bases))
+    ys = [verify._adjoint_product(factors[i][1], factors[j][1]) for i, j in first]
+    for i, j, c in pairs:
+        assert np.abs(verify._adjoint_product(factors[i][1], factors[j][1]) - ys[c]).max() <= 1e-15
+
+
+def test_factors_classes_and_unitarity_are_timed_apart(monkeypatch):
+    # a slow factor read or class search shows in its own stage, not in
+    # unitarity_s
+    for name in ("_kron_factors", "_pair_classes"):
+        monkeypatch.setattr(verify, name, lambda *args, f=getattr(verify, name):
+                            time.sleep(0.02) or f(*args))
+    report = certify_family(family_ckd(3, 4))
+    stages = report.stages
+    assert stages["factors_s"] >= 4 * 0.02 and stages["class_search_s"] >= 0.02
+    assert stages["unitarity_s"] < 0.02
+    assert stages["factors_s"] + stages["class_search_s"] + stages["unitarity_s"] <= \
+        report.wall_time_s
 
 
 @pytest.mark.parametrize("build,n_streamed", [
@@ -687,11 +868,13 @@ def test_stages_count_the_streamed_work():
     # product
     assert {key: stages[key] for key in ("bases", "basis_classes", "pairs", "classes",
                                          "sparse_pair_classes", "orbit_pair_classes",
-                                         "expansions")} == \
+                                         "expansions", "dense_unitarity_generators")} == \
         {"bases": 36, "basis_classes": 2, "pairs": 630, "classes": 52,
-         "sparse_pair_classes": 34, "orbit_pair_classes": 16, "expansions": 2}
+         "sparse_pair_classes": 34, "orbit_pair_classes": 16, "expansions": 2,
+         "dense_unitarity_generators": 36}
     assert stages["slabs_checked"] == 18 * 2  # every slab but slab 0 of each
-    for key in ("unitarity_s", "identity_blocks_s", "bases_s", "classes_s", "expansions_s"):
+    for key in ("factors_s", "class_search_s", "unitarity_s", "identity_blocks_s", "bases_s",
+                "classes_s", "expansions_s"):
         assert 0 <= stages[key] <= report.wall_time_s
     assert "stages" not in report.to_dict()
     only = certify_family(family_cd(19), pairs_only=True).stages
@@ -1256,18 +1439,18 @@ def test_certified_criterion_figures_match_the_blockwise_oracle(build):
 _SPARSE_ROUNDING = 1e-15
 
 
+def _pair_w(fam, i, j):
+    """The d x d W of the pair (i, j) of fam: U^dag V for k = 1, and the
+    d-level Y = C_s^dag C_t of the factors for k >= 2."""
+    u, v = fam.generators[i][1], fam.generators[j][1]
+    if fam.k > 1:
+        (_, u, _), (_, v, _) = (verify._kron_factors(m, fam.d) for m in (u, v))
+    return verify._adjoint_product(u, v)
+
+
 def _class_ws(fam):
-    """The d x d W of the first pair of every pair class of fam: U^dag V for
-    k = 1, and the d-level Y = C_s^dag C_t of the factors for k >= 2."""
-    mats = [u for _, u in fam.generators]
-    out = []
-    for i, j in _pair_classes(mats)[1]:
-        if fam.k == 1:
-            out.append(verify._adjoint_product(mats[i], mats[j]))
-        else:
-            (_, c_s, _), (_, c_t, _) = (verify._kron_factors(mats[m], fam.d) for m in (i, j))
-            out.append(verify._adjoint_product(c_s, c_t))
-    return out
+    """The d x d W of the first pair of every kd-level pair class of fam."""
+    return [_pair_w(fam, i, j) for i, j in _pair_classes([u for _, u in fam.generators])[1]]
 
 
 @pytest.mark.parametrize("build,exact,near", [
@@ -1464,15 +1647,17 @@ def test_orbit_route_matches_brute_force_on_every_dense_class(build, merged):
     # the extremes of |A_s^dag A_t|, within summation order
     fam = build()
     report = certify_family(fam, pairs_only=True)
-    rows = {p["class"]: p for p in report.pair_results}
+    firsts = {}  # class -> its first pair and row
+    for (i, j), row in zip(itertools.combinations(range(fam.n_bases), 2), report.pair_results):
+        firsts.setdefault(row["class"], (i, j, row))
+    rows = {c: row for c, (_, _, row) in firsts.items()}
     b_id = linalg.ColumnBlocks(expand_basis(fam.ring, np.eye(fam.d)))
     mats = [u for _, u in fam.generators]
     orbit = 0
-    for c, ((i, j), w) in enumerate(zip(_pair_classes(mats)[1], _class_ws(fam))):
-        row = rows[c]
+    for c, (i, j, row) in sorted(firsts.items()):
         if "monomial_residual" in row:
             continue
-        lo, hi = bruteforce_unbiased(b_id, expand_basis(fam.ring, w))
+        lo, hi = bruteforce_unbiased(b_id, expand_basis(fam.ring, _pair_w(fam, i, j)))
         if fam.k > 1:
             (a_s, _, _), (a_t, _, _) = (verify._kron_factors(mats[m], fam.d) for m in (i, j))
             x = np.abs(a_s.conj().T @ a_t)
